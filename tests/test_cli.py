@@ -1,5 +1,8 @@
 import json
+import shlex
 from pathlib import Path
+
+import pytest
 
 from boolps.bn import parse_bn_text
 from boolps.boolp import parse_system_text
@@ -252,3 +255,188 @@ class TestExitCodes:
         monkeypatch.setenv("BOOLPS_CAP_VARS", "10")
         code, _, _ = run(capsys, "bn", "transitions", MODELS / "ex31.bn")
         assert code == 0
+
+
+# The sixteen commands of the README's "Command line" section with the exact
+# stdout and exit code each gives on models/.  `cofase verify` reads the
+# solution that the `cofase solve --format json` line before it writes.
+README_COMMANDS = [
+    (
+        'bn transitions models/ex31.bn --mode syn --format dot',
+        0,
+        (
+            'digraph transitions {\n'
+            '  "00";\n'
+            '  "01";\n'
+            '  "10";\n'
+            '  "11";\n'
+            '  "00" -> "00" [label="{x, y}"];\n'
+            '  "01" -> "10" [label="{x, y}"];\n'
+            '  "10" -> "01" [label="{x, y}"];\n'
+            '  "11" -> "00" [label="{x, y}"];\n'
+            '}\n'
+        ),
+    ),
+    (
+        'bn trace models/ex31.bn --init 01 --steps 4',
+        0,
+        '01 -> 10 -> 01 -> 10 -> 01\n',
+    ),
+    (
+        'bn attractors models/ex31.bn --mode asyn',
+        0,
+        '{00}\n',
+    ),
+    (
+        'pi trace models/ex41.pi --mode maxpar --init "{a,b}" --steps 2',
+        0,
+        '{a, b} -> {a} -> {} [halting]\n',
+    ),
+    (
+        'pi transitions models/ex41.pi --mode maxpar --format json',
+        0,
+        (
+            '{"src": "{a}", "rules": "{r2}", "dst": "{}"}\n'
+            '{"src": "{a, b}", "rules": "{r1}", "dst": "{a}"}\n'
+        ),
+    ),
+    (
+        'translate bn models/ex31.bn --mode syn',
+        0,
+        (
+            'alphabet x, y\n'
+            'set_x: {} -> {x} | !x & y\n'
+            'clr_x: {x} -> {} | !(!x & y)\n'
+            'set_y: {} -> {y} | x & !y\n'
+            'clr_y: {y} -> {} | !(x & !y)\n'
+            'advise {clr_x, clr_y, set_x, set_y}\n'
+        ),
+    ),
+    (
+        'translate bcn models/ex32.bcn',
+        0,
+        (
+            'alphabet x, y, u_x0, u_x1, u_y0, u_y1\n'
+            'set_x: {} -> {x} | !x & y & !u_x0 | u_x1\n'
+            'clr_x: {x} -> {} | !(!x & y & !u_x0 | u_x1)\n'
+            'set_y: {} -> {y} | x & !y & !u_y0 | u_y1\n'
+            'clr_y: {y} -> {} | !(x & !y & !u_y0 | u_y1)\n'
+            'advise {clr_x, clr_y, set_x, set_y}\n'
+        ),
+    ),
+    (
+        'translate rs models/rs_example.rs',
+        0,
+        (
+            'alphabet a, b, c\n'
+            'a1: {} -> {b} | a & !c\n'
+            'a2: {} -> {a, c} | b\n'
+            'deg_a: {a} -> {} | 1\n'
+            'deg_b: {b} -> {} | 1\n'
+            'deg_c: {c} -> {} | 1\n'
+            'quasimode maxpar\n'
+        ),
+    ),
+    (
+        'compose models/ex32.bcn --mode syn --regime free',
+        0,
+        (
+            'alphabet x, y, u_x0, u_x1, u_y0, u_y1\n'
+            'controls u_x0, u_x1, u_y0, u_y1\n'
+            'regime free\n'
+            'mode syn\n'
+            'set_x: {} -> {x} | !x & y & !u_x0 | u_x1\n'
+            'clr_x: {x} -> {} | !(!x & y & !u_x0 | u_x1)\n'
+            'set_y: {} -> {y} | x & !y & !u_y0 | u_y1\n'
+            'clr_y: {y} -> {} | !(x & !y & !u_y0 | u_y1)\n'
+            'u_clr_u_x0: {u_x0} -> {} | 1\n'
+            'u_set_u_x0: {} -> {u_x0} | 1\n'
+            'u_clr_u_x1: {u_x1} -> {} | 1\n'
+            'u_set_u_x1: {} -> {u_x1} | 1\n'
+            'u_clr_u_y0: {u_y0} -> {} | 1\n'
+            'u_set_u_y0: {} -> {u_y0} | 1\n'
+            'u_clr_u_y1: {u_y1} -> {} | 1\n'
+            'u_set_u_y1: {} -> {u_y1} | 1\n'
+        ),
+    ),
+    (
+        'cofase solve models/ex32.cofase --max-phases 3 --format json',
+        0,
+        (
+            '{\n'
+            '  "solvable": true,\n'
+            '  "policy": "uniform",\n'
+            '  "phases": 1,\n'
+            '  "witnesses": [\n'
+            '    {\n'
+            '      "start": "01",\n'
+            '      "controls": [\n'
+            '        [\n'
+            '          "u_y1"\n'
+            '        ]\n'
+            '      ],\n'
+            '      "states": [\n'
+            '        "01",\n'
+            '        "11"\n'
+            '      ],\n'
+            '      "boundaries": []\n'
+            '    }\n'
+            '  ]\n'
+            '}\n'
+        ),
+    ),
+    (
+        'cofase solve models/ex32.cofase --engine composite --max-steps 40',
+        0,
+        (
+            'solvable in 1 phase(s) [per-start]\n'
+            '  start 01: controls {u_y1}\n'
+            '    witness 01 -> 11\n'
+            '    boundaries []\n'
+        ),
+    ),
+    (
+        'cofase verify models/ex32.cofase --solution solution.json',
+        0,
+        'ok: 1 witness(es) verified\n',
+    ),
+    (
+        'check bn-sim --random 100 --seed 2024',
+        0,
+        'network-embedding suite: 300/300 cases pass [pass]\n',
+    ),
+    (
+        'check bcn-sim models/ex32.bcn --mode syn',
+        0,
+        'pass: labelled transition relations coincide\n',
+    ),
+    (
+        'check lemma-product --random 100',
+        0,
+        'mode-product suite: 100/100 cases pass [pass]\n',
+    ),
+    (
+        'check rs-embed models/rs_example.rs',
+        0,
+        'pass: embedded step equals the result function\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, code, stdout", README_COMMANDS, ids=[c[0] for c in README_COMMANDS]
+)
+def test_readme_command_golden(capsys, tmp_path, monkeypatch, command, code, stdout):
+    monkeypatch.chdir(tmp_path)
+
+    def argv(line):
+        return [str(MODELS / a[len("models/"):]) if a.startswith("models/") else a
+                for a in shlex.split(line)]
+
+    if command.startswith("cofase verify"):
+        solve = next(c for c, _, _ in README_COMMANDS if "--format json" in c
+                     and c.startswith("cofase solve"))
+        assert main(argv(solve)) == 0
+        (tmp_path / "solution.json").write_text(capsys.readouterr().out)
+    assert main(argv(command)) == code
+    assert capsys.readouterr().out == stdout
