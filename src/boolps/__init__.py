@@ -8,7 +8,6 @@ from .bcn import (
     ControlSequence,
     apply_control,
     enumerate_controls,
-    flatten_bcn,
     freeze_extend,
     glue_trajectories,
     parse_bcn_text,
@@ -30,7 +29,6 @@ from .boolp import (
     ProductQuasimode,
     Quasimode,
     Rule,
-    applicable_rules,
     apply_rule_set,
     derive_mode,
     dotted_product,
@@ -42,7 +40,6 @@ from .boolp import (
     quasimode_async,
     quasimode_maxpar,
     quasimode_seq,
-    rule_applicable,
     successors,
     union_systems,
 )

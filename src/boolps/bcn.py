@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .bn import BooleanNetwork, Trajectory
-from .errors import ParseError, UsageError, ValidationError
-from .formula import Formula, StateSet, VarTable, parse_formula
+from .errors import UsageError, ValidationError
+from .formula import Formula, StateSet, VarTable, _Lines, parse_formula
 from .limits import check_enumerable
 
 
@@ -97,15 +97,6 @@ class BooleanControlNetwork:
             updates.append(Formula.const(table, False).disj(*branches))
         return cls(x_table, u_table, table, tuple(updates))
 
-    def lift_state(self, state: StateSet, control: "Control") -> StateSet:
-        """Combined-table state pairing an X-state with a control assignment."""
-        if state.table != self.x_table:
-            raise UsageError("state over a different variable table")
-        if control.assignment.table != self.u_table:
-            raise UsageError("control over a different control table")
-        bits = state.bits | control.assignment.bits << len(self.x_table)
-        return self.table.state(bits)
-
 
 @dataclass(frozen=True)
 class Control:
@@ -173,6 +164,33 @@ def control_pair_names(name: str) -> tuple[str, str]:
     return f"u_{name}0", f"u_{name}1"
 
 
+def freeze_pairs(u_table: VarTable) -> list[tuple[str, str]]:
+    """Split a control alphabet into freeze pairs ``(u_<x>0, u_<x>1)``, in
+    declaration order; ValidationError names a control outside any pair."""
+    names = set(u_table.names)
+    pairs = []
+    seen = set()
+    for name in u_table.names:
+        if name in seen:
+            continue
+        if not (name.startswith("u_") and name[-1] in "01"):
+            raise ValidationError(f"control {name!r} is not part of a freeze pair")
+        off, on = control_pair_names(name[2:-1])
+        if off not in names or on not in names:
+            raise ValidationError(f"control {name!r} lacks its freeze partner")
+        seen.update((off, on))
+        pairs.append((off, on))
+    return pairs
+
+
+def _frozen(update: Formula, name: str) -> Formula:
+    """``(update & !u_<x>0) | u_<x>1`` over the update's (combined) table."""
+    off, on = control_pair_names(name)
+    return update.conj(Formula.var(update.table, off).negate()).disj(
+        Formula.var(update.table, on)
+    )
+
+
 def freeze_extend(network: BooleanNetwork, variables=None) -> BooleanControlNetwork:
     """Extend a network with freeze controls for `variables` (default: all).
 
@@ -200,23 +218,8 @@ def freeze_extend(network: BooleanNetwork, variables=None) -> BooleanControlNetw
     updates = []
     for name, update in zip(network.table.names, network.updates):
         lifted = update.remap(table, x_map)
-        if name in seen:
-            off, on = control_pair_names(name)
-            lifted = lifted.conj(Formula.var(table, off).negate()).disj(
-                Formula.var(table, on)
-            )
-        updates.append(lifted)
+        updates.append(_frozen(lifted, name) if name in seen else lifted)
     return BooleanControlNetwork(network.table, u_table, table, tuple(updates))
-
-
-def flatten_bcn(bcn: BooleanControlNetwork) -> dict[str, Formula]:
-    """Per-variable update formulas over the combined table.
-
-    Networks are stored flattened, so this is the stored family; kept as an
-    operation so extensional ingestion and intensional storage share one
-    contract (truth-table equality over the combined table).
-    """
-    return {name: bcn.updates[i] for i, name in enumerate(bcn.x_table.names)}
 
 
 def glue_trajectories(parts: Sequence[Trajectory]) -> Trajectory:
@@ -249,64 +252,55 @@ def glue_trajectories(parts: Sequence[Trajectory]) -> Trajectory:
 #   y' = x & !y
 
 
-def parse_bcn_text(text: str, source=None) -> BooleanControlNetwork:
-    x_names = []
-    u_names = []
-    frozen = []
+def _read_bcn(
+    text: str, source=None, names=("var", "control", "freeze"), values=()
+) -> tuple[BooleanControlNetwork, _Lines]:
+    """Read a control network from the declaration lines `names` plus one
+    update line per variable; also returns the lines, whose `values`
+    keywords belong to an enclosing format."""
+    lines = _Lines(text, names, values, source)
     update_lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("var "):
-            x_names.extend(n.strip() for n in line[4:].split(",") if n.strip())
-        elif line.startswith("control "):
-            u_names.extend(n.strip() for n in line[8:].split(",") if n.strip())
-        elif line.startswith("freeze "):
-            frozen.extend(n.strip() for n in line[7:].split(",") if n.strip())
-        elif "'" in line and "=" in line:
-            target, _, rhs = line.partition("=")
-            target = target.strip()
-            if not target.endswith("'"):
-                raise ParseError(f"update target must end with ' : {target!r}",
-                                 line=lineno, source=source)
-            update_lines[target[:-1].strip()] = (rhs.strip(), lineno)
-        else:
-            raise ParseError(f"cannot read line {raw!r}", line=lineno, source=source)
+    for line, lineno in lines.rest:
+        if "'" not in line or "=" not in line:
+            raise lines.unreadable(lineno)
+        target, _, rhs = line.partition("=")
+        target = target.strip()
+        if not target.endswith("'"):
+            raise lines.error(f"update target must end with ' : {target!r}", line=lineno)
+        name = target[:-1].strip()
+        lines.once(update_lines, name, rhs.strip(), lineno, f"update for {name!r}")
+    x_names = lines.names["var"]
+    u_names = list(lines.names.get("control", ()))
+    frozen = lines.names.get("freeze", [])
     if not x_names:
-        raise ParseError("no `var` declaration found", source=source)
+        raise lines.error("no `var` declaration found")
     for name in frozen:
         if name not in x_names:
-            raise ParseError(f"freeze of undeclared variable {name!r}", source=source)
+            raise lines.error(f"freeze of undeclared variable {name!r}")
         for control in control_pair_names(name):
             if control in u_names:
-                raise ParseError(f"control {control!r} declared twice", source=source)
+                raise lines.error(f"control {control!r} declared twice")
             u_names.append(control)
-    try:
+    with lines.at():
         x_table = VarTable(x_names)
         u_table = VarTable(u_names)
         table = VarTable(x_names + u_names)
-    except ValidationError as exc:
-        raise ParseError(str(exc), source=source) from None
     updates = []
     for name in x_names:
         if name not in update_lines:
-            raise ParseError(f"missing update for variable {name!r}", source=source)
+            raise lines.error(f"missing update for variable {name!r}")
         rhs, lineno = update_lines.pop(name)
-        try:
+        with lines.at(lineno):
             formula = parse_formula(rhs, table)
-        except ParseError as exc:
-            raise ParseError(exc.message, offset=exc.offset, line=lineno, source=source) from None
-        if name in frozen:
-            off, on = control_pair_names(name)
-            formula = formula.conj(Formula.var(table, off).negate()).disj(
-                Formula.var(table, on)
-            )
-        updates.append(formula)
+        updates.append(_frozen(formula, name) if name in frozen else formula)
     if update_lines:
         extra = ", ".join(sorted(update_lines))
-        raise ParseError(f"updates for undeclared variables: {extra}", source=source)
-    return BooleanControlNetwork(x_table, u_table, table, tuple(updates))
+        raise lines.error(f"updates for undeclared variables: {extra}")
+    return BooleanControlNetwork(x_table, u_table, table, tuple(updates)), lines
+
+
+def parse_bcn_text(text: str, source=None) -> BooleanControlNetwork:
+    return _read_bcn(text, source)[0]
 
 
 def format_bcn_text(bcn: BooleanControlNetwork) -> str:

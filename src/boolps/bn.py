@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
-from .errors import CapacityError, ParseError, UsageError, ValidationError
-from .formula import Formula, StateSet, VarTable, parse_formula, parse_state
+from .errors import CapacityError, UsageError, ValidationError
+from .formula import Formula, StateSet, VarTable, _Lines, parse_state
 from .limits import DEFAULT_BREADTH_CAP, check_enumerable
 from .relation import TransitionRelation
 
@@ -166,6 +164,58 @@ def bn_trajectories(
     return tuple(Trajectory(states, labels) for states, labels in seen.items())
 
 
+def _terminal_components(successors) -> list[list[int]]:
+    """Strongly connected components that no edge leaves.
+
+    Iterative Tarjan (SIAM J. Comput. 1, 1972) over ``successors[v]``, the
+    successor list of node v.
+    """
+    n = len(successors)
+    order = [0] * n  # 1-based discovery order; 0 = not visited yet
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    found = []
+    counter = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        counter += 1
+        order[root] = low[root] = counter
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not order[w]:
+                    counter += 1
+                    order[w] = low[w] = counter
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(successors[w])))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if low[v] < order[v]:  # v's component is still open: pass its low up
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    continue
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                members = set(component)
+                if all(w in members for u in component for w in successors[u]):
+                    found.append(component)
+    return found
+
+
 def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
     """Terminal strongly-connected components of the one-step graph.
 
@@ -174,17 +224,14 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
     canonically sorted tuples of states, sorted among themselves.
     """
     check_enumerable(len(network.table), cap, "network")
-    graph = nx.DiGraph()
-    n = len(network.table)
-    graph.add_nodes_from(range(1 << n))
-    for state in network.table.subsets():
-        for element in mode.elements:
-            graph.add_edge(state.bits, bn_step(network, state, element).bits)
+    table = network.table
+    successors = [
+        [bn_step(network, state, element).bits for element in mode.elements]
+        for state in table.subsets()
+    ]
     result = []
-    for component in nx.attracting_components(graph):
-        states = sorted(
-            (network.table.state(bits) for bits in component), key=StateSet.sort_key
-        )
+    for component in _terminal_components(successors):
+        states = sorted((table.state(bits) for bits in component), key=StateSet.sort_key)
         result.append(tuple(states))
     result.sort(key=lambda states: tuple(s.sort_key() for s in states))
     return result
@@ -198,49 +245,12 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
 #   y' = x & !y
 
 
-def _split_decl(line: str, keyword: str):
-    names = [n.strip() for n in line[len(keyword):].split(",")]
-    return [n for n in names if n]
-
-
 def parse_bn_text(text: str, source=None) -> BooleanNetwork:
-    names = []
-    update_lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("var "):
-            names.extend(_split_decl(line, "var "))
-        elif "'" in line and "=" in line:
-            target, _, rhs = line.partition("=")
-            target = target.strip()
-            if not target.endswith("'"):
-                raise ParseError(
-                    f"update target must end with ' : {target!r}", line=lineno, source=source
-                )
-            update_lines[target[:-1].strip()] = (rhs.strip(), lineno)
-        else:
-            raise ParseError(f"cannot read line {raw!r}", line=lineno, source=source)
-    if not names:
-        raise ParseError("no `var` declaration found", source=source)
-    try:
-        table = VarTable(names)
-    except ValidationError as exc:
-        raise ParseError(str(exc), source=source) from None
-    updates = []
-    for name in names:
-        if name not in update_lines:
-            raise ParseError(f"missing update for variable {name!r}", source=source)
-        rhs, lineno = update_lines.pop(name)
-        try:
-            updates.append(parse_formula(rhs, table))
-        except ParseError as exc:
-            raise ParseError(exc.message, offset=exc.offset, line=lineno, source=source) from None
-    if update_lines:
-        extra = ", ".join(sorted(update_lines))
-        raise ParseError(f"updates for undeclared variables: {extra}", source=source)
-    return BooleanNetwork(table, tuple(updates))
+    """A `.bn` file is a `.bcn` file without `control` or `freeze` lines."""
+    from .bcn import _read_bcn  # bcn builds on this module
+
+    bcn = _read_bcn(text, source, names=("var",))[0]
+    return BooleanNetwork(bcn.table, bcn.updates)
 
 
 def format_bn_text(network: BooleanNetwork) -> str:
@@ -252,14 +262,13 @@ def format_bn_text(network: BooleanNetwork) -> str:
 
 def parse_mode_text(text: str, table: VarTable, source=None) -> BooleanMode:
     """Mode file: one `group {x,y}` line per element (``group {}`` allowed)."""
+    lines = _Lines(text, source=source)
     groups = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line, lineno in lines.rest:
         if not line.startswith("group"):
-            raise ParseError(f"cannot read line {raw!r}", line=lineno, source=source)
-        groups.append(parse_state(table, line[len("group"):].strip()))
+            raise lines.unreadable(lineno)
+        with lines.at(lineno):
+            groups.append(parse_state(table, line[len("group"):].strip()))
     return BooleanMode(table, frozenset(groups))
 
 

@@ -23,11 +23,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .bn import Trajectory
-from .errors import CapacityError, ParseError, UsageError, ValidationError
+from .errors import CapacityError, UsageError, ValidationError
 from .formula import (
     Formula,
     StateSet,
     VarTable,
+    _Lines,
+    _split_names,
     equivalent,
     merge_tables,
     parse_formula,
@@ -67,10 +69,6 @@ class Rule:
 
     def text(self) -> str:
         return f"{self.id}: {self.lhs.set_text()} -> {self.rhs.set_text()} | {self.guard.to_text()}"
-
-
-def rule_applicable(rule: Rule, configuration: StateSet) -> bool:
-    return rule.applicable_to(configuration)
 
 
 @dataclass(frozen=True)
@@ -141,10 +139,6 @@ class BooleanPSystem:
             erase |= lhs_bits
             add |= rhs_bits
         return self.table.state(configuration.bits & ~erase | add)
-
-
-def applicable_rules(system: BooleanPSystem, configuration: StateSet) -> RuleSet:
-    return system.applicable_rules(configuration)
 
 
 def apply_rule_set(configuration: StateSet, rules: Iterable[Rule]) -> StateSet:
@@ -475,76 +469,57 @@ _RULE_LINE_RE = re.compile(
 )
 
 
-def _parse_name_set(table: VarTable, text: str, lineno, source) -> StateSet:
-    try:
-        return parse_state(table, text)
-    except ParseError as exc:
-        raise ParseError(exc.message, line=lineno, source=source) from None
+def _rule_parts(line: str):
+    """``(id, lhs, rhs, guard)`` texts of a rule line, or None; a missing or
+    blank guard reads ``1``."""
+    m = _RULE_LINE_RE.match(line)
+    if m is None:
+        return None
+    return m.group("id"), m.group("lhs"), m.group("rhs"), (m.group("guard") or "1").strip() or "1"
 
 
 def parse_system_text(text: str, source=None):
     """Parse a system file; returns ``(system, quasimode or None)``."""
-    names = []
+    lines = _Lines(text, names=("alphabet",), values=("quasimode",), source=source)
     rule_lines = []
-    quasimode_name = None
     advised = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("alphabet "):
-            names.extend(n.strip() for n in line[9:].split(",") if n.strip())
-        elif line.startswith("quasimode "):
-            quasimode_name = line[10:].strip()
-        elif line.startswith("advise "):
+    for line, lineno in lines.rest:
+        if line.startswith("advise "):
             advised.append((line[7:].strip(), lineno))
-        else:
-            m = _RULE_LINE_RE.match(line)
-            if m is None:
-                raise ParseError(f"cannot read line {raw!r}", line=lineno, source=source)
-            rule_lines.append((m, lineno))
-    if not names:
-        raise ParseError("no `alphabet` declaration found", source=source)
-    try:
-        table = VarTable(names)
-    except ValidationError as exc:
-        raise ParseError(str(exc), source=source) from None
+            continue
+        parts = _rule_parts(line)
+        if parts is None:
+            raise lines.unreadable(lineno)
+        rule_lines.append((parts, lineno))
+    if not lines.names["alphabet"]:
+        raise lines.error("no `alphabet` declaration found")
+    with lines.at():
+        table = VarTable(lines.names["alphabet"])
     rules = []
-    for m, lineno in rule_lines:
-        lhs = _parse_name_set(table, m.group("lhs"), lineno, source)
-        rhs = _parse_name_set(table, m.group("rhs"), lineno, source)
-        guard_text = (m.group("guard") or "1").strip() or "1"
-        try:
-            guard = parse_formula(guard_text, table)
-        except ParseError as exc:
-            raise ParseError(exc.message, offset=exc.offset, line=lineno, source=source) from None
-        rules.append(Rule(m.group("id"), lhs, rhs, guard))
-    try:
+    for (rule_id, lhs, rhs, guard), lineno in rule_lines:
+        with lines.at(lineno):
+            parts = parse_state(table, lhs), parse_state(table, rhs), parse_formula(guard, table)
+        rules.append(Rule(rule_id, *parts))
+    with lines.at():
         system = BooleanPSystem(table, tuple(rules))
-    except ValidationError as exc:
-        raise ParseError(str(exc), source=source) from None
     quasimode = None
+    quasimode_name = lines.values.get("quasimode", (None,))[0]
     if advised:
         if quasimode_name is not None:
-            raise ParseError("both a named quasimode and advise lines given", source=source)
+            raise lines.error("both a named quasimode and advise lines given")
         family = []
-        for text_part, lineno in advised:
-            inner = text_part.strip()
+        for inner, lineno in advised:
             if not (inner.startswith("{") and inner.endswith("}")):
-                raise ParseError(f"advise needs a rule set literal, got {inner!r}",
-                                 line=lineno, source=source)
-            ids = [i.strip() for i in inner[1:-1].split(",") if i.strip()]
-            family.append(frozenset(ids))
+                raise lines.error(
+                    f"advise needs a rule set literal, got {inner!r}", line=lineno
+                )
+            family.append(frozenset(_split_names(inner[1:-1])))
         quasimode = explicit_quasimode(family)
-        try:
+        with lines.at():
             quasimode.validate(system)
-        except ValidationError as exc:
-            raise ParseError(str(exc), source=source) from None
     elif quasimode_name is not None:
-        try:
+        with lines.at():
             quasimode = named_quasimode(quasimode_name, system)
-        except UsageError as exc:
-            raise ParseError(str(exc), source=source) from None
     return system, quasimode
 
 

@@ -26,15 +26,15 @@ from .bcn import (
     BooleanControlNetwork,
     Control,
     ControlSequence,
+    _read_bcn,
     apply_control,
-    control_pair_names,
     enumerate_controls,
+    freeze_pairs,
     glue_trajectories,
-    parse_bcn_text,
 )
 from .bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode
 from .boolp import successors as boolp_successors
-from .errors import CapacityError, ParseError, UsageError, ValidationError
+from .errors import CapacityError, UsageError, ValidationError
 from .formula import StateSet, VarTable, parse_state
 from .limits import check_enumerable, var_cap
 from .translate import bcn_to_composite
@@ -130,23 +130,13 @@ def control_space(bcn: BooleanControlNetwork, cap=None) -> list[Control]:
     except CapacityError:
         pass
     u_table = bcn.u_table
-    names = set(u_table.names)
-    pairs = []
-    seen = set()
-    for name in u_table.names:
-        if name in seen:
-            continue
-        if not (name.startswith("u_") and name[-1] in "01"):
-            raise CapacityError(
-                f"{len(u_table)} control inputs exceed the cap {var_cap(cap)} and are "
-                "not freeze pairs, so no reduced generator applies"
-            )
-        stem = name[2:-1]
-        off, on = control_pair_names(stem)
-        if off not in names or on not in names:
-            raise CapacityError(f"control {name!r} lacks its freeze partner")
-        seen.update((off, on))
-        pairs.append((off, on))
+    try:
+        pairs = freeze_pairs(u_table)
+    except ValidationError as exc:
+        raise CapacityError(
+            f"{len(u_table)} control inputs exceed the cap {var_cap(cap)} and no "
+            f"reduced generator applies: {exc}"
+        ) from None
     if 3 ** len(pairs) > 1 << var_cap(cap):
         raise CapacityError(
             f"{len(pairs)} freeze pairs still give {3 ** len(pairs)} controls"
@@ -553,29 +543,13 @@ def _parse_state_list(table: VarTable, text: str) -> list[StateSet]:
 
 def parse_instance_text(text: str, source=None) -> CoFaSeInstance:
     """Instance file: a control-network block plus start/target/mode lines."""
-    bcn_lines = []
-    start_text = None
-    target_text = None
-    mode_name = "syn"
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("start "):
-            start_text = line[6:].strip()
-        elif line.startswith("target "):
-            target_text = line[7:].strip()
-        elif line.startswith("mode "):
-            mode_name = line[5:].strip()
-        else:
-            bcn_lines.append(raw)
-    bcn = parse_bcn_text("\n".join(bcn_lines), source=source)
-    if start_text is None or target_text is None:
-        raise ParseError("instance needs `start` and `target` lines", source=source)
-    try:
-        starts = _parse_state_list(bcn.x_table, start_text)
-        targets = _parse_state_list(bcn.x_table, target_text)
-        mode = named_mode(mode_name, bcn.x_table)
-    except (UsageError, ValidationError) as exc:
-        raise ParseError(str(exc), source=source) from None
+    bcn, lines = _read_bcn(text, source, values=("start", "target", "mode"))
+    if "start" not in lines.values or "target" not in lines.values:
+        raise lines.error("instance needs `start` and `target` lines")
+    with lines.at():
+        starts = _parse_state_list(bcn.x_table, lines.values["start"][0])
+        targets = _parse_state_list(bcn.x_table, lines.values["target"][0])
+        mode = named_mode(lines.values.get("mode", ("syn",))[0], bcn.x_table)
     return CoFaSeInstance.of(bcn, starts, targets, mode)
 
 

@@ -33,7 +33,6 @@ from .translate import (
     bn_mode_to_quasimode,
     bn_to_boolp,
     rs_to_boolp,
-    variable_rule_ids,
 )
 
 
@@ -94,6 +93,32 @@ class EquivalenceReport:
         return doc
 
 
+def _expected_moves(updates, mode: BooleanMode, configuration: StateSet, bits: int):
+    """``(label, next variable bits)`` for every mode element, read off the
+    update formulas alone: introduce x where its update holds, erase x where
+    it fails and x is present.
+
+    `bits` is the variable part of `configuration`; variables come first in
+    its table, so their positions index `updates`.  The rule names are
+    spelled out here rather than taken from the encoder under test.
+    """
+    moves = []
+    for element in mode.elements:
+        label = set()
+        next_bits = bits
+        for name in element:
+            pos = element.table.position(name)
+            if updates[pos].evaluate(configuration):
+                label.add("set_" + name)
+                next_bits |= 1 << pos
+            else:
+                next_bits &= ~(1 << pos)
+                if bits >> pos & 1:
+                    label.add("clr_" + name)
+        moves.append((frozenset(label), next_bits))
+    return moves
+
+
 def check_bn_simulation(
     network: BooleanNetwork,
     mode: BooleanMode,
@@ -120,24 +145,13 @@ def check_bn_simulation(
         quasimode = bn_mode_to_quasimode(mode, system)
     view = derive_mode(system, quasimode)
     table = network.table
-    pair_ids = {name: variable_rule_ids(name) for name in table.names}
     for configuration in table.subsets():
-        expected = set()
-        for element in mode.elements:
-            label = set()
-            bits = configuration.bits
-            for name in element:
-                pos = table.position(name)
-                value = network.updates[pos].evaluate(configuration)
-                set_id, clr_id = pair_ids[name]
-                if value:
-                    label.add(set_id)
-                    bits |= 1 << pos
-                else:
-                    bits &= ~(1 << pos)
-                    if configuration.bits >> pos & 1:
-                        label.add(clr_id)
-            expected.add((frozenset(label), table.state(bits)))
+        expected = {
+            (label, table.state(bits))
+            for label, bits in _expected_moves(
+                network.updates, mode, configuration, configuration.bits
+            )
+        }
         actual = set(successors(system, view, configuration))
         if expected != actual:
             return EquivalenceReport(
@@ -174,7 +188,6 @@ def check_bcn_simulation(
     x_table = bcn.x_table
     u_table = bcn.u_table
     n_x = len(x_table)
-    pair_ids = {name: variable_rule_ids(name) for name in x_table.names}
     u_set_ids = [f"u_set_{name}" for name in u_table.names]
     u_clr_ids = [f"u_clr_{name}" for name in u_table.names]
     n_u = len(u_table)
@@ -192,21 +205,9 @@ def check_bcn_simulation(
         u_bits = configuration.bits >> n_x
         erase_label = erase_labels[u_bits]
         expected = set()
-        for element in mode.elements:
-            label = set()
-            bits = configuration.bits & ((1 << n_x) - 1)
-            for name in element:
-                pos = x_table.position(name)
-                value = bcn.updates[pos].evaluate(configuration)
-                set_id, clr_id = pair_ids[name]
-                if value:
-                    label.add(set_id)
-                    bits |= 1 << pos
-                else:
-                    bits &= ~(1 << pos)
-                    if configuration.bits >> pos & 1:
-                        label.add(clr_id)
-            x_label = frozenset(label) | erase_label
+        x_bits = configuration.bits & ((1 << n_x) - 1)
+        for label, bits in _expected_moves(bcn.updates, mode, configuration, x_bits):
+            x_label = label | erase_label
             for s_bits in range(1 << n_u):
                 expected.add(
                     (x_label | intro_labels[s_bits], full.state(bits | s_bits << n_x))

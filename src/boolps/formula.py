@@ -19,6 +19,7 @@ grammar with parentheses only where needed.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -27,6 +28,13 @@ from .errors import ParseError, UsageError, ValidationError
 from .limits import check_enumerable
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Deepest accepted nesting of `!` and `(` in formula text.  Parsing,
+# substitution and structural hashing each take up to four frames per
+# level, so an accepted formula, plus the few levels the encodings wrap
+# around it, needs about 410 frames: well below Python's default recursion
+# limit of 1000, with room for the caller's own frames.
+MAX_NESTING = 100
 
 
 class VarTable:
@@ -253,6 +261,69 @@ def parse_state(table: VarTable, text: str) -> StateSet:
         except ValidationError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"cannot read state literal {text!r}")
+
+
+# --- model text skeleton ---------------------------------------------------
+
+
+def _split_names(text: str) -> list[str]:
+    """Names of a comma-separated list, blanks dropped."""
+    return [n.strip() for n in text.split(",") if n.strip()]
+
+
+class _Lines:
+    """Declaration lines of one model text, the skeleton every reader shares.
+
+    `#` starts a comment and blank lines are skipped.  A line whose first
+    word is one of `names` adds its comma-separated names to that keyword's
+    list; one whose first word is one of `values` sets that keyword's value,
+    at most once.  Every other line is kept in `rest`, with its number, for
+    the format's own syntax.
+    """
+
+    def __init__(self, text: str, names=(), values=(), source=None):
+        self.source = source
+        self.raw = text.splitlines()
+        self.names = {keyword: [] for keyword in names}
+        self.values = {}  # keyword -> (text, line number)
+        self.rest = []  # (stripped line, line number)
+        for lineno, raw in enumerate(self.raw, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            keyword, _, tail = line.partition(" ")
+            if keyword in self.names:
+                self.names[keyword].extend(_split_names(tail))
+            elif keyword in values:
+                self.once(self.values, keyword, tail.strip(), lineno, f"`{keyword}` line")
+            else:
+                self.rest.append((line, lineno))
+
+    def once(self, store: dict, key, value, lineno: int, what: str):
+        """Record `value` under `key`; a second one is an error naming both lines."""
+        if key in store:
+            raise self.error(
+                f"duplicate {what} on lines {store[key][1]} and {lineno}", line=lineno
+            )
+        store[key] = (value, lineno)
+
+    def error(self, message: str, line=None) -> ParseError:
+        return ParseError(message, line=line, source=self.source)
+
+    def unreadable(self, lineno: int) -> ParseError:
+        return self.error(f"cannot read line {self.raw[lineno - 1]!r}", line=lineno)
+
+    @contextlib.contextmanager
+    def at(self, lineno=None):
+        """Report a model error raised inside the block at `lineno` of this text."""
+        try:
+            yield
+        except ParseError as exc:
+            raise ParseError(
+                exc.message, offset=exc.offset, line=lineno, source=self.source
+            ) from None
+        except (UsageError, ValidationError) as exc:
+            raise self.error(str(exc), line=lineno) from None
 
 
 # --- formula AST ------------------------------------------------------------
@@ -514,6 +585,7 @@ class _Parser:
         self.table = table
         self.tokens = _tokenize(text)
         self.at = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.at]
@@ -522,6 +594,13 @@ class _Parser:
         token = self.tokens[self.at]
         self.at += 1
         return token
+
+    def enter(self, token):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"formula nested deeper than {MAX_NESTING} levels", offset=token[2]
+            )
 
     def expect(self, kind: str):
         token = self.advance()
@@ -566,16 +645,20 @@ class _Parser:
     def unary(self) -> Node:
         token = self.peek()
         if token[0] == "!":
-            self.advance()
-            return Not(self.unary())
+            self.enter(self.advance())
+            node = Not(self.unary())
+            self.depth -= 1
+            return node
         return self.atom()
 
     def atom(self) -> Node:
         token = self.advance()
         kind, text, offset = token
         if kind == "(":
+            self.enter(token)
             node = self.disj()
             self.expect(")")
+            self.depth -= 1
             return node
         if kind == "0":
             return CONST0
@@ -591,7 +674,11 @@ class _Parser:
 
 
 def parse_formula(text: str, table: VarTable) -> Formula:
-    """Parse a formula over `table`; syntax errors carry a byte offset."""
+    """Parse a formula over `table`; syntax errors carry a byte offset.
+
+    Nesting deeper than MAX_NESTING levels (each `!` and each `(` is one)
+    is a syntax error at the offset of the token that crosses it.
+    """
     return Formula(table, _Parser(text, table).parse())
 
 

@@ -16,10 +16,9 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .bcn import BooleanControlNetwork, Control, control_pair_names
+from .bcn import BooleanControlNetwork, Control, freeze_pairs
 from .bn import BooleanMode, BooleanNetwork
 from .boolp import (
-    _RULE_LINE_RE,
     BooleanPSystem,
     ExplicitQuasimode,
     ModeView,
@@ -27,12 +26,21 @@ from .boolp import (
     ProductQuasimode,
     Quasimode,
     Rule,
+    _rule_parts,
     derive_mode,
     maximally_parallel_mode,
     union_systems,
 )
-from .errors import ParseError, UsageError, ValidationError
-from .formula import Formula, StateSet, VarTable, parse_formula, parse_state
+from .errors import UsageError, ValidationError
+from .formula import (
+    Formula,
+    StateSet,
+    VarTable,
+    _Lines,
+    _split_names,
+    parse_formula,
+    parse_state,
+)
 from .limits import var_cap
 
 
@@ -46,38 +54,37 @@ def control_rule_ids(name: str) -> tuple[str, str]:
     return f"u_set_{name}", f"u_clr_{name}"
 
 
-def _variable_rules(table: VarTable, name: str, update: Formula) -> tuple[Rule, Rule]:
-    set_id, clr_id = variable_rule_ids(name)
-    target = StateSet.of(table, [name])
+def _encode_updates(table: VarTable, names, updates) -> BooleanPSystem:
+    """Per variable, an introduce rule guarded by its update formula and an
+    erase rule guarded by the negation."""
     empty = StateSet.empty(table)
-    return (
-        Rule(set_id, empty, target, update),
-        Rule(clr_id, target, empty, update.negate()),
-    )
+    rules = []
+    for name, update in zip(names, updates):
+        set_id, clr_id = variable_rule_ids(name)
+        target = StateSet.of(table, [name])
+        rules.append(Rule(set_id, empty, target, update))
+        rules.append(Rule(clr_id, target, empty, update.negate()))
+    return BooleanPSystem(table, tuple(rules))
 
 
 def bn_to_boolp(network: BooleanNetwork) -> BooleanPSystem:
     """Encode a network: per variable, an introduce rule guarded by the update
     formula and an erase rule guarded by its negation."""
-    rules = []
-    for name, update in zip(network.table.names, network.updates):
-        rules.extend(_variable_rules(network.table, name, update))
-    return BooleanPSystem(network.table, tuple(rules))
+    return _encode_updates(network.table, network.table.names, network.updates)
 
 
 def bn_mode_to_quasimode(mode: BooleanMode, system: BooleanPSystem) -> ExplicitQuasimode:
     """Advise, per mode element, both rules of every variable in the element."""
-    known = system.rule_ids()
-    family = []
-    for element in mode.elements:
-        ids = set()
-        for name in element:
-            ids.update(variable_rule_ids(name))
-        missing = ids - known
-        if missing:
-            raise ValidationError(f"system lacks encoded rules {sorted(missing)}")
-        family.append(frozenset(ids))
-    return ExplicitQuasimode(frozenset(family))
+    quasimode = ExplicitQuasimode(
+        frozenset(
+            frozenset(rule_id for name in element for rule_id in variable_rule_ids(name))
+            for element in mode.elements
+        )
+    )
+    missing = frozenset().union(*quasimode.family) - system.rule_ids()
+    if missing:
+        raise ValidationError(f"system lacks encoded rules {sorted(missing)}")
+    return quasimode
 
 
 # --- controlled composition -------------------------------------------------
@@ -109,29 +116,10 @@ def controller_quasimode(u_table: VarTable) -> Quasimode:
     )
 
 
-def _paired_controls(u_table: VarTable):
-    """Split control names into freeze pairs (stem -> (off-name, on-name))."""
-    names = set(u_table.names)
-    pairs = []
-    seen = set()
-    for name in u_table.names:
-        if name in seen:
-            continue
-        if not (name.startswith("u_") and name[-1] in "01"):
-            raise ValidationError(f"control {name!r} is not part of a freeze pair")
-        stem = name[2:-1]
-        off, on = control_pair_names(stem)
-        if off not in names or on not in names:
-            raise ValidationError(f"control {name!r} lacks its partner")
-        seen.update((off, on))
-        pairs.append((stem, off, on))
-    return pairs
-
-
 def _tcs_quasimode(u_table: VarTable) -> Quasimode:
     erase = frozenset(control_rule_ids(n)[1] for n in u_table.names)
     factors = [ExplicitQuasimode(frozenset({erase}))]
-    for _stem, off, on in _paired_controls(u_table):
+    for off, on in freeze_pairs(u_table):
         factors.append(
             ExplicitQuasimode(
                 frozenset(
@@ -166,7 +154,7 @@ def piU_acs(u_table: VarTable) -> tuple[BooleanPSystem, Quasimode]:
     empty = StateSet.empty(u_table)
     for name in u_table.names:
         rules.append(Rule(control_rule_ids(name)[0], empty, StateSet.of(u_table, [name]), true))
-    for _stem, off, on in _paired_controls(u_table):
+    for off, on in freeze_pairs(u_table):
         for source in (off, on):
             for target in (off, on):
                 rules.append(
@@ -240,20 +228,8 @@ def bcn_to_composite(
             RuntimeWarning,
             stacklevel=2,
         )
-    rules = []
-    for name, update in zip(bcn.x_table.names, bcn.updates):
-        rules.extend(_variable_rules(bcn.table, name, update))
-    pi = BooleanPSystem(bcn.table, tuple(rules))
-    base_quasimode = ExplicitQuasimode(
-        frozenset(
-            frozenset(
-                rule_id
-                for name in element
-                for rule_id in variable_rule_ids(name)
-            )
-            for element in mode.elements
-        )
-    )
+    pi = _encode_updates(bcn.table, bcn.x_table.names, bcn.updates)
+    base_quasimode = bn_mode_to_quasimode(mode, pi)
     if regime == "acs":
         pi_u, control_quasimode = piU_acs(bcn.u_table)
     elif regime == "free":
@@ -376,56 +352,29 @@ _REACTION_RE = re.compile(
 )
 
 
-def _set_names(text: str) -> list[str]:
-    inner = text.strip()[1:-1].strip()
-    return [n.strip() for n in inner.split(",") if n.strip()] if inner else []
-
-
 def parse_reactions_text(text: str, source=None, allow_degenerate=False) -> ReactionSystem:
-    species = []
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("species "):
-            species.extend(n.strip() for n in line[8:].split(",") if n.strip())
-            continue
+    lines = _Lines(text, names=("species",), source=source)
+    reactions = []
+    for line, lineno in lines.rest:
         m = _REACTION_RE.match(line)
         if m is None:
-            raise ParseError(f"cannot read line {raw!r}", line=lineno, source=source)
-        lines.append((m, lineno))
+            raise lines.unreadable(lineno)
+        parts = [_split_names(m.group(group)[1:-1]) for group in ("r", "i", "p")]
+        reactions.append((m.group("id"), parts, lineno))
+    species = lines.names["species"]
     if not species:
-        seen = []
-        for m, _ in lines:
-            for group in ("r", "i", "p"):
-                for name in _set_names(m.group(group)):
-                    if name not in seen:
-                        seen.append(name)
-        species = seen
+        mentioned = (name for _id, parts, _ in reactions for names in parts for name in names)
+        species = list(dict.fromkeys(mentioned))
     if not species:
-        raise ParseError("no species declared or mentioned", source=source)
-    try:
+        raise lines.error("no species declared or mentioned")
+    with lines.at():
         table = VarTable(species)
-    except ValidationError as exc:
-        raise ParseError(str(exc), source=source) from None
-    reactions = []
-    for m, lineno in lines:
-        try:
-            reactions.append(
-                Reaction(
-                    m.group("id"),
-                    StateSet.of(table, _set_names(m.group("r"))),
-                    StateSet.of(table, _set_names(m.group("i"))),
-                    StateSet.of(table, _set_names(m.group("p"))),
-                )
-            )
-        except (UsageError, ValidationError) as exc:
-            raise ParseError(str(exc), line=lineno, source=source) from None
-    try:
-        return ReactionSystem(table, tuple(reactions), allow_degenerate=allow_degenerate)
-    except ValidationError as exc:
-        raise ParseError(str(exc), source=source) from None
+    built = []
+    for reaction_id, parts, lineno in reactions:
+        with lines.at(lineno):
+            built.append(Reaction(reaction_id, *(StateSet.of(table, p) for p in parts)))
+    with lines.at():
+        return ReactionSystem(table, tuple(built), allow_degenerate=allow_degenerate)
 
 
 def format_reactions_text(rs: ReactionSystem) -> str:
@@ -464,67 +413,45 @@ def format_composite_text(composite: ControlledComposite) -> str:
 
 
 def parse_composite_text(text: str, source=None) -> ControlledComposite:
-    alphabet = []
-    controls = []
-    regime = "free"
-    mode_name = None
-    groups = []
-    rule_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("alphabet "):
-            alphabet.extend(n.strip() for n in line[9:].split(",") if n.strip())
-        elif line.startswith("controls "):
-            controls.extend(n.strip() for n in line[9:].split(",") if n.strip())
-        elif line.startswith("regime "):
-            regime = line[7:].strip()
-        elif line.startswith("mode "):
-            mode_name = line[5:].strip()
-        elif line.startswith("group "):
-            groups.append((line[6:].strip(), lineno))
-        else:
-            rule_lines.append((line, lineno))
+    lines = _Lines(
+        text, names=("alphabet", "controls"), values=("regime", "mode"), source=source
+    )
+    alphabet = lines.names["alphabet"]
+    controls = lines.names["controls"]
     if not alphabet:
-        raise ParseError("no `alphabet` declaration found", source=source)
+        raise lines.error("no `alphabet` declaration found")
     x_names = [n for n in alphabet if n not in set(controls)]
-    try:
+    with lines.at():
         x_table = VarTable(x_names)
         u_table = VarTable(controls)
         full = VarTable(x_names + controls)
-    except ValidationError as exc:
-        raise ParseError(str(exc), source=source) from None
     if tuple(alphabet) != full.names:
-        raise ParseError("alphabet must list variables before controls", source=source)
+        raise lines.error("alphabet must list variables before controls")
+    groups = set()
     set_guards = {}
-    for line, lineno in rule_lines:
-        m = _RULE_LINE_RE.match(line)
-        if m is None:
-            raise ParseError(f"cannot read line {line!r}", line=lineno, source=source)
-        rid = m.group("id")
-        if rid.startswith("set_"):
-            guard_text = (m.group("guard") or "1").strip() or "1"
-            try:
-                set_guards[rid[4:]] = parse_formula(guard_text, full)
-            except ParseError as exc:
-                raise ParseError(exc.message, offset=exc.offset, line=lineno,
-                                 source=source) from None
+    for line, lineno in lines.rest:
+        if line.startswith("group "):
+            with lines.at(lineno):
+                groups.add(parse_state(x_table, line[6:]))
+            continue
+        parts = _rule_parts(line)
+        if parts is None:
+            raise lines.unreadable(lineno)
+        rule_id, _lhs, _rhs, guard = parts
+        if rule_id.startswith("set_"):
+            with lines.at(lineno):
+                guard = parse_formula(guard, full)
+            lines.once(set_guards, rule_id[4:], guard, lineno, f"rule {rule_id!r}")
     missing = [n for n in x_names if n not in set_guards]
     if missing:
-        raise ParseError(f"no introduce rule found for {missing[0]!r}", source=source)
-    bcn = BooleanControlNetwork(
-        x_table, u_table, full, tuple(set_guards[n] for n in x_names)
-    )
+        raise lines.error(f"no introduce rule found for {missing[0]!r}")
+    guards = tuple(set_guards[n][0] for n in x_names)
+    bcn = BooleanControlNetwork(x_table, u_table, full, guards)
+    mode_name = lines.values.get("mode", (None,))[0]
     if groups:
-        mode = BooleanMode(
-            x_table,
-            frozenset(
-                parse_state(x_table, text_part) for text_part, _ in groups
-            ),
-        )
+        mode = BooleanMode(x_table, frozenset(groups))
     elif mode_name == "asyn":
         mode = BooleanMode.asyn(x_table)
     else:
         mode = BooleanMode.syn(x_table)
-    return bcn_to_composite(bcn, mode, regime=regime)
+    return bcn_to_composite(bcn, mode, regime=lines.values.get("regime", ("free",))[0])

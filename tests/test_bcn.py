@@ -7,7 +7,6 @@ from boolps.bcn import (
     Control,
     apply_control,
     enumerate_controls,
-    flatten_bcn,
     format_bcn_text,
     freeze_extend,
     glue_trajectories,
@@ -117,9 +116,9 @@ class TestGoldenControlledTrajectory:
 
 class TestFlatten:
     def test_stored_formulas_are_the_flattening(self, frozen_toggle):
-        flat = flatten_bcn(frozen_toggle)
-        assert set(flat) == {"x", "y"}
-        assert flat["x"] is frozen_toggle.updates[0]
+        # stored updates are the flattened family: one per variable, over X + U
+        assert len(frozen_toggle.updates) == len(frozen_toggle.x_table) == 2
+        assert all(f.table == frozen_toggle.table for f in frozen_toggle.updates)
 
     def test_extensional_ingestion_matches_intensional(self, frozen_toggle):
         # rebuild the network map control by control, flatten it through the
@@ -156,14 +155,13 @@ class TestFlatten:
         for _ in range(15):
             table = random_table(rng, rng.randint(1, 3))
             bcn = freeze_extend(random_network(rng, table, max_depth=3))
-            flat = flatten_bcn(bcn)
             for mu in enumerate_controls(bcn.u_table):
                 selected = apply_control(bcn, mu)
                 values = {
                     name: name in mu.assignment for name in bcn.u_table.names
                 }
-                for name in table.names:
-                    substituted = flat[name].substitute(values)
+                for pos, name in enumerate(table.names):
+                    substituted = bcn.updates[pos].substitute(values)
                     lifted = selected.update_for(name).remap(
                         bcn.table, {i: i for i in range(len(table))}
                     )
@@ -204,6 +202,13 @@ class TestTextFormat:
         assert again.table == frozen_toggle.table
         for mine, original in zip(again.updates, frozen_toggle.updates):
             assert equivalent(mine, original)
+
+    def test_duplicate_update_names_both_lines(self):
+        import boolps.errors as errors
+
+        with pytest.raises(errors.ParseError) as err:
+            parse_bcn_text("var x\nfreeze x\nx' = x\n# again\nx' = !x\n")
+        assert err.value.line == 5 and "lines 3 and 5" in str(err.value)
 
     def test_duplicate_freeze_control_rejected(self):
         text = "var x\ncontrol u_x0\nfreeze x\nx' = x\n"

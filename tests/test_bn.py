@@ -1,6 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolps.bn import (
     BooleanMode,
@@ -17,7 +24,7 @@ from boolps.bn import (
 )
 from boolps.errors import CapacityError, ParseError, UsageError, ValidationError
 from boolps.formula import Formula, StateSet, VarTable, parse_formula
-from boolps.generators import random_network, random_table
+from boolps.generators import random_mode, random_network, random_table
 
 
 @pytest.fixture
@@ -170,6 +177,58 @@ def test_disjoint_groups_commute_on_one_step():
             assert joint == table.state(merged)
 
 
+def _oracle_attractors(network, mode):
+    """S is an attractor iff S = reach(s) for every s in S; reach by BFS."""
+    succ = {s: {bn_step(network, s, m) for m in mode.elements} for s in network.table.subsets()}
+
+    def reach(source):
+        seen = {source}
+        queue = deque([source])
+        while queue:
+            for dst in succ[queue.popleft()]:
+                if dst not in seen:
+                    seen.add(dst)
+                    queue.append(dst)
+        return frozenset(seen)
+
+    closure = {s: reach(s) for s in succ}
+    return {closure[s] for s in succ if all(closure[t] == closure[s] for t in closure[s])}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["syn", "asyn", "random"]),
+)
+def test_attractors_match_reachability_oracle(n, seed, mode_name):
+    rng = random.Random(seed)
+    table = random_table(rng, n)
+    network = random_network(rng, table)
+    mode = random_mode(rng, table) if mode_name == "random" else named_mode(mode_name, table)
+    got = attractors(network, mode)
+    assert {frozenset(a) for a in got} == _oracle_attractors(network, mode)
+    assert len(set(got)) == len(got)
+    for states in got:
+        assert list(states) == sorted(states, key=StateSet.sort_key)
+    assert got == sorted(got, key=lambda states: tuple(s.sort_key() for s in states))
+
+
+def test_import_loads_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys; before = set(sys.modules); import boolps; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.split()
+    roots = {name.split(".")[0] for name in loaded}
+    assert "boolps" in roots
+    assert roots - {"boolps"} <= set(sys.stdlib_module_names)
+
+
 class TestTrajectories:
     def test_deterministic_trace(self, toggle):
         t = toggle.table
@@ -220,6 +279,17 @@ class TestTextFormat:
         with pytest.raises(ParseError) as err:
             parse_bn_text("var a\na' = a &\n", source="m.bn")
         assert err.value.line == 2 and "m.bn" in str(err.value)
+
+    def test_duplicate_update_names_both_lines(self):
+        with pytest.raises(ParseError) as err:
+            parse_bn_text("var x, y\nx' = y\nx' = !y\ny' = x\n")
+        assert err.value.line == 3 and "lines 2 and 3" in str(err.value)
+
+    def test_control_lines_rejected(self):
+        for line in ("control u", "freeze x"):
+            with pytest.raises(ParseError) as err:
+                parse_bn_text(f"var x\n{line}\nx' = x\n")
+            assert err.value.line == 2
 
     def test_mode_file(self, toggle):
         mode = parse_mode_text("group {x}\ngroup {}\n", toggle.table)

@@ -6,7 +6,6 @@ import pytest
 from boolps.boolp import (
     BooleanPSystem,
     Rule,
-    applicable_rules,
     apply_rule_set,
     derive_mode,
     dotted_product,
@@ -59,10 +58,10 @@ class TestApplicability:
         assert not cascade.rule("r1").applicable_to(conf(cascade, ["a"]))
 
     def test_applicable_rules_along_the_cascade(self, cascade):
-        assert applicable_rules(cascade, conf(cascade, ["a", "b"])) == {"r1"}
-        assert applicable_rules(cascade, conf(cascade, ["a"])) == {"r2"}
-        assert applicable_rules(cascade, conf(cascade, [])) == frozenset()
-        assert applicable_rules(cascade, conf(cascade, ["b"])) == frozenset()
+        assert cascade.applicable_rules(conf(cascade, ["a", "b"])) == {"r1"}
+        assert cascade.applicable_rules(conf(cascade, ["a"])) == {"r2"}
+        assert cascade.applicable_rules(conf(cascade, [])) == frozenset()
+        assert cascade.applicable_rules(conf(cascade, ["b"])) == frozenset()
 
     def test_empty_system_halts_everywhere(self):
         t = VarTable.of("a")

@@ -7,6 +7,7 @@ import pytest
 from boolps.bn import parse_bn_text
 from boolps.boolp import parse_system_text
 from boolps.cli import main
+from boolps.formula import MAX_NESTING
 from boolps.translate import bn_to_boolp, parse_composite_text, parse_reactions_text, rs_to_boolp
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -229,6 +230,41 @@ class TestExitCodes:
         code, _, err = run(capsys, "bn", "transitions", bad)
         assert code == 3
         assert "parse error" in err
+
+    @pytest.mark.parametrize(
+        "command, suffix, text",
+        [
+            ("bn transitions", ".bn", "var x, y\nx' = y\nx' = !y\ny' = x\n"),
+            ("bn transitions", ".bn", "var x\nvar y\nx' = y\ny' = x\ny' = !x\n"),
+            ("cofase solve", ".cofase",
+             "var x\nfreeze x\nx' = x\nstart {0}\ntarget {1}\nstart {1}\n"),
+        ],
+        ids=["bn-update", "bn-update-after-two-var-lines", "cofase-start"],
+    )
+    def test_duplicate_declaration_is_three(self, capsys, tmp_path, command, suffix, text):
+        model = tmp_path / f"dup{suffix}"
+        model.write_text(text)
+        code, out, err = run(capsys, *command.split(), model)
+        assert code == 3 and out == ""
+        assert "duplicate" in err
+
+    @pytest.mark.parametrize("opener, closer", [("!", ""), ("(", ")")], ids=["not", "paren"])
+    @pytest.mark.parametrize(
+        "command, suffix, block",
+        [
+            ("bn transitions", ".bn", "var x\nx' = {}\n"),
+            ("translate bn --mode syn", ".bn", "var x\nx' = {}\n"),
+            ("cofase solve", ".cofase", "var x\nfreeze x\nx' = {}\nstart {{0}}\ntarget {{1}}\n"),
+        ],
+        ids=["bn-transitions", "translate-bn", "cofase-solve"],
+    )
+    def test_formula_nesting_limit(self, capsys, tmp_path, command, suffix, block,
+                                   opener, closer):
+        model = tmp_path / f"deep{suffix}"
+        for levels, expected in ((MAX_NESTING, 0), (MAX_NESTING + 1, 3)):
+            model.write_text(block.format(opener * levels + "x" + closer * levels))
+            code, _, err = run(capsys, *command.split(), model)
+            assert code == expected, err
 
     def test_usage_error_is_two(self, capsys):
         code, _, err = run(

@@ -365,6 +365,21 @@ class TestInstanceIO:
         with pytest.raises(ParseError):
             parse_instance_text("var x\nx' = x\nstart {1}\n")
 
+    @pytest.mark.parametrize("keyword", ["start", "target", "mode"])
+    def test_duplicate_keyword_names_both_lines(self, keyword):
+        lines = ["var x", "freeze x", "x' = x", "start {0}", "target {1}", "mode syn"]
+        value = next(line for line in lines if line.startswith(keyword))
+        with pytest.raises(ParseError) as err:
+            parse_instance_text("\n".join(lines + [value]) + "\n")
+        first = lines.index(value) + 1
+        assert err.value.line == 7 and f"lines {first} and 7" in str(err.value)
+
+    def test_errors_carry_file_line_numbers(self):
+        # keyword lines before the network block keep their own numbering
+        with pytest.raises(ParseError) as err:
+            parse_instance_text("start {0}\ntarget {1}\nvar x\nx' = x &\n")
+        assert err.value.line == 4
+
     def test_solution_json_round_trip(self, frozen):
         instance = golden_instance(frozen)
         solution = solve_cofase(instance, max_phases=3)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from boolps.errors import CapacityError, ParseError, UsageError, ValidationError
 from boolps.formula import (
+    MAX_NESTING,
     And,
     Const,
     Not,
@@ -151,6 +152,16 @@ class TestParse:
             parse_formula("(x", t)
         with pytest.raises(ParseError):
             parse_formula("x y", t)
+
+    @pytest.mark.parametrize("opener, closer", [("!", ""), ("(", ")"), ("!(", ")")])
+    def test_nesting_limit(self, opener, closer):
+        t = VarTable.of("x")
+        levels = MAX_NESTING // len(opener)
+        text = opener * levels + "x" + closer * levels
+        assert parse_formula(text, t).evaluate(t.state(1)) in (True, False)
+        with pytest.raises(ParseError) as err:
+            parse_formula("!" + text, t)
+        assert err.value.offset == len(opener) * levels
 
     def test_nary_chains_flatten(self):
         t = VarTable.of("a", "b", "c")
