@@ -164,8 +164,9 @@ def bn_trajectories(
     return tuple(Trajectory(states, labels) for states, labels in seen.items())
 
 
-def _terminal_components(successors) -> list[list[int]]:
-    """Strongly connected components that no edge leaves.
+def _components(successors) -> list[list[int]]:
+    """Strongly connected components, each listed after every component its
+    edges reach (the order in which Tarjan closes them).
 
     Iterative Tarjan (SIAM J. Comput. 1, 1972) over ``successors[v]``, the
     successor list of node v.
@@ -210,9 +211,7 @@ def _terminal_components(successors) -> list[list[int]]:
                     component.append(w)
                     if w == v:
                         break
-                members = set(component)
-                if all(w in members for u in component for w in successors[u]):
-                    found.append(component)
+                found.append(component)
     return found
 
 
@@ -230,7 +229,10 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
         for state in table.subsets()
     ]
     result = []
-    for component in _terminal_components(successors):
+    for component in _components(successors):
+        members = set(component)
+        if any(w not in members for u in component for w in successors[u]):
+            continue  # an edge leaves: not terminal
         states = sorted((table.state(bits) for bits in component), key=StateSet.sort_key)
         result.append(tuple(states))
     result.sort(key=lambda states: tuple(s.sort_key() for s in states))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .bn import Trajectory
-from .errors import CapacityError, UsageError, ValidationError
+from .errors import CapacityError, ParseError, UsageError, ValidationError
 from .formula import (
     Formula,
     StateSet,
@@ -68,7 +68,14 @@ class Rule:
         return self.lhs <= configuration and self.guard.evaluate(configuration)
 
     def text(self) -> str:
-        return f"{self.id}: {self.lhs.set_text()} -> {self.rhs.set_text()} | {self.guard.to_text()}"
+        """The rule's text line; raises the reader's ParseError for a guard
+        nested past MAX_NESTING (an erase guard's ``!(...)`` adds two levels)."""
+        guard = self.guard.to_text()
+        try:
+            parse_formula(guard, self.table)
+        except ParseError as exc:
+            raise ParseError(f"rule {self.id}: {exc.message}", offset=exc.offset) from None
+        return f"{self.id}: {self.lhs.set_text()} -> {self.rhs.set_text()} | {guard}"
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,6 @@ class BooleanPSystem:
     table: VarTable
     rules: tuple[Rule, ...]
     _by_id: dict = field(init=False, repr=False, compare=False)
-    _app_cache: dict = field(init=False, repr=False, compare=False)
     _masks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,7 +96,6 @@ class BooleanPSystem:
             by_id[rule.id] = rule
             masks[rule.id] = (rule.lhs.bits, rule.rhs.bits)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_app_cache", {})
         object.__setattr__(self, "_masks", masks)
 
     def rule(self, rule_id: str) -> Rule:
@@ -104,15 +109,9 @@ class BooleanPSystem:
 
     def applicable_rules(self, configuration: StateSet) -> RuleSet:
         """Ids of the rules individually applicable to the configuration."""
-        got = self._app_cache.get(configuration.bits)
-        if got is None:
-            if configuration.table != self.table:
-                raise UsageError("configuration over a different variable table")
-            got = frozenset(
-                r.id for r in self.rules if r.applicable_to(configuration)
-            )
-            self._app_cache[configuration.bits] = got
-        return got
+        if configuration.table != self.table:
+            raise UsageError("configuration over a different variable table")
+        return frozenset(r.id for r in self.rules if r.applicable_to(configuration))
 
     def is_halting(self, configuration: StateSet) -> bool:
         return not self.applicable_rules(configuration)
@@ -176,8 +175,9 @@ class Quasimode:
         """Enumerate the family without duplicates (may be exponentially large)."""
         raise NotImplementedError
 
-    def advised(self, system: BooleanPSystem, configuration: StateSet, strict=False):
-        """The derived mode's value at a configuration.
+    def advised(self, applicable: RuleSet, strict=False):
+        """The derived mode's value at any configuration whose applicable
+        rule ids are `applicable`; it depends on nothing else.
 
         Filtered semantics keeps the applicable part of every advised set
         (retaining empty results as stutter elements); strict semantics
@@ -207,11 +207,10 @@ class ExplicitQuasimode(Quasimode):
     def elements(self):
         return iter(self.family)
 
-    def advised(self, system, configuration, strict=False):
-        app = system.applicable_rules(configuration)
+    def advised(self, applicable, strict=False):
         if strict:
-            return frozenset(m for m in self.family if m <= app)
-        return frozenset(m & app for m in self.family)
+            return frozenset(m for m in self.family if m <= applicable)
+        return frozenset(m & applicable for m in self.family)
 
     def size_hint(self):
         return len(self.family)
@@ -230,10 +229,10 @@ class PowersetQuasimode(Quasimode):
             for combo in itertools.combinations(base, size):
                 yield frozenset(combo)
 
-    def advised(self, system, configuration, strict=False):
+    def advised(self, applicable, strict=False):
         # every subset of the applicable part is entirely applicable, so the
         # strict and filtered readings coincide here
-        usable = sorted(self.base & system.applicable_rules(configuration))
+        usable = sorted(self.base & applicable)
         check_enumerable(len(usable), what="applicable advised rules")
         return frozenset(
             frozenset(combo)
@@ -265,8 +264,8 @@ class ProductQuasimode(Quasimode):
                 seen.add(union)
                 yield union
 
-    def advised(self, system, configuration, strict=False):
-        parts = [f.advised(system, configuration, strict) for f in self.factors]
+    def advised(self, applicable, strict=False):
+        parts = [f.advised(applicable, strict) for f in self.factors]
         result = parts[0]
         for part in parts[1:]:
             result = dotted_product(result, part)
@@ -307,30 +306,26 @@ class ModeView:
     """Configuration-indexed view of the rule sets a system may fire.
 
     Every rule in a returned set is individually applicable at that
-    configuration; the value is cached per configuration.
+    configuration.  Nothing is cached; a caller that revisits
+    configurations keeps what it needs itself.
     """
 
-    def __init__(self, system: BooleanPSystem, at, name=None):
+    def __init__(self, system: BooleanPSystem, at):
         self.system = system
         self._at = at
-        self.name = name
-        self._cache = {}
 
     def at(self, configuration: StateSet) -> frozenset:
-        got = self._cache.get(configuration.bits)
-        if got is None:
-            got = self._at(configuration)
-            self._cache[configuration.bits] = got
-        return got
+        return self._at(configuration)
 
 
 def derive_mode(system: BooleanPSystem, quasimode: Quasimode, strict=False) -> ModeView:
-    """The mode a quasimode induces (filtered by default, strict on request)."""
-    return ModeView(
-        system,
-        lambda configuration: quasimode.advised(system, configuration, strict),
-        name=quasimode.name,
-    )
+    """The mode a quasimode induces (filtered by default, strict on request);
+    its value depends on the applicable rules alone."""
+
+    def at(configuration):
+        return quasimode.advised(system.applicable_rules(configuration), strict)
+
+    return ModeView(system, at)
 
 
 def maximally_parallel_mode(system: BooleanPSystem) -> ModeView:
@@ -342,7 +337,7 @@ def maximally_parallel_mode(system: BooleanPSystem) -> ModeView:
             return frozenset()
         return frozenset({app})
 
-    return ModeView(system, at, name="maxpar")
+    return ModeView(system, at)
 
 
 def product_mode(first: ModeView, second: ModeView) -> ModeView:
@@ -379,34 +374,37 @@ def evolve(
     if max_steps < 0:
         raise UsageError("max_steps must be non-negative")
     limit = DEFAULT_BREADTH_CAP if breadth_cap is None else breadth_cap
+    # branches revisit configurations: expand each one once per call
+    expanded = {}
+    halting = {}
+
+    def trajectories(paths):
+        for states, _labels in paths:
+            if states[-1] not in halting:
+                halting[states[-1]] = system.is_halting(states[-1])
+        return tuple(Trajectory(s, l, halting=halting[s[-1]]) for s, l in paths)
+
     done = []
     paths = [((start,), ())]
     for _ in range(max_steps):
         grown = []
         for states, labels in paths:
-            succ = successors(system, mode, states[-1])
-            if not succ:
+            last = states[-1]
+            if last not in expanded:
+                expanded[last] = successors(system, mode, last)
+            if not expanded[last]:
                 done.append((states, labels))
                 continue
-            for fired, nxt in succ:
+            for fired, nxt in expanded[last]:
                 grown.append((states + (nxt,), labels + (fired,)))
         if len(grown) + len(done) > limit:
-            partial = tuple(
-                Trajectory(s, l, halting=system.is_halting(s[-1]))
-                for s, l in done + grown
+            raise CapacityError(
+                f"evolution breadth exceeded cap {limit}", partial=trajectories(done + grown)
             )
-            raise CapacityError(f"evolution breadth exceeded cap {limit}", partial=partial)
-        if not grown:
-            break
         paths = grown
-    done.extend(paths)
-    seen = {}
-    for states, labels in done:
-        seen.setdefault((states, labels), None)
-    return tuple(
-        Trajectory(states, labels, halting=system.is_halting(states[-1]))
-        for states, labels in seen
-    )
+        if not paths:
+            break
+    return trajectories(done + paths)
 
 
 # --- composition ----------------------------------------------------------------

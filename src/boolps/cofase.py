@@ -32,7 +32,7 @@ from .bcn import (
     freeze_pairs,
     glue_trajectories,
 )
-from .bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode
+from .bn import BooleanMode, BooleanNetwork, Trajectory, _components, bn_step, named_mode
 from .boolp import successors as boolp_successors
 from .errors import CapacityError, UsageError, ValidationError
 from .formula import StateSet, VarTable, parse_state
@@ -170,24 +170,28 @@ def _step_map(network: BooleanNetwork, mode: BooleanMode, cap=None):
     return out
 
 
-def _closure_from(step_map, source) -> frozenset:
-    """States reachable from source in any number of steps, source included."""
-    frontier = [source]
-    seen = {source}
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for _m, dst in step_map[state]:
-                if dst not in seen:
-                    seen.add(dst)
-                    nxt.append(dst)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def _phase_reach(step_map, min_steps: int):
-    """state -> states reachable within one phase (>= min_steps steps)."""
-    closure = {source: _closure_from(step_map, source) for source in step_map}
+    """state -> states reachable within one phase (>= min_steps steps).
+
+    The reflexive-transitive closure of a strongly connected component is its
+    states plus the closures of the components its edges reach, which
+    `_components` lists first; the component's states share that one set.
+    """
+    states = list(step_map)
+    index = {state: i for i, state in enumerate(states)}
+    successors = [[index[dst] for _m, dst in step_map[state]] for state in states]
+    per_node = [None] * len(states)
+    for component in _components(successors):
+        out = set()
+        for v in component:
+            out.add(states[v])
+            for w in successors[v]:
+                if per_node[w] is not None:  # None: an edge inside this component
+                    out |= per_node[w]
+        shared = frozenset(out)
+        for v in component:
+            per_node[v] = shared
+    closure = dict(zip(states, per_node))
     if min_steps == 0:
         return closure
     reach = {}

@@ -82,11 +82,6 @@ def random_quasimode(
     return ExplicitQuasimode(frozenset(family))
 
 
-def random_freeze_bcn(rng: random.Random, size: int, max_depth: int = 4):
-    table = random_table(rng, size)
-    return freeze_extend(random_network(rng, table, max_depth))
-
-
 def random_reaction_system(
     rng: random.Random, species: int, max_reactions: int = 6
 ) -> ReactionSystem:

@@ -2,9 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolps.boolp import (
     BooleanPSystem,
+    ExplicitQuasimode,
+    PowersetQuasimode,
+    ProductQuasimode,
     Rule,
     apply_rule_set,
     derive_mode,
@@ -315,9 +320,30 @@ class TestQuasimodeGenerators:
     def test_powerset_strict_equals_filtered(self, cascade):
         quasimode = quasimode_async(cascade)
         for state in cascade.table.subsets():
-            assert quasimode.advised(cascade, state, strict=True) == quasimode.advised(
-                cascade, state, strict=False
+            assert quasimode.advised(cascade.applicable_rules(state), strict=True) == (
+                quasimode.advised(cascade.applicable_rules(state), strict=False)
             )
+
+
+RULE_SETS = st.frozensets(st.sampled_from([f"r{i}" for i in range(1, 6)]))
+QUASIMODES = st.recursive(
+    st.one_of(
+        st.frozensets(RULE_SETS, min_size=1).map(ExplicitQuasimode),
+        RULE_SETS.map(PowersetQuasimode),
+    ),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda factors: ProductQuasimode(tuple(factors))
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(QUASIMODES, RULE_SETS)
+def test_advised_cuts_every_element_to_the_applicable_set(quasimode, applicable):
+    elements = list(quasimode.elements())
+    assert quasimode.advised(applicable) == {a & applicable for a in elements}
+    assert quasimode.advised(applicable, strict=True) == {a for a in elements if a <= applicable}
 
 
 class TestTextFormat:

@@ -266,6 +266,31 @@ class TestExitCodes:
             code, _, err = run(capsys, *command.split(), model)
             assert code == expected, err
 
+    @pytest.mark.parametrize(
+        "command, header, engine, engine_lines",
+        [
+            ("translate bn", "var x\n", "bn transitions", ""),
+            ("translate bcn", "var x\nfreeze x\n", "cofase solve --engine composite",
+             "start {0}\ntarget {1}\n"),
+        ],
+        ids=["translate-bn", "translate-bcn"],
+    )
+    def test_translated_guard_past_nesting_limit_is_three(self, capsys, tmp_path, command,
+                                                          header, engine, engine_lines):
+        # 100 levels: readable, but the erase guard !(...) would be 102 deep
+        update = "!x"
+        for _ in range(33):
+            update = f"x & (x | !({update}))"
+        model = tmp_path / "deep.model"
+        model.write_text(f"{header}x' = {update}\n")
+        engine_input = tmp_path / "deep.engine"
+        engine_input.write_text(model.read_text() + engine_lines)
+        code, _, err = run(capsys, *engine.split(), engine_input)
+        assert code == 0, err
+        code, out, err = run(capsys, *command.split(), model)
+        assert code == 3 and out == ""
+        assert "rule clr_x:" in err and f"deeper than {MAX_NESTING}" in err
+
     def test_usage_error_is_two(self, capsys):
         code, _, err = run(
             capsys, "bn", "transitions", MODELS / "ex31.bn", "--mode", "sideways"

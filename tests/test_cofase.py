@@ -1,7 +1,10 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolps.bcn import (
     BooleanControlNetwork,
@@ -11,10 +14,12 @@ from boolps.bcn import (
     enumerate_controls,
     freeze_extend,
 )
-from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step
+from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode
 from boolps.cofase import (
     CoFaSeInstance,
     NoSolutionWithinBound,
+    _phase_reach,
+    _step_map,
     control_space,
     parse_instance_text,
     solution_from_json,
@@ -25,7 +30,7 @@ from boolps.cofase import (
 )
 from boolps.errors import ParseError, UsageError, ValidationError
 from boolps.formula import Formula, StateSet, VarTable, parse_formula
-from boolps.generators import random_cofase_instance
+from boolps.generators import random_cofase_instance, random_mode, random_network, random_table
 
 
 @pytest.fixture
@@ -256,6 +261,48 @@ def brute_force_min_phases(instance, max_phases):
             if good:
                 return length
     return None
+
+
+def _oracle_phase_reach(step_map, min_steps):
+    """Reach by one BFS per state; with min_steps 1, from the one-step successors."""
+
+    def reach(source):
+        seen = {source}
+        queue = deque([source])
+        while queue:
+            for _m, dst in step_map[queue.popleft()]:
+                if dst not in seen:
+                    seen.add(dst)
+                    queue.append(dst)
+        return seen
+
+    if min_steps == 0:
+        return {s: reach(s) for s in step_map}
+    return {s: set().union(*(reach(dst) for _m, dst in step_map[s])) for s in step_map}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["syn", "asyn", "random"]),
+    st.sampled_from([0, 1]),
+)
+def test_phase_reach_matches_bfs_oracle(n, seed, mode_name, min_steps):
+    rng = random.Random(seed)
+    table = random_table(rng, n)
+    network = random_network(rng, table)
+    mode = random_mode(rng, table) if mode_name == "random" else named_mode(mode_name, table)
+    step_map = _step_map(network, mode)
+    got = _phase_reach(step_map, min_steps)
+    assert list(got) == list(step_map)
+    assert got == _oracle_phase_reach(step_map, min_steps)
+    if min_steps == 0:
+        # mutually reachable states share one closure object
+        for s, reach in got.items():
+            for t in reach:
+                if s in got[t]:
+                    assert got[t] is reach
 
 
 class TestMinimalityAndAgreement:
