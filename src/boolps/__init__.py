@@ -11,6 +11,7 @@ from .bcn import (
     freeze_extend,
     glue_trajectories,
     parse_bcn_text,
+    selected_networks,
 )
 from .bn import (
     BooleanMode,

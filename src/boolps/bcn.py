@@ -158,6 +158,56 @@ def apply_control(bcn: BooleanControlNetwork, control: Control) -> BooleanNetwor
     return BooleanNetwork(bcn.x_table, tuple(updates))
 
 
+def selected_networks(
+    bcn: BooleanControlNetwork, controls: Iterable[Control]
+) -> dict[Control, BooleanNetwork]:
+    """The distinct (structurally unequal) networks the controls select,
+    each under the first control, in the given order, that selects it.
+
+    Each update is folded once per projection of a control onto the control
+    inputs that update mentions.  `substitute` leaves unmentioned names
+    untouched, so every network equals the one `apply_control` builds for
+    any control of its class.
+    """
+    u_names = set(bcn.u_table.names)
+    x_map = {i: i for i in range(len(bcn.x_table))}
+    # per update: the formula, the inputs it mentions, their bit mask, and
+    # the index of its fold by projection and by folded formula
+    folds = []
+    for formula in bcn.updates:
+        used = formula.variables() & u_names
+        mask = sum(1 << bcn.u_table.position(name) for name in used)
+        folds.append((formula, used, mask, {}, {}))
+    first = {}
+    for control in controls:
+        if control.assignment.table != bcn.u_table:
+            raise UsageError("control over a different control table")
+        bits = control.assignment.bits
+        key = []
+        for formula, used, mask, by_projection, distinct in folds:
+            index = by_projection.get(bits & mask)
+            if index is None:
+                folded = formula.substitute(
+                    {name: bool(bits >> bcn.u_table.position(name) & 1) for name in used}
+                )
+                leftover = folded.variables() & u_names
+                if leftover:
+                    raise ValidationError(
+                        f"control inputs survived substitution: {sorted(leftover)}"
+                    )
+                folded = folded.remap(bcn.x_table, x_map)
+                index = by_projection[bits & mask] = distinct.setdefault(folded, len(distinct))
+            key.append(index)
+        first.setdefault(tuple(key), control)
+    distinct_folds = [list(distinct) for *_rest, distinct in folds]
+    return {
+        control: BooleanNetwork(
+            bcn.x_table, tuple(fold[index] for fold, index in zip(distinct_folds, key))
+        )
+        for key, control in first.items()
+    }
+
+
 def control_pair_names(name: str) -> tuple[str, str]:
     """Names of the freeze pair for a variable: raise the first to pin it to 0,
     the second to pin it to 1."""

@@ -7,13 +7,15 @@ any number of steps, including zero by default; pass
 ``min_steps_per_phase=1`` for the stricter reading.
 
 Two engines are provided.  The direct engine searches the phase graph:
-for each control it precomputes the reflexive-transitive closure of the
-selected network's step relation and runs a breadth-first search over
-per-start frontier sets, returning a shortest sequence (ties broken by
-canonical control order).  The second engine searches the composed
-set-rewriting embedding of the instance and decodes the control sequence
-from the control-symbol history; the two must agree, which is used as a
-cross-check throughout the test suite.
+it runs a breadth-first search over per-start frontier sets, returning a
+shortest sequence (ties broken by canonical control order).  Controls that
+select the same network form one class, tried once under its first
+control in canonical order; the reflexive-transitive closure of a
+network's step relation is built when the search first needs it.  The
+second engine searches the composed set-rewriting embedding of the
+instance and decodes the control sequence from the control-symbol
+history; the two must agree, which is used as a cross-check throughout
+the test suite.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .bcn import (
     enumerate_controls,
     freeze_pairs,
     glue_trajectories,
+    selected_networks,
 )
 from .bn import BooleanMode, BooleanNetwork, Trajectory, _components, bn_step, named_mode
 from .boolp import successors as boolp_successors
@@ -99,6 +102,10 @@ class NoSolutionWithinBound:
     step_bound: int | None
     explored: int
     detail: str = ""
+    # the direct engine's search nodes first reached at each depth (number
+    # of phases), from depth 0, in the search that failed: per-start, the
+    # failing start's; uniform, they sum to `explored`
+    frontier: tuple[int, ...] = ()
 
     def __bool__(self):
         return False
@@ -269,89 +276,94 @@ def solve_cofase(
     if min_steps_per_phase not in (0, 1):
         raise UsageError("min_steps_per_phase must be 0 or 1")
     check_enumerable(len(instance.bcn.x_table), cap, "state space")
-    controls = control_space(instance.bcn, cap)
-    step_maps = {}
-    reach_maps = {}
-    for control in controls:
-        network = apply_control(instance.bcn, control)
-        step_maps[control] = _step_map(network, instance.mode, cap)
-        reach_maps[control] = _phase_reach(step_maps[control], min_steps_per_phase)
+    # controls selecting one network have one image; the class's first
+    # control in canonical order stands for it, so the search is unchanged
+    networks = selected_networks(instance.bcn, control_space(instance.bcn, cap))
+    controls = list(networks)
+    built = {}
+
+    def phase_maps(control):
+        """(step map, phase reach) of the control's network, built on first use."""
+        if control not in built:
+            step_map = _step_map(networks[control], instance.mode, cap)
+            built[control] = (step_map, _phase_reach(step_map, min_steps_per_phase))
+        return built[control]
 
     if policy == "per-start":
         witnesses = []
         explored = 0
         for start in instance.starts:
             sub = CoFaSeInstance(instance.bcn, (start,), instance.targets, instance.mode)
-            result = _solve_uniform(
-                sub, controls, reach_maps, step_maps, max_phases, min_steps_per_phase
-            )
+            result = _solve_uniform(sub, controls, phase_maps, max_phases, min_steps_per_phase)
             if not result:
                 return NoSolutionWithinBound(
                     phase_bound=max_phases,
                     step_bound=None,
                     explored=explored + result.explored,
                     detail=f"no sequence for start {start.set_text()}",
+                    frontier=result.frontier,
                 )
             explored += 1
             witnesses.extend(result.witnesses)
         return CoFaSeSolution(policy="per-start", witnesses=tuple(witnesses))
 
-    return _solve_uniform(
-        instance, controls, reach_maps, step_maps, max_phases, min_steps_per_phase
-    )
+    return _solve_uniform(instance, controls, phase_maps, max_phases, min_steps_per_phase)
 
 
-def _solve_uniform(instance, controls, reach_maps, step_maps, max_phases, min_steps):
+def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
     targets = instance.targets
     initial = tuple(frozenset({start}) for start in instance.starts)
     visited = {initial}
     queue = [(initial, ())]
-    depth = 0
-    while queue and depth < max_phases:
-        depth += 1
+    frontier = [1]  # one entry per depth searched, the start node's first
+    while queue and len(frontier) <= max_phases:
         next_queue = []
         for node, sequence in queue:
             for control in controls:
-                successors = tuple(_image(reach_maps[control], comp) for comp in node)
+                reach = phase_maps(control)[1]
+                successors = tuple(_image(reach, comp) for comp in node)
                 grown = sequence + (control,)
                 if all(comp & targets for comp in successors):
-                    return _build_solution(
-                        instance, grown, reach_maps, step_maps, min_steps
-                    )
+                    return _build_solution(instance, grown, phase_maps, min_steps)
                 if successors not in visited:
                     visited.add(successors)
                     next_queue.append((successors, grown))
+        frontier.append(len(next_queue))
         queue = next_queue
     return NoSolutionWithinBound(
-        phase_bound=max_phases, step_bound=None, explored=len(visited)
+        phase_bound=max_phases, step_bound=None, explored=len(visited),
+        frontier=tuple(frontier),
     )
 
 
-def _build_solution(instance, sequence, reach_maps, step_maps, min_steps):
+def _build_solution(instance, sequence, phase_maps, min_steps):
     witnesses = []
     for start in instance.starts:
         witnesses.append(
-            _witness_for(start, sequence, instance.targets, reach_maps, step_maps, min_steps)
+            _witness_for(start, sequence, instance.targets, phase_maps, min_steps)
         )
     return CoFaSeSolution(policy="uniform", witnesses=tuple(witnesses))
 
 
-def _witness_for(start, sequence, targets, reach_maps, step_maps, min_steps):
+def _witness_for(start, sequence, targets, phase_maps, min_steps):
     frontiers = [frozenset({start})]
     for control in sequence:
-        frontiers.append(_image(reach_maps[control], frontiers[-1]))
+        frontiers.append(_image(phase_maps(control)[1], frontiers[-1]))
     final = sorted(frontiers[-1] & targets, key=StateSet.sort_key)[0]
     endpoints = [final]
     for i in reversed(range(len(sequence))):
+        reach = phase_maps(sequence[i])[1]
         candidates = sorted(
-            (s for s in frontiers[i] if endpoints[0] in reach_maps[sequence[i]][s]),
+            (s for s in frontiers[i] if endpoints[0] in reach[s]),
             key=StateSet.sort_key,
         )
         endpoints.insert(0, candidates[0])
     segments = []
     for i, control in enumerate(sequence):
         segments.append(
-            _shortest_phase_path(step_maps[control], endpoints[i], endpoints[i + 1], min_steps)
+            _shortest_phase_path(
+                phase_maps(control)[0], endpoints[i], endpoints[i + 1], min_steps
+            )
         )
     trajectory = glue_trajectories(segments)
     boundaries = []
@@ -435,6 +447,10 @@ def solve_cofase_via_composite(
     phases.  Inherently per-start: with several starts each gets its own
     sequence.
     """
+    if max_steps < 0:
+        raise UsageError("max_steps must be at least 0")
+    if max_phases is not None and max_phases < 1:
+        raise UsageError("max_phases must be at least 1")
     check_enumerable(len(instance.bcn.table), cap, "composite state space")
     composite = bcn_to_composite(instance.bcn, instance.mode)
     mode_view = composite.mode_view()

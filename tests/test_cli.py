@@ -298,6 +298,14 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("bound", [("--max-steps", "-1"), ("--max-phases", "0")])
+    def test_composite_bounds_below_range_are_two(self, capsys, bound):
+        code, out, err = run(
+            capsys, "cofase", "solve", MODELS / "ex32.cofase", "--engine", "composite", *bound
+        )
+        assert code == 2 and out == ""
+        assert f"{bound[0][2:].replace('-', '_')} must be at least" in err
+
     def test_missing_file_is_two(self, capsys):
         code, _, _ = run(capsys, "bn", "transitions", "nope.bn")
         assert code == 2

@@ -1,11 +1,13 @@
 import itertools
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolps import cofase
 from boolps.bcn import (
     BooleanControlNetwork,
     Control,
@@ -13,11 +15,15 @@ from boolps.bcn import (
     apply_control,
     enumerate_controls,
     freeze_extend,
+    parse_bcn_text,
+    selected_networks,
 )
 from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode
 from boolps.cofase import (
     CoFaSeInstance,
+    CoFaSeSolution,
     NoSolutionWithinBound,
+    _build_solution,
     _phase_reach,
     _step_map,
     control_space,
@@ -30,7 +36,16 @@ from boolps.cofase import (
 )
 from boolps.errors import ParseError, UsageError, ValidationError
 from boolps.formula import Formula, StateSet, VarTable, parse_formula
-from boolps.generators import random_cofase_instance, random_mode, random_network, random_table
+from boolps.generators import (
+    random_cofase_instance,
+    random_formula,
+    random_mode,
+    random_network,
+    random_subset,
+    random_table,
+)
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 @pytest.fixture
@@ -147,7 +162,9 @@ class TestDirectSolver:
         result = solve_cofase(instance, max_phases=5)
         assert isinstance(result, NoSolutionWithinBound)
         assert result.phase_bound == 5
-        assert result.explored > 0
+        # the start node, the oscillation after one phase, then nothing new
+        assert result.explored == 2 and result.frontier == (1, 1, 0)
+        assert "frontier" not in solution_to_json(result)
         via = solve_cofase_via_composite(instance, max_steps=32, max_phases=5)
         assert isinstance(via, NoSolutionWithinBound)
 
@@ -305,6 +322,133 @@ def test_phase_reach_matches_bfs_oracle(n, seed, mode_name, min_steps):
                     assert got[t] is reach
 
 
+def random_control_network(rng, n, explicit, idle):
+    """Variables x0.., explicit controls u0.. that the updates may mention,
+    freeze pairs on some variables, and with `idle` a control no update
+    mentions."""
+    x_table = random_table(rng, n)
+    inputs = [f"u{i}" for i in range(explicit)]
+    mentioned = VarTable(x_table.names + tuple(inputs))
+    lines = ["var " + ", ".join(x_table.names)]
+    if inputs or idle:
+        lines.append("control " + ", ".join(inputs + (["idle"] if idle else [])))
+    lines += [f"freeze {name}" for name in x_table.names if rng.random() < 0.4]
+    lines += [
+        f"{name}' = {random_formula(rng, mentioned, max_depth=3).to_text()}"
+        for name in x_table.names
+    ]
+    return parse_bcn_text("\n".join(lines) + "\n")
+
+
+control_networks = st.builds(
+    lambda seed, n, explicit, idle: random_control_network(
+        random.Random(seed), n, explicit, idle
+    ),
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2), st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(control_networks, st.randoms(use_true_random=False))
+def test_selected_networks_match_apply_control(bcn, rng):
+    controls = control_space(bcn)
+    rng.shuffle(controls)
+    expected = {}
+    for mu in controls:  # the first control in the given order stands for its class
+        expected.setdefault(apply_control(bcn, mu), mu)
+    got = selected_networks(bcn, controls)
+    assert list(got.items()) == [(mu, network) for network, mu in expected.items()]
+
+
+def eager_solve(instance, max_phases, policy="uniform", min_steps=0):
+    """The direct engine without the control quotient: `apply_control`, a
+    step map and a phase closure for every control, then a breadth-first
+    search trying every control at every node.  Witnesses come from the
+    engine's own `_build_solution`, fed these maps."""
+    maps = {}
+    for mu in control_space(instance.bcn):
+        step_map = _step_map(apply_control(instance.bcn, mu), instance.mode)
+        maps[mu] = (step_map, _phase_reach(step_map, min_steps))
+
+    def search(sub):
+        initial = tuple(frozenset({start}) for start in sub.starts)
+        visited = {initial}
+        queue = [(initial, ())]
+        frontier = [1]
+        for _depth in range(max_phases):
+            if not queue:
+                break
+            next_queue = []
+            for node, sequence in queue:
+                for mu, (_steps, reach) in maps.items():
+                    image = tuple(
+                        frozenset().union(*(reach[s] for s in comp)) for comp in node
+                    )
+                    if all(comp & sub.targets for comp in image):
+                        return _build_solution(sub, sequence + (mu,), maps.__getitem__, min_steps)
+                    if image not in visited:
+                        visited.add(image)
+                        next_queue.append((image, sequence + (mu,)))
+            frontier.append(len(next_queue))
+            queue = next_queue
+        return NoSolutionWithinBound(max_phases, None, len(visited), frontier=tuple(frontier))
+
+    if policy == "uniform":
+        return search(instance)
+    witnesses = []
+    for solved, start in enumerate(instance.starts):
+        result = search(CoFaSeInstance(instance.bcn, (start,), instance.targets, instance.mode))
+        if not result:
+            return NoSolutionWithinBound(
+                max_phases, None, solved + result.explored,
+                f"no sequence for start {start.set_text()}", result.frontier,
+            )
+        witnesses.extend(result.witnesses)
+    return CoFaSeSolution("per-start", tuple(witnesses))
+
+
+def assert_same_as_eager(instance, max_phases):
+    for policy in ("uniform", "per-start"):
+        for min_steps in (0, 1):
+            got = solve_cofase(instance, max_phases, policy, min_steps)
+            assert got == eager_solve(instance, max_phases, policy, min_steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    control_networks,
+    st.randoms(use_true_random=False),
+    st.sampled_from(["syn", "asyn", "random"]),
+    st.integers(1, 3),
+)
+def test_quotient_solver_matches_eager_solver(bcn, rng, mode_name, max_phases):
+    table = bcn.x_table
+    mode = random_mode(rng, table) if mode_name == "random" else named_mode(mode_name, table)
+    starts = [random_subset(rng, table) for _ in range(rng.randint(1, 2))]
+    targets = [random_subset(rng, table) for _ in range(rng.randint(1, 2))]
+    assert_same_as_eager(CoFaSeInstance.of(bcn, starts, targets, mode), max_phases)
+
+
+def test_quotient_solver_matches_eager_solver_on_acceptance_instances():
+    rng = random.Random(4040)  # the instances of acceptance criterion 8
+    for _ in range(30):
+        assert_same_as_eager(random_cofase_instance(rng, max_vars=3), 4)
+    with open(MODELS / "ex32.cofase") as handle:
+        assert_same_as_eager(parse_instance_text(handle.read()), 3)
+
+
+def test_one_phase_solve_builds_a_step_map_per_network_at_most(monkeypatch):
+    # 64 controls select 27 networks (none / pin to 0 / pin to 1 per variable)
+    t = VarTable.of("p", "q", "r")
+    bcn = freeze_extend(BooleanNetwork(t, tuple(Formula.var(t, n) for n in t.names)))
+    instance = CoFaSeInstance.of(bcn, [digit(t, "000")], [digit(t, "111")], BooleanMode.syn(t))
+    calls = []
+    build = cofase._step_map
+    monkeypatch.setattr(cofase, "_step_map", lambda *args: calls.append(args) or build(*args))
+    assert solve_cofase(instance, max_phases=1).phases == 1
+    assert 0 < len(calls) <= 27
+
+
 class TestMinimalityAndAgreement:
     def test_minimality_against_brute_force(self):
         rng = random.Random(101)
@@ -362,6 +506,13 @@ class TestCompositeSolver:
         result = solve_cofase_via_composite(instance, max_steps=0)
         assert isinstance(result, NoSolutionWithinBound)
         assert result.step_bound == 0
+
+    def test_bounds_below_range_rejected(self, frozen):
+        instance = golden_instance(frozen)
+        with pytest.raises(UsageError, match="max_steps"):
+            solve_cofase_via_composite(instance, max_steps=-1)
+        with pytest.raises(UsageError, match="max_phases"):
+            solve_cofase_via_composite(instance, max_steps=8, max_phases=0)
 
 
 class TestControlSpace:
