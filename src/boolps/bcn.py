@@ -166,11 +166,10 @@ def selected_networks(
 
     Each update is folded once per projection of a control onto the control
     inputs that update mentions.  `substitute` leaves unmentioned names
-    untouched, so every network equals the one `apply_control` builds for
-    any control of its class.
+    untouched, so controls whose folds are all equal select equal networks.
+    Each class's network is built by `apply_control` on its first control.
     """
     u_names = set(bcn.u_table.names)
-    x_map = {i: i for i in range(len(bcn.x_table))}
     # per update: the formula, the inputs it mentions, their bit mask, and
     # the index of its fold by projection and by folded formula
     folds = []
@@ -190,22 +189,10 @@ def selected_networks(
                 folded = formula.substitute(
                     {name: bool(bits >> bcn.u_table.position(name) & 1) for name in used}
                 )
-                leftover = folded.variables() & u_names
-                if leftover:
-                    raise ValidationError(
-                        f"control inputs survived substitution: {sorted(leftover)}"
-                    )
-                folded = folded.remap(bcn.x_table, x_map)
                 index = by_projection[bits & mask] = distinct.setdefault(folded, len(distinct))
             key.append(index)
         first.setdefault(tuple(key), control)
-    distinct_folds = [list(distinct) for *_rest, distinct in folds]
-    return {
-        control: BooleanNetwork(
-            bcn.x_table, tuple(fold[index] for fold, index in zip(distinct_folds, key))
-        )
-        for key, control in first.items()
-    }
+    return {control: apply_control(bcn, control) for control in first.values()}
 
 
 def control_pair_names(name: str) -> tuple[str, str]:
