@@ -13,6 +13,15 @@ derives restricts each advised set to its applicable part at the current
 configuration (an advised set whose rules are all inapplicable contributes
 an explicit empty firing, i.e. a stutter step).  The strict variant instead
 drops advised sets that are not entirely applicable.
+
+Inside the kernel a rule set is an ``int`` mask: the rule with the i-th
+smallest id is bit ``1 << i``.  Modes produce ``(fired mask, erase bits,
+add bits)`` triples, so a result is ``bits & ~erase | add``; rule ids
+appear only where a label leaves `successors`.  Because indices follow
+sorted ids, ordering fired sets by their index tuples orders them by
+their sorted ids.  The id-level `Quasimode.advised`, `dotted_product`,
+`Rule.applicable_to` and `apply_rule_set` are kept as the reference the
+mask path is checked against.
 """
 
 from __future__ import annotations
@@ -83,20 +92,39 @@ class BooleanPSystem:
     table: VarTable
     rules: tuple[Rule, ...]
     _by_id: dict = field(init=False, repr=False, compare=False)
-    _masks: dict = field(init=False, repr=False, compare=False)
+    _bit: dict = field(init=False, repr=False, compare=False)  # id -> rule mask bit
+    _lhs: tuple = field(init=False, repr=False, compare=False)  # index -> lhs bits
+    _rhs: tuple = field(init=False, repr=False, compare=False)  # index -> rhs bits
+    _checks: tuple = field(init=False, repr=False, compare=False)  # (bit, lhs bits, guard)
+    _bytes: tuple = field(init=False, repr=False, compare=False)  # see `rule_set`
 
     def __post_init__(self):
         by_id = {}
-        masks = {}
         for rule in self.rules:
             if rule.table != self.table:
                 raise ValidationError(f"rule {rule.id} over a different variable table")
             if rule.id in by_id:
                 raise ValidationError(f"duplicate rule id {rule.id!r}")
             by_id[rule.id] = rule
-            masks[rule.id] = (rule.lhs.bits, rule.rhs.bits)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_masks", masks)
+        ordered = [by_id[rule_id] for rule_id in sorted(by_id)]
+        fields = {
+            "_by_id": by_id,
+            "_bit": {rule.id: 1 << i for i, rule in enumerate(ordered)},
+            "_lhs": tuple(rule.lhs.bits for rule in ordered),
+            "_rhs": tuple(rule.rhs.bits for rule in ordered),
+            "_checks": tuple(
+                (1 << i, rule.lhs.bits, rule.guard) for i, rule in enumerate(ordered)
+            ),
+            "_bytes": tuple(
+                tuple(
+                    tuple(rule.id for j, rule in enumerate(chunk) if value >> j & 1)
+                    for value in range(256)
+                )
+                for chunk in (ordered[k:k + 8] for k in range(0, len(ordered), 8))
+            ),
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def rule(self, rule_id: str) -> Rule:
         try:
@@ -107,6 +135,51 @@ class BooleanPSystem:
     def rule_ids(self) -> frozenset:
         return frozenset(self._by_id)
 
+    def rule_mask(self, rule_ids: Iterable[str]) -> int:
+        """Mask of the given ids; ids the system lacks are left out."""
+        bit = self._bit
+        mask = 0
+        for rule_id in rule_ids:
+            mask |= bit.get(rule_id, 0)
+        return mask
+
+    def rule_set(self, mask: int) -> RuleSet:
+        """The ids of a rule mask, read a byte at a time: `_bytes[k][v]` holds
+        the ids of rules 8k..8k+7 whose bits are set in the byte value v
+        (256 tuples per 8 rules, fixed when the system is built)."""
+        ids = ()
+        for table in self._bytes:
+            if not mask:
+                break
+            ids += table[mask & 255]
+            mask >>= 8
+        return frozenset(ids)
+
+    def fold(self, mask: int) -> tuple[int, int, int]:
+        """``(mask, erase bits, add bits)``: the unions of the fired rules'
+        left- and right-hand sides."""
+        lhs, rhs = self._lhs, self._rhs
+        erase = add = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            erase |= lhs[i]
+            add |= rhs[i]
+            rest ^= low
+        return mask, erase, add
+
+    def applicable_mask(self, configuration: StateSet) -> int:
+        """Mask of the rules individually applicable to the configuration."""
+        if configuration.table != self.table:
+            raise UsageError("configuration over a different variable table")
+        bits = configuration.bits
+        mask = 0
+        for bit, lhs, guard in self._checks:
+            if not lhs & ~bits and guard.evaluate(configuration):
+                mask |= bit
+        return mask
+
     def applicable_rules(self, configuration: StateSet) -> RuleSet:
         """Ids of the rules individually applicable to the configuration."""
         if configuration.table != self.table:
@@ -114,7 +187,7 @@ class BooleanPSystem:
         return frozenset(r.id for r in self.rules if r.applicable_to(configuration))
 
     def is_halting(self, configuration: StateSet) -> bool:
-        return not self.applicable_rules(configuration)
+        return not self.applicable_mask(configuration)
 
     def apply_rule_set(self, configuration: StateSet, rule_ids: Iterable[str]) -> StateSet:
         """Joint application; every member must be individually applicable."""
@@ -127,16 +200,7 @@ class BooleanPSystem:
                 raise ValidationError(
                     f"rule {rule_id} is not applicable to {configuration.set_text()}"
                 )
-        return self._apply_unchecked(configuration, ids)
-
-    def _apply_unchecked(self, configuration: StateSet, rule_ids) -> StateSet:
-        erase = 0
-        add = 0
-        masks = self._masks
-        for rule_id in rule_ids:
-            lhs_bits, rhs_bits = masks[rule_id]
-            erase |= lhs_bits
-            add |= rhs_bits
+        _mask, erase, add = self.fold(self.rule_mask(ids))
         return self.table.state(configuration.bits & ~erase | add)
 
 
@@ -166,6 +230,16 @@ def dotted_product(a: Iterable[frozenset], b: Iterable[frozenset]) -> frozenset:
     return frozenset(x | y for x in a for y in b)
 
 
+def _dot(first, second) -> list:
+    """Dotted product of two mode values given as ``(mask, erase, add)``
+    triples: the pairwise unions, one triple per distinct mask."""
+    out = {}
+    for mask, erase, add in first:
+        for mask2, erase2, add2 in second:
+            out[mask | mask2] = (mask | mask2, erase | erase2, add | add2)
+    return list(out.values())
+
+
 class Quasimode:
     """Configuration-independent family of advised rule-id sets."""
 
@@ -183,6 +257,13 @@ class Quasimode:
         (retaining empty results as stutter elements); strict semantics
         keeps only advised sets that are entirely applicable.
         """
+        raise NotImplementedError
+
+    def resolve(self, system: BooleanPSystem, strict=False):
+        """The same family resolved against `system` once: a function from
+        an applicable-rule mask to the derived mode's value there, as
+        ``(fired mask, erase bits, add bits)`` triples with distinct masks.
+        Advised ids the system lacks are never applicable."""
         raise NotImplementedError
 
     def size_hint(self) -> int:
@@ -212,6 +293,19 @@ class ExplicitQuasimode(Quasimode):
             return frozenset(m for m in self.family if m <= applicable)
         return frozenset(m & applicable for m in self.family)
 
+    def resolve(self, system, strict=False):
+        masks = set()
+        for element in self.family:
+            mask = system.rule_mask(element)
+            if strict and mask.bit_count() < len(element):
+                continue  # advises a rule the system lacks: never entirely applicable
+            masks.add(mask)
+        fold = system.fold
+        if strict:
+            moves = [fold(mask) for mask in masks]
+            return lambda app: [move for move in moves if not move[0] & ~app]
+        return lambda app: [fold(mask) for mask in {mask & app for mask in masks}]
+
     def size_hint(self):
         return len(self.family)
 
@@ -239,6 +333,25 @@ class PowersetQuasimode(Quasimode):
             for size in range(len(usable) + 1)
             for combo in itertools.combinations(usable, size)
         )
+
+    def resolve(self, system, strict=False):
+        # strict and filtered coincide here, as in `advised`
+        base = system.rule_mask(self.base)
+        lhs, rhs = system._lhs, system._rhs
+
+        def at(app):
+            usable = base & app
+            check_enumerable(usable.bit_count(), what="applicable advised rules")
+            moves = [(0, 0, 0)]
+            while usable:
+                low = usable & -usable
+                i = low.bit_length() - 1
+                erase, add = lhs[i], rhs[i]
+                moves += [(mask | low, e | erase, a | add) for mask, e, a in moves]
+                usable ^= low
+            return moves
+
+        return at
 
     def size_hint(self):
         return 1 << len(self.base)
@@ -270,6 +383,17 @@ class ProductQuasimode(Quasimode):
         for part in parts[1:]:
             result = dotted_product(result, part)
         return result
+
+    def resolve(self, system, strict=False):
+        first, *rest = [f.resolve(system, strict) for f in self.factors]
+
+        def at(app):
+            result = first(app)
+            for part in rest:
+                result = _dot(result, part(app))
+            return result
+
+        return at
 
     def size_hint(self):
         size = 1
@@ -305,39 +429,39 @@ def quasimode_async(system: BooleanPSystem) -> PowersetQuasimode:
 class ModeView:
     """Configuration-indexed view of the rule sets a system may fire.
 
-    Every rule in a returned set is individually applicable at that
-    configuration.  Nothing is cached; a caller that revisits
-    configurations keeps what it needs itself.
+    `moves` gives them as ``(fired mask, erase bits, add bits)`` triples
+    with distinct masks, `at` as id sets.  Every fired rule is individually
+    applicable at that configuration.  Nothing is cached; a caller that
+    revisits configurations keeps what it needs itself.
     """
 
-    def __init__(self, system: BooleanPSystem, at):
+    def __init__(self, system: BooleanPSystem, moves):
         self.system = system
-        self._at = at
+        self._moves = moves
+
+    def moves(self, configuration: StateSet) -> list:
+        return self._moves(configuration)
 
     def at(self, configuration: StateSet) -> frozenset:
-        return self._at(configuration)
+        rule_set = self.system.rule_set
+        return frozenset(rule_set(mask) for mask, _erase, _add in self._moves(configuration))
 
 
 def derive_mode(system: BooleanPSystem, quasimode: Quasimode, strict=False) -> ModeView:
     """The mode a quasimode induces (filtered by default, strict on request);
     its value depends on the applicable rules alone."""
-
-    def at(configuration):
-        return quasimode.advised(system.applicable_rules(configuration), strict)
-
-    return ModeView(system, at)
+    resolved = quasimode.resolve(system, strict)
+    return ModeView(system, lambda configuration: resolved(system.applicable_mask(configuration)))
 
 
 def maximally_parallel_mode(system: BooleanPSystem) -> ModeView:
     """Fire the unique non-extendable applicable set; nothing at halting states."""
 
-    def at(configuration):
-        app = system.applicable_rules(configuration)
-        if not app:
-            return frozenset()
-        return frozenset({app})
+    def moves(configuration):
+        app = system.applicable_mask(configuration)
+        return [system.fold(app)] if app else []
 
-    return ModeView(system, at)
+    return ModeView(system, moves)
 
 
 def product_mode(first: ModeView, second: ModeView) -> ModeView:
@@ -346,16 +470,22 @@ def product_mode(first: ModeView, second: ModeView) -> ModeView:
         raise UsageError("product of modes over different systems")
     return ModeView(
         first.system,
-        lambda configuration: dotted_product(first.at(configuration), second.at(configuration)),
+        lambda configuration: _dot(first.moves(configuration), second.moves(configuration)),
     )
 
 
 def successors(system: BooleanPSystem, mode: ModeView, configuration: StateSet):
-    """Fired-set/result pairs at a configuration, in rule-id lexicographic order."""
-    out = set()
-    for fired in mode.at(configuration):
-        out.add((fired, system._apply_unchecked(configuration, fired)))
-    return tuple(sorted(out, key=lambda p: (tuple(sorted(p[0])), p[1].sort_key())))
+    """Fired-set/result pairs at a configuration, in no particular order;
+    `evolve` and the composite engine sort what they need."""
+    if mode.system is not system and mode.system != system:
+        raise UsageError("mode over a different system")
+    bits = configuration.bits
+    state = system.table.state
+    rule_set = system.rule_set
+    return tuple(
+        (rule_set(mask), state(bits & ~erase | add))
+        for mask, erase, add in mode.moves(configuration)
+    )
 
 
 def evolve(
@@ -366,6 +496,9 @@ def evolve(
     breadth_cap=None,
 ) -> tuple[Trajectory, ...]:
     """All evolutions from `start`, each extended until `max_steps` or a dead end.
+
+    Branches follow the fired sets in rule-id lexicographic order (rule
+    indices follow sorted ids, so this is the order of their index tuples).
 
     A trajectory is flagged halting iff no rule is applicable at its last
     state; a dead end under the mode without that (an empty mode value at a
@@ -391,7 +524,10 @@ def evolve(
         for states, labels in paths:
             last = states[-1]
             if last not in expanded:
-                expanded[last] = successors(system, mode, last)
+                expanded[last] = sorted(
+                    successors(system, mode, last),
+                    key=lambda p: (tuple(sorted(p[0])), p[1].sort_key()),
+                )
             if not expanded[last]:
                 done.append((states, labels))
                 continue

@@ -57,14 +57,19 @@ EXIT_CAPACITY = 4
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})", source=path) from None
 
 
 def _emit(args, text: str):
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -227,7 +232,7 @@ def _cmd_cofase_solve(args):
 
 def _cmd_cofase_verify(args):
     instance = parse_instance_text(_read(args.instance), source=args.instance)
-    solution = solution_from_json(instance, _read(args.solution))
+    solution = solution_from_json(instance, _read(args.solution), source=args.solution)
     problems = []
     for witness in solution.witnesses:
         result = verify_control_sequence(

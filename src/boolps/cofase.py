@@ -37,7 +37,7 @@ from .bcn import (
 )
 from .bn import BooleanMode, BooleanNetwork, Trajectory, _components, bn_step, named_mode
 from .boolp import successors as boolp_successors
-from .errors import CapacityError, UsageError, ValidationError
+from .errors import CapacityError, ParseError, UsageError, ValidationError
 from .formula import StateSet, VarTable, parse_state
 from .limits import check_enumerable, var_cap
 from .translate import bcn_to_composite
@@ -100,6 +100,8 @@ class CoFaSeSolution:
 class NoSolutionWithinBound:
     phase_bound: int | None
     step_bound: int | None
+    # search nodes visited: per-start, summed over the searches of every
+    # start up to the one that failed
     explored: int
     detail: str = ""
     # the direct engine's search nodes first reached at each depth (number
@@ -294,23 +296,27 @@ def solve_cofase(
         explored = 0
         for start in instance.starts:
             sub = CoFaSeInstance(instance.bcn, (start,), instance.targets, instance.mode)
-            result = _solve_uniform(sub, controls, phase_maps, max_phases, min_steps_per_phase)
+            result, visited = _solve_uniform(
+                sub, controls, phase_maps, max_phases, min_steps_per_phase
+            )
+            explored += visited
             if not result:
                 return NoSolutionWithinBound(
                     phase_bound=max_phases,
                     step_bound=None,
-                    explored=explored + result.explored,
+                    explored=explored,
                     detail=f"no sequence for start {start.set_text()}",
                     frontier=result.frontier,
                 )
-            explored += 1
             witnesses.extend(result.witnesses)
         return CoFaSeSolution(policy="per-start", witnesses=tuple(witnesses))
 
-    return _solve_uniform(instance, controls, phase_maps, max_phases, min_steps_per_phase)
+    return _solve_uniform(instance, controls, phase_maps, max_phases, min_steps_per_phase)[0]
 
 
 def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
+    """The breadth-first phase search; returns the result and the number of
+    search nodes it visited."""
     targets = instance.targets
     initial = tuple(frozenset({start}) for start in instance.starts)
     visited = {initial}
@@ -324,16 +330,17 @@ def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
                 successors = tuple(_image(reach, comp) for comp in node)
                 grown = sequence + (control,)
                 if all(comp & targets for comp in successors):
-                    return _build_solution(instance, grown, phase_maps, min_steps)
+                    return _build_solution(instance, grown, phase_maps, min_steps), len(visited)
                 if successors not in visited:
                     visited.add(successors)
                     next_queue.append((successors, grown))
         frontier.append(len(next_queue))
         queue = next_queue
-    return NoSolutionWithinBound(
+    result = NoSolutionWithinBound(
         phase_bound=max_phases, step_bound=None, explored=len(visited),
         frontier=tuple(frontier),
     )
+    return result, len(visited)
 
 
 def _build_solution(instance, sequence, phase_maps, min_steps):
@@ -456,6 +463,11 @@ def solve_cofase_via_composite(
     mode_view = composite.mode_view()
     system = composite.system
     controls = control_space(instance.bcn, cap)
+    # configurations are read as bits: the variables are the low n_x bits,
+    # the control part the bits above them
+    n_x = len(instance.bcn.x_table)
+    x_mask = (1 << n_x) - 1
+    target_bits = {target.bits for target in instance.targets}
     witnesses = []
     explored = 0
     for start in instance.starts:
@@ -476,24 +488,31 @@ def solve_cofase_via_composite(
             if best.get(config, (-1, -1)) != (switches, steps):
                 continue  # stale entry
             explored += 1
-            if composite.project_x(config) in instance.targets:
+            if config.bits & x_mask in target_bits:
                 found = config
                 break
             if steps >= max_steps:
                 continue
-            here = composite.project_u(config)
-            for _fired, nxt in boolp_successors(system, mode_view, config):
-                cost = (
-                    switches + (composite.project_u(nxt) != here),
-                    steps + 1,
-                )
+            here = config.bits >> n_x
+            # The push order breaks ties in the heap.  A successor's cost does
+            # not depend on the fired set, so it is pushed at most once, in
+            # the rule-id lexicographic order of its first fired set; only the
+            # improving successors are put in that order.
+            improving = {}
+            for fired, nxt in boolp_successors(system, mode_view, config):
+                cost = (switches + (nxt.bits >> n_x != here), steps + 1)
                 if max_phases is not None and cost[0] > max_phases - 1:
                     continue
-                if nxt not in best or cost < best[nxt]:
-                    best[nxt] = cost
-                    parents[nxt] = config
-                    heapq.heappush(heap, (cost[0], cost[1], counter, nxt))
-                    counter += 1
+                if nxt in best and best[nxt] <= cost:
+                    continue
+                key = tuple(sorted(fired))
+                if nxt not in improving or key < improving[nxt][0]:
+                    improving[nxt] = (key, cost)
+            for nxt, (_key, cost) in sorted(improving.items(), key=lambda item: item[1][0]):
+                best[nxt] = cost
+                parents[nxt] = config
+                heapq.heappush(heap, (cost[0], cost[1], counter, nxt))
+                counter += 1
         if found is None:
             return NoSolutionWithinBound(
                 phase_bound=max_phases,
@@ -599,27 +618,60 @@ def solution_to_json(result) -> str:
     return json.dumps(doc, indent=2)
 
 
-def solution_from_json(instance: CoFaSeInstance, text: str) -> CoFaSeSolution:
-    doc = json.loads(text)
+_WITNESS_KEYS = ("start", "controls", "states", "boundaries")
+
+
+def _witness_fields(entry, index: int, source) -> tuple:
+    """The fields of a witness entry in `_WITNESS_KEYS` order, checked for shape."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"witness {index} is not a JSON object", source=source)
+    missing = [key for key in _WITNESS_KEYS if key not in entry]
+    if missing:
+        raise ParseError(f"witness {index} lacks {', '.join(missing)}", source=source)
+    start, controls, states, boundaries = (entry[key] for key in _WITNESS_KEYS)
+    if not (
+        isinstance(start, str)
+        and isinstance(controls, list)
+        and all(isinstance(c, list) and all(isinstance(n, str) for n in c) for c in controls)
+        and isinstance(states, list)
+        and all(isinstance(s, str) for s in states)
+        and isinstance(boundaries, list)
+        and all(type(b) is int for b in boundaries)
+    ):
+        raise ParseError(
+            f"witness {index}: start and states must be digit strings, controls "
+            "lists of names and boundaries integers",
+            source=source,
+        )
+    return start, controls, states, boundaries
+
+
+def solution_from_json(instance: CoFaSeInstance, text: str, source=None) -> CoFaSeSolution:
+    """Read a solution document; one of the wrong shape is a ParseError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not JSON: {exc.msg}", line=exc.lineno, source=source) from None
+    if not isinstance(doc, dict):
+        raise ParseError("a solution document is a JSON object", source=source)
     if not doc.get("solvable", False):
         raise ValidationError("solution document says the instance is unsolvable")
+    if not isinstance(doc.get("witnesses"), list):
+        raise ParseError("solution document has no `witnesses` list", source=source)
     witnesses = []
-    for entry in doc["witnesses"]:
+    for index, entry in enumerate(doc["witnesses"]):
+        start, controls, states, boundaries = _witness_fields(entry, index, source)
         sequence = ControlSequence(
-            tuple(
-                Control(StateSet.of(instance.bcn.u_table, names))
-                for names in entry["controls"]
-            )
-        )
-        states = tuple(
-            StateSet.from_digits(instance.bcn.x_table, s) for s in entry["states"]
+            tuple(Control(StateSet.of(instance.bcn.u_table, names)) for names in controls)
         )
         witnesses.append(
             PhaseWitness(
-                start=StateSet.from_digits(instance.bcn.x_table, entry["start"]),
+                start=StateSet.from_digits(instance.bcn.x_table, start),
                 sequence=sequence,
-                trajectory=Trajectory(states),
-                boundaries=tuple(entry["boundaries"]),
+                trajectory=Trajectory(
+                    tuple(StateSet.from_digits(instance.bcn.x_table, s) for s in states)
+                ),
+                boundaries=tuple(boundaries),
             )
         )
     return CoFaSeSolution(policy=doc.get("policy", "uniform"), witnesses=tuple(witnesses))

@@ -29,7 +29,8 @@ from boolps.boolp import (
 )
 from boolps.errors import CapacityError, UsageError, ValidationError
 from boolps.formula import Formula, StateSet, VarTable, parse_formula
-from boolps.generators import random_psystem, random_quasimode, random_table
+from boolps.generators import random_formula, random_psystem, random_quasimode, random_table
+from boolps.relation import label_text
 
 CASCADE_TEXT = """
 alphabet a, b
@@ -287,6 +288,10 @@ class TestProductMode:
         other = random_psystem(rng, random_table(rng, 2, prefix="k"))
         with pytest.raises(UsageError):
             product_mode(maximally_parallel_mode(cascade), maximally_parallel_mode(other))
+        # same table, other rules: the mode's masks would index the wrong rules
+        no_rules = BooleanPSystem(cascade.table, ())
+        with pytest.raises(UsageError):
+            successors(no_rules, maximally_parallel_mode(cascade), conf(cascade, ["a", "b"]))
 
     def test_derived_product_equals_product_of_derived(self):
         # one concrete instance of the composition property (the seeded
@@ -344,6 +349,174 @@ def test_advised_cuts_every_element_to_the_applicable_set(quasimode, applicable)
     elements = list(quasimode.elements())
     assert quasimode.advised(applicable) == {a & applicable for a in elements}
     assert quasimode.advised(applicable, strict=True) == {a for a in elements if a <= applicable}
+
+
+# The kernel indexes rules in sorted-id order: declared r1, r2, r3, r10, r11,
+# they are bits 0-4 as r1, r10, r11, r2, r3.
+POOL = ("r1", "r2", "r3", "r10", "r11")
+POOL_SETS = st.frozensets(st.sampled_from(POOL))
+POOL_QUASIMODES = st.recursive(
+    st.one_of(
+        st.frozensets(POOL_SETS, min_size=1).map(ExplicitQuasimode),
+        POOL_SETS.map(PowersetQuasimode),
+    ),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda factors: ProductQuasimode(tuple(factors))
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def pool_systems(draw):
+    """Up to three symbols and a random subset of POOL as rules, declared in
+    POOL order, so quasimodes may also advise ids the system lacks."""
+    table = VarTable([f"s{i}" for i in range(draw(st.integers(1, 3)))])
+    states = st.integers(0, (1 << len(table)) - 1).map(table.state)
+    rules = []
+    for rule_id in POOL:
+        if draw(st.booleans()):
+            guard = random_formula(random.Random(draw(st.integers(0, 1 << 16))), table, 2)
+            rules.append(Rule(rule_id, draw(states), draw(states), guard))
+    return BooleanPSystem(table, tuple(rules))
+
+
+def reference_pairs(system, advised, configuration):
+    """Fired-set/result pairs of an id-level mode value, applied rule by rule."""
+    return {
+        (fired, apply_rule_set(configuration, [system.rule(r) for r in fired]))
+        for fired in advised
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_systems(), POOL_QUASIMODES, POOL_QUASIMODES, st.booleans())
+def test_successors_match_id_level_reference(system, quasimode, other, strict):
+    # the reference: Rule.applicable_to, Quasimode.advised, dotted_product
+    # and apply_rule_set, none of which uses rule masks
+    derived = derive_mode(system, quasimode, strict)
+    views = (
+        (derived, lambda app: quasimode.advised(app, strict)),
+        (
+            product_mode(derived, derive_mode(system, other, strict)),
+            lambda app: dotted_product(quasimode.advised(app, strict), other.advised(app, strict)),
+        ),
+        (derive_mode(system, quasimode.dot(other), strict),
+         lambda app: quasimode.dot(other).advised(app, strict)),
+        (maximally_parallel_mode(system), lambda app: {app} if app else set()),
+    )
+    for configuration in system.table.subsets():
+        applicable = frozenset(r.id for r in system.rules if r.applicable_to(configuration))
+        for view, advised in views:
+            got = successors(system, view, configuration)
+            assert len(got) == len(set(got))
+            assert set(got) == reference_pairs(system, advised(applicable), configuration)
+            assert view.at(configuration) == advised(applicable)
+
+
+def test_rule_masks_follow_sorted_ids():
+    table = VarTable.of("a")
+    true = Formula.const(table, True)
+    empty = StateSet.empty(table)
+    ids = [f"q{i}" for i in range(20)]  # sorted: q0, q1, q10, ..., q19, q2, ..., q9
+    system = BooleanPSystem(table, tuple(Rule(i, empty, empty, true) for i in ids))
+    assert [system.rule_set(1 << k) for k in range(20)] == [{i} for i in sorted(ids)]
+    assert system.rule_mask({"q2", "q10", "unknown"}) == 1 << 12 | 1 << 2
+    rng = random.Random(5)
+    for _ in range(50):
+        chosen = frozenset(rng.sample(ids, rng.randint(0, 20)))
+        assert system.rule_set(system.rule_mask(chosen)) == chosen
+
+
+SORTED_IDS_TEXT = """
+alphabet a, b, c
+r2: {a} -> {b} | 1
+r3: {b} -> {c} | !c
+r10: {} -> {a} | !a
+"""
+
+# `evolve` from {b} for two steps, in the order it returns the runs;
+# recorded before the rule-mask kernel, whose successors are unordered.
+EVOLVE_GOLDEN = {
+    'maxpar': [
+        '{b} --{r10, r3}--> {a, c} --{r2}--> {b, c}',
+    ],
+    'seq': [
+        '{b} --{}--> {b} --{}--> {b}',
+        '{b} --{}--> {b} --{r10}--> {a, b}',
+        '{b} --{}--> {b} --{r3}--> {c}',
+        '{b} --{r10}--> {a, b} --{}--> {a, b}',
+        '{b} --{r10}--> {a, b} --{r2}--> {b}',
+        '{b} --{r10}--> {a, b} --{r3}--> {a, c}',
+        '{b} --{r3}--> {c} --{}--> {c}',
+        '{b} --{r3}--> {c} --{r10}--> {a, c}',
+    ],
+    'async': [
+        '{b} --{}--> {b} --{}--> {b}',
+        '{b} --{}--> {b} --{r10}--> {a, b}',
+        '{b} --{}--> {b} --{r10, r3}--> {a, c}',
+        '{b} --{}--> {b} --{r3}--> {c}',
+        '{b} --{r10}--> {a, b} --{}--> {a, b}',
+        '{b} --{r10}--> {a, b} --{r2}--> {b}',
+        '{b} --{r10}--> {a, b} --{r2, r3}--> {b, c}',
+        '{b} --{r10}--> {a, b} --{r3}--> {a, c}',
+        '{b} --{r10, r3}--> {a, c} --{}--> {a, c}',
+        '{b} --{r10, r3}--> {a, c} --{r2}--> {b, c}',
+        '{b} --{r3}--> {c} --{}--> {c}',
+        '{b} --{r3}--> {c} --{r10}--> {a, c}',
+    ],
+    'explicit': [
+        '{b} --{}--> {b} --{}--> {b}',
+        '{b} --{}--> {b} --{r10, r3}--> {a, c}',
+        '{b} --{}--> {b} --{r3}--> {c}',
+        '{b} --{r10, r3}--> {a, c} --{}--> {a, c}',
+        '{b} --{r10, r3}--> {a, c} --{r2}--> {b, c}',
+        '{b} --{r3}--> {c} --{}--> {c}',
+        '{b} --{r3}--> {c} --{r10}--> {a, c}',
+    ],
+    'explicit-strict': [
+        '{b} --{r10, r3}--> {a, c} --{r2}--> {b, c}',
+    ],
+    'product': [
+        '{b} --{}--> {b} --{}--> {b}',
+        '{b} --{}--> {b} --{r10}--> {a, b}',
+        '{b} --{}--> {b} --{r10, r3}--> {a, c}',
+        '{b} --{}--> {b} --{r3}--> {c}',
+        '{b} --{r10}--> {a, b} --{r2}--> {b}',
+        '{b} --{r10}--> {a, b} --{r2, r3}--> {b, c}',
+        '{b} --{r10}--> {a, b} --{r3}--> {a, c}',
+        '{b} --{r10, r3}--> {a, c} --{}--> {a, c}',
+        '{b} --{r10, r3}--> {a, c} --{r2}--> {b, c}',
+        '{b} --{r3}--> {c} --{}--> {c}',
+        '{b} --{r3}--> {c} --{r10}--> {a, c}',
+    ],
+}
+
+
+def run_text(trajectory):
+    out = trajectory.states[0].set_text()
+    for label, state in zip(trajectory.labels, trajectory.states[1:]):
+        out += f" --{label_text(label)}--> {state.set_text()}"
+    return out + (" [halting]" if trajectory.halting else "")
+
+
+def test_evolve_order_golden():
+    system, _ = parse_system_text(SORTED_IDS_TEXT)
+    family = explicit_quasimode([{"r10", "r3"}, {"r2"}, {"r2", "r3"}])
+    views = {
+        "maxpar": maximally_parallel_mode(system),
+        "seq": derive_mode(system, quasimode_seq(system)),
+        "async": derive_mode(system, quasimode_async(system)),
+        "explicit": derive_mode(system, family),
+        "explicit-strict": derive_mode(system, family, strict=True),
+        "product": derive_mode(
+            system, family.dot(PowersetQuasimode(frozenset({"r10", "r2"})))
+        ),
+    }
+    start = conf(system, ["b"])
+    for name, view in views.items():
+        runs = evolve(system, view, start, 2)
+        assert [run_text(t) for t in runs] == EVOLVE_GOLDEN[name], name
 
 
 class TestTextFormat:

@@ -66,6 +66,45 @@ class TestBnCommands:
         assert out.splitlines() == ["{00}", "{01, 10}"]
 
 
+SORTED_IDS_PI = """alphabet a, b, c
+r2: {a} -> {b} | 1
+r3: {b} -> {c} | !c
+r10: {} -> {a} | !a
+"""
+
+# `pi trace` on SORTED_IDS_PI, whose rule ids sort differently from their
+# declaration order; recorded before the rule-mask kernel.
+PI_TRACE_GOLDEN = {
+    'maxpar': [
+        '{b} -> {a, c} -> {b, c}',
+    ],
+    'seq': [
+        '{b} -> {a, b} -> {a, b}',
+        '{b} -> {a, b} -> {a, c}',
+        '{b} -> {a, b} -> {b}',
+        '{b} -> {b} -> {a, b}',
+        '{b} -> {b} -> {b}',
+        '{b} -> {b} -> {c}',
+        '{b} -> {c} -> {a, c}',
+        '{b} -> {c} -> {c}',
+    ],
+    'async': [
+        '{b} -> {a, b} -> {a, b}',
+        '{b} -> {a, b} -> {a, c}',
+        '{b} -> {a, b} -> {b, c}',
+        '{b} -> {a, b} -> {b}',
+        '{b} -> {a, c} -> {a, c}',
+        '{b} -> {a, c} -> {b, c}',
+        '{b} -> {b} -> {a, b}',
+        '{b} -> {b} -> {a, c}',
+        '{b} -> {b} -> {b}',
+        '{b} -> {b} -> {c}',
+        '{b} -> {c} -> {a, c}',
+        '{b} -> {c} -> {c}',
+    ],
+}
+
+
 class TestPiCommands:
     def test_trace_golden(self, capsys):
         code, out, _ = run(
@@ -74,6 +113,16 @@ class TestPiCommands:
         )
         assert code == 0
         assert out.strip() == "{a, b} -> {a} -> {} [halting]"
+
+    @pytest.mark.parametrize("mode", sorted(PI_TRACE_GOLDEN))
+    def test_trace_order_golden(self, capsys, tmp_path, mode):
+        model = tmp_path / "sorted.pi"
+        model.write_text(SORTED_IDS_PI)
+        code, out, _ = run(
+            capsys, "pi", "trace", model, "--mode", mode, "--init", "{b}", "--steps", "2"
+        )
+        assert code == 0
+        assert out.splitlines() == PI_TRACE_GOLDEN[mode]
 
     def test_transitions(self, capsys):
         code, out, _ = run(
@@ -305,6 +354,45 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert f"{bound[0][2:].replace('-', '_')} must be at least" in err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_out_to_unwritable_place_is_two(self, capsys, tmp_path, where):
+        out_path = tmp_path / "missing" / "dump.pi" if where == "missing-directory" else tmp_path
+        code, out, err = run(
+            capsys, "translate", "bn", MODELS / "ex31.bn", "--out", out_path
+        )
+        assert code == 2 and out == ""
+        assert f"cannot write {out_path}" in err
+
+    def test_model_not_utf8_is_three(self, capsys, tmp_path):
+        model = tmp_path / "latin1.bn"
+        model.write_bytes("var x\n# caf\u00e9\nx' = x\n".encode("latin-1"))
+        code, out, err = run(capsys, "bn", "transitions", model)
+        assert code == 3 and out == ""
+        assert f"parse error: {model}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "witnesses: none",
+            "[1, 2]",
+            '{"solvable": true}',
+            '{"solvable": true, "witnesses": [{"start": "00", "states": ["00"],'
+            ' "boundaries": []}]}',
+            '{"solvable": true, "witnesses": [{"start": "00", "controls": "u_x0",'
+            ' "states": ["00"], "boundaries": []}]}',
+        ],
+        ids=["not-json", "list", "no-witnesses", "witness-without-controls",
+             "controls-not-a-list"],
+    )
+    def test_malformed_solution_is_three(self, capsys, tmp_path, document):
+        solution = tmp_path / "solution.json"
+        solution.write_text(document)
+        code, out, err = run(
+            capsys, "cofase", "verify", MODELS / "ex32.cofase", "--solution", solution
+        )
+        assert code == 3 and out == ""
+        assert f"parse error: {solution}" in err
 
     def test_missing_file_is_two(self, capsys):
         code, _, _ = run(capsys, "bn", "transitions", "nope.bn")

@@ -168,6 +168,24 @@ class TestDirectSolver:
         via = solve_cofase_via_composite(instance, max_steps=32, max_phases=5)
         assert isinstance(via, NoSolutionWithinBound)
 
+    def test_per_start_explored_sums_every_search(self):
+        # x latches once y is pinned to 1; only y is controllable; z holds.
+        bcn = parse_bcn_text("var x, y, z\nfreeze y\nx' = x | y\ny' = y\nz' = z\n")
+        t = bcn.x_table
+
+        def solve(*starts):
+            instance = CoFaSeInstance.of(
+                bcn, [digit(t, s) for s in starts], [digit(t, "100")], BooleanMode.syn(t)
+            )
+            return solve_cofase(instance, max_phases=2, policy="per-start")
+
+        # 000 needs two phases (pin y to 1, then to 0); its search visits
+        # {000} and {000, 010, 110} before the second phase succeeds.  001
+        # keeps z = 1: {001}, {001, 011, 111}, then {001, 011, 101, 111}.
+        assert solve("000")
+        assert solve("001").explored == 3
+        assert solve("000", "001").explored == 2 + 3
+
     def test_uniform_policy_with_two_starts(self, frozen):
         t = frozen.x_table
         instance = CoFaSeInstance.of(
@@ -371,6 +389,7 @@ def eager_solve(instance, max_phases, policy="uniform", min_steps=0):
         maps[mu] = (step_map, _phase_reach(step_map, min_steps))
 
     def search(sub):
+        """The result and the number of search nodes visited."""
         initial = tuple(frozenset({start}) for start in sub.starts)
         visited = {initial}
         queue = [(initial, ())]
@@ -385,22 +404,29 @@ def eager_solve(instance, max_phases, policy="uniform", min_steps=0):
                         frozenset().union(*(reach[s] for s in comp)) for comp in node
                     )
                     if all(comp & sub.targets for comp in image):
-                        return _build_solution(sub, sequence + (mu,), maps.__getitem__, min_steps)
+                        solution = _build_solution(sub, sequence + (mu,), maps.__getitem__,
+                                                   min_steps)
+                        return solution, len(visited)
                     if image not in visited:
                         visited.add(image)
                         next_queue.append((image, sequence + (mu,)))
             frontier.append(len(next_queue))
             queue = next_queue
-        return NoSolutionWithinBound(max_phases, None, len(visited), frontier=tuple(frontier))
+        failed = NoSolutionWithinBound(max_phases, None, len(visited), frontier=tuple(frontier))
+        return failed, len(visited)
 
     if policy == "uniform":
-        return search(instance)
+        return search(instance)[0]
     witnesses = []
-    for solved, start in enumerate(instance.starts):
-        result = search(CoFaSeInstance(instance.bcn, (start,), instance.targets, instance.mode))
+    explored = 0
+    for start in instance.starts:
+        result, visited = search(
+            CoFaSeInstance(instance.bcn, (start,), instance.targets, instance.mode)
+        )
+        explored += visited
         if not result:
             return NoSolutionWithinBound(
-                max_phases, None, solved + result.explored,
+                max_phases, None, explored,
                 f"no sequence for start {start.set_text()}", result.frontier,
             )
         witnesses.extend(result.witnesses)
