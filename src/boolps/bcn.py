@@ -10,7 +10,7 @@ are flattened into one disjunction per variable at ingestion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .bn import BooleanNetwork, Trajectory
 from .errors import UsageError, ValidationError
@@ -53,49 +53,6 @@ class BooleanControlNetwork:
             else:
                 raise ValidationError("update formula over an unrelated table")
         return cls(x_table, u_table, table, tuple(fixed))
-
-    @classmethod
-    def from_network_map(
-        cls,
-        x_table: VarTable,
-        u_table: VarTable,
-        networks: Mapping["Control", BooleanNetwork],
-        cap=None,
-    ) -> "BooleanControlNetwork":
-        """Flatten an extensional control-to-network map into one formula per variable.
-
-        Each update becomes the disjunction, over all control assignments,
-        of (the conjunction fixing that assignment) and (the network formula
-        the assignment selects).
-        """
-        check_enumerable(len(u_table), cap, "control alphabet")
-        table = VarTable(x_table.names + u_table.names)
-        x_map = {i: i for i in range(len(x_table))}
-        controls = list(enumerate_controls(u_table))
-        missing = [c for c in controls if c not in networks]
-        if missing:
-            raise ValidationError(f"no network for control {missing[0].set_text()}")
-        literals = {}
-        for control in controls:
-            parts = []
-            for pos, name in enumerate(u_table.names):
-                var = Formula.var(table, name)
-                parts.append(var if control.assignment.bits >> pos & 1 else var.negate())
-            literals[control] = parts
-        updates = []
-        for x_pos in range(len(x_table)):
-            branches = []
-            for control in controls:
-                selected = networks[control]
-                if selected.table != x_table:
-                    raise ValidationError("selected network over a different variable table")
-                branch = selected.updates[x_pos].remap(table, x_map)
-                lits = literals[control]
-                if lits:
-                    branch = lits[0].conj(*lits[1:], branch)
-                branches.append(branch)
-            updates.append(Formula.const(table, False).disj(*branches))
-        return cls(x_table, u_table, table, tuple(updates))
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,6 @@ class BooleanNetwork:
             if formula.table != self.table:
                 raise ValidationError("update formula over a different variable table")
 
-    def update_for(self, name: str) -> Formula:
-        return self.updates[self.table.position(name)]
-
 
 @dataclass(frozen=True)
 class BooleanMode:
@@ -139,6 +136,10 @@ def bn_trajectories(
     breadth_cap=None,
 ) -> tuple[Trajectory, ...]:
     """All labelled runs from `start`, each extended for `max_steps` steps."""
+    if max_steps < 0:
+        raise UsageError("max_steps must be non-negative")
+    if breadth_cap is not None and breadth_cap < 0:
+        raise UsageError("breadth cap must be non-negative")
     limit = DEFAULT_BREADTH_CAP if breadth_cap is None else breadth_cap
     elements = mode.sorted_elements()
     paths = [((start,), ())]
@@ -272,10 +273,6 @@ def parse_mode_text(text: str, table: VarTable, source=None) -> BooleanMode:
         with lines.at(lineno):
             groups.append(parse_state(table, line[len("group"):].strip()))
     return BooleanMode(table, frozenset(groups))
-
-
-def format_mode_text(mode: BooleanMode) -> str:
-    return "\n".join(f"group {e.set_text()}" for e in mode.sorted_elements()) + "\n"
 
 
 def named_mode(name: str, table: VarTable) -> BooleanMode:

@@ -506,6 +506,8 @@ def evolve(
     """
     if max_steps < 0:
         raise UsageError("max_steps must be non-negative")
+    if breadth_cap is not None and breadth_cap < 0:
+        raise UsageError("breadth cap must be non-negative")
     limit = DEFAULT_BREADTH_CAP if breadth_cap is None else breadth_cap
     # branches revisit configurations: expand each one once per call
     expanded = {}

@@ -36,7 +36,8 @@ from .bcn import (
     selected_networks,
 )
 from .bn import BooleanMode, BooleanNetwork, Trajectory, _components, bn_step, named_mode
-from .boolp import successors as boolp_successors
+# unused here; bench/tracer.py counts the kernel's calls through every binding
+from .boolp import successors as boolp_successors  # noqa: F401
 from .errors import CapacityError, ParseError, UsageError, ValidationError
 from .formula import StateSet, VarTable, parse_state
 from .limits import check_enumerable, var_cap
@@ -461,9 +462,9 @@ def solve_cofase_via_composite(
     check_enumerable(len(instance.bcn.table), cap, "composite state space")
     composite = bcn_to_composite(instance.bcn, instance.mode)
     mode_view = composite.mode_view()
-    system = composite.system
+    configuration = composite.system.table.state
     controls = control_space(instance.bcn, cap)
-    # configurations are read as bits: the variables are the low n_x bits,
+    # configurations are kept as bits: the variables are the low n_x bits,
     # the control part the bits above them
     n_x = len(instance.bcn.x_table)
     x_mask = (1 << n_x) - 1
@@ -477,7 +478,7 @@ def solve_cofase_via_composite(
         counter = 0
         heap = []
         for control in controls:
-            config = composite.initial_config(start, control)
+            config = composite.initial_config(start, control).bits
             if config not in best or best[config] > (0, 0):
                 best[config] = (0, 0)
                 parents[config] = None
@@ -488,24 +489,27 @@ def solve_cofase_via_composite(
             if best.get(config, (-1, -1)) != (switches, steps):
                 continue  # stale entry
             explored += 1
-            if config.bits & x_mask in target_bits:
+            if config & x_mask in target_bits:
                 found = config
                 break
             if steps >= max_steps:
                 continue
-            here = config.bits >> n_x
+            here = config >> n_x
             # The push order breaks ties in the heap.  A successor's cost does
             # not depend on the fired set, so it is pushed at most once, in
             # the rule-id lexicographic order of its first fired set; only the
-            # improving successors are put in that order.
+            # improving successors are put in that order.  Rule indices follow
+            # sorted ids, so a fired mask's ascending bit indices order like
+            # its sorted ids.
             improving = {}
-            for fired, nxt in boolp_successors(system, mode_view, config):
-                cost = (switches + (nxt.bits >> n_x != here), steps + 1)
+            for mask, erase, add in mode_view.moves(configuration(config)):
+                nxt = config & ~erase | add
+                cost = (switches + (nxt >> n_x != here), steps + 1)
                 if max_phases is not None and cost[0] > max_phases - 1:
                     continue
                 if nxt in best and best[nxt] <= cost:
                     continue
-                key = tuple(sorted(fired))
+                key = _bit_indices(mask)
                 if nxt not in improving or key < improving[nxt][0]:
                     improving[nxt] = (key, cost)
             for nxt, (_key, cost) in sorted(improving.items(), key=lambda item: item[1][0]):
@@ -524,10 +528,22 @@ def solve_cofase_via_composite(
     return CoFaSeSolution(policy="per-start", witnesses=tuple(witnesses))
 
 
+def _bit_indices(mask: int) -> tuple:
+    """The positions of a mask's set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _decode_composite_run(composite, parents, final, start) -> PhaseWitness:
+    """The witness along the parent chain of configuration bits ending at `final`."""
     path = [final]
     while parents[path[0]] is not None:
         path.insert(0, parents[path[0]])
+    path = [composite.system.table.state(bits) for bits in path]
     states = tuple(composite.project_x(config) for config in path)
     if len(path) == 1:
         step_controls = [composite.project_u(path[0])]

@@ -5,6 +5,15 @@ machinery under test, once independently from network primitives (formula
 evaluation and stepping), and requires exact labelled equality.  Failures
 carry a counterexample state together with both successor sets, so they can
 be re-checked by hand or replayed through the CLI trace command.
+
+The network and controlled-network checks compare masks.  The expected side
+spells the rule ids an encoding must have and indexes them in sorted order
+itself, never through the kernel; at each configuration its ``(label mask,
+next bits)`` pairs are compared with the kernel's ``(fired mask, result
+bits)``.  Where the two sets differ, or where the system does not index
+exactly the spelled ids as the check does (both `rule_mask` and the label
+decoder `rule_set`), that configuration is compared again on rule ids, and
+only a difference there is reported.
 """
 
 from __future__ import annotations
@@ -93,30 +102,80 @@ class EquivalenceReport:
         return doc
 
 
-def _expected_moves(updates, mode: BooleanMode, configuration: StateSet, bits: int):
-    """``(label, next variable bits)`` for every mode element, read off the
-    update formulas alone: introduce x where its update holds, erase x where
-    it fails and x is present.
+def _spelled_index(x_names, u_names=()):
+    """The expected side's own rule index: the ids an encoding of these
+    variables and control symbols must have (``set_x``/``clr_x`` per
+    variable, ``u_set_u``/``u_clr_u`` per control symbol), spelled out here
+    rather than taken from the encoder under test: an id -> bit map, with
+    bit i for the i-th smallest id, listed in that order."""
+    ordered = sorted(
+        {prefix + name for name in x_names for prefix in ("set_", "clr_")}
+        | {prefix + name for name in u_names for prefix in ("u_set_", "u_clr_")}
+    )
+    return {rule_id: 1 << i for i, rule_id in enumerate(ordered)}
+
+
+def _expected_moves(updates, mode: BooleanMode, configuration: StateSet, bits: int, index):
+    """``(label mask, next variable bits)`` for every mode element, read off
+    the update formulas alone: introduce x where its update holds, erase x
+    where it fails and x is present.
 
     `bits` is the variable part of `configuration`; variables come first in
-    its table, so their positions index `updates`.  The rule names are
-    spelled out here rather than taken from the encoder under test.
+    its table, so their positions index `updates`.  Label bits come from
+    `index`, the check's own map from the ids `_spelled_index` spells.
     """
-    moves = []
+    out = []
     for element in mode.elements:
-        label = set()
+        label = 0
         next_bits = bits
         for name in element:
             pos = element.table.position(name)
             if updates[pos].evaluate(configuration):
-                label.add("set_" + name)
+                label |= index["set_" + name]
                 next_bits |= 1 << pos
             else:
                 next_bits &= ~(1 << pos)
                 if bits >> pos & 1:
-                    label.add("clr_" + name)
-        moves.append((frozenset(label), next_bits))
-    return moves
+                    label |= index["clr_" + name]
+        out.append((label, next_bits))
+    return out
+
+
+def _compare_moves(system, view, table, expected_at, index, detail):
+    """Compare the kernel's moves at every configuration of `table` with
+    `expected_at(configuration)`, a set of ``(label mask, next bits)`` under
+    `index`, as the module docstring says: as ints while the system maps
+    each spelled id to its bit in `index` and back, and at the id level
+    where the int sets differ or the indices do not agree."""
+    ordered = list(index)
+    trusted = system.rule_ids() == set(index) and all(
+        system.rule_mask((rule_id,)) == bit and system.rule_set(bit) == {rule_id}
+        for rule_id, bit in index.items()
+    )
+    for configuration in table.subsets():
+        expected = expected_at(configuration)
+        if trusted:
+            bits = configuration.bits
+            actual = {
+                (mask, bits & ~erase | add) for mask, erase, add in view.moves(configuration)
+            }
+            if actual == expected:
+                continue
+        expected_ids = {
+            (frozenset(rule_id for i, rule_id in enumerate(ordered) if mask >> i & 1),
+             table.state(next_bits))
+            for mask, next_bits in expected
+        }
+        actual_ids = set(successors(system, view, configuration))
+        if expected_ids != actual_ids:
+            return EquivalenceReport(
+                passed=False,
+                detail=detail,
+                counterexample=Counterexample(
+                    configuration, frozenset(expected_ids), frozenset(actual_ids)
+                ),
+            )
+    return EquivalenceReport(passed=True, detail="labelled transition relations coincide")
 
 
 def check_bn_simulation(
@@ -145,23 +204,17 @@ def check_bn_simulation(
         quasimode = bn_mode_to_quasimode(mode, system)
     view = derive_mode(system, quasimode)
     table = network.table
-    for configuration in table.subsets():
-        expected = {
-            (label, table.state(bits))
-            for label, bits in _expected_moves(
-                network.updates, mode, configuration, configuration.bits
-            )
-        }
-        actual = set(successors(system, view, configuration))
-        if expected != actual:
-            return EquivalenceReport(
-                passed=False,
-                detail="network encoding and network dynamics disagree",
-                counterexample=Counterexample(
-                    configuration, frozenset(expected), frozenset(actual)
-                ),
-            )
-    return EquivalenceReport(passed=True, detail="labelled transition relations coincide")
+    index = _spelled_index(table.names)
+
+    def expected_at(configuration):
+        return set(
+            _expected_moves(network.updates, mode, configuration, configuration.bits, index)
+        )
+
+    return _compare_moves(
+        system, view, table, expected_at, index,
+        "network encoding and network dynamics disagree",
+    )
 
 
 def check_bcn_simulation(
@@ -184,44 +237,38 @@ def check_bcn_simulation(
     if composite is None:
         composite = bcn_to_composite(bcn, mode)
     system = composite.system
-    view = composite.mode_view()
-    x_table = bcn.x_table
-    u_table = bcn.u_table
-    n_x = len(x_table)
-    u_set_ids = [f"u_set_{name}" for name in u_table.names]
-    u_clr_ids = [f"u_clr_{name}" for name in u_table.names]
-    n_u = len(u_table)
-    intro_labels = []
-    for s_bits in range(1 << n_u):
-        intro_labels.append(
-            frozenset(u_set_ids[p] for p in range(n_u) if s_bits >> p & 1)
-        )
-    erase_labels = [
-        frozenset(u_clr_ids[p] for p in range(n_u) if u_bits >> p & 1)
-        for u_bits in range(1 << n_u)
-    ]
-    full = system.table
-    for configuration in full.subsets():
-        u_bits = configuration.bits >> n_x
-        erase_label = erase_labels[u_bits]
+    u_names = bcn.u_table.names
+    index = _spelled_index(bcn.x_table.names, u_names)
+    n_x = len(bcn.x_table)
+    x_mask = (1 << n_x) - 1
+    u_set_bits = [index["u_set_" + name] for name in u_names]
+    u_clr_bits = [index["u_clr_" + name] for name in u_names]
+
+    def labels(bits_of):
+        """Per control-part value, the label mask of its symbols' rules."""
+        out = [0]
+        for bit in bits_of:
+            out += [label | bit for label in out]
+        return out
+
+    erase_labels = labels(u_clr_bits)
+    # (label mask, result bits) of re-introducing each subset of control symbols
+    intros = [(label, s_bits << n_x) for s_bits, label in enumerate(labels(u_set_bits))]
+
+    def expected_at(configuration):
+        erase_label = erase_labels[configuration.bits >> n_x]
         expected = set()
-        x_bits = configuration.bits & ((1 << n_x) - 1)
-        for label, bits in _expected_moves(bcn.updates, mode, configuration, x_bits):
+        for label, bits in _expected_moves(
+            bcn.updates, mode, configuration, configuration.bits & x_mask, index
+        ):
             x_label = label | erase_label
-            for s_bits in range(1 << n_u):
-                expected.add(
-                    (x_label | intro_labels[s_bits], full.state(bits | s_bits << n_x))
-                )
-        actual = set(successors(system, view, configuration))
-        if expected != actual:
-            return EquivalenceReport(
-                passed=False,
-                detail="composed embedding and controlled dynamics disagree",
-                counterexample=Counterexample(
-                    configuration, frozenset(expected), frozenset(actual)
-                ),
-            )
-    return EquivalenceReport(passed=True, detail="labelled transition relations coincide")
+            expected.update((x_label | intro, bits | u_bits) for intro, u_bits in intros)
+        return expected
+
+    return _compare_moves(
+        system, composite.mode_view(), system.table, expected_at, index,
+        "composed embedding and controlled dynamics disagree",
+    )
 
 
 def check_product_lemma(

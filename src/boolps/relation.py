@@ -38,9 +38,6 @@ class TransitionRelation:
     def successors(self, src: StateSet):
         return frozenset((label, dst) for s, label, dst in self.edges if s == src)
 
-    def unlabelled(self) -> frozenset:
-        return frozenset((src, dst) for src, _label, dst in self.edges)
-
     def state_text(self, state: StateSet, style: str = "digits") -> str:
         return state.digits() if style == "digits" else state.set_text()
 

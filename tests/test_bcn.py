@@ -14,7 +14,7 @@ from boolps.bcn import (
 )
 from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, bn_transitions
 from boolps.errors import ValidationError
-from boolps.formula import StateSet, VarTable, equivalent, parse_formula
+from boolps.formula import Formula, StateSet, VarTable, equivalent, parse_formula
 from boolps.generators import random_mode, random_network, random_table
 
 
@@ -35,6 +35,34 @@ def control(bcn, names):
 
 def digit(table, text):
     return StateSet.from_digits(table, text)
+
+
+def flatten_network_map(x_table, u_table, networks):
+    """Flatten an extensional control-to-network map into one formula per
+    variable: the disjunction, over all control assignments, of (the
+    conjunction fixing that assignment) and (the network formula the
+    assignment selects)."""
+    table = VarTable(x_table.names + u_table.names)
+    x_map = {i: i for i in range(len(x_table))}
+    controls = list(enumerate_controls(u_table))
+    literals = {}
+    for mu in controls:
+        parts = []
+        for pos, name in enumerate(u_table.names):
+            var = Formula.var(table, name)
+            parts.append(var if mu.assignment.bits >> pos & 1 else var.negate())
+        literals[mu] = parts
+    updates = []
+    for x_pos in range(len(x_table)):
+        branches = []
+        for mu in controls:
+            branch = networks[mu].updates[x_pos].remap(table, x_map)
+            lits = literals[mu]
+            if lits:
+                branch = lits[0].conj(*lits[1:], branch)
+            branches.append(branch)
+        updates.append(Formula.const(table, False).disj(*branches))
+    return BooleanControlNetwork(x_table, u_table, table, tuple(updates))
 
 
 class TestFreezeExtend:
@@ -128,16 +156,14 @@ class TestFlatten:
             mu: apply_control(frozen_toggle, mu)
             for mu in enumerate_controls(frozen_toggle.u_table)
         }
-        rebuilt = BooleanControlNetwork.from_network_map(
-            frozen_toggle.x_table, frozen_toggle.u_table, networks
-        )
+        rebuilt = flatten_network_map(frozen_toggle.x_table, frozen_toggle.u_table, networks)
         for mine, original in zip(rebuilt.updates, frozen_toggle.updates):
             assert equivalent(mine, original)
 
     def test_no_controls_identity(self, toggle):
         empty = VarTable(())
         networks = {mu: toggle for mu in enumerate_controls(empty)}
-        rebuilt = BooleanControlNetwork.from_network_map(toggle.table, empty, networks)
+        rebuilt = flatten_network_map(toggle.table, empty, networks)
         for mine, original in zip(rebuilt.updates, toggle.updates):
             assert equivalent(mine, original)
 
@@ -162,7 +188,7 @@ class TestFlatten:
                 }
                 for pos, name in enumerate(table.names):
                     substituted = bcn.updates[pos].substitute(values)
-                    lifted = selected.update_for(name).remap(
+                    lifted = selected.updates[selected.table.position(name)].remap(
                         bcn.table, {i: i for i in range(len(table))}
                     )
                     assert equivalent(substituted, lifted)

@@ -92,7 +92,7 @@ class TestTransitions:
         t = toggle.table
         mode = BooleanMode.of(t, [[]])
         rel = bn_transitions(toggle, mode)
-        assert rel.unlabelled() == frozenset((s, s) for s in t.subsets())
+        assert {(src, dst) for src, _label, dst in rel.edges} == {(s, s) for s in t.subsets()}
 
     def test_synchronous_out_degree_is_one(self):
         rng = random.Random(11)

@@ -364,6 +364,33 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"cannot write {out_path}" in err
 
+    @pytest.mark.parametrize(
+        "command, model, init, counts",
+        [
+            # exited 0, printing the bare start
+            ("bn", "ex31.bn", "00", ["--steps", "-1"]),
+            # exited 2 already (`evolve` checked it)
+            ("pi", "ex41.pi", "{}", ["--steps", "-1"]),
+            # exited 4: "trajectory breadth exceeded cap -1"
+            ("bn", "ex31.bn", "00", ["--steps", "2", "--max-breadth", "-1"]),
+            # exited 4: "evolution breadth exceeded cap -1"
+            ("pi", "ex41.pi", "{}", ["--steps", "2", "--max-breadth", "-1"]),
+        ],
+        ids=["bn-steps", "pi-steps", "bn-breadth", "pi-breadth"],
+    )
+    def test_negative_trace_count_is_two(self, capsys, command, model, init, counts):
+        code, out, err = run(capsys, command, "trace", MODELS / model, "--init", init, *counts)
+        assert code == 2 and out == ""
+        assert "must be non-negative" in err
+
+    def test_zero_breadth_cap_still_exceeded(self, capsys):
+        code, _, err = run(
+            capsys, "bn", "trace", MODELS / "ex31.bn", "--init", "00", "--steps", "2",
+            "--max-breadth", "0",
+        )
+        assert code == 4
+        assert "breadth exceeded cap 0" in err
+
     def test_model_not_utf8_is_three(self, capsys, tmp_path):
         model = tmp_path / "latin1.bn"
         model.write_bytes("var x\n# caf\u00e9\nx' = x\n".encode("latin-1"))

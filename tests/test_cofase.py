@@ -1,10 +1,11 @@
+import heapq
 import itertools
 import random
 from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolps import cofase
@@ -19,6 +20,7 @@ from boolps.bcn import (
     selected_networks,
 )
 from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode
+from boolps.boolp import successors
 from boolps.cofase import (
     CoFaSeInstance,
     CoFaSeSolution,
@@ -44,6 +46,7 @@ from boolps.generators import (
     random_subset,
     random_table,
 )
+from boolps.translate import bcn_to_composite
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -623,3 +626,109 @@ class TestInstanceIO:
         instance = golden_instance(frozen)
         with pytest.raises(ValidationError):
             solution_from_json(instance, text)
+
+
+def heap_composite_solve(instance, max_steps, max_phases=None):
+    """The composite engine as a search over `StateSet` configurations, with
+    `successors` labels and the sorted-id tie-break, to compare the engine's
+    search over configuration bits and rule masks with."""
+    composite = bcn_to_composite(instance.bcn, instance.mode)
+    view = composite.mode_view()
+    system = composite.system
+    controls = control_space(instance.bcn)
+    n_x = len(instance.bcn.x_table)
+    witnesses = []
+    explored = 0
+    for start in instance.starts:
+        found = None
+        parents = {}
+        best = {}
+        counter = 0
+        heap = []
+        for mu in controls:
+            config = composite.initial_config(start, mu)
+            if config not in best:
+                best[config] = (0, 0)
+                parents[config] = None
+                heapq.heappush(heap, (0, 0, counter, config))
+                counter += 1
+        while heap:
+            switches, steps, _tick, config = heapq.heappop(heap)
+            if best[config] != (switches, steps):
+                continue
+            explored += 1
+            if composite.project_x(config) in instance.targets:
+                found = config
+                break
+            if steps >= max_steps:
+                continue
+            improving = {}
+            for fired, nxt in successors(system, view, config):
+                switched = composite.project_u(nxt) != composite.project_u(config)
+                cost = (switches + switched, steps + 1)
+                if max_phases is not None and cost[0] > max_phases - 1:
+                    continue
+                if nxt in best and best[nxt] <= cost:
+                    continue
+                key = tuple(sorted(fired))
+                if nxt not in improving or key < improving[nxt][0]:
+                    improving[nxt] = (key, cost)
+            for nxt, (_key, cost) in sorted(improving.items(), key=lambda item: item[1][0]):
+                best[nxt] = cost
+                parents[nxt] = config
+                heapq.heappush(heap, (cost[0], cost[1], counter, nxt))
+                counter += 1
+        if found is None:
+            return NoSolutionWithinBound(
+                max_phases, max_steps, explored,
+                f"no composite run for start {start.set_text()}",
+            )
+        path = [found]
+        while parents[path[0]] is not None:
+            path.insert(0, parents[path[0]])
+        step_controls = [composite.project_u(config) for config in path[:-1] or path]
+        sequence = [step_controls[0]]
+        boundaries = []
+        for index, mu in enumerate(step_controls[1:], start=1):
+            if mu != sequence[-1]:
+                sequence.append(mu)
+                boundaries.append(index)
+        witnesses.append(
+            cofase.PhaseWitness(
+                start,
+                ControlSequence(tuple(sequence)),
+                Trajectory(tuple(composite.project_x(config) for config in path)),
+                tuple(boundaries),
+            )
+        )
+    return CoFaSeSolution("per-start", tuple(witnesses))
+
+
+@settings(max_examples=60, deadline=None)
+# two instances whose witnesses change if fired sets are ordered by their
+# masks as ints instead of by their rule-index tuples
+@example(59, 3, "asyn", 2, 1, 6, None)
+@example(64, 3, "syn", 2, 1, 6, 2)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.sampled_from(["syn", "asyn"]),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.integers(0, 6),
+    st.sampled_from([None, 1, 2]),
+)
+def test_composite_search_matches_heap_search_over_state_sets(
+    seed, n, mode_name, n_starts, n_targets, max_steps, max_phases
+):
+    rng = random.Random(seed)
+    table = random_table(rng, n)
+    controllable = [name for name in table.names if rng.random() < 0.6] or [table.names[0]]
+    bcn = freeze_extend(random_network(rng, table), variables=controllable)
+    starts = [random_subset(rng, table) for _ in range(n_starts)]
+    targets = [random_subset(rng, table) for _ in range(n_targets)]
+    instance = CoFaSeInstance.of(bcn, starts, targets, named_mode(mode_name, table))
+    got = solve_cofase_via_composite(instance, max_steps, max_phases)
+    expected = heap_composite_solve(instance, max_steps, max_phases)
+    assert got == expected
+    assert solution_to_json(got) == solution_to_json(expected)

@@ -1,11 +1,18 @@
+import contextlib
+import dataclasses
+import json
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from boolps.bcn import BooleanControlNetwork, freeze_extend
-from boolps.bn import BooleanMode, BooleanNetwork
+from boolps.bn import BooleanMode, BooleanNetwork, named_mode
 from boolps.boolp import (
     BooleanPSystem,
+    PowersetQuasimode,
+    ProductQuasimode,
     Rule,
     derive_mode,
     explicit_quasimode,
@@ -280,3 +287,197 @@ class TestMutantDetection:
                 assert frozenset(successors(mutant_system, view, ce.state)) == ce.actual
         assert counted > 0
         assert missed == 0
+
+
+# --- verdict goldens ------------------------------------------------------------
+#
+# `to_json_dict()` of each report, byte for byte, as the id-level checks gave
+# them before the checks compared rule masks.  The mask comparison is trusted
+# only where the system indexes the spelled rule ids as the check does; these
+# cases cover a planted fault, rules added, missing or renamed, and kernels
+# whose index or label decoder differs from sorted order.
+
+
+def _flip_guard(system, rule_id):
+    return BooleanPSystem(
+        system.table,
+        tuple(
+            Rule(r.id, r.lhs, r.rhs, r.guard.negate()) if r.id == rule_id else r
+            for r in system.rules
+        ),
+    )
+
+
+def _extra_rule(system, rule_id, lhs=(), rhs=()):
+    extra = Rule(
+        rule_id,
+        StateSet.of(system.table, lhs),
+        StateSet.of(system.table, rhs),
+        parse_formula("1", system.table),
+    )
+    return BooleanPSystem(system.table, system.rules + (extra,))
+
+
+def _without_rule(system, rule_id):
+    return BooleanPSystem(system.table, tuple(r for r in system.rules if r.id != rule_id))
+
+
+def _renamed(quasimode, old, new):
+    """The quasimode advising `new` wherever it advised `old`."""
+    if isinstance(quasimode, ProductQuasimode):
+        return ProductQuasimode(tuple(_renamed(f, old, new) for f in quasimode.factors))
+    if isinstance(quasimode, PowersetQuasimode):
+        return PowersetQuasimode(frozenset(new if i == old else i for i in quasimode.base))
+    return explicit_quasimode(
+        [[new if i == old else i for i in element] for element in quasimode.family]
+    )
+
+
+def _rename_rule(old, new):
+    """Mutate by renaming one rule, in the system and where it is advised."""
+
+    def mutate(system, quasimode):
+        rules = tuple(
+            Rule(new, r.lhs, r.rhs, r.guard) if r.id == old else r for r in system.rules
+        )
+        return BooleanPSystem(system.table, rules), _renamed(quasimode, old, new)
+
+    return mutate
+
+
+def _swapped_rule_mask():
+    """`BooleanPSystem.rule_mask` with the lowest two bits exchanged."""
+    original = BooleanPSystem.rule_mask
+
+    def swapped(self, rule_ids):
+        mask = original(self, rule_ids)
+        return mask & ~3 | (mask & 1) << 1 | (mask >> 1 & 1)
+
+    return mock.patch.object(BooleanPSystem, "rule_mask", swapped)
+
+
+def _reversed_index(system):
+    """The same system with its rule index in reverse sorted-id order: every
+    relation it gives is unchanged, but no mask means what the check's
+    own index says."""
+    ordered = sorted(system.rules, key=lambda rule: rule.id, reverse=True)
+    fields = {
+        "_bit": {rule.id: 1 << i for i, rule in enumerate(ordered)},
+        "_lhs": tuple(rule.lhs.bits for rule in ordered),
+        "_rhs": tuple(rule.rhs.bits for rule in ordered),
+        "_checks": tuple((1 << i, rule.lhs.bits, rule.guard) for i, rule in enumerate(ordered)),
+        "_bytes": tuple(
+            tuple(
+                tuple(rule.id for j, rule in enumerate(chunk) if value >> j & 1)
+                for value in range(256)
+            )
+            for chunk in (ordered[k:k + 8] for k in range(0, len(ordered), 8))
+        ),
+    }
+    for name, value in fields.items():
+        object.__setattr__(system, name, value)
+    return system
+
+
+def _reversed_decoder(system):
+    """The system with only its label decoder `rule_set` reading the index
+    in reverse: masks and results stay right, the labels that leave
+    `successors` do not."""
+    ordered = sorted(system.rule_ids(), reverse=True)
+    decoder = tuple(
+        tuple(
+            tuple(rule_id for j, rule_id in enumerate(chunk) if value >> j & 1)
+            for value in range(256)
+        )
+        for chunk in (ordered[k:k + 8] for k in range(0, len(ordered), 8))
+    )
+    object.__setattr__(system, "_bytes", decoder)
+    return system
+
+
+def _golden_toggle():
+    t = VarTable.of("x", "y")
+    return BooleanNetwork(t, (parse_formula("!x & y", t), parse_formula("x & !y", t)))
+
+
+def _bcn_case(mode_name, mutate=None, swap=False):
+    def run():
+        network = _golden_toggle()
+        bcn = freeze_extend(network)
+        mode = named_mode(mode_name, network.table)
+        composite = bcn_to_composite(bcn, mode)
+        if mutate is not None:
+            system, quasimode = mutate(composite.system, composite.quasimode)
+            composite = dataclasses.replace(composite, system=system, quasimode=quasimode)
+        with _swapped_rule_mask() if swap else contextlib.nullcontext():
+            return check_bcn_simulation(bcn, mode, composite=composite)
+
+    return run
+
+
+def _bn_case(mode_name, mutate=None, swap=False):
+    def run():
+        network = _golden_toggle()
+        mode = named_mode(mode_name, network.table)
+        system = bn_to_boolp(network)
+        quasimode = bn_mode_to_quasimode(mode, system)
+        if mutate is not None:
+            system, quasimode = mutate(system, quasimode)
+        with _swapped_rule_mask() if swap else contextlib.nullcontext():
+            return check_bn_simulation(network, mode, system=system, quasimode=quasimode)
+
+    return run
+
+
+def _advise_too(rule_id):
+    """Mutate by adding a rule that also joins every advised set."""
+
+    def mutate(system, quasimode):
+        return _extra_rule(system, rule_id, rhs=system.table.names[:1]), quasimode.dot(
+            explicit_quasimode([[rule_id]])
+        )
+
+    return mutate
+
+
+VERDICT_CASES = {
+    "bcn-canonical-syn": _bcn_case("syn"),
+    "bcn-canonical-asyn": _bcn_case("asyn"),
+    "bcn-guard-flip": _bcn_case("syn", lambda s, q: (_flip_guard(s, "set_x"), q)),
+    "bcn-extra-rule-idle": _bcn_case("asyn", lambda s, q: (_extra_rule(s, "a_extra"), q)),
+    "bcn-extra-rule-advised": _bcn_case("syn", _advise_too("a_extra")),
+    "bcn-missing-u-clr": _bcn_case(
+        "syn", lambda s, q: (_without_rule(s, "u_clr_" + s.table.names[2]), q)
+    ),
+    "bcn-swapped-mask-syn": _bcn_case("syn", swap=True),
+    "bcn-swapped-mask-asyn": _bcn_case("asyn", swap=True),
+    "bcn-reversed-index": _bcn_case("asyn", lambda s, q: (_reversed_index(s), q)),
+    "bcn-reversed-decoder": _bcn_case("asyn", lambda s, q: (_reversed_decoder(s), q)),
+    # renamed ids that sort to the same positions: the masks match, the ids do not
+    "bcn-renamed-rule": _bcn_case("asyn", _rename_rule("set_x", "set_x_")),
+    "bcn-renamed-u-clr": _bcn_case("syn", _rename_rule("u_clr_u_x0", "u_clr_u_x0_")),
+    "bn-canonical-syn": _bn_case("syn"),
+    "bn-canonical-asyn": _bn_case("asyn"),
+    "bn-guard-flip": _bn_case("syn", lambda s, q: (_flip_guard(s, "set_x"), q)),
+    "bn-extra-rule-idle": _bn_case("asyn", lambda s, q: (_extra_rule(s, "a_extra"), q)),
+    "bn-extra-rule-advised": _bn_case("syn", _advise_too("a_extra")),
+    "bn-missing-clr": _bn_case("asyn", lambda s, q: (_without_rule(s, "clr_y"), q)),
+    "bn-swapped-mask-syn": _bn_case("syn", swap=True),
+    "bn-swapped-mask-asyn": _bn_case("asyn", swap=True),
+    "bn-reversed-index": _bn_case("asyn", lambda s, q: (_reversed_index(s), q)),
+    "bn-renamed-rule": _bn_case("syn", _rename_rule("clr_x", "clr_x_")),
+    "bn-reversed-decoder": _bn_case("asyn", lambda s, q: (_reversed_decoder(s), q)),
+}
+
+VERDICT_GOLDENS = json.loads(
+    (Path(__file__).resolve().parent / "verdict_goldens.json").read_text()
+)
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CASES))
+def test_verdict_golden(name):
+    assert json.dumps(VERDICT_CASES[name]().to_json_dict()) == VERDICT_GOLDENS[name]
+
+
+def test_verdict_goldens_cover_every_case():
+    assert sorted(VERDICT_GOLDENS) == sorted(VERDICT_CASES)
