@@ -80,8 +80,6 @@ from .translate import (
     bn_mode_to_quasimode,
     bn_to_boolp,
     parse_reactions_text,
-    piU_acs,
-    quasimode_tcs,
     rs_to_boolp,
 )
 

@@ -84,9 +84,6 @@ class ControlSequence:
     def __iter__(self):
         return iter(self.controls)
 
-    def text(self) -> str:
-        return "(" + ", ".join(c.set_text() for c in self.controls) + ")"
-
 
 def enumerate_controls(u_table: VarTable, cap=None) -> Iterable[Control]:
     """All control assignments in canonical (digit-value) order."""

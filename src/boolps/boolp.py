@@ -189,20 +189,6 @@ class BooleanPSystem:
     def is_halting(self, configuration: StateSet) -> bool:
         return not self.applicable_mask(configuration)
 
-    def apply_rule_set(self, configuration: StateSet, rule_ids: Iterable[str]) -> StateSet:
-        """Joint application; every member must be individually applicable."""
-        ids = frozenset(rule_ids)
-        applicable = self.applicable_rules(configuration)
-        for rule_id in sorted(ids):
-            if rule_id not in self._by_id:
-                raise UsageError(f"unknown rule id {rule_id!r}")
-            if rule_id not in applicable:
-                raise ValidationError(
-                    f"rule {rule_id} is not applicable to {configuration.set_text()}"
-                )
-        _mask, erase, add = self.fold(self.rule_mask(ids))
-        return self.table.state(configuration.bits & ~erase | add)
-
 
 def apply_rule_set(configuration: StateSet, rules: Iterable[Rule]) -> StateSet:
     """Joint application of rule objects; duplicates are harmless.
@@ -266,9 +252,6 @@ class Quasimode:
         Advised ids the system lacks are never applicable."""
         raise NotImplementedError
 
-    def size_hint(self) -> int:
-        raise NotImplementedError
-
     def dot(self, other: "Quasimode") -> "Quasimode":
         return ProductQuasimode((self, other))
 
@@ -305,9 +288,6 @@ class ExplicitQuasimode(Quasimode):
             moves = [fold(mask) for mask in masks]
             return lambda app: [move for move in moves if not move[0] & ~app]
         return lambda app: [fold(mask) for mask in {mask & app for mask in masks}]
-
-    def size_hint(self):
-        return len(self.family)
 
 
 @dataclass(frozen=True)
@@ -353,9 +333,6 @@ class PowersetQuasimode(Quasimode):
 
         return at
 
-    def size_hint(self):
-        return 1 << len(self.base)
-
 
 @dataclass(frozen=True)
 class ProductQuasimode(Quasimode):
@@ -394,12 +371,6 @@ class ProductQuasimode(Quasimode):
             return result
 
         return at
-
-    def size_hint(self):
-        size = 1
-        for factor in self.factors:
-            size *= factor.size_hint()
-        return size
 
 
 def explicit_quasimode(family: Iterable[Iterable[str]], name=None) -> ExplicitQuasimode:

@@ -22,6 +22,7 @@ from .bn import (
     parse_mode_text,
 )
 from .boolp import (
+    BooleanPSystem,
     derive_mode,
     evolve,
     format_system_text,
@@ -40,6 +41,7 @@ from .cofase import (
 from .errors import BoolpsError, CapacityError, ParseError, UsageError, ValidationError
 from .formula import parse_state
 from .translate import (
+    _encode_updates,
     bcn_to_composite,
     bn_mode_to_quasimode,
     bn_to_boolp,
@@ -174,9 +176,9 @@ def _cmd_translate_bn(args):
 
 def _cmd_translate_bcn(args):
     bcn = parse_bcn_text(_read(args.model), source=args.model)
-    composite = bcn_to_composite(bcn, _bn_mode(args, bcn.x_table))
-    quasimode = composite.base_quasimode
-    _emit(args, format_system_text(composite.pi, quasimode))
+    system = BooleanPSystem(bcn.table, _encode_updates(bcn.table, bcn.x_table.names, bcn.updates))
+    quasimode = bn_mode_to_quasimode(_bn_mode(args, bcn.x_table), system)
+    _emit(args, format_system_text(system, quasimode))
     return EXIT_OK
 
 
@@ -234,7 +236,14 @@ def _cmd_cofase_verify(args):
     instance = parse_instance_text(_read(args.instance), source=args.instance)
     solution = solution_from_json(instance, _read(args.solution), source=args.solution)
     problems = []
+    witnessed = {witness.start for witness in solution.witnesses}
+    for start in instance.starts:
+        if start not in witnessed:
+            problems.append(f"start {start.digits()}: no witness")
     for witness in solution.witnesses:
+        if witness.start not in instance.starts:
+            problems.append(f"start {witness.start.digits()}: not a start of the instance")
+            continue
         result = verify_control_sequence(
             instance.bcn, witness.sequence, instance.mode,
             witness.trajectory, witness.boundaries,
@@ -316,7 +325,10 @@ def _cmd_check_bcn_sim(args):
 
 def _cmd_check_lemma(args):
     return _suite_outcome(
-        args, equivalence.run_product_lemma_suite(count=args.random or 100, seed=args.seed)
+        args,
+        equivalence.run_product_lemma_suite(
+            count=100 if args.random is None else args.random, seed=args.seed
+        ),
     )
 
 

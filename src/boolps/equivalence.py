@@ -358,11 +358,17 @@ class SuiteResult:
         return "\n".join(out)
 
 
+def _suite_rng(count: int, seed: int) -> random.Random:
+    if count < 0:
+        raise UsageError(f"case count must be non-negative, not {count}")
+    return random.Random(seed)
+
+
 def run_bn_simulation_suite(count=100, seed=2024, sizes=(2, 5)) -> SuiteResult:
     """Random networks under the synchronous, asynchronous and one random mode."""
     from .generators import random_mode, random_network, random_table
 
-    rng = random.Random(seed)
+    rng = _suite_rng(count, seed)
     failures = []
     total = 0
     for index in range(count):
@@ -385,7 +391,7 @@ def run_bcn_simulation_suite(count=50, seed=2025, sizes=(2, 3)) -> SuiteResult:
     """Random freeze-extended networks under syn and asyn."""
     from .generators import random_network, random_table
 
-    rng = random.Random(seed)
+    rng = _suite_rng(count, seed)
     failures = []
     total = 0
     for index in range(count):
@@ -404,7 +410,7 @@ def run_product_lemma_suite(count=100, seed=2026) -> SuiteResult:
     """Random system pairs with random explicit quasimodes."""
     from .generators import random_psystem, random_quasimode, random_table
 
-    rng = random.Random(seed)
+    rng = _suite_rng(count, seed)
     failures = []
     for index in range(count):
         table = random_table(rng, rng.randint(2, 5))
@@ -424,7 +430,7 @@ def run_product_lemma_suite(count=100, seed=2026) -> SuiteResult:
 def run_rs_embedding_suite(count=100, seed=2027, max_species=6) -> SuiteResult:
     from .generators import random_reaction_system
 
-    rng = random.Random(seed)
+    rng = _suite_rng(count, seed)
     failures = []
     for index in range(count):
         rs = random_reaction_system(rng, rng.randint(1, max_species))

@@ -7,7 +7,7 @@ that enumerates 2**n subsets of an n-variable table.
 
 import os
 
-from .errors import CapacityError
+from .errors import CapacityError, UsageError
 
 DEFAULT_VAR_CAP = 20  # 2**20 subsets, about 1M states
 DEFAULT_BREADTH_CAP = 10_000  # concurrent branches kept by `evolve`
@@ -19,7 +19,13 @@ def var_cap(override=None):
     """Effective variable cap: explicit override, else env, else default."""
     if override is not None:
         return int(override)
-    return int(os.environ.get(ENV_VAR_CAP, DEFAULT_VAR_CAP))
+    text = os.environ.get(ENV_VAR_CAP)
+    if text is None:
+        return DEFAULT_VAR_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{ENV_VAR_CAP} must be an integer, not {text!r}") from None
 
 
 def check_enumerable(n_vars, cap=None, what="universe"):

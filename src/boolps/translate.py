@@ -3,11 +3,12 @@
 The central encoding represents each variable x by a pair of rules: one
 that introduces x when its update formula holds, and one that erases x when
 it does not.  A network mode maps to the quasimode advising, per mode
-element, the union of the rule pairs of its variables.  Controlled
-networks additionally get a controller system over the control alphabet
-whose rules erase and re-introduce control symbols freely; composing the
-two systems under the dotted product of their quasimodes reproduces the
-controlled dynamics.
+element, the union of the rule pairs of its variables.  A controlled
+network becomes one system over its variables plus control symbols: the
+rule pairs of its controlled updates, then the controller's rules, which
+erase, introduce or rewrite control symbols.  Running it under the dotted
+product of the update quasimode and the controller quasimode of a control
+regime reproduces the controlled dynamics.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .boolp import (
     _rule_parts,
     derive_mode,
     maximally_parallel_mode,
-    union_systems,
 )
 from .errors import UsageError, ValidationError
 from .formula import (
@@ -54,7 +54,7 @@ def control_rule_ids(name: str) -> tuple[str, str]:
     return f"u_set_{name}", f"u_clr_{name}"
 
 
-def _encode_updates(table: VarTable, names, updates) -> BooleanPSystem:
+def _encode_updates(table: VarTable, names, updates) -> tuple[Rule, ...]:
     """Per variable, an introduce rule guarded by its update formula and an
     erase rule guarded by the negation."""
     empty = StateSet.empty(table)
@@ -64,13 +64,14 @@ def _encode_updates(table: VarTable, names, updates) -> BooleanPSystem:
         target = StateSet.of(table, [name])
         rules.append(Rule(set_id, empty, target, update))
         rules.append(Rule(clr_id, target, empty, update.negate()))
-    return BooleanPSystem(table, tuple(rules))
+    return tuple(rules)
 
 
 def bn_to_boolp(network: BooleanNetwork) -> BooleanPSystem:
     """Encode a network: per variable, an introduce rule guarded by the update
     formula and an erase rule guarded by its negation."""
-    return _encode_updates(network.table, network.table.names, network.updates)
+    table = network.table
+    return BooleanPSystem(table, _encode_updates(table, table.names, network.updates))
 
 
 def bn_mode_to_quasimode(mode: BooleanMode, system: BooleanPSystem) -> ExplicitQuasimode:
@@ -90,108 +91,75 @@ def bn_mode_to_quasimode(mode: BooleanMode, system: BooleanPSystem) -> ExplicitQ
 # --- controlled composition -------------------------------------------------
 
 
-def controller_system(u_table: VarTable) -> BooleanPSystem:
-    """Always-enabled erase/introduce rules for every control symbol."""
+def _controller(
+    table: VarTable, u_table: VarTable, regime: str
+) -> tuple[tuple[Rule, ...], Quasimode]:
+    """The controller's always-enabled rules over `table` for the symbols of
+    `u_table`, and its quasimode under the regime.
+
+    ``free`` and ``tcs`` have an erase and an introduce rule per symbol;
+    every step erases all symbols and introduces any subset of them
+    (``free``) or exactly one symbol of each freeze pair (``tcs``).  ``acs``
+    has introduce rules plus value rewrites within each pair and no erasure,
+    any subset of them firing: once a pair has a symbol it can change
+    polarity but never disappear, so the controlled variables only grow.
+    """
+    true = Formula.const(table, True)
+    empty = StateSet.empty(table)
+    symbol = {name: StateSet.of(table, [name]) for name in u_table.names}
+    introduce = [control_rule_ids(name)[0] for name in u_table.names]
+    if regime == "acs":
+        rules = [
+            Rule(set_id, empty, symbol[name], true)
+            for set_id, name in zip(introduce, u_table.names)
+        ]
+        rules += [
+            Rule(f"u_rw_{source}_{target}", symbol[source], symbol[target], true)
+            for pair in freeze_pairs(u_table)
+            for source in pair
+            for target in pair
+        ]
+        return tuple(rules), PowersetQuasimode(frozenset(r.id for r in rules), name="acs")
+    if regime not in ("free", "tcs"):
+        raise UsageError(f"unknown control regime {regime!r}")
     rules = []
     for name in u_table.names:
         set_id, clr_id = control_rule_ids(name)
-        symbol = StateSet.of(u_table, [name])
-        empty = StateSet.empty(u_table)
-        true = Formula.const(u_table, True)
-        rules.append(Rule(clr_id, symbol, empty, true))
-        rules.append(Rule(set_id, empty, symbol, true))
-    return BooleanPSystem(u_table, tuple(rules))
-
-
-def controller_quasimode(u_table: VarTable) -> Quasimode:
-    """All erase rules, dotted with any subset of the introduce rules."""
-    erase = frozenset(control_rule_ids(n)[1] for n in u_table.names)
-    introduce = frozenset(control_rule_ids(n)[0] for n in u_table.names)
-    return ProductQuasimode(
-        (
-            ExplicitQuasimode(frozenset({erase})),
-            PowersetQuasimode(introduce),
-        ),
-        name="free",
-    )
-
-
-def _tcs_quasimode(u_table: VarTable) -> Quasimode:
-    erase = frozenset(control_rule_ids(n)[1] for n in u_table.names)
+        rules.append(Rule(clr_id, symbol[name], empty, true))
+        rules.append(Rule(set_id, empty, symbol[name], true))
+    erase = frozenset(control_rule_ids(name)[1] for name in u_table.names)
     factors = [ExplicitQuasimode(frozenset({erase}))]
-    for off, on in freeze_pairs(u_table):
-        factors.append(
-            ExplicitQuasimode(
-                frozenset(
-                    {
-                        frozenset({control_rule_ids(off)[0]}),
-                        frozenset({control_rule_ids(on)[0]}),
-                    }
-                )
-            )
-        )
-    return ProductQuasimode(tuple(factors), name="tcs")
-
-
-def quasimode_tcs(composite: "ControlledComposite") -> Quasimode:
-    """Controller quasimode for total control: every pair introduces exactly
-    one of its two symbols each step (on top of erasing everything)."""
-    return _tcs_quasimode(composite.u_table)
-
-
-def acs_rewrite_id(source: str, target: str) -> str:
-    return f"u_rw_{source}_{target}"
-
-
-def piU_acs(u_table: VarTable) -> tuple[BooleanPSystem, Quasimode]:
-    """Abiding controller: introduce rules plus value rewrites, no erasure.
-
-    Once some symbol of a pair is present it can change polarity but never
-    disappear, so the set of controlled variables only grows.
-    """
-    rules = []
-    true = Formula.const(u_table, True)
-    empty = StateSet.empty(u_table)
-    for name in u_table.names:
-        rules.append(Rule(control_rule_ids(name)[0], empty, StateSet.of(u_table, [name]), true))
-    for off, on in freeze_pairs(u_table):
-        for source in (off, on):
-            for target in (off, on):
-                rules.append(
-                    Rule(
-                        acs_rewrite_id(source, target),
-                        StateSet.of(u_table, [source]),
-                        StateSet.of(u_table, [target]),
-                        true,
-                    )
-                )
-    system = BooleanPSystem(u_table, tuple(rules))
-    return system, PowersetQuasimode(system.rule_ids(), name="acs")
+    if regime == "free":
+        factors.append(PowersetQuasimode(frozenset(introduce)))
+    else:
+        factors += [
+            ExplicitQuasimode(frozenset(frozenset({control_rule_ids(name)[0]}) for name in pair))
+            for pair in freeze_pairs(u_table)
+        ]
+    return tuple(rules), ProductQuasimode(tuple(factors), name=regime)
 
 
 @dataclass(frozen=True)
 class ControlledComposite:
-    """A controlled network embedded as the union of two rewriting systems.
+    """A controlled network embedded as one rewriting system over its
+    variables plus control symbols.
 
-    `pi` encodes the controlled update formulas over variables plus control
-    symbols; `pi_u` is the controller over the control symbols alone.  The
-    composed quasimode is the dotted product of the update quasimode (from
-    the network mode) and the controller quasimode for the chosen regime.
+    `system` holds the update encoding (introduce/erase rules guarded by
+    the controlled update formulas), then the controller's rules over the
+    control symbols.  `quasimode` is the dotted product of the update
+    quasimode (from the network mode) and the controller quasimode of the
+    chosen regime.
     """
 
-    system: BooleanPSystem  # union of pi and pi_u
-    pi: BooleanPSystem
-    pi_u: BooleanPSystem
+    system: BooleanPSystem
     quasimode: Quasimode
-    base_quasimode: Quasimode
-    control_quasimode: Quasimode
     x_table: VarTable
     u_table: VarTable
     mode: BooleanMode
     regime: str
 
-    def mode_view(self, strict=False) -> ModeView:
-        return derive_mode(self.system, self.quasimode, strict=strict)
+    def mode_view(self) -> ModeView:
+        return derive_mode(self.system, self.quasimode)
 
     def initial_config(self, state: StateSet, control: Control) -> StateSet:
         """Starting configuration: the first control must be present from the start."""
@@ -228,26 +196,12 @@ def bcn_to_composite(
             RuntimeWarning,
             stacklevel=2,
         )
-    pi = _encode_updates(bcn.table, bcn.x_table.names, bcn.updates)
-    base_quasimode = bn_mode_to_quasimode(mode, pi)
-    if regime == "acs":
-        pi_u, control_quasimode = piU_acs(bcn.u_table)
-    elif regime == "free":
-        pi_u = controller_system(bcn.u_table)
-        control_quasimode = controller_quasimode(bcn.u_table)
-    elif regime == "tcs":
-        pi_u = controller_system(bcn.u_table)
-        control_quasimode = _tcs_quasimode(bcn.u_table)
-    else:
-        raise UsageError(f"unknown control regime {regime!r}")
-    system = union_systems(pi, pi_u)
+    updates = _encode_updates(bcn.table, bcn.x_table.names, bcn.updates)
+    controller, control_quasimode = _controller(bcn.table, bcn.u_table, regime)
+    system = BooleanPSystem(bcn.table, updates + controller)
     return ControlledComposite(
         system=system,
-        pi=pi,
-        pi_u=pi_u,
-        quasimode=base_quasimode.dot(control_quasimode),
-        base_quasimode=base_quasimode,
-        control_quasimode=control_quasimode,
+        quasimode=bn_mode_to_quasimode(mode, system).dot(control_quasimode),
         x_table=bcn.x_table,
         u_table=bcn.u_table,
         mode=mode,
@@ -389,7 +343,7 @@ def format_reactions_text(rs: ReactionSystem) -> str:
 #   controls u_x0, u_x1, ...
 #   regime free
 #   mode syn                  # or one `group {...}` line per mode element
-#   <rule lines of the union system>
+#   <rule lines: the update rules, then the controller rules>
 #
 # The controlled update formulas are recoverable from the introduce-rule
 # guards, so re-parsing rebuilds a semantically identical composite.

@@ -78,16 +78,16 @@ class TestApplicability:
 class TestApplication:
     def test_cascade_steps(self, cascade):
         full = conf(cascade, ["a", "b"])
-        assert cascade.apply_rule_set(full, {"r1"}) == conf(cascade, ["a"])
-        assert cascade.apply_rule_set(conf(cascade, ["a"]), {"r2"}) == conf(cascade, [])
+        assert apply_rule_set(full, [cascade.rule("r1")]) == conf(cascade, ["a"])
+        assert apply_rule_set(conf(cascade, ["a"]), [cascade.rule("r2")]) == conf(cascade, [])
 
     def test_empty_set_is_stutter(self, cascade):
         full = conf(cascade, ["a", "b"])
-        assert cascade.apply_rule_set(full, set()) == full
+        assert apply_rule_set(full, []) == full
 
     def test_inapplicable_member_names_rule(self, cascade):
         with pytest.raises(ValidationError) as err:
-            cascade.apply_rule_set(conf(cascade, ["a", "b"]), {"r2"})
+            apply_rule_set(conf(cascade, ["a", "b"]), [cascade.rule("r2")])
         assert "r2" in str(err.value)
 
     def test_duplicates_have_no_effect(self, cascade):
@@ -314,7 +314,7 @@ class TestQuasimodeGenerators:
         quasimode = quasimode_async(cascade)
         elements = list(quasimode.elements())
         assert len(elements) == 4  # 2 rules -> 4 subsets
-        assert quasimode.size_hint() == 4
+        assert len(set(elements)) == 4  # without duplicates
 
     def test_maxpar_quasimode_stutters_at_halting(self, cascade):
         # unlike the maximally parallel mode, the derived all-rules family

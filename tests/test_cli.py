@@ -11,6 +11,12 @@ from boolps.formula import MAX_NESTING
 from boolps.translate import bn_to_boolp, parse_composite_text, parse_reactions_text, rs_to_boolp
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+# `compose` under every mode and regime, and `translate bcn --mode asyn`, on
+# models/ex32.bcn: stdout as the composite gave it when it was assembled as
+# the union of an update system and a separate controller system.
+COMPOSITE_GOLDENS = json.loads(
+    (Path(__file__).resolve().parent / "composite_goldens.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -179,6 +185,13 @@ class TestTranslateAndCompose:
         assert composite.regime == "free"
         assert len(composite.system.rules) == 12
 
+    @pytest.mark.parametrize("command", sorted(COMPOSITE_GOLDENS))
+    def test_composite_dump_golden(self, capsys, command):
+        argv = [str(MODELS / a[len("models/"):]) if a.startswith("models/") else a
+                for a in command.split()]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == COMPOSITE_GOLDENS[command]
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "dump.pi"
         code, out, _ = run(
@@ -227,6 +240,28 @@ class TestCofaseCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "witnesses, problems",
+        [
+            ([], ["start 01: no witness"]),
+            (
+                [{"start": "11", "controls": [[]], "states": ["11"], "boundaries": []}],
+                ["start 01: no witness", "start 11: not a start of the instance"],
+            ),
+        ],
+        ids=["no-witness", "foreign-start"],
+    )
+    def test_verify_rejects_solution_for_other_starts(self, capsys, tmp_path, witnesses,
+                                                     problems):
+        # models/ex32.cofase has the single start 01
+        solution_file = tmp_path / "solution.json"
+        solution_file.write_text(json.dumps({"solvable": True, "witnesses": witnesses}))
+        code, out, _ = run(
+            capsys, "cofase", "verify", MODELS / "ex32.cofase", "--solution", solution_file
+        )
+        assert code == 1
+        assert out.splitlines() == problems
+
     def test_composite_engine(self, capsys):
         code, out, _ = run(
             capsys, "cofase", "solve", MODELS / "ex32.cofase",
@@ -263,6 +298,23 @@ class TestCheckCommands:
     def test_lemma_random(self, capsys):
         code, out, _ = run(capsys, "check", "lemma-product", "--random", "5", "--seed", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("check", ["bn-sim", "bcn-sim", "lemma-product", "rs-embed"])
+    def test_negative_random_count_is_two(self, capsys, check):
+        code, out, err = run(capsys, "check", check, "--random", "-5")
+        assert code == 2 and out == ""
+        assert "case count must be non-negative" in err
+
+    @pytest.mark.parametrize("check", ["bn-sim", "bcn-sim", "lemma-product", "rs-embed"])
+    def test_zero_random_count_runs_no_case(self, capsys, check):
+        code, out, _ = run(capsys, "check", check, "--random", "0")
+        assert code == 0
+        assert "0/0 cases pass" in out
+
+    def test_lemma_without_random_runs_hundred(self, capsys):
+        code, out, _ = run(capsys, "check", "lemma-product")
+        assert code == 0
+        assert "100/100 cases pass" in out
 
     def test_rs_embed_file_json(self, capsys):
         code, out, _ = run(
@@ -439,6 +491,12 @@ class TestExitCodes:
         monkeypatch.setenv("BOOLPS_CAP_VARS", "10")
         code, _, _ = run(capsys, "bn", "transitions", MODELS / "ex31.bn")
         assert code == 0
+
+    def test_malformed_env_cap_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("BOOLPS_CAP_VARS", "abc")
+        code, out, err = run(capsys, "bn", "transitions", MODELS / "ex31.bn")
+        assert code == 2 and out == ""
+        assert "BOOLPS_CAP_VARS must be an integer" in err
 
 
 # The sixteen commands of the README's "Command line" section with the exact

@@ -40,13 +40,7 @@ from boolps.generators import (
     random_reaction_system,
     random_table,
 )
-from boolps.translate import (
-    ControlledComposite,
-    bcn_to_composite,
-    bn_mode_to_quasimode,
-    bn_to_boolp,
-    controller_quasimode,
-)
+from boolps.translate import bcn_to_composite, bn_mode_to_quasimode, bn_to_boolp
 
 
 @pytest.fixture
@@ -136,24 +130,12 @@ class TestControlledSimulation:
         bcn = freeze_extend(toggle)
         mode = BooleanMode.syn(toggle.table)
         composite = bcn_to_composite(bcn, mode)
-        crippled_pi_u = BooleanPSystem(
-            composite.pi_u.table,
-            tuple(r for r in composite.pi_u.rules if not r.id.startswith("u_clr_")),
+        crippled = BooleanPSystem(
+            composite.system.table,
+            tuple(r for r in composite.system.rules if not r.id.startswith("u_clr_")),
         )
-        from boolps.boolp import union_systems
-
-        mutant = ControlledComposite(
-            system=union_systems(composite.pi, crippled_pi_u),
-            pi=composite.pi,
-            pi_u=crippled_pi_u,
-            quasimode=composite.base_quasimode.dot(controller_quasimode(bcn.u_table)),
-            base_quasimode=composite.base_quasimode,
-            control_quasimode=composite.control_quasimode,
-            x_table=composite.x_table,
-            u_table=composite.u_table,
-            mode=mode,
-            regime="free",
-        )
+        # the quasimode still advises the erase rules the system now lacks
+        mutant = dataclasses.replace(composite, system=crippled)
         report = check_bcn_simulation(bcn, mode, composite=mutant)
         assert not report
         assert report.counterexample is not None

@@ -1,12 +1,25 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boolps.bcn import Control, freeze_extend
+from boolps.bcn import BooleanControlNetwork, Control, freeze_extend
 from boolps.bn import BooleanMode, BooleanNetwork
-from boolps.boolp import derive_mode, successors
+from boolps.boolp import (
+    BooleanPSystem,
+    ExplicitQuasimode,
+    PowersetQuasimode,
+    ProductQuasimode,
+    Rule,
+    apply_rule_set,
+    successors,
+    union_systems,
+)
 from boolps.errors import ValidationError
 from boolps.formula import Formula, StateSet, VarTable, equivalent, parse_formula
+from boolps.generators import random_mode, random_network, random_table
 from boolps.translate import (
     Reaction,
     ReactionSystem,
@@ -17,8 +30,6 @@ from boolps.translate import (
     format_reactions_text,
     parse_composite_text,
     parse_reactions_text,
-    piU_acs,
-    quasimode_tcs,
     rs_to_boolp,
 )
 
@@ -83,22 +94,25 @@ class TestComposite:
     def test_shape(self, toggle):
         composite = bcn_to_composite(freeze_extend(toggle), BooleanMode.syn(toggle.table))
         assert composite.system.table.names == ("x", "y", "u_x0", "u_x1", "u_y0", "u_y1")
-        assert len(composite.pi_u.rules) == 8  # erase + introduce per control symbol
+        controller = [r for r in composite.system.rules if r.id.startswith("u_")]
+        assert len(controller) == 8  # erase + introduce per control symbol
         assert all(
             r.guard.evaluate(state)
-            for r in composite.pi_u.rules
-            for state in composite.pi_u.table.subsets()
+            for r in controller
+            for state in composite.system.table.subsets()
         )
 
     def test_no_controls_degenerates_to_plain_encoding(self, toggle):
         empty = VarTable(())
-        from boolps.bcn import BooleanControlNetwork
-
         bcn = BooleanControlNetwork.build(toggle.table, empty, toggle.updates)
-        composite = bcn_to_composite(bcn, BooleanMode.syn(toggle.table))
+        mode = BooleanMode.syn(toggle.table)
+        composite = bcn_to_composite(bcn, mode)
         plain = bn_to_boolp(toggle)
         assert composite.system == plain
-        assert set(composite.control_quasimode.elements()) == {frozenset()}
+        # the controller quasimode advises only the empty set
+        assert set(composite.quasimode.elements()) == set(
+            bn_mode_to_quasimode(mode, plain).elements()
+        )
 
     def test_replays_the_three_phase_trajectory(self, toggle):
         # the controller introduces the next phase's control symbols during
@@ -139,9 +153,11 @@ class TestComposite:
 
 class TestTotalControl:
     def test_two_pairs_give_four_choices(self, toggle):
-        composite = bcn_to_composite(freeze_extend(toggle), BooleanMode.syn(toggle.table))
-        tcs = quasimode_tcs(composite)
-        elements = set(tcs.elements())
+        composite = bcn_to_composite(
+            freeze_extend(toggle), BooleanMode.syn(toggle.table), regime="tcs"
+        )
+        # syn advises one update element, so each element is one controller choice
+        elements = set(composite.quasimode.elements())
         assert len(elements) == 4
         erasers = frozenset(f"u_clr_{n}" for n in composite.u_table.names)
         for element in elements:
@@ -151,41 +167,38 @@ class TestTotalControl:
                 assert len(setters) == 1
 
     def test_no_pairs(self, toggle):
-        from boolps.bcn import BooleanControlNetwork
-
         bcn = BooleanControlNetwork.build(toggle.table, VarTable(()), toggle.updates)
-        composite = bcn_to_composite(bcn, BooleanMode.syn(toggle.table))
-        assert set(quasimode_tcs(composite).elements()) == {frozenset()}
+        mode = BooleanMode.syn(toggle.table)
+        composite = bcn_to_composite(bcn, mode, regime="tcs")
+        assert set(composite.quasimode.elements()) == set(
+            bn_mode_to_quasimode(mode, composite.system).elements()
+        )
 
     def test_total_choices_are_among_free_ones(self, toggle):
-        composite = bcn_to_composite(freeze_extend(toggle), BooleanMode.syn(toggle.table))
-        free = set(composite.control_quasimode.elements())
-        assert set(quasimode_tcs(composite).elements()) <= free
+        bcn = freeze_extend(toggle)
+        mode = BooleanMode.syn(toggle.table)
+        free = set(bcn_to_composite(bcn, mode).quasimode.elements())
+        assert set(bcn_to_composite(bcn, mode, regime="tcs").quasimode.elements()) <= free
 
     def test_unpaired_controls_rejected(self, toggle):
-        from boolps.bcn import BooleanControlNetwork
-
-        bcn = BooleanControlNetwork.build(
-            toggle.table,
-            VarTable.of("k"),
-            tuple(
-                f.remap(VarTable.of("x", "y", "k"), {0: 0, 1: 1})
-                for f in toggle.updates
-            ),
-        )
-        composite = bcn_to_composite(bcn, BooleanMode.syn(toggle.table))
-        with pytest.raises(ValidationError):
-            quasimode_tcs(composite)
+        mode = BooleanMode.syn(toggle.table)
+        for controls in (["k"], ["u_x0"], ["u_x0", "u_x1", "u_y1"]):
+            bcn = BooleanControlNetwork.build(toggle.table, VarTable(controls), toggle.updates)
+            assert bcn_to_composite(bcn, mode).regime == "free"  # free needs no pairs
+            for regime in ("tcs", "acs"):
+                with pytest.raises(ValidationError):
+                    bcn_to_composite(bcn, mode, regime=regime)
 
 
 class TestAbidingControl:
     @pytest.fixture
-    def pair_table(self):
-        return VarTable.of("u_x0", "u_x1")
+    def one_pair(self):
+        t = VarTable.of("x")
+        network = BooleanNetwork(t, (parse_formula("!x", t),))
+        return bcn_to_composite(freeze_extend(network), BooleanMode.syn(t), regime="acs")
 
-    def test_rule_inventory(self, pair_table):
-        system, quasimode = piU_acs(pair_table)
-        ids = {r.id for r in system.rules}
+    def test_rule_inventory(self, one_pair):
+        ids = {r.id for r in one_pair.system.rules if r.id.startswith("u_")}
         assert ids == {
             "u_set_u_x0",
             "u_set_u_x1",
@@ -194,28 +207,29 @@ class TestAbidingControl:
             "u_rw_u_x1_u_x0",
             "u_rw_u_x1_u_x1",
         }
-        assert quasimode.size_hint() == 2 ** 6
+        # syn advises {set_x, clr_x} as one element, dotted with every
+        # subset of the six controller rules
+        assert len(list(one_pair.quasimode.elements())) == 2 ** 6
 
-    def test_polarity_switch(self, pair_table):
-        system, _ = piU_acs(pair_table)
-        start = StateSet.of(pair_table, ["u_x0"])
-        assert system.apply_rule_set(start, {"u_rw_u_x0_u_x1"}) == StateSet.of(
-            pair_table, ["u_x1"]
-        )
+    def test_polarity_switch(self, one_pair):
+        table = one_pair.system.table
+        start = StateSet.of(table, ["u_x0"])
+        rewrite = one_pair.system.rule("u_rw_u_x0_u_x1")
+        assert apply_rule_set(start, [rewrite]) == StateSet.of(table, ["u_x1"])
 
-    def test_identity_rewrite_is_noop(self, pair_table):
-        system, _ = piU_acs(pair_table)
-        start = StateSet.of(pair_table, ["u_x0"])
-        assert system.apply_rule_set(start, {"u_rw_u_x0_u_x0"}) == start
+    def test_identity_rewrite_is_noop(self, one_pair):
+        start = StateSet.of(one_pair.system.table, ["u_x0"])
+        assert apply_rule_set(start, [one_pair.system.rule("u_rw_u_x0_u_x0")]) == start
 
-    def test_controlled_variables_never_released(self):
+    def test_controlled_variables_never_released(self, toggle):
         # exhaustive over two pairs: wherever a pair has a symbol, every
         # successor keeps some symbol of that pair
-        table = VarTable.of("u_x0", "u_x1", "u_y0", "u_y1")
-        system, quasimode = piU_acs(table)
-        view = derive_mode(system, quasimode)
+        composite = bcn_to_composite(
+            freeze_extend(toggle), BooleanMode.syn(toggle.table), regime="acs"
+        )
+        system, view = composite.system, composite.mode_view()
         pairs = [("u_x0", "u_x1"), ("u_y0", "u_y1")]
-        for state in table.subsets():
+        for state in system.table.subsets():
             held = [p for p in pairs if p[0] in state or p[1] in state]
             for _fired, nxt in successors(system, view, state):
                 for off, on in held:
@@ -262,6 +276,101 @@ class TestRegimeDynamics:
             if not {"u_x0", "u_x1"} & set(nxt)
         }
         assert released
+
+
+# --- the composite against a union of two systems ----------------------------
+
+
+def union_reference(bcn, mode, regime):
+    """The composite built as the union of two systems: the update encoding
+    over the network's table and a controller over the control table alone,
+    each with its own quasimode."""
+    table, u_table = bcn.table, bcn.u_table
+    empty = StateSet.empty(table)
+    encoding = []
+    for name, update in zip(bcn.x_table.names, bcn.updates):
+        symbol = StateSet.of(table, [name])
+        encoding.append(Rule(f"set_{name}", empty, symbol, update))
+        encoding.append(Rule(f"clr_{name}", symbol, empty, update.negate()))
+    true = Formula.const(u_table, True)
+
+    def rule(rule_id, lhs, rhs):
+        return Rule(rule_id, StateSet.of(u_table, lhs), StateSet.of(u_table, rhs), true)
+
+    names = u_table.names
+    pairs = list(zip(names[::2], names[1::2]))  # freeze_extend declares pairs together
+    if regime == "acs":
+        rules = [rule(f"u_set_{n}", [], [n]) for n in names]
+        rules += [rule(f"u_rw_{a}_{b}", [a], [b]) for pair in pairs for a in pair for b in pair]
+        control = PowersetQuasimode(frozenset(r.id for r in rules), name="acs")
+    else:
+        rules = []
+        for n in names:
+            rules += [rule(f"u_clr_{n}", [n], []), rule(f"u_set_{n}", [], [n])]
+        factors = [ExplicitQuasimode(frozenset({frozenset(f"u_clr_{n}" for n in names)}))]
+        if regime == "free":
+            factors.append(PowersetQuasimode(frozenset(f"u_set_{n}" for n in names)))
+        else:
+            factors += [
+                ExplicitQuasimode(frozenset({frozenset({f"u_set_{n}"}) for n in pair}))
+                for pair in pairs
+            ]
+        control = ProductQuasimode(tuple(factors), name=regime)
+    system = union_systems(
+        BooleanPSystem(table, tuple(encoding)), BooleanPSystem(u_table, tuple(rules))
+    )
+    base = ExplicitQuasimode(
+        frozenset(
+            frozenset(i for n in element for i in (f"set_{n}", f"clr_{n}"))
+            for element in mode.elements
+        )
+    )
+    return system, base.dot(control)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 1 << 16),
+    st.sampled_from(["syn", "asyn", "random"]),
+    st.sampled_from(["free", "tcs", "acs"]),
+)
+def test_composite_matches_union_of_two_systems(size, seed, mode_name, regime):
+    rng = random.Random(seed)
+    table = random_table(rng, size)
+    network = random_network(rng, table, max_depth=3)
+    controllable = [n for n in table.names if rng.random() < 0.7]
+    bcn = freeze_extend(network, controllable)
+    mode = {
+        "syn": BooleanMode.syn(table),
+        "asyn": BooleanMode.asyn(table),
+        "random": random_mode(rng, table),
+    }[mode_name]
+    composite = bcn_to_composite(bcn, mode, regime=regime)
+    system, quasimode = union_reference(bcn, mode, regime)
+    assert composite.system == system
+    assert composite.system.rules == system.rules
+    assert composite.quasimode == quasimode
+
+
+def test_composite_builds_one_system_and_remaps_nothing():
+    t = VarTable.of("a", "b", "c")
+    bcn = freeze_extend(BooleanNetwork(t, tuple(Formula.var(t, n) for n in t.names)))
+    counts = {"systems": 0, "remaps": 0}
+    post_init, remap = BooleanPSystem.__post_init__, Formula.remap
+
+    def counting_post_init(self):
+        counts["systems"] += 1
+        post_init(self)
+
+    def counting_remap(self, *args):
+        counts["remaps"] += 1
+        return remap(self, *args)
+
+    with mock.patch.object(BooleanPSystem, "__post_init__", counting_post_init), \
+            mock.patch.object(Formula, "remap", counting_remap):
+        bcn_to_composite(bcn, BooleanMode.syn(t))
+    assert counts == {"systems": 1, "remaps": 0}
 
 
 def reaction_oracle(rs, state):
