@@ -39,21 +39,6 @@ class BooleanControlNetwork:
             if formula.table != self.table:
                 raise ValidationError("update formula over a different combined table")
 
-    @classmethod
-    def build(
-        cls, x_table: VarTable, u_table: VarTable, updates: Sequence[Formula]
-    ) -> "BooleanControlNetwork":
-        table = VarTable(x_table.names + u_table.names)
-        fixed = []
-        for formula in updates:
-            if formula.table == table:
-                fixed.append(formula)
-            elif formula.table == x_table:
-                fixed.append(formula.remap(table, {i: i for i in range(len(x_table))}))
-            else:
-                raise ValidationError("update formula over an unrelated table")
-        return cls(x_table, u_table, table, tuple(fixed))
-
 
 @dataclass(frozen=True)
 class Control:

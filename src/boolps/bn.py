@@ -115,17 +115,31 @@ def bn_step(network: BooleanNetwork, state: StateSet, group: StateSet) -> StateS
     return network.table.state(bits)
 
 
-def bn_transitions(network: BooleanNetwork, mode: BooleanMode, cap=None) -> TransitionRelation:
-    """Full labelled edge set over all 2**n states, one edge per mode element."""
+def step_table(network: BooleanNetwork, mode: BooleanMode, cap=None):
+    """The one-step graph over all 2**n states, as ``(elements, rows)``:
+    `elements` is ``mode.sorted_elements()`` and ``rows[bits]`` holds the
+    next-state bits under each element, in that order."""
     if mode.table != network.table:
         raise UsageError("mode over a different variable table")
     check_enumerable(len(network.table), cap, "network")
-    edges = set()
     elements = mode.sorted_elements()
-    for state in network.table.subsets():
-        for element in elements:
-            edges.add((state, element, bn_step(network, state, element)))
-    return TransitionRelation(network.table, frozenset(edges))
+    rows = [
+        tuple(bn_step(network, state, element).bits for element in elements)
+        for state in network.table.subsets()
+    ]
+    return elements, rows
+
+
+def bn_transitions(network: BooleanNetwork, mode: BooleanMode, cap=None) -> TransitionRelation:
+    """Full labelled edge set over all 2**n states, one edge per mode element."""
+    elements, rows = step_table(network, mode, cap)
+    state = network.table.state
+    edges = frozenset(
+        (state(bits), element, state(dst))
+        for bits, row in enumerate(rows)
+        for element, dst in zip(elements, row)
+    )
+    return TransitionRelation(network.table, edges)
 
 
 def bn_trajectories(
@@ -223,16 +237,12 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
     mutually reachable states the dynamics cannot escape.  Returned as
     canonically sorted tuples of states, sorted among themselves.
     """
-    check_enumerable(len(network.table), cap, "network")
     table = network.table
-    successors = [
-        [bn_step(network, state, element).bits for element in mode.elements]
-        for state in table.subsets()
-    ]
+    rows = step_table(network, mode, cap)[1]
     result = []
-    for component in _components(successors):
+    for component in _components(rows):
         members = set(component)
-        if any(w not in members for u in component for w in successors[u]):
+        if any(w not in members for u in component for w in rows[u]):
             continue  # an edge leaves: not terminal
         states = sorted((table.state(bits) for bits in component), key=StateSet.sort_key)
         result.append(tuple(states))

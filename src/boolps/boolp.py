@@ -96,7 +96,7 @@ class BooleanPSystem:
     _lhs: tuple = field(init=False, repr=False, compare=False)  # index -> lhs bits
     _rhs: tuple = field(init=False, repr=False, compare=False)  # index -> rhs bits
     _checks: tuple = field(init=False, repr=False, compare=False)  # (bit, lhs bits, guard)
-    _bytes: tuple = field(init=False, repr=False, compare=False)  # see `rule_set`
+    _ids: tuple = field(init=False, repr=False, compare=False)  # index -> rule id
 
     def __post_init__(self):
         by_id = {}
@@ -115,13 +115,7 @@ class BooleanPSystem:
             "_checks": tuple(
                 (1 << i, rule.lhs.bits, rule.guard) for i, rule in enumerate(ordered)
             ),
-            "_bytes": tuple(
-                tuple(
-                    tuple(rule.id for j, rule in enumerate(chunk) if value >> j & 1)
-                    for value in range(256)
-                )
-                for chunk in (ordered[k:k + 8] for k in range(0, len(ordered), 8))
-            ),
+            "_ids": tuple(rule.id for rule in ordered),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -144,16 +138,14 @@ class BooleanPSystem:
         return mask
 
     def rule_set(self, mask: int) -> RuleSet:
-        """The ids of a rule mask, read a byte at a time: `_bytes[k][v]` holds
-        the ids of rules 8k..8k+7 whose bits are set in the byte value v
-        (256 tuples per 8 rules, fixed when the system is built)."""
-        ids = ()
-        for table in self._bytes:
-            if not mask:
-                break
-            ids += table[mask & 255]
-            mask >>= 8
-        return frozenset(ids)
+        """The ids of a rule mask."""
+        ids = self._ids
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(ids[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     def fold(self, mask: int) -> tuple[int, int, int]:
         """``(mask, erase bits, add bits)``: the unions of the fired rules'

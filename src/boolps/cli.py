@@ -244,6 +244,13 @@ def _cmd_cofase_verify(args):
         if witness.start not in instance.starts:
             problems.append(f"start {witness.start.digits()}: not a start of the instance")
             continue
+        first = solution.witnesses[0]
+        if solution.policy == "uniform" and witness.sequence != first.sequence:
+            problems.append(
+                f"start {witness.start.digits()}: uniform solution, but the control "
+                f"sequence differs from that of start {first.start.digits()}"
+            )
+            continue
         result = verify_control_sequence(
             instance.bcn, witness.sequence, instance.mode,
             witness.trajectory, witness.boundaries,

@@ -35,7 +35,7 @@ from .bcn import (
     glue_trajectories,
     selected_networks,
 )
-from .bn import BooleanMode, BooleanNetwork, Trajectory, _components, bn_step, named_mode
+from .bn import BooleanMode, Trajectory, _components, bn_step, named_mode, step_table
 # unused here; bench/tracer.py counts the kernel's calls through every binding
 from .boolp import successors as boolp_successors  # noqa: F401
 from .errors import CapacityError, ParseError, UsageError, ValidationError
@@ -170,78 +170,60 @@ def control_space(bcn: BooleanControlNetwork, cap=None) -> list[Control]:
 # --- phase relations ------------------------------------------------------------
 
 
-def _step_map(network: BooleanNetwork, mode: BooleanMode, cap=None):
-    """state -> tuple of (mode element, next state), canonically ordered."""
-    check_enumerable(len(network.table), cap, "network")
-    elements = mode.sorted_elements()
-    out = {}
-    for state in network.table.subsets():
-        out[state] = tuple((m, bn_step(network, state, m)) for m in elements)
-    return out
-
-
-def _phase_reach(step_map, min_steps: int):
-    """state -> states reachable within one phase (>= min_steps steps).
+def _phase_reach(rows, min_steps: int) -> list:
+    """Per state bits, the bits of the states reachable within one phase
+    (>= min_steps steps), as a frozenset.
 
     The reflexive-transitive closure of a strongly connected component is its
     states plus the closures of the components its edges reach, which
     `_components` lists first; the component's states share that one set.
     """
-    states = list(step_map)
-    index = {state: i for i, state in enumerate(states)}
-    successors = [[index[dst] for _m, dst in step_map[state]] for state in states]
-    per_node = [None] * len(states)
-    for component in _components(successors):
-        out = set()
+    closure = [None] * len(rows)
+    for component in _components(rows):
+        out = set(component)
         for v in component:
-            out.add(states[v])
-            for w in successors[v]:
-                if per_node[w] is not None:  # None: an edge inside this component
-                    out |= per_node[w]
+            for w in rows[v]:
+                if closure[w] is not None:  # None: an edge inside this component
+                    out |= closure[w]
         shared = frozenset(out)
         for v in component:
-            per_node[v] = shared
-    closure = dict(zip(states, per_node))
+            closure[v] = shared
     if min_steps == 0:
         return closure
-    reach = {}
-    for source in step_map:
+    reach = []
+    for row in rows:
         out = set()
-        for _m, dst in step_map[source]:
+        for dst in row:
             out |= closure[dst]
-        reach[source] = frozenset(out)
+        reach.append(frozenset(out))
     return reach
 
 
-def _shortest_phase_path(step_map, source, target, min_steps: int) -> Trajectory:
-    """Shortest labelled run from source to target inside one phase."""
+def _shortest_phase_path(table, elements, rows, source, target, min_steps) -> Trajectory:
+    """Shortest labelled run from source to target bits inside one phase."""
     if min_steps == 0 and source == target:
-        return Trajectory((source,), ())
+        return Trajectory((table.state(source),), ())
     # breadth-first with >= 1 step: seed from the one-step successors, so a
     # path back to the source itself counts as a cycle, not as length zero
     parents = {}
-    frontier = []
-    for element, dst in step_map[source]:
-        if dst not in parents:
-            parents[dst] = (source, element)
-            frontier.append(dst)
+    frontier = [source]
     while target not in parents and frontier:
         nxt = []
-        for state in frontier:
-            for element, dst in step_map[state]:
+        for bits in frontier:
+            for index, dst in enumerate(rows[bits]):
                 if dst not in parents:
-                    parents[dst] = (state, element)
+                    parents[dst] = (bits, index)
                     nxt.append(dst)
         frontier = nxt
     if target not in parents:
         raise ValidationError("no path inside a phase; reachability bookkeeping broken")
-    states = [target]
+    states = [table.state(target)]
     labels = []
     cursor = target
     while True:
-        prev, element = parents[cursor]
-        states.insert(0, prev)
-        labels.insert(0, element)
+        prev, index = parents[cursor]
+        states.insert(0, table.state(prev))
+        labels.insert(0, elements[index])
         if prev == source:
             break
         cursor = prev
@@ -253,8 +235,8 @@ def _shortest_phase_path(step_map, source, target, min_steps: int) -> Trajectory
 
 def _image(reach, states) -> frozenset:
     out = set()
-    for state in states:
-        out |= reach[state]
+    for bits in states:
+        out |= reach[bits]
     return frozenset(out)
 
 
@@ -286,10 +268,10 @@ def solve_cofase(
     built = {}
 
     def phase_maps(control):
-        """(step map, phase reach) of the control's network, built on first use."""
+        """(elements, rows, phase reach) of the control's network, built on first use."""
         if control not in built:
-            step_map = _step_map(networks[control], instance.mode, cap)
-            built[control] = (step_map, _phase_reach(step_map, min_steps_per_phase))
+            elements, rows = step_table(networks[control], instance.mode, cap)
+            built[control] = (elements, rows, _phase_reach(rows, min_steps_per_phase))
         return built[control]
 
     if policy == "per-start":
@@ -318,8 +300,8 @@ def solve_cofase(
 def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
     """The breadth-first phase search; returns the result and the number of
     search nodes it visited."""
-    targets = instance.targets
-    initial = tuple(frozenset({start}) for start in instance.starts)
+    targets = frozenset(target.bits for target in instance.targets)
+    initial = tuple(frozenset({start.bits}) for start in instance.starts)
     visited = {initial}
     queue = [(initial, ())]
     frontier = [1]  # one entry per depth searched, the start node's first
@@ -327,7 +309,7 @@ def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
         next_queue = []
         for node, sequence in queue:
             for control in controls:
-                reach = phase_maps(control)[1]
+                reach = phase_maps(control)[2]
                 successors = tuple(_image(reach, comp) for comp in node)
                 grown = sequence + (control,)
                 if all(comp & targets for comp in successors):
@@ -354,24 +336,23 @@ def _build_solution(instance, sequence, phase_maps, min_steps):
 
 
 def _witness_for(start, sequence, targets, phase_maps, min_steps):
-    frontiers = [frozenset({start})]
+    table = start.table
+    frontiers = [frozenset({start.bits})]
     for control in sequence:
-        frontiers.append(_image(phase_maps(control)[1], frontiers[-1]))
-    final = sorted(frontiers[-1] & targets, key=StateSet.sort_key)[0]
-    endpoints = [final]
+        frontiers.append(_image(phase_maps(control)[2], frontiers[-1]))
+
+    def first(candidates):
+        return min((table.state(bits) for bits in candidates), key=StateSet.sort_key).bits
+
+    endpoints = [first(frontiers[-1] & {target.bits for target in targets})]
     for i in reversed(range(len(sequence))):
-        reach = phase_maps(sequence[i])[1]
-        candidates = sorted(
-            (s for s in frontiers[i] if endpoints[0] in reach[s]),
-            key=StateSet.sort_key,
-        )
-        endpoints.insert(0, candidates[0])
+        reach = phase_maps(sequence[i])[2]
+        endpoints.insert(0, first(s for s in frontiers[i] if endpoints[0] in reach[s]))
     segments = []
     for i, control in enumerate(sequence):
+        elements, rows, _reach = phase_maps(control)
         segments.append(
-            _shortest_phase_path(
-                phase_maps(control)[0], endpoints[i], endpoints[i + 1], min_steps
-            )
+            _shortest_phase_path(table, elements, rows, endpoints[i], endpoints[i + 1], min_steps)
         )
     trajectory = glue_trajectories(segments)
     boundaries = []
@@ -674,14 +655,17 @@ def solution_from_json(instance: CoFaSeInstance, text: str, source=None) -> CoFa
         raise ValidationError("solution document says the instance is unsolvable")
     if not isinstance(doc.get("witnesses"), list):
         raise ParseError("solution document has no `witnesses` list", source=source)
+    policy = doc.get("policy", "uniform")
+    if policy not in ("uniform", "per-start"):
+        raise ParseError(f"policy must be uniform or per-start, not {policy!r}", source=source)
     witnesses = []
     for index, entry in enumerate(doc["witnesses"]):
         start, controls, states, boundaries = _witness_fields(entry, index, source)
-        sequence = ControlSequence(
-            tuple(Control(StateSet.of(instance.bcn.u_table, names)) for names in controls)
-        )
-        witnesses.append(
-            PhaseWitness(
+        try:  # digits of the wrong length, unknown control names, no states
+            sequence = ControlSequence(
+                tuple(Control(StateSet.of(instance.bcn.u_table, names)) for names in controls)
+            )
+            witness = PhaseWitness(
                 start=StateSet.from_digits(instance.bcn.x_table, start),
                 sequence=sequence,
                 trajectory=Trajectory(
@@ -689,5 +673,7 @@ def solution_from_json(instance: CoFaSeInstance, text: str, source=None) -> CoFa
                 ),
                 boundaries=tuple(boundaries),
             )
-        )
-    return CoFaSeSolution(policy=doc.get("policy", "uniform"), witnesses=tuple(witnesses))
+        except (UsageError, ValidationError) as exc:
+            raise ParseError(f"witness {index}: {exc}", source=source) from None
+        witnesses.append(witness)
+    return CoFaSeSolution(policy=policy, witnesses=tuple(witnesses))

@@ -17,15 +17,18 @@ ENV_VAR_CAP = "BOOLPS_CAP_VARS"
 
 def var_cap(override=None):
     """Effective variable cap: explicit override, else env, else default."""
-    if override is not None:
-        return int(override)
-    text = os.environ.get(ENV_VAR_CAP)
-    if text is None:
-        return DEFAULT_VAR_CAP
+    source = "the variable cap"
+    if override is None:
+        override, source = os.environ.get(ENV_VAR_CAP), ENV_VAR_CAP
+        if override is None:
+            return DEFAULT_VAR_CAP
     try:
-        return int(text)
+        cap = int(override)
     except ValueError:
-        raise UsageError(f"{ENV_VAR_CAP} must be an integer, not {text!r}") from None
+        raise UsageError(f"{source} must be an integer, not {override!r}") from None
+    if cap < 0:
+        raise UsageError(f"{source} must be non-negative, not {cap}")
+    return cap
 
 
 def check_enumerable(n_vars, cap=None, what="universe"):

@@ -221,7 +221,7 @@ def test_criterion_10_bounded_search_reports_bounds(toggle):
         from boolps.cofase import CoFaSeInstance
 
         t = toggle.table
-        bcn = BooleanControlNetwork.build(t, VarTable(()), toggle.updates)
+        bcn = BooleanControlNetwork(t, VarTable(()), t, toggle.updates)
         instance = CoFaSeInstance.of(
             bcn,
             [StateSet.from_digits(t, "01")],

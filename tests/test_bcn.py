@@ -170,9 +170,8 @@ class TestFlatten:
     def test_single_control_update_is_that_control(self):
         x = VarTable.of("x")
         u = VarTable.of("u")
-        bcn = BooleanControlNetwork.build(
-            x, u, (parse_formula("u", VarTable.of("x", "u")),)
-        )
+        xu = VarTable.of("x", "u")
+        bcn = BooleanControlNetwork(x, u, xu, (parse_formula("u", xu),))
         sats = {s for s in bcn.table.subsets() if bcn.updates[0].evaluate(s)}
         assert sats == {s for s in bcn.table.subsets() if "u" in s}
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boolps.bn
 from boolps.bn import (
     BooleanMode,
     BooleanNetwork,
@@ -21,6 +22,7 @@ from boolps.bn import (
     named_mode,
     parse_bn_text,
     parse_mode_text,
+    step_table,
 )
 from boolps.errors import CapacityError, ParseError, UsageError, ValidationError
 from boolps.formula import Formula, StateSet, VarTable, parse_formula
@@ -212,6 +214,36 @@ def test_attractors_match_reachability_oracle(n, seed, mode_name):
     for states in got:
         assert list(states) == sorted(states, key=StateSet.sort_key)
     assert got == sorted(got, key=lambda states: tuple(s.sort_key() for s in states))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["syn", "asyn", "random", "empty"]),
+)
+def test_step_table_rows_are_bn_step_in_sorted_element_order(n, seed, mode_name):
+    rng = random.Random(seed)
+    table = random_table(rng, n)
+    network = random_network(rng, table)
+    mode = {
+        "random": lambda: random_mode(rng, table),
+        "empty": lambda: BooleanMode(table, frozenset()),
+    }.get(mode_name, lambda: named_mode(mode_name, table))()
+    elements, rows = step_table(network, mode)
+    assert elements == sorted(mode.elements, key=StateSet.sort_key)
+    assert len(rows) == 1 << n
+    for state in table.subsets():
+        assert rows[state.bits] == tuple(bn_step(network, state, m).bits for m in elements)
+
+
+def test_step_table_checks_mode_and_cap_before_stepping(toggle, monkeypatch):
+    monkeypatch.setattr(boolps.bn, "bn_step", lambda *args: pytest.fail("stepped"))
+    other = BooleanMode.syn(VarTable.of("x", "z"))
+    with pytest.raises(UsageError):
+        step_table(toggle, other)
+    with pytest.raises(CapacityError):
+        step_table(toggle, BooleanMode.syn(toggle.table), cap=1)
 
 
 def test_import_loads_only_the_standard_library():

@@ -262,6 +262,32 @@ class TestCofaseCommands:
         assert code == 1
         assert out.splitlines() == problems
 
+    def test_verify_rejects_uniform_solution_with_two_sequences(self, capsys, tmp_path):
+        # the per-start solution gives 00 and 01 different sequences
+        instance = tmp_path / "two.cofase"
+        instance.write_text(
+            "var x, y\nfreeze x\nfreeze y\nx' = !x & y\ny' = x & !y\n"
+            "start {00, 01}\ntarget {10}\nmode syn\n"
+        )
+        code, out, _ = run(
+            capsys, "cofase", "solve", instance, "--policy", "per-start", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert [w["controls"] for w in doc["witnesses"]] == [[["u_x1"]], [[]]]
+        solution_file = tmp_path / "solution.json"
+        solution_file.write_text(out)
+        code, out, _ = run(capsys, "cofase", "verify", instance, "--solution", solution_file)
+        assert code == 0
+        doc["policy"] = "uniform"
+        solution_file.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "cofase", "verify", instance, "--solution", solution_file)
+        assert code == 1
+        assert out.splitlines() == [
+            "start 01: uniform solution, but the control sequence differs from that "
+            "of start 00"
+        ]
+
     def test_composite_engine(self, capsys):
         code, out, _ = run(
             capsys, "cofase", "solve", MODELS / "ex32.cofase",
@@ -473,6 +499,33 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert f"parse error: {solution}" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("states", ["01", "1"], "witness 0: digit state '1' does not match"),
+            ("controls", [["u_z1"]], "witness 0: unknown variable 'u_z1'"),
+            ("states", [], "witness 0: a trajectory needs at least one state"),
+            ("policy", "banana", "policy must be uniform or per-start, not 'banana'"),
+        ],
+        ids=["short-state", "unknown-control", "no-states", "unknown-policy"],
+    )
+    def test_malformed_witness_is_three(self, capsys, tmp_path, field, value, message):
+        # each is a change to the valid solution of models/ex32.cofase
+        doc = {"solvable": True, "policy": "uniform", "phases": 1, "witnesses": [
+            {"start": "01", "controls": [["u_y1"]], "states": ["01", "11"], "boundaries": []}
+        ]}
+        if field == "policy":
+            doc["policy"] = value
+        else:
+            doc["witnesses"][0][field] = value
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "cofase", "verify", MODELS / "ex32.cofase", "--solution", solution
+        )
+        assert code == 3 and out == ""
+        assert f"parse error: {solution}" in err and message in err
+
     def test_missing_file_is_two(self, capsys):
         code, _, _ = run(capsys, "bn", "transitions", "nope.bn")
         assert code == 2
@@ -491,6 +544,25 @@ class TestExitCodes:
         monkeypatch.setenv("BOOLPS_CAP_VARS", "10")
         code, _, _ = run(capsys, "bn", "transitions", MODELS / "ex31.bn")
         assert code == 0
+
+    def test_negative_cap_flag_is_two(self, capsys):
+        # exited 4: "enumeration capped at -1"
+        code, out, err = run(
+            capsys, "bn", "transitions", MODELS / "ex31.bn", "--cap-vars", "-1"
+        )
+        assert code == 2 and out == ""
+        assert "the variable cap must be non-negative, not -1" in err
+        code, _, err = run(capsys, "bn", "transitions", MODELS / "ex31.bn", "--cap-vars", "0")
+        assert code == 4 and "capped at 0" in err
+
+    def test_negative_env_cap_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("BOOLPS_CAP_VARS", "-1")
+        code, out, err = run(capsys, "bn", "transitions", MODELS / "ex31.bn")
+        assert code == 2 and out == ""
+        assert "BOOLPS_CAP_VARS must be non-negative, not -1" in err
+        monkeypatch.setenv("BOOLPS_CAP_VARS", "0")
+        code, _, err = run(capsys, "bn", "transitions", MODELS / "ex31.bn")
+        assert code == 4 and "capped at 0" in err
 
     def test_malformed_env_cap_is_two(self, capsys, monkeypatch):
         monkeypatch.setenv("BOOLPS_CAP_VARS", "abc")

@@ -19,7 +19,7 @@ from boolps.bcn import (
     parse_bcn_text,
     selected_networks,
 )
-from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode
+from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode, step_table
 from boolps.boolp import successors
 from boolps.cofase import (
     CoFaSeInstance,
@@ -27,7 +27,6 @@ from boolps.cofase import (
     NoSolutionWithinBound,
     _build_solution,
     _phase_reach,
-    _step_map,
     control_space,
     parse_instance_text,
     solution_from_json,
@@ -158,7 +157,7 @@ class TestDirectSolver:
     def test_unreachable_without_controls(self, toggle):
         # the uncontrolled pair cannot leave the {01, 10} oscillation
         t = toggle.table
-        bcn = BooleanControlNetwork.build(t, VarTable(()), toggle.updates)
+        bcn = BooleanControlNetwork(t, VarTable(()), t, toggle.updates)
         instance = CoFaSeInstance.of(
             bcn, [digit(t, "01")], [digit(t, "11")], BooleanMode.syn(t)
         )
@@ -229,7 +228,7 @@ class TestDirectSolver:
         # is solvable, with mandatory progress it is not
         t = VarTable.of("x")
         network = BooleanNetwork(t, (Formula.const(t, False),))
-        bcn = BooleanControlNetwork.build(t, VarTable(()), network.updates)
+        bcn = BooleanControlNetwork(t, VarTable(()), t, network.updates)
         instance = CoFaSeInstance.of(
             bcn, [digit(t, "1")], [digit(t, "1")], BooleanMode.syn(t)
         )
@@ -301,22 +300,22 @@ def brute_force_min_phases(instance, max_phases):
     return None
 
 
-def _oracle_phase_reach(step_map, min_steps):
+def _oracle_phase_reach(rows, min_steps):
     """Reach by one BFS per state; with min_steps 1, from the one-step successors."""
 
     def reach(source):
         seen = {source}
         queue = deque([source])
         while queue:
-            for _m, dst in step_map[queue.popleft()]:
+            for dst in rows[queue.popleft()]:
                 if dst not in seen:
                     seen.add(dst)
                     queue.append(dst)
         return seen
 
     if min_steps == 0:
-        return {s: reach(s) for s in step_map}
-    return {s: set().union(*(reach(dst) for _m, dst in step_map[s])) for s in step_map}
+        return [reach(s) for s in range(len(rows))]
+    return [set().union(*(reach(dst) for dst in row)) for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
@@ -331,13 +330,13 @@ def test_phase_reach_matches_bfs_oracle(n, seed, mode_name, min_steps):
     table = random_table(rng, n)
     network = random_network(rng, table)
     mode = random_mode(rng, table) if mode_name == "random" else named_mode(mode_name, table)
-    step_map = _step_map(network, mode)
-    got = _phase_reach(step_map, min_steps)
-    assert list(got) == list(step_map)
-    assert got == _oracle_phase_reach(step_map, min_steps)
+    rows = step_table(network, mode)[1]
+    got = _phase_reach(rows, min_steps)
+    assert all(type(reach) is frozenset for reach in got)
+    assert got == _oracle_phase_reach(rows, min_steps)
     if min_steps == 0:
         # mutually reachable states share one closure object
-        for s, reach in got.items():
+        for s, reach in enumerate(got):
             for t in reach:
                 if s in got[t]:
                     assert got[t] is reach
@@ -383,17 +382,18 @@ def test_selected_networks_match_apply_control(bcn, rng):
 
 def eager_solve(instance, max_phases, policy="uniform", min_steps=0):
     """The direct engine without the control quotient: `apply_control`, a
-    step map and a phase closure for every control, then a breadth-first
+    step table and a phase closure for every control, then a breadth-first
     search trying every control at every node.  Witnesses come from the
     engine's own `_build_solution`, fed these maps."""
     maps = {}
     for mu in control_space(instance.bcn):
-        step_map = _step_map(apply_control(instance.bcn, mu), instance.mode)
-        maps[mu] = (step_map, _phase_reach(step_map, min_steps))
+        elements, rows = step_table(apply_control(instance.bcn, mu), instance.mode)
+        maps[mu] = (elements, rows, _phase_reach(rows, min_steps))
 
     def search(sub):
         """The result and the number of search nodes visited."""
-        initial = tuple(frozenset({start}) for start in sub.starts)
+        targets = {target.bits for target in sub.targets}
+        initial = tuple(frozenset({start.bits}) for start in sub.starts)
         visited = {initial}
         queue = [(initial, ())]
         frontier = [1]
@@ -402,11 +402,11 @@ def eager_solve(instance, max_phases, policy="uniform", min_steps=0):
                 break
             next_queue = []
             for node, sequence in queue:
-                for mu, (_steps, reach) in maps.items():
+                for mu, (_elements, _rows, reach) in maps.items():
                     image = tuple(
                         frozenset().union(*(reach[s] for s in comp)) for comp in node
                     )
-                    if all(comp & sub.targets for comp in image):
+                    if all(comp & targets for comp in image):
                         solution = _build_solution(sub, sequence + (mu,), maps.__getitem__,
                                                    min_steps)
                         return solution, len(visited)
@@ -472,8 +472,8 @@ def test_one_phase_solve_builds_a_step_map_per_network_at_most(monkeypatch):
     bcn = freeze_extend(BooleanNetwork(t, tuple(Formula.var(t, n) for n in t.names)))
     instance = CoFaSeInstance.of(bcn, [digit(t, "000")], [digit(t, "111")], BooleanMode.syn(t))
     calls = []
-    build = cofase._step_map
-    monkeypatch.setattr(cofase, "_step_map", lambda *args: calls.append(args) or build(*args))
+    build = cofase.step_table
+    monkeypatch.setattr(cofase, "step_table", lambda *args: calls.append(args) or build(*args))
     assert solve_cofase(instance, max_phases=1).phases == 1
     assert 0 < len(calls) <= 27
 
@@ -520,7 +520,7 @@ class TestCompositeSolver:
 
     def test_no_controls_is_plain_reachability(self, toggle):
         t = toggle.table
-        bcn = BooleanControlNetwork.build(t, VarTable(()), toggle.updates)
+        bcn = BooleanControlNetwork(t, VarTable(()), t, toggle.updates)
         instance = CoFaSeInstance.of(
             bcn, [digit(t, "01")], [digit(t, "10")], BooleanMode.syn(t)
         )

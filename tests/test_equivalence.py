@@ -121,7 +121,7 @@ class TestControlledSimulation:
         assert check_bcn_simulation(bcn, BooleanMode.asyn(toggle.table))
 
     def test_no_controls_reduces_to_plain_simulation(self, toggle):
-        bcn = BooleanControlNetwork.build(toggle.table, VarTable(()), toggle.updates)
+        bcn = BooleanControlNetwork(toggle.table, VarTable(()), toggle.table, toggle.updates)
         assert check_bcn_simulation(bcn, BooleanMode.syn(toggle.table))
         assert check_bn_simulation(toggle, BooleanMode.syn(toggle.table))
 
@@ -348,13 +348,7 @@ def _reversed_index(system):
         "_lhs": tuple(rule.lhs.bits for rule in ordered),
         "_rhs": tuple(rule.rhs.bits for rule in ordered),
         "_checks": tuple((1 << i, rule.lhs.bits, rule.guard) for i, rule in enumerate(ordered)),
-        "_bytes": tuple(
-            tuple(
-                tuple(rule.id for j, rule in enumerate(chunk) if value >> j & 1)
-                for value in range(256)
-            )
-            for chunk in (ordered[k:k + 8] for k in range(0, len(ordered), 8))
-        ),
+        "_ids": tuple(rule.id for rule in ordered),
     }
     for name, value in fields.items():
         object.__setattr__(system, name, value)
@@ -365,15 +359,7 @@ def _reversed_decoder(system):
     """The system with only its label decoder `rule_set` reading the index
     in reverse: masks and results stay right, the labels that leave
     `successors` do not."""
-    ordered = sorted(system.rule_ids(), reverse=True)
-    decoder = tuple(
-        tuple(
-            tuple(rule_id for j, rule_id in enumerate(chunk) if value >> j & 1)
-            for value in range(256)
-        )
-        for chunk in (ordered[k:k + 8] for k in range(0, len(ordered), 8))
-    )
-    object.__setattr__(system, "_bytes", decoder)
+    object.__setattr__(system, "_ids", tuple(sorted(system.rule_ids(), reverse=True)))
     return system
 
 

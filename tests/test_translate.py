@@ -104,7 +104,7 @@ class TestComposite:
 
     def test_no_controls_degenerates_to_plain_encoding(self, toggle):
         empty = VarTable(())
-        bcn = BooleanControlNetwork.build(toggle.table, empty, toggle.updates)
+        bcn = BooleanControlNetwork(toggle.table, empty, toggle.table, toggle.updates)
         mode = BooleanMode.syn(toggle.table)
         composite = bcn_to_composite(bcn, mode)
         plain = bn_to_boolp(toggle)
@@ -167,7 +167,7 @@ class TestTotalControl:
                 assert len(setters) == 1
 
     def test_no_pairs(self, toggle):
-        bcn = BooleanControlNetwork.build(toggle.table, VarTable(()), toggle.updates)
+        bcn = BooleanControlNetwork(toggle.table, VarTable(()), toggle.table, toggle.updates)
         mode = BooleanMode.syn(toggle.table)
         composite = bcn_to_composite(bcn, mode, regime="tcs")
         assert set(composite.quasimode.elements()) == set(
@@ -183,7 +183,9 @@ class TestTotalControl:
     def test_unpaired_controls_rejected(self, toggle):
         mode = BooleanMode.syn(toggle.table)
         for controls in (["k"], ["u_x0"], ["u_x0", "u_x1", "u_y1"]):
-            bcn = BooleanControlNetwork.build(toggle.table, VarTable(controls), toggle.updates)
+            table = VarTable(toggle.table.names + tuple(controls))
+            updates = tuple(f.remap(table, {0: 0, 1: 1}) for f in toggle.updates)
+            bcn = BooleanControlNetwork(toggle.table, VarTable(controls), table, updates)
             assert bcn_to_composite(bcn, mode).regime == "free"  # free needs no pairs
             for regime in ("tcs", "acs"):
                 with pytest.raises(ValidationError):
