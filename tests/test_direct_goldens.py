@@ -4,7 +4,9 @@
 seeded random instance or on models/ex32.cofase: the solution JSON, the
 mode elements labelling each witness step, and the frontier of a failed
 search.  It also holds the `bn transitions` and `bn attractors` text of
-seeded random networks under syn, asyn and a random mode.  Regenerate with
+seeded random networks under syn, asyn and a random mode.
+`composite_solve_goldens.json` holds the composite engine's solution JSON on
+the same instances.  Regenerate both with
 ``PYTHONPATH=src python tests/test_direct_goldens.py`` only for an intended
 change of output.
 """
@@ -21,12 +23,19 @@ import pytest
 from boolps.bcn import freeze_extend
 from boolps.bn import BooleanMode, format_bn_text
 from boolps.cli import main
-from boolps.cofase import CoFaSeInstance, parse_instance_text, solution_to_json, solve_cofase
+from boolps.cofase import (
+    CoFaSeInstance,
+    parse_instance_text,
+    solution_to_json,
+    solve_cofase,
+    solve_cofase_via_composite,
+)
 from boolps.generators import random_mode, random_network, random_subset, random_table
 
 HERE = Path(__file__).resolve().parent
 MODELS = HERE.parent / "models"
 GOLDENS = HERE / "direct_goldens.json"
+COMPOSITE_GOLDENS = HERE / "composite_solve_goldens.json"
 
 
 def _random_instance(rng):
@@ -102,6 +111,15 @@ def _direct_records():
     return records
 
 
+def _composite_records():
+    records = {}
+    for name, instance, _max_phases in _instances():
+        for max_phases in (None, 1, 2):
+            result = solve_cofase_via_composite(instance, max_steps=6, max_phases=max_phases)
+            records[f"composite/{name}/{max_phases}"] = json.loads(solution_to_json(result))
+    return records
+
+
 def _all_records():
     with tempfile.TemporaryDirectory() as workdir:
         return {**_direct_records(), **_network_records(Path(workdir))}
@@ -130,8 +148,17 @@ def test_network_text_matches_goldens(goldens, tmp_path):
     _assert_same(got, {key: value for key, value in goldens.items() if key.startswith("bn-")})
 
 
+def test_composite_solves_match_goldens():
+    got = _composite_records()
+    assert len(got) == 3 * 201
+    _assert_same(got, json.loads(COMPOSITE_GOLDENS.read_text()))
+
+
+def _write(path: Path, records: dict):
+    lines = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(records.items())]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
 if __name__ == "__main__":
-    records = sorted(_all_records().items())
-    GOLDENS.write_text(
-        "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in records) + "\n}\n"
-    )
+    _write(GOLDENS, _all_records())
+    _write(COMPOSITE_GOLDENS, _composite_records())
