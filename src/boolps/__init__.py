@@ -4,8 +4,6 @@ embeddings between the formalisms."""
 
 from .bcn import (
     BooleanControlNetwork,
-    Control,
-    ControlSequence,
     apply_control,
     enumerate_controls,
     freeze_extend,

@@ -1,10 +1,12 @@
 """Boolean control networks: freeze controls, control application, trajectory gluing.
 
 A control network is a network template whose update formulas may mention a
-disjoint alphabet of control inputs.  Fixing a Boolean assignment to the
-controls yields a plain Boolean network.  Networks are stored intensionally
-(formulas over the combined table); extensional per-control network maps
-are flattened into one disjunction per variable at ingestion.
+disjoint alphabet U of control inputs.  A control is a Boolean assignment to
+U, held as the `StateSet` of its raised inputs over `u_table`, and a control
+sequence is a tuple of them.  Fixing a control yields a plain Boolean
+network.  Networks are stored intensionally (formulas over the combined
+table); extensional per-control network maps are flattened into one
+disjunction per variable at ingestion.
 """
 
 from __future__ import annotations
@@ -40,49 +42,18 @@ class BooleanControlNetwork:
                 raise ValidationError("update formula over a different combined table")
 
 
-@dataclass(frozen=True)
-class Control:
-    """Boolean assignment to the control inputs, as the set of raised inputs."""
-
-    assignment: StateSet
-
-    def names(self):
-        return self.assignment.names()
-
-    def set_text(self) -> str:
-        return self.assignment.set_text()
-
-    def digits(self) -> str:
-        return self.assignment.digits()
-
-    def sort_key(self):
-        return self.assignment.sort_key()
-
-
-@dataclass(frozen=True)
-class ControlSequence:
-    controls: tuple[Control, ...]
-
-    def __len__(self):
-        return len(self.controls)
-
-    def __iter__(self):
-        return iter(self.controls)
-
-
-def enumerate_controls(u_table: VarTable, cap=None) -> Iterable[Control]:
-    """All control assignments in canonical (digit-value) order."""
+def enumerate_controls(u_table: VarTable, cap=None) -> list[StateSet]:
+    """All controls in canonical (digit-value) order."""
     check_enumerable(len(u_table), cap, "control alphabet")
-    ordered = sorted(u_table.subsets(), key=StateSet.sort_key)
-    return [Control(s) for s in ordered]
+    return sorted(u_table.subsets(), key=StateSet.sort_key)
 
 
-def apply_control(bcn: BooleanControlNetwork, control: Control) -> BooleanNetwork:
+def apply_control(bcn: BooleanControlNetwork, control: StateSet) -> BooleanNetwork:
     """The plain network selected by a control: substitute, fold, drop the controls."""
-    if control.assignment.table != bcn.u_table:
+    if control.table != bcn.u_table:
         raise UsageError("control over a different control table")
     values = {
-        name: bool(control.assignment.bits >> pos & 1)
+        name: bool(control.bits >> pos & 1)
         for pos, name in enumerate(bcn.u_table.names)
     }
     n_x = len(bcn.x_table)
@@ -98,8 +69,8 @@ def apply_control(bcn: BooleanControlNetwork, control: Control) -> BooleanNetwor
 
 
 def selected_networks(
-    bcn: BooleanControlNetwork, controls: Iterable[Control]
-) -> dict[Control, BooleanNetwork]:
+    bcn: BooleanControlNetwork, controls: Iterable[StateSet]
+) -> dict[StateSet, BooleanNetwork]:
     """The distinct (structurally unequal) networks the controls select,
     each under the first control, in the given order, that selects it.
 
@@ -118,9 +89,9 @@ def selected_networks(
         folds.append((formula, used, mask, {}, {}))
     first = {}
     for control in controls:
-        if control.assignment.table != bcn.u_table:
+        if control.table != bcn.u_table:
             raise UsageError("control over a different control table")
-        bits = control.assignment.bits
+        bits = control.bits
         key = []
         for formula, used, mask, by_projection, distinct in folds:
             index = by_projection.get(bits & mask)

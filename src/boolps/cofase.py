@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 from .bcn import (
     BooleanControlNetwork,
-    Control,
-    ControlSequence,
     _read_bcn,
     apply_control,
     enumerate_controls,
@@ -68,17 +66,36 @@ class CoFaSeInstance:
 
 @dataclass(frozen=True)
 class PhaseWitness:
-    """Per start state: the sequence, the glued trajectory, and the indices
-    (into the trajectory) at which the interior phase switches happen."""
+    """Per start state: the control sequence (a tuple of controls, each the
+    `StateSet` of raised inputs over the network's `u_table`), the glued
+    trajectory, and the indices (into the trajectory) at which the interior
+    phase switches happen.  ValidationError: an empty sequence, or
+    boundaries that do not split the trajectory into one span per control."""
 
     start: StateSet
-    sequence: ControlSequence
+    sequence: tuple[StateSet, ...]
     trajectory: Trajectory
     boundaries: tuple[int, ...]
+
+    def __post_init__(self):
+        phases = len(self.sequence)
+        if phases == 0:
+            raise ValidationError("empty control sequence")
+        if len(self.boundaries) != phases - 1:
+            raise ValidationError(
+                f"{phases} phases need {phases - 1} boundaries, got {len(self.boundaries)}"
+            )
+        last = len(self.trajectory.states) - 1
+        cuts = (0,) + self.boundaries + (last,)
+        if not all(0 <= left <= right <= last for left, right in zip(cuts, cuts[1:])):
+            raise ValidationError(f"boundaries {self.boundaries} do not partition the witness")
 
 
 @dataclass(frozen=True)
 class CoFaSeSolution:
+    """A witness per start state.  Under the uniform policy every witness
+    has the same control sequence (a tuple of control `StateSet`s)."""
+
     policy: str
     witnesses: tuple[PhaseWitness, ...]
 
@@ -88,13 +105,6 @@ class CoFaSeSolution:
     @property
     def phases(self) -> int:
         return max(len(w.sequence) for w in self.witnesses)
-
-    @property
-    def sequence(self) -> ControlSequence:
-        sequences = {w.sequence.controls for w in self.witnesses}
-        if len(sequences) != 1:
-            raise UsageError("per-start solution has no single shared sequence")
-        return self.witnesses[0].sequence
 
 
 @dataclass(frozen=True)
@@ -113,10 +123,6 @@ class NoSolutionWithinBound:
     def __bool__(self):
         return False
 
-    @property
-    def phases(self):
-        return None
-
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -131,12 +137,12 @@ class VerificationResult:
 # --- control space ------------------------------------------------------------
 
 
-def control_space(bcn: BooleanControlNetwork, cap=None) -> list[Control]:
+def control_space(bcn: BooleanControlNetwork, cap=None) -> list[StateSet]:
     """All controls in canonical order; falls back to the freeze-pair
     generator (none / pin-to-0 / pin-to-1 per pair) when the control
     alphabet is too large to enumerate fully."""
     try:
-        return list(enumerate_controls(bcn.u_table, cap))
+        return enumerate_controls(bcn.u_table, cap)
     except CapacityError:
         pass
     u_table = bcn.u_table
@@ -155,7 +161,7 @@ def control_space(bcn: BooleanControlNetwork, cap=None) -> list[Control]:
 
     def build(index, bits):
         if index == len(pairs):
-            controls.append(Control(u_table.state(bits)))
+            controls.append(u_table.state(bits))
             return
         off, on = pairs[index]
         build(index + 1, bits)
@@ -163,7 +169,7 @@ def control_space(bcn: BooleanControlNetwork, cap=None) -> list[Control]:
         build(index + 1, bits | 1 << u_table.position(on))
 
     build(0, 0)
-    controls.sort(key=Control.sort_key)
+    controls.sort(key=StateSet.sort_key)
     return controls
 
 
@@ -362,7 +368,7 @@ def _witness_for(start, sequence, targets, phase_maps, min_steps):
         boundaries.append(at)
     return PhaseWitness(
         start=start,
-        sequence=ControlSequence(tuple(sequence)),
+        sequence=tuple(sequence),
         trajectory=trajectory,
         boundaries=tuple(boundaries),
     )
@@ -373,7 +379,7 @@ def _witness_for(start, sequence, targets, phase_maps, min_steps):
 
 def verify_control_sequence(
     bcn: BooleanControlNetwork,
-    sequence: ControlSequence,
+    sequence: tuple[StateSet, ...],
     mode: BooleanMode,
     witness: Trajectory,
     boundaries,
@@ -383,26 +389,16 @@ def verify_control_sequence(
     `boundaries` are the interior split indices: phase i covers the states
     from boundary i-1 to boundary i (with 0 and the last index implied).
     Each step of phase i must be one step of the network selected by the
-    i-th control under the mode.
+    i-th control under the mode.  ValidationError: the boundaries do not
+    fit the sequence and the witness (see `PhaseWitness`).
     """
-    boundaries = tuple(boundaries)
-    if len(sequence) == 0:
-        raise ValidationError("empty control sequence")
-    if len(boundaries) != len(sequence) - 1:
-        raise ValidationError(
-            f"{len(sequence)} phases need {len(sequence) - 1} boundaries, "
-            f"got {len(boundaries)}"
-        )
-    last = len(witness.states) - 1
-    cuts = (0,) + boundaries + (last,)
-    for left, right in zip(cuts, cuts[1:]):
-        if not 0 <= left <= right <= last:
-            raise ValidationError(f"boundaries {boundaries} do not partition the witness")
+    checked = PhaseWitness(witness.first, tuple(sequence), witness, tuple(boundaries))
+    cuts = (0,) + checked.boundaries + (len(witness.states) - 1,)
     for state in witness.states:
         if state.table != bcn.x_table:
             raise UsageError("witness state over a different variable table")
     elements = mode.sorted_elements()
-    for i, control in enumerate(sequence):
+    for i, control in enumerate(checked.sequence):
         network = apply_control(bcn, control)
         for t in range(cuts[i], cuts[i + 1]):
             src, dst = witness.states[t], witness.states[t + 1]
@@ -538,7 +534,7 @@ def _decode_composite_run(composite, parents, final, start) -> PhaseWitness:
             boundaries.append(index)
     return PhaseWitness(
         start=start,
-        sequence=ControlSequence(tuple(controls)),
+        sequence=tuple(controls),
         trajectory=Trajectory(states),
         boundaries=tuple(boundaries),
     )
@@ -661,13 +657,10 @@ def solution_from_json(instance: CoFaSeInstance, text: str, source=None) -> CoFa
     witnesses = []
     for index, entry in enumerate(doc["witnesses"]):
         start, controls, states, boundaries = _witness_fields(entry, index, source)
-        try:  # digits of the wrong length, unknown control names, no states
-            sequence = ControlSequence(
-                tuple(Control(StateSet.of(instance.bcn.u_table, names)) for names in controls)
-            )
+        try:  # digits of the wrong length, unknown control names, no states, bad boundaries
             witness = PhaseWitness(
                 start=StateSet.from_digits(instance.bcn.x_table, start),
-                sequence=sequence,
+                sequence=tuple(StateSet.of(instance.bcn.u_table, names) for names in controls),
                 trajectory=Trajectory(
                     tuple(StateSet.from_digits(instance.bcn.x_table, s) for s in states)
                 ),

@@ -17,7 +17,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .bcn import BooleanControlNetwork, Control, freeze_pairs
+from .bcn import BooleanControlNetwork, freeze_pairs
 from .bn import BooleanMode, BooleanNetwork
 from .boolp import (
     BooleanPSystem,
@@ -161,21 +161,21 @@ class ControlledComposite:
     def mode_view(self) -> ModeView:
         return derive_mode(self.system, self.quasimode)
 
-    def initial_config(self, state: StateSet, control: Control) -> StateSet:
+    def initial_config(self, state: StateSet, control: StateSet) -> StateSet:
         """Starting configuration: the first control must be present from the start."""
         if state.table != self.x_table:
             raise UsageError("state over a different variable table")
-        if control.assignment.table != self.u_table:
+        if control.table != self.u_table:
             raise UsageError("control over a different control table")
-        bits = state.bits | control.assignment.bits << len(self.x_table)
+        bits = state.bits | control.bits << len(self.x_table)
         return self.system.table.state(bits)
 
     def project_x(self, configuration: StateSet) -> StateSet:
         mask = (1 << len(self.x_table)) - 1
         return self.x_table.state(configuration.bits & mask)
 
-    def project_u(self, configuration: StateSet) -> Control:
-        return Control(self.u_table.state(configuration.bits >> len(self.x_table)))
+    def project_u(self, configuration: StateSet) -> StateSet:
+        return self.u_table.state(configuration.bits >> len(self.x_table))
 
 
 def bcn_to_composite(
@@ -306,7 +306,7 @@ _REACTION_RE = re.compile(
 )
 
 
-def parse_reactions_text(text: str, source=None, allow_degenerate=False) -> ReactionSystem:
+def parse_reactions_text(text: str, source=None) -> ReactionSystem:
     lines = _Lines(text, names=("species",), source=source)
     reactions = []
     for line, lineno in lines.rest:
@@ -328,7 +328,7 @@ def parse_reactions_text(text: str, source=None, allow_degenerate=False) -> Reac
         with lines.at(lineno):
             built.append(Reaction(reaction_id, *(StateSet.of(table, p) for p in parts)))
     with lines.at():
-        return ReactionSystem(table, tuple(built), allow_degenerate=allow_degenerate)
+        return ReactionSystem(table, tuple(built))
 
 
 def format_reactions_text(rs: ReactionSystem) -> str:

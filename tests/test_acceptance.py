@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from boolps.bcn import Control, ControlSequence, freeze_extend
+from boolps.bcn import freeze_extend
 from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_transitions
 from boolps.boolp import maximally_parallel_mode, evolve, parse_system_text
 from boolps.cli import main as cli_main
@@ -117,12 +117,10 @@ def test_criterion_3_sequential_control_golden(toggle, tmp_path):
         t = toggle.table
         d = lambda s: StateSet.from_digits(t, s)
         tau = Trajectory(tuple(d(s) for s in ("01", "10", "01", "00", "00", "01", "11")))
-        sequence = ControlSequence(
-            (
-                Control(StateSet.of(bcn.u_table, [])),
-                Control(StateSet.of(bcn.u_table, ["u_x0"])),
-                Control(StateSet.of(bcn.u_table, ["u_y1"])),
-            )
+        sequence = (
+            StateSet.of(bcn.u_table, []),
+            StateSet.of(bcn.u_table, ["u_x0"]),
+            StateSet.of(bcn.u_table, ["u_y1"]),
         )
         mode = BooleanMode.syn(t)
         assert verify_control_sequence(bcn, sequence, mode, tau, (2, 4))

@@ -4,7 +4,6 @@ import pytest
 
 from boolps.bcn import (
     BooleanControlNetwork,
-    Control,
     apply_control,
     enumerate_controls,
     format_bcn_text,
@@ -30,7 +29,7 @@ def frozen_toggle(toggle):
 
 
 def control(bcn, names):
-    return Control(StateSet.of(bcn.u_table, names))
+    return StateSet.of(bcn.u_table, names)
 
 
 def digit(table, text):
@@ -50,7 +49,7 @@ def flatten_network_map(x_table, u_table, networks):
         parts = []
         for pos, name in enumerate(u_table.names):
             var = Formula.var(table, name)
-            parts.append(var if mu.assignment.bits >> pos & 1 else var.negate())
+            parts.append(var if mu.bits >> pos & 1 else var.negate())
         literals[mu] = parts
     updates = []
     for x_pos in range(len(x_table)):
@@ -183,7 +182,7 @@ class TestFlatten:
             for mu in enumerate_controls(bcn.u_table):
                 selected = apply_control(bcn, mu)
                 values = {
-                    name: name in mu.assignment for name in bcn.u_table.names
+                    name: name in mu for name in bcn.u_table.names
                 }
                 for pos, name in enumerate(table.names):
                     substituted = bcn.updates[pos].substitute(values)

@@ -500,24 +500,32 @@ class TestExitCodes:
         assert f"parse error: {solution}" in err
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "changes, message",
         [
-            ("states", ["01", "1"], "witness 0: digit state '1' does not match"),
-            ("controls", [["u_z1"]], "witness 0: unknown variable 'u_z1'"),
-            ("states", [], "witness 0: a trajectory needs at least one state"),
-            ("policy", "banana", "policy must be uniform or per-start, not 'banana'"),
+            ({"states": ["01", "1"]}, "witness 0: digit state '1' does not match"),
+            ({"controls": [["u_z1"]]}, "witness 0: unknown variable 'u_z1'"),
+            ({"states": []}, "witness 0: a trajectory needs at least one state"),
+            ({"policy": "banana"}, "policy must be uniform or per-start, not 'banana'"),
+            ({"controls": []}, "witness 0: empty control sequence"),
+            ({"boundaries": [1]}, "witness 0: 1 phases need 0 boundaries, got 1"),
+            (
+                {"controls": [["u_y1"], ["u_y1"]], "boundaries": [-1]},
+                "witness 0: boundaries (-1,) do not partition the witness",
+            ),
         ],
-        ids=["short-state", "unknown-control", "no-states", "unknown-policy"],
+        ids=["short-state", "unknown-control", "no-states", "unknown-policy",
+             "no-controls", "boundary-count", "negative-boundary"],
     )
-    def test_malformed_witness_is_three(self, capsys, tmp_path, field, value, message):
+    def test_malformed_witness_is_three(self, capsys, tmp_path, changes, message):
         # each is a change to the valid solution of models/ex32.cofase
         doc = {"solvable": True, "policy": "uniform", "phases": 1, "witnesses": [
             {"start": "01", "controls": [["u_y1"]], "states": ["01", "11"], "boundaries": []}
         ]}
-        if field == "policy":
-            doc["policy"] = value
-        else:
-            doc["witnesses"][0][field] = value
+        for field, value in changes.items():
+            if field == "policy":
+                doc["policy"] = value
+            else:
+                doc["witnesses"][0][field] = value
         solution = tmp_path / "solution.json"
         solution.write_text(json.dumps(doc))
         code, out, err = run(

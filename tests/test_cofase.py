@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from boolps import cofase
 from boolps.bcn import (
     BooleanControlNetwork,
-    Control,
-    ControlSequence,
     apply_control,
     enumerate_controls,
     freeze_extend,
@@ -66,7 +64,7 @@ def digit(table, text):
 
 
 def control(bcn, names):
-    return Control(StateSet.of(bcn.u_table, names))
+    return StateSet.of(bcn.u_table, names)
 
 
 def golden_instance(frozen):
@@ -82,9 +80,7 @@ class TestVerify:
         states = tuple(
             digit(t, d) for d in ("01", "10", "01", "00", "00", "01", "11")
         )
-        sequence = ControlSequence(
-            (control(frozen, []), control(frozen, ["u_x0"]), control(frozen, ["u_y1"]))
-        )
+        sequence = (control(frozen, []), control(frozen, ["u_x0"]), control(frozen, ["u_y1"]))
         return Trajectory(states), sequence
 
     def test_golden_trajectory_accepted(self, frozen):
@@ -95,7 +91,7 @@ class TestVerify:
     def test_single_phase_single_state(self, frozen):
         t = frozen.x_table
         witness = Trajectory((digit(t, "00"),))
-        sequence = ControlSequence((control(frozen, ["u_x1"]),))
+        sequence = (control(frozen, ["u_x1"]),)
         assert verify_control_sequence(
             frozen, sequence, BooleanMode.syn(t), witness, ()
         )
@@ -124,7 +120,7 @@ class TestVerify:
     def test_zero_step_phase_allowed(self, frozen):
         t = frozen.x_table
         witness = Trajectory((digit(t, "00"), digit(t, "00")))
-        sequence = ControlSequence((control(frozen, []), control(frozen, [])))
+        sequence = (control(frozen, []), control(frozen, []))
         assert verify_control_sequence(
             frozen, sequence, BooleanMode.syn(t), witness, (0,)
         )
@@ -151,7 +147,7 @@ class TestDirectSolver:
         solution = solve_cofase(instance, max_phases=3)
         assert solution.phases == 1
         witness = solution.witnesses[0]
-        assert witness.sequence.controls == (control(frozen, []),)
+        assert witness.sequence == (control(frozen, []),)
         assert len(witness.trajectory.states) == 1
 
     def test_unreachable_without_controls(self, toggle):
@@ -198,7 +194,7 @@ class TestDirectSolver:
         )
         solution = solve_cofase(instance, max_phases=3, policy="uniform")
         assert solution
-        assert len({w.sequence.controls for w in solution.witnesses}) == 1
+        assert len({w.sequence for w in solution.witnesses}) == 1
         for witness in solution.witnesses:
             assert verify_control_sequence(
                 frozen, witness.sequence, instance.mode, witness.trajectory,
@@ -245,7 +241,7 @@ class TestDirectSolver:
             frozen, [digit(t, "00")], [digit(t, "00")], BooleanMode.syn(t)
         )
         solution = solve_cofase(instance, max_phases=2)
-        assert solution.witnesses[0].sequence.controls == (control(frozen, []),)
+        assert solution.witnesses[0].sequence == (control(frozen, []),)
 
     def test_bad_arguments(self, frozen):
         instance = golden_instance(frozen)
@@ -563,7 +559,7 @@ class TestControlSpace:
             raised = set(mu.names())
             for name in t.names:
                 assert not {f"u_{name}0", f"u_{name}1"} <= raised
-        assert controls == sorted(controls, key=Control.sort_key)
+        assert controls == sorted(controls, key=StateSet.sort_key)
 
 
 class TestInstanceIO:
@@ -696,7 +692,7 @@ def heap_composite_solve(instance, max_steps, max_phases=None):
         witnesses.append(
             cofase.PhaseWitness(
                 start,
-                ControlSequence(tuple(sequence)),
+                tuple(sequence),
                 Trajectory(tuple(composite.project_x(config) for config in path)),
                 tuple(boundaries),
             )

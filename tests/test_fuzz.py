@@ -2,7 +2,9 @@
 
 Every model in `models/` is edited by inserting, deleting and duplicating
 spans of text; whatever comes out, `cli.main` must return an exit code of
-the 0-4 contract and never raise.
+the 0-4 contract and never raise.  The solution document that
+`cofase solve --format json` writes for models/ex32.cofase is edited the
+same way and fed to `cofase verify`.
 """
 
 import contextlib
@@ -64,6 +66,13 @@ def mutate(text: str, edits) -> str:
     return text
 
 
+def run_main(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue()
+
+
 def test_every_model_has_a_reading_command():
     assert {model.suffix for model in MODELS.iterdir()} <= set(COMMANDS)
 
@@ -78,7 +87,23 @@ def test_mutated_model_exits_within_contract(model, command, edits):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / model
         path.write_text(text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*command, str(path)])
+        code, _out = run_main([*command, path])
+    assert code in range(5), (code, text)
+
+
+@pytest.fixture(scope="module")
+def ex32_solution():
+    code, out = run_main(["cofase", "solve", MODELS / "ex32.cofase", "--format", "json"])
+    assert code == 0
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=EDITS)
+def test_mutated_solution_verifies_within_contract(ex32_solution, edits):
+    text = mutate(ex32_solution, edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "solution.json"
+        path.write_text(text, encoding="utf-8")
+        code, _out = run_main(["cofase", "verify", MODELS / "ex32.cofase", "--solution", path])
     assert code in range(5), (code, text)

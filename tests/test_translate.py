@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolps.bcn import BooleanControlNetwork, Control, freeze_extend
+from boolps.bcn import BooleanControlNetwork, freeze_extend
 from boolps.bn import BooleanMode, BooleanNetwork
 from boolps.boolp import (
     BooleanPSystem,
@@ -125,7 +125,7 @@ class TestComposite:
 
         def config(digits, controls):
             return composite.initial_config(
-                StateSet.from_digits(t, digits), Control(StateSet.of(u, controls))
+                StateSet.from_digits(t, digits), StateSet.of(u, controls)
             )
 
         walk = [
@@ -145,7 +145,7 @@ class TestComposite:
         composite = bcn_to_composite(freeze_extend(toggle), BooleanMode.syn(toggle.table))
         config = composite.initial_config(
             StateSet.from_digits(toggle.table, "10"),
-            Control(StateSet.of(composite.u_table, ["u_y1"])),
+            StateSet.of(composite.u_table, ["u_y1"]),
         )
         assert composite.project_x(config).digits() == "10"
         assert composite.project_u(config).names() == ("u_y1",)
