@@ -22,6 +22,11 @@ sorted ids, ordering fired sets by their index tuples orders them by
 their sorted ids.  The id-level `Quasimode.advised`, `dotted_product`,
 `Rule.applicable_to` and `apply_rule_set` are kept as the reference the
 mask path is checked against.
+
+`applicable_mask` evaluates the guards at one configuration; a loop over
+every configuration reads all the masks at once from `applicable_masks`,
+built from the guards' bit-parallel truth tables, and hands each one to
+its mode's `resolved`.
 """
 
 from __future__ import annotations
@@ -40,9 +45,11 @@ from .formula import (
     _Lines,
     _split_names,
     equivalent,
+    fold_truth_table,
     merge_tables,
     parse_formula,
     parse_state,
+    truth_patterns,
 )
 from .limits import DEFAULT_BREADTH_CAP, check_enumerable
 
@@ -171,6 +178,28 @@ class BooleanPSystem:
             if not lhs & ~bits and guard.evaluate(configuration):
                 mask |= bit
         return mask
+
+    def applicable_masks(self, cap=None) -> list:
+        """`out[bits]` is `applicable_mask` at the configuration with those
+        bits, for every configuration: each guard's truth table, ANDed with
+        the patterns of its rule's lhs, read off state by state.  The list
+        belongs to the caller; nothing of it is kept here."""
+        n = check_enumerable(len(self.table), cap, "system")
+        if not self._checks:
+            return [0] * (1 << n)
+        patterns = truth_patterns(n)
+        rows = []
+        for _bit, lhs, guard in reversed(self._checks):
+            table = fold_truth_table(guard, patterns)
+            for pos, pattern in enumerate(patterns):
+                if lhs >> pos & 1:
+                    table &= pattern
+            rows.append(format(table, f"0{1 << n}b"))
+        # column j, read across the rows (highest rule index first), is the
+        # binary mask at state 2**n - 1 - j
+        masks = [int("".join(column), 2) for column in zip(*rows)]
+        masks.reverse()
+        return masks
 
     def applicable_rules(self, configuration: StateSet) -> RuleSet:
         """Ids of the rules individually applicable to the configuration."""
@@ -392,49 +421,42 @@ def quasimode_async(system: BooleanPSystem) -> PowersetQuasimode:
 class ModeView:
     """Configuration-indexed view of the rule sets a system may fire.
 
-    `moves` gives them as ``(fired mask, erase bits, add bits)`` triples
-    with distinct masks, `at` as id sets.  Every fired rule is individually
+    Every mode here depends on the applicable rules alone: `resolved` maps
+    an applicable mask to the mode's value there, as ``(fired mask, erase
+    bits, add bits)`` triples with distinct masks.  `moves` gives that value
+    at a configuration, `at` as id sets.  Every fired rule is individually
     applicable at that configuration.  Nothing is cached; a caller that
-    revisits configurations keeps what it needs itself.
+    revisits configurations keeps what it needs itself, and an exhaustive
+    caller reads its masks from `BooleanPSystem.applicable_masks`.
     """
 
-    def __init__(self, system: BooleanPSystem, moves):
+    def __init__(self, system: BooleanPSystem, resolved):
         self.system = system
-        self._moves = moves
+        self.resolved = resolved
 
     def moves(self, configuration: StateSet) -> list:
-        return self._moves(configuration)
+        return self.resolved(self.system.applicable_mask(configuration))
 
     def at(self, configuration: StateSet) -> frozenset:
         rule_set = self.system.rule_set
-        return frozenset(rule_set(mask) for mask, _erase, _add in self._moves(configuration))
+        return frozenset(rule_set(mask) for mask, _erase, _add in self.moves(configuration))
 
 
 def derive_mode(system: BooleanPSystem, quasimode: Quasimode, strict=False) -> ModeView:
-    """The mode a quasimode induces (filtered by default, strict on request);
-    its value depends on the applicable rules alone."""
-    resolved = quasimode.resolve(system, strict)
-    return ModeView(system, lambda configuration: resolved(system.applicable_mask(configuration)))
+    """The mode a quasimode induces (filtered by default, strict on request)."""
+    return ModeView(system, quasimode.resolve(system, strict))
 
 
 def maximally_parallel_mode(system: BooleanPSystem) -> ModeView:
     """Fire the unique non-extendable applicable set; nothing at halting states."""
-
-    def moves(configuration):
-        app = system.applicable_mask(configuration)
-        return [system.fold(app)] if app else []
-
-    return ModeView(system, moves)
+    return ModeView(system, lambda app: [system.fold(app)] if app else [])
 
 
 def product_mode(first: ModeView, second: ModeView) -> ModeView:
     """Pointwise dotted product of two mode views over the same system."""
     if first.system != second.system:
         raise UsageError("product of modes over different systems")
-    return ModeView(
-        first.system,
-        lambda configuration: _dot(first.moves(configuration), second.moves(configuration)),
-    )
+    return ModeView(first.system, lambda app: _dot(first.resolved(app), second.resolved(app)))
 
 
 def successors(system: BooleanPSystem, mode: ModeView, configuration: StateSet):

@@ -1,8 +1,10 @@
 """Exhaustive transition-relation comparisons certifying the embeddings.
 
 Each check builds the compared relation twice: once through the rewriting
-machinery under test, once independently from network primitives (formula
-evaluation and stepping), and requires exact labelled equality.  Failures
+machinery under test, which reads every configuration's applicable rules
+from the guards' truth tables (`BooleanPSystem.applicable_masks`), once
+independently from network primitives (the AST interpreter
+`Formula.evaluate` and stepping), and requires exact labelled equality.  Failures
 carry a counterexample state together with both successor sets, so they can
 be re-checked by hand or replayed through the CLI trace command.
 
@@ -47,11 +49,16 @@ from .translate import (
 
 def boolp_transitions(system: BooleanPSystem, mode: ModeView, cap=None) -> TransitionRelation:
     """Edges for every configuration and every fired set the mode allows there."""
-    check_enumerable(len(system.table), cap, "system")
+    apps = system.applicable_masks(cap)
+    if mode.system is not system and mode.system != system:
+        raise UsageError("mode over a different system")
+    state = system.table.state
+    rule_set = system.rule_set
     edges = set()
     for configuration in system.table.subsets():
-        for fired, nxt in successors(system, mode, configuration):
-            edges.add((configuration, fired, nxt))
+        bits = configuration.bits
+        for mask, erase, add in mode.resolved(apps[bits]):
+            edges.add((configuration, rule_set(mask), state(bits & ~erase | add)))
     return TransitionRelation(system.table, frozenset(edges))
 
 
@@ -141,12 +148,15 @@ def _expected_moves(updates, mode: BooleanMode, configuration: StateSet, bits: i
     return out
 
 
-def _compare_moves(system, view, table, expected_at, index, detail):
+def _compare_moves(system, view, table, expected_at, index, detail, cap=None):
     """Compare the kernel's moves at every configuration of `table` with
     `expected_at(configuration)`, a set of ``(label mask, next bits)`` under
     `index`, as the module docstring says: as ints while the system maps
     each spelled id to its bit in `index` and back, and at the id level
     where the int sets differ or the indices do not agree."""
+    if table != system.table:
+        raise UsageError("configuration over a different variable table")
+    apps = system.applicable_masks(cap)
     ordered = list(index)
     trusted = system.rule_ids() == set(index) and all(
         system.rule_mask((rule_id,)) == bit and system.rule_set(bit) == {rule_id}
@@ -157,7 +167,8 @@ def _compare_moves(system, view, table, expected_at, index, detail):
         if trusted:
             bits = configuration.bits
             actual = {
-                (mask, bits & ~erase | add) for mask, erase, add in view.moves(configuration)
+                (mask, bits & ~erase | add)
+                for mask, erase, add in view.resolved(apps[bits])
             }
             if actual == expected:
                 continue
@@ -213,7 +224,7 @@ def check_bn_simulation(
 
     return _compare_moves(
         system, view, table, expected_at, index,
-        "network encoding and network dynamics disagree",
+        "network encoding and network dynamics disagree", cap,
     )
 
 
@@ -267,7 +278,7 @@ def check_bcn_simulation(
 
     return _compare_moves(
         system, composite.mode_view(), system.table, expected_at, index,
-        "composed embedding and controlled dynamics disagree",
+        "composed embedding and controlled dynamics disagree", cap,
     )
 
 
@@ -285,9 +296,13 @@ def check_product_lemma(
     union = union_systems(first, second)
     check_enumerable(len(union.table), cap, "union system")
     left = derive_mode(union, first_quasimode.dot(second_quasimode))
+    apps = union.applicable_masks(cap)
+    rule_set = union.rule_set
     for configuration in union.table.subsets():
         applicable = union.applicable_rules(configuration)
-        lhs = left.at(configuration)
+        lhs = frozenset(
+            rule_set(mask) for mask, _erase, _add in left.resolved(apps[configuration.bits])
+        )
         rhs = dotted_product(
             first_quasimode.advised(applicable), second_quasimode.advised(applicable)
         )
@@ -315,10 +330,14 @@ def check_rs_embedding(rs: ReactionSystem, cap=None) -> EquivalenceReport:
     there both sides stay empty)."""
     check_enumerable(len(rs.table), cap, "reaction system")
     system, mode = rs_to_boolp(rs)
+    apps = system.applicable_masks(cap)
     for state in rs.table.subsets():
         expected = reaction_result(rs, state)
-        steps = successors(system, mode, state)
-        actual = steps[0][1] if steps else state
+        moves = mode.resolved(apps[state.bits])
+        actual = state
+        if moves:
+            _mask, erase, add = moves[0]
+            actual = rs.table.state(state.bits & ~erase | add)
         if expected != actual:
             return EquivalenceReport(
                 passed=False,

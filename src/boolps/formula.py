@@ -685,15 +685,48 @@ def parse_formula(text: str, table: VarTable) -> Formula:
 # --- exhaustive semantics ---------------------------------------------------
 
 
+def truth_patterns(n: int) -> list[int]:
+    """Truth tables of the n variables over all 2**n states, by doubling:
+    bit `b` of pattern `i` is bit `i` of `b`."""
+    patterns = []
+    width = 1  # states covered so far
+    for _ in range(n):
+        patterns = [p | p << width for p in patterns]
+        patterns.append(((1 << width) - 1) << width)
+        width <<= 1
+    return patterns
+
+
+def _table_node(node: Node, patterns: list[int], full: int) -> int:
+    if isinstance(node, Var):
+        return patterns[node.position]
+    if isinstance(node, Const):
+        return full if node.value else 0
+    if isinstance(node, Not):
+        return _table_node(node.child, patterns, full) ^ full
+    if isinstance(node, And):
+        out = full
+        for child in node.children:
+            out &= _table_node(child, patterns, full)
+        return out
+    out = 0
+    for child in node.children:
+        out |= _table_node(child, patterns, full)
+    return out
+
+
+def fold_truth_table(formula: Formula, patterns: list[int]) -> int:
+    """The formula's truth table from its table's `truth_patterns`: one
+    bitwise operation per AST node, all states at once."""
+    if len(patterns) != len(formula.table):
+        raise UsageError("patterns and formula have different numbers of variables")
+    return _table_node(formula.root, patterns, (1 << (1 << len(patterns))) - 1)
+
+
 def truth_bitmask(formula: Formula, cap=None) -> int:
     """Bitmask over all 2**n states: bit `b` set iff the state with bits `b` satisfies."""
     n = check_enumerable(len(formula.table), cap, "formula table")
-    mask = 0
-    root = formula.root
-    for bits in range(1 << n):
-        if _eval_node(root, bits):
-            mask |= 1 << bits
-    return mask
+    return fold_truth_table(formula, truth_patterns(n))
 
 
 def satisfying_sets(formula: Formula, cap=None) -> frozenset[StateSet]:

@@ -255,7 +255,8 @@ class ReactionSystem:
             if not self.allow_degenerate and (reaction.reactants & reaction.inhibitors).bits:
                 raise ValidationError(
                     f"reaction {reaction.id} lists a species as both reactant and "
-                    "inhibitor (pass allow_degenerate to keep such dead reactions)"
+                    "inhibitor, so it can never fire; drop the reaction or the species "
+                    "from one side"
                 )
 
 

@@ -414,6 +414,48 @@ def test_successors_match_id_level_reference(system, quasimode, other, strict):
             assert view.at(configuration) == advised(applicable)
 
 
+@st.composite
+def guarded_systems(draw):
+    """Zero to four symbols and zero to six rules; lhs often empty and guards
+    often constant, so the truth tables' edge cases come up."""
+    table = VarTable([f"s{i}" for i in range(draw(st.integers(0, 4)))])
+    states = st.integers(0, (1 << len(table)) - 1).map(table.state)
+    constants = st.booleans().map(lambda value: Formula.const(table, value))
+    formulas = st.integers(0, 1 << 16).map(
+        lambda seed: random_formula(random.Random(seed), table, 3)
+    )
+    rules = []
+    for k in range(draw(st.integers(0, 6))):
+        lhs = draw(st.one_of(st.just(StateSet.empty(table)), states))
+        rules.append(Rule(f"r{k}", lhs, draw(states), draw(st.one_of(constants, formulas))))
+    return BooleanPSystem(table, tuple(rules))
+
+
+@settings(max_examples=200, deadline=None)
+@given(guarded_systems())
+def test_applicable_masks_match_applicable_mask(system):
+    masks = system.applicable_masks()
+    assert len(masks) == 1 << len(system.table)
+    for configuration in system.table.subsets():
+        assert masks[configuration.bits] == system.applicable_mask(configuration)
+
+
+def test_applicable_masks_of_no_rules_and_no_symbols():
+    empty_table = VarTable(())
+    assert BooleanPSystem(empty_table, ()).applicable_masks() == [0]
+    always = Rule("r", StateSet.empty(empty_table), StateSet.empty(empty_table),
+                  Formula.const(empty_table, True))
+    assert BooleanPSystem(empty_table, (always,)).applicable_masks() == [1]
+    table = VarTable.of("a", "b")
+    assert BooleanPSystem(table, ()).applicable_masks() == [0, 0, 0, 0]
+
+
+def test_applicable_masks_cap(cascade):
+    with pytest.raises(CapacityError):
+        cascade.applicable_masks(cap=1)
+    assert cascade.applicable_masks(cap=2) == [0, 0b10, 0, 0b01]
+
+
 def test_rule_masks_follow_sorted_ids():
     table = VarTable.of("a")
     true = Formula.const(table, True)

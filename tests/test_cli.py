@@ -545,6 +545,25 @@ class TestExitCodes:
         assert code == 4
         assert "capacity" in err
 
+    def test_pi_transitions_capacity_is_four(self, capsys):
+        code, out, err = run(
+            capsys, "pi", "transitions", MODELS / "ex41.pi", "--mode", "maxpar",
+            "--cap-vars", "1",
+        )
+        assert code == 4 and out == ""
+        assert "capacity" in err and "capped at 1" in err
+
+    def test_dead_reaction_is_three_and_names_no_option(self, capsys, tmp_path):
+        # the message once told the reader to pass allow_degenerate, which
+        # no reader of a .rs file can do
+        model = tmp_path / "dead.rs"
+        model.write_text("species a\nr1: reactants {a} inhibitors {a} products {a}\n")
+        code, out, err = run(capsys, "check", "rs-embed", model)
+        assert code == 3 and out == ""
+        assert "reaction r1 lists a species as both reactant and inhibitor" in err
+        assert "can never fire" in err
+        assert "allow_degenerate" not in err
+
     def test_env_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("BOOLPS_CAP_VARS", "1")
         code, _, _ = run(capsys, "bn", "transitions", MODELS / "ex31.bn")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from boolps.formula import (
     parse_formula,
     parse_state,
     satisfying_sets,
+    truth_bitmask,
 )
+from boolps.generators import random_formula, random_table
 
 
 def naive_eval(text, env):
@@ -199,12 +203,12 @@ TABLE = VarTable(NAMES)
 _atoms = st.sampled_from(list(NAMES) + ["0", "1"])
 
 
-def _formula_texts(depth):
+def _formula_texts(depth, atoms=_atoms):
     if depth == 0:
-        return _atoms
-    sub = _formula_texts(depth - 1)
+        return atoms
+    sub = _formula_texts(depth - 1, atoms)
     return st.one_of(
-        _atoms,
+        atoms,
         sub.map(lambda s: f"!({s})"),
         st.tuples(sub, sub).map(lambda p: f"({p[0]} & {p[1]})"),
         st.tuples(sub, sub).map(lambda p: f"({p[0]} | {p[1]})"),
@@ -254,6 +258,57 @@ def test_de_morgan(left_text, right_text):
         assert left.negate().evaluate(state) == (not left.evaluate(state))
         assert not_and.evaluate(state) == or_of_nots.evaluate(state)
         assert not_or.evaluate(state) == and_of_nots.evaluate(state)
+
+
+def ast_bitmask(phi):
+    """The truth table read state by state through the AST interpreter."""
+    return sum(1 << state.bits for state in all_states(phi.table) if phi.evaluate(state))
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula_texts)
+def test_truth_bitmask_matches_evaluate(text):
+    phi = parse_formula(text, TABLE)
+    assert truth_bitmask(phi) == ast_bitmask(phi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 6), st.integers(0, 1 << 16))
+def test_truth_bitmask_matches_evaluate_on_random_tables(size, depth, seed):
+    table = random_table(random.Random(seed), size)
+    phi = random_formula(random.Random(seed), table, depth)
+    assert truth_bitmask(phi) == ast_bitmask(phi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["!", "&", "|"]), _atoms),
+        min_size=MAX_NESTING, max_size=MAX_NESTING,
+    ),
+    _atoms,
+)
+def test_truth_bitmask_matches_evaluate_at_nesting_limit(wraps, innermost):
+    # each `!` or `(` is one level: MAX_NESTING of them, the deepest accepted
+    text = innermost
+    for op, atom in wraps:
+        text = "!" + text if op == "!" else f"({text} {op} {atom})"
+    phi = parse_formula(text, TABLE)
+    assert truth_bitmask(phi) == ast_bitmask(phi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_formula_texts(4, st.sampled_from(["0", "1"])))
+def test_truth_bitmask_of_zero_variables_is_one_bit(text):
+    phi = parse_formula(text, VarTable(()))
+    assert truth_bitmask(phi) == ast_bitmask(phi) == (1 if naive_eval(text, {}) else 0)
+
+
+def test_truth_bitmask_cap():
+    t = VarTable(f"v{i}" for i in range(6))
+    with pytest.raises(CapacityError):
+        truth_bitmask(parse_formula("v0", t), cap=5)
+    assert truth_bitmask(parse_formula("v0", t), cap=6) == int("10" * 32, 2)
 
 
 def test_substitute_folds_constants():

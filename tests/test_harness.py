@@ -27,15 +27,17 @@ def test_every_traced_function_still_exists():
 
 
 KERNEL_ENTRY_POINTS = (
-    "rule_mask", "rule_set", "fold", "moves", "successors", "applicable_mask", "_bit",
+    "rule_mask", "rule_set", "fold", "moves", "successors", "applicable_mask",
+    "applicable_masks", "resolved", "_bit",
 )
 
 
-@pytest.mark.parametrize("function", ["_expected_moves", "_spelled_index"])
+@pytest.mark.parametrize("function", ["_expected_moves", "_spelled_index", "reaction_result"])
 def test_expected_side_names_no_kernel_entry_point(function):
     """The simulation checks compare the kernel's masks with masks the
     expected side builds under its own index; that side must not read the
-    kernel's index or moves, or a kernel fault would show on both sides."""
+    kernel's index, moves or truth tables, or a kernel fault would show on
+    both sides."""
     source = inspect.getsource(getattr(equivalence, function))
     named = [name for name in KERNEL_ENTRY_POINTS if re.search(rf"\b{name}\b", source)]
     assert named == []
