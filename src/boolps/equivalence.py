@@ -4,9 +4,10 @@ Each check builds the compared relation twice: once through the rewriting
 machinery under test, which reads every configuration's applicable rules
 from the guards' truth tables (`BooleanPSystem.applicable_masks`), once
 independently from network primitives (the AST interpreter
-`Formula.evaluate` and stepping), and requires exact labelled equality.  Failures
-carry a counterexample state together with both successor sets, so they can
-be re-checked by hand or replayed through the CLI trace command.
+`Formula.evaluate` and stepping), and requires exact labelled equality.
+Failures carry a counterexample state together with both successor sets,
+so they can be re-checked by hand or replayed through the CLI trace
+command.
 
 The network and controlled-network checks compare masks.  The expected side
 spells the rule ids an encoding must have and indexes them in sorted order
