@@ -9,6 +9,8 @@ single variable at a time.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -118,15 +120,23 @@ def bn_step(network: BooleanNetwork, state: StateSet, group: StateSet) -> StateS
 def step_table(network: BooleanNetwork, mode: BooleanMode, cap=None):
     """The one-step graph over all 2**n states, as ``(elements, rows)``:
     `elements` is ``mode.sorted_elements()`` and ``rows[bits]`` holds the
-    next-state bits under each element, in that order."""
+    next-state bits under each element, in that order.
+
+    Each state is stepped once, under the union of the elements: an update
+    reads only the state, so element g moves exactly the bits of g that
+    the union step moves.
+    """
     if mode.table != network.table:
         raise UsageError("mode over a different variable table")
     check_enumerable(len(network.table), cap, "network")
     elements = mode.sorted_elements()
-    rows = [
-        tuple(bn_step(network, state, element).bits for element in elements)
-        for state in network.table.subsets()
-    ]
+    groups = [element.bits for element in elements]
+    union = network.table.state(functools.reduce(operator.or_, groups, 0))
+    rows = []
+    for state in network.table.subsets():
+        bits = state.bits
+        moved = bits ^ bn_step(network, state, union).bits
+        rows.append(tuple(bits ^ (moved & g) for g in groups))
     return elements, rows
 
 

@@ -20,6 +20,7 @@ grammar with parentheses only where needed.
 from __future__ import annotations
 
 import contextlib
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -130,7 +131,7 @@ class StateSet:
     string of ``{y}`` over ``(x, y)`` is ``01``.
     """
 
-    __slots__ = ("table", "bits", "_hash", "_digits")
+    __slots__ = ("table", "bits", "_hash", "_digits", "_set_text")
 
     def __init__(self, table: VarTable, bits: int):
         if bits < 0 or bits >> len(table):
@@ -139,6 +140,7 @@ class StateSet:
         self.bits = bits
         self._hash = table._hash ^ hash(bits)
         self._digits = None
+        self._set_text = None
 
     @classmethod
     def of(cls, table: VarTable, names: Iterable[str] = ()) -> "StateSet":
@@ -223,7 +225,9 @@ class StateSet:
         return self._digits
 
     def set_text(self) -> str:
-        return "{" + ", ".join(self) + "}"
+        if self._set_text is None:
+            self._set_text = "{" + ", ".join(self) + "}"
+        return self._set_text
 
     def sort_key(self):
         # lowest position = most significant digit, matching digit display
@@ -366,8 +370,8 @@ CONST1 = Const(True)
 
 def _check_positions(node: Node, size: int):
     if isinstance(node, Var):
-        if not 0 <= node.position < size:
-            raise ValidationError(f"variable position {node.position} out of range")
+        if not isinstance(node.position, int) or not 0 <= node.position < size:
+            raise ValidationError(f"variable position {node.position!r} out of range")
     elif isinstance(node, Not):
         _check_positions(node.child, size)
     elif isinstance(node, (And, Or)):
@@ -480,9 +484,27 @@ class Formula:
 
     def evaluate(self, state: StateSet) -> bool:
         """Truth value at `state`: members read 1, non-members read 0."""
-        if state.table != self.table:
+        if state.table is not self.table and state.table != self.table:
             raise UsageError("formula and state belong to different variable tables")
-        return _eval_node(self.root, state.bits)
+        return self._compiled(state.bits)
+
+    @functools.cached_property
+    def _compiled(self):
+        """`evaluate`'s function of the state bits, compiled from the AST.
+
+        A cache scoped to this formula: built on first use and kept as long
+        as the formula.  The source is built from node types and int
+        positions only, never from input text, and runs with `bool` as its
+        only builtin.  A formula too deep for CPython's parser or compiler
+        (200 nested parentheses; deeper chains without them raise
+        RecursionError or MemoryError there) falls back to `_eval_node`,
+        which stays the reference.
+        """
+        try:
+            source = _render(self.root, _bit_read, _PYTHON_WORDS, 0)
+            return eval("lambda b: bool(" + source + ")", {"__builtins__": {"bool": bool}})
+        except (SyntaxError, RecursionError, MemoryError):
+            return functools.partial(_eval_node, self.root)
 
     def variables(self) -> frozenset[str]:
         """Names actually mentioned by the formula."""
@@ -529,7 +551,7 @@ class Formula:
 
     def to_text(self) -> str:
         """Canonical text: `!`, `&`, `|`, parentheses only where precedence needs them."""
-        return _render(self.root, self.table.names, 0)
+        return _render(self.root, self.table.names.__getitem__, _TEXT_WORDS, 0)
 
     def __str__(self):
         return self.to_text()
@@ -537,19 +559,32 @@ class Formula:
 
 _PREC = {Or: 1, And: 2, Not: 3, Var: 4, Const: 4}
 
+# How each node type is spelled, as (false, true, negation, conjunction,
+# disjunction).  Python's `or` < `and` < `not` < `&` order the same way as
+# the formula grammar, so one renderer serves both.
+_TEXT_WORDS = ("0", "1", "!", " & ", " | ")
+_PYTHON_WORDS = ("False", "True", "not ", " and ", " or ")
 
-def _render(node: Node, names: tuple[str, ...], required: int) -> str:
+
+def _bit_read(position: int) -> str:
+    return f"b >> {int(position)} & 1"
+
+
+def _render(node: Node, var, words, required: int) -> str:
+    """`node` spelled with `words`, variables by `var(position)`; an empty
+    conjunction or disjunction is its neutral constant."""
+    false, true, negation, conjunction, disjunction = words
     prec = _PREC[type(node)]
     if isinstance(node, Const):
-        text = "1" if node.value else "0"
+        text = true if node.value else false
     elif isinstance(node, Var):
-        text = names[node.position]
+        text = var(node.position)
     elif isinstance(node, Not):
-        text = "!" + _render(node.child, names, 3)
+        text = negation + _render(node.child, var, words, 3)
     elif isinstance(node, And):
-        text = " & ".join(_render(c, names, 3) for c in node.children)
+        text = conjunction.join(_render(c, var, words, 3) for c in node.children) or true
     else:
-        text = " | ".join(_render(c, names, 2) for c in node.children)
+        text = disjunction.join(_render(c, var, words, 2) for c in node.children) or false
     if prec < required:
         return "(" + text + ")"
     return text

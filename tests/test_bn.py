@@ -237,6 +237,27 @@ def test_step_table_rows_are_bn_step_in_sorted_element_order(n, seed, mode_name)
         assert rows[state.bits] == tuple(bn_step(network, state, m).bits for m in elements)
 
 
+@pytest.mark.parametrize("mode_name", ["syn", "asyn", "random", "overlapping", "empty"])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_step_table_steps_each_state_once(n, mode_name, monkeypatch):
+    rng = random.Random(n)
+    table = random_table(rng, n)
+    network = random_network(rng, table)
+    mode = {
+        "random": lambda: random_mode(rng, table),
+        "overlapping": lambda: BooleanMode(
+            table,
+            frozenset(table.state(bits % (1 << n)) for bits in (0b0011, 0b0110, 0b1111)),
+        ),
+        "empty": lambda: BooleanMode(table, frozenset()),
+    }.get(mode_name, lambda: named_mode(mode_name, table))()
+    calls = []
+    step = boolps.bn.bn_step
+    monkeypatch.setattr(boolps.bn, "bn_step", lambda *args: calls.append(args) or step(*args))
+    step_table(network, mode)
+    assert len(calls) == 1 << n
+
+
 def test_step_table_checks_mode_and_cap_before_stepping(toggle, monkeypatch):
     monkeypatch.setattr(boolps.bn, "bn_step", lambda *args: pytest.fail("stepped"))
     other = BooleanMode.syn(VarTable.of("x", "z"))

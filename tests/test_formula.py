@@ -1,18 +1,23 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolps.bn import BooleanNetwork
 from boolps.errors import CapacityError, ParseError, UsageError, ValidationError
 from boolps.formula import (
     MAX_NESTING,
     And,
     Const,
+    Formula,
     Not,
+    Or,
     StateSet,
     Var,
     VarTable,
+    _eval_node,
     equivalent,
     merge_tables,
     parse_formula,
@@ -21,6 +26,7 @@ from boolps.formula import (
     truth_bitmask,
 )
 from boolps.generators import random_formula, random_table
+from boolps.translate import bn_to_boolp
 
 
 def naive_eval(text, env):
@@ -261,7 +267,7 @@ def test_de_morgan(left_text, right_text):
 
 
 def ast_bitmask(phi):
-    """The truth table read state by state through the AST interpreter."""
+    """The truth table read state by state through `Formula.evaluate`."""
     return sum(1 << state.bits for state in all_states(phi.table) if phi.evaluate(state))
 
 
@@ -280,19 +286,26 @@ def test_truth_bitmask_matches_evaluate_on_random_tables(size, depth, seed):
     assert truth_bitmask(phi) == ast_bitmask(phi)
 
 
-@settings(max_examples=50, deadline=None)
-@given(
+def _wrapped(parts):
+    # each `!` or `(` is one level: MAX_NESTING of them, the deepest accepted
+    wraps, text = parts
+    for op, atom in wraps:
+        text = "!" + text if op == "!" else f"({text} {op} {atom})"
+    return text
+
+
+nesting_limit_texts = st.tuples(
     st.lists(
         st.tuples(st.sampled_from(["!", "&", "|"]), _atoms),
         min_size=MAX_NESTING, max_size=MAX_NESTING,
     ),
     _atoms,
-)
-def test_truth_bitmask_matches_evaluate_at_nesting_limit(wraps, innermost):
-    # each `!` or `(` is one level: MAX_NESTING of them, the deepest accepted
-    text = innermost
-    for op, atom in wraps:
-        text = "!" + text if op == "!" else f"({text} {op} {atom})"
+).map(_wrapped)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nesting_limit_texts)
+def test_truth_bitmask_matches_evaluate_at_nesting_limit(text):
     phi = parse_formula(text, TABLE)
     assert truth_bitmask(phi) == ast_bitmask(phi)
 
@@ -318,3 +331,138 @@ def test_substitute_folds_constants():
     assert pinned.root == Const(True)
     released = phi.substitute({"u": False})
     assert released.variables() == frozenset({"x"})
+
+
+# --- the compiled evaluator against the AST interpreter ----------------------
+
+
+def assert_evaluate_is_eval_node(phi):
+    for state in all_states(phi.table):
+        assert phi.evaluate(state) is _eval_node(phi.root, state.bits)
+
+
+def _nodes(size):
+    leaves = st.builds(Const, st.booleans())
+    if size:
+        leaves |= st.builds(Var, st.integers(0, size - 1))
+    children = lambda sub: st.lists(sub, max_size=3).map(tuple)  # noqa: E731
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Not, sub),
+            children(sub).map(And),  # empty and nested, unlike the parser's
+            children(sub).map(Or),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), _nodes(n))), st.data())
+def test_compiled_evaluate_matches_eval_node(size_and_root, data):
+    size, root = size_and_root
+    table = random_table(random.Random(0), size)
+    phi = Formula(table, root)
+    assert_evaluate_is_eval_node(phi)
+    names = st.sampled_from(table.names) if size else st.nothing()
+    pinned = data.draw(st.dictionaries(names, st.booleans()))
+    assert_evaluate_is_eval_node(phi.substitute(pinned))
+    wider = random_table(random.Random(0), size + 1, prefix="y")
+    order = data.draw(st.permutations(range(size + 1)))
+    assert_evaluate_is_eval_node(phi.remap(wider, dict(enumerate(order))))
+    # an equal table that is another object is the same table; another is not
+    again = VarTable(table.names)
+    assert [phi.evaluate(s) for s in again.subsets()] == [
+        phi.evaluate(s) for s in table.subsets()
+    ]
+    with pytest.raises(UsageError):
+        phi.evaluate(StateSet.empty(VarTable(("other",) + table.names)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 6), st.integers(0, 1 << 16))
+def test_compiled_evaluate_matches_eval_node_on_random_formulas(size, depth, seed):
+    table = random_table(random.Random(seed), size)
+    assert_evaluate_is_eval_node(random_formula(random.Random(seed), table, depth))
+
+
+@pytest.mark.parametrize(
+    "root, value",
+    [
+        (Const(False), False),
+        (Const(True), True),
+        (And(()), True),
+        (Or(()), False),
+        (Not(And(())), False),
+        (And((Or(()), Var(0))), False),
+        (Or((And(()), Var(0))), True),
+    ],
+)
+def test_constant_roots_and_empty_connectives(root, value):
+    phi = Formula(VarTable.of("a"), root)
+    assert [phi.evaluate(s) for s in all_states(phi.table)] == [value, value]
+    assert_evaluate_is_eval_node(phi)
+    again = parse_formula(phi.to_text(), phi.table)
+    assert [again.evaluate(s) for s in all_states(phi.table)] == [value, value]
+
+
+def test_non_int_position_rejected():
+    with pytest.raises(ValidationError):
+        Formula(VarTable.of("a", "b"), Var(1.0))
+
+
+def test_deep_formula_built_through_the_api_evaluates():
+    # 300 levels of conj/disj alternation: one nested parenthesis per two
+    t = VarTable.of("a", "b", "c")
+    a, b, c = (Formula.var(t, name) for name in t.names)
+    phi = a
+    for level in range(300):
+        phi = phi.conj(b) if level % 2 else phi.disj(c)
+    for state in all_states(t):
+        value = "a" in state
+        for level in range(300):
+            value = (value and "b" in state) if level % 2 else (value or "c" in state)
+        assert phi.evaluate(state) is _eval_node(phi.root, state.bits) is value
+
+
+def test_formula_too_deep_to_compile_falls_back_to_eval_node():
+    # 210 nested parentheses are more than CPython's parser accepts (200),
+    # yet within the AST interpreter's recursion
+    root = Var(0)
+    for level in range(210):
+        root = Not(And((root, Var(1 + level % 2))))
+    phi = Formula(TABLE, root)
+    assert isinstance(phi._compiled, functools.partial)
+    for state in all_states(TABLE):
+        value = "a" in state
+        for level in range(210):
+            value = not (value and TABLE.name(1 + level % 2) in state)
+        assert phi.evaluate(state) is _eval_node(root, state.bits) is value
+
+
+@settings(max_examples=50, deadline=None)
+@given(nesting_limit_texts)
+def test_formulas_at_nesting_limit_compile(text):
+    phi = parse_formula(text, TABLE)
+    guards = [rule.guard for rule in bn_to_boolp(BooleanNetwork(TABLE, (phi,) * 3)).rules]
+    for formula in [phi, phi.negate()] + guards:
+        assert not isinstance(formula._compiled, functools.partial)
+        assert_evaluate_is_eval_node(formula)
+
+
+class TestSetText:
+    def test_zero_variable_table(self):
+        state = StateSet.empty(VarTable(()))
+        assert state.set_text() == "{}" == str(state)
+        assert state.set_text() is state.set_text()
+
+    def test_remapped_states(self):
+        t = VarTable.of("a", "b", "c")
+        wider = VarTable.of("z", "c", "a", "b")
+        for state in all_states(t):
+            text = state.set_text()
+            moved = state.remap(wider, {0: 2, 1: 3, 2: 1})
+            assert moved.set_text() == "{" + ", ".join(n for n in wider if n in moved) + "}"
+            assert set(moved) == set(state)
+            assert state.set_text() is text
+            assert repr(moved) == f"StateSet({moved.set_text()})"
