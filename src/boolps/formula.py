@@ -506,6 +506,11 @@ class Formula:
         except (SyntaxError, RecursionError, MemoryError):
             return functools.partial(_eval_node, self.root)
 
+    def __getstate__(self):
+        # the fields only: a compiled function cannot be pickled, and
+        # `_compiled` is rebuilt on first use
+        return {"table": self.table, "root": self.root}
+
     def variables(self) -> frozenset[str]:
         """Names actually mentioned by the formula."""
         acc: set = set()
@@ -557,8 +562,6 @@ class Formula:
         return self.to_text()
 
 
-_PREC = {Or: 1, And: 2, Not: 3, Var: 4, Const: 4}
-
 # How each node type is spelled, as (false, true, negation, conjunction,
 # disjunction).  Python's `or` < `and` < `not` < `&` order the same way as
 # the formula grammar, so one renderer serves both.
@@ -574,17 +577,19 @@ def _render(node: Node, var, words, required: int) -> str:
     """`node` spelled with `words`, variables by `var(position)`; an empty
     conjunction or disjunction is its neutral constant."""
     false, true, negation, conjunction, disjunction = words
-    prec = _PREC[type(node)]
+    # precedence: Or 1, And 2, Not 3, atoms 4
     if isinstance(node, Const):
-        text = true if node.value else false
+        text, prec = (true if node.value else false), 4
     elif isinstance(node, Var):
-        text = var(node.position)
+        text, prec = var(node.position), 4
     elif isinstance(node, Not):
-        text = negation + _render(node.child, var, words, 3)
+        text, prec = negation + _render(node.child, var, words, 3), 3
     elif isinstance(node, And):
         text = conjunction.join(_render(c, var, words, 3) for c in node.children) or true
+        prec = 2
     else:
         text = disjunction.join(_render(c, var, words, 2) for c in node.children) or false
+        prec = 1
     if prec < required:
         return "(" + text + ")"
     return text

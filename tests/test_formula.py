@@ -1,4 +1,5 @@
 import functools
+import pickle
 import random
 
 import pytest
@@ -345,16 +346,13 @@ def _nodes(size):
     leaves = st.builds(Const, st.booleans())
     if size:
         leaves |= st.builds(Var, st.integers(0, size - 1))
-    children = lambda sub: st.lists(sub, max_size=3).map(tuple)  # noqa: E731
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            st.builds(Not, sub),
-            children(sub).map(And),  # empty and nested, unlike the parser's
-            children(sub).map(Or),
-        ),
-        max_leaves=12,
-    )
+
+    def connectives(sub):
+        # empty, single and nested like their parent, unlike the parser's
+        children = st.lists(sub, max_size=3).map(tuple)
+        return st.one_of(st.builds(Not, sub), children.map(And), children.map(Or))
+
+    return st.recursive(leaves, connectives, max_leaves=12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -404,6 +402,23 @@ def test_constant_roots_and_empty_connectives(root, value):
     assert_evaluate_is_eval_node(phi)
     again = parse_formula(phi.to_text(), phi.table)
     assert [again.evaluate(s) for s in all_states(phi.table)] == [value, value]
+
+
+def test_subclassed_nodes_evaluate_and_render():
+    class Both(And):
+        pass
+
+    phi = Formula(VarTable.of("a", "b"), Not(Both((Var(0), Var(1)))))
+    assert phi.to_text() == "!(a & b)"
+    assert_evaluate_is_eval_node(phi)
+
+
+def test_formula_pickles_after_evaluation():
+    phi = parse_formula("a & !(b | c)", TABLE)
+    before = [phi.evaluate(s) for s in all_states(TABLE)]
+    again = pickle.loads(pickle.dumps(phi))
+    assert again == phi
+    assert [again.evaluate(s) for s in all_states(TABLE)] == before
 
 
 def test_non_int_position_rejected():
