@@ -17,7 +17,7 @@ from typing import Iterable
 from .errors import CapacityError, UsageError, ValidationError
 from .formula import Formula, StateSet, VarTable, _Lines, parse_state
 from .limits import DEFAULT_BREADTH_CAP, check_enumerable
-from .relation import TransitionRelation
+from .relation import TransitionRelation, label_text
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,15 @@ def step_table(network: BooleanNetwork, mode: BooleanMode, cap=None):
 def bn_transitions(network: BooleanNetwork, mode: BooleanMode, cap=None) -> TransitionRelation:
     """Full labelled edge set over all 2**n states, one edge per mode element."""
     elements, rows = step_table(network, mode, cap)
-    state = network.table.state
-    edges = frozenset(
-        (state(bits), element, state(dst))
-        for bits, row in enumerate(rows)
-        for element, dst in zip(elements, row)
+    # each element has one destination per state: permuting a row into
+    # label order makes it canonical
+    perm = sorted(range(len(elements)), key=lambda i: label_text(elements[i]))
+    indices = range(len(perm))
+    return TransitionRelation(
+        network.table,
+        tuple(elements[i] for i in perm),
+        [tuple(zip(indices, map(row.__getitem__, perm))) for row in rows],
     )
-    return TransitionRelation(network.table, edges)
 
 
 def bn_trajectories(

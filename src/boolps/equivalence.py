@@ -53,14 +53,24 @@ def boolp_transitions(system: BooleanPSystem, mode: ModeView, cap=None) -> Trans
     apps = system.applicable_masks(cap)
     if mode.system is not system and mode.system != system:
         raise UsageError("mode over a different system")
-    state = system.table.state
-    rule_set = system.rule_set
-    edges = set()
-    for configuration in system.table.subsets():
-        bits = configuration.bits
-        for mask, erase, add in mode.resolved(apps[bits]):
-            edges.add((configuration, rule_set(mask), state(bits & ~erase | add)))
-    return TransitionRelation(system.table, frozenset(edges))
+    # the mode depends on the applicable mask alone: resolve each distinct
+    # one once, and decode each fired mask once
+    resolved = {app: mode.resolved(app) for app in dict.fromkeys(apps)}
+    fired = {mask for moves in resolved.values() for mask, _erase, _add in moves}
+    decoded = {mask: system.rule_set(mask) for mask in fired}
+    masks = sorted(decoded, key=lambda mask: label_text(decoded[mask]))
+    index = {mask: i for i, mask in enumerate(masks)}
+    # fired masks are distinct at a configuration, so sorting by label index
+    # puts each row in canonical order
+    entries = {
+        app: sorted((index[mask], erase, add) for mask, erase, add in moves)
+        for app, moves in resolved.items()
+    }
+    rows = [
+        tuple([(label, bits & ~erase | add) for label, erase, add in entries[app]])
+        for bits, app in enumerate(apps)
+    ]
+    return TransitionRelation(system.table, tuple(decoded[mask] for mask in masks), rows)
 
 
 def _item_text(item) -> str:

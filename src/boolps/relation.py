@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -18,63 +19,124 @@ def label_text(label) -> str:
     return str(label)
 
 
+def digit_order(n: int) -> list[int]:
+    """The bit patterns over `n` variables sorted by digit string: the k-th
+    is k with its n bits reversed, so ``order[bits]`` is also the rank of bits."""
+    order = [0]
+    for pos in reversed(range(n)):
+        bit = 1 << pos
+        order += [bits | bit for bits in order]
+    return order
+
+
 @dataclass(frozen=True)
 class TransitionRelation:
-    """Deduplicated set of labelled edges between states of one universe."""
+    """Deduplicated labelled edges between the states of one table, held as ints.
+
+    `labels` are the distinct labels, sorted by `label_text`.  ``rows[bits]``
+    holds the edges leaving the state with those bits as ``(label index,
+    destination bits)`` pairs, without repeats, sorted by label index and
+    then by the destination's digits; a row given in another order is put
+    in that order.  The renderers list sources in digit order, so their
+    lines are sorted by (source digits, label text, destination digits).
+    """
 
     table: VarTable
-    edges: frozenset  # of (src: StateSet, label, dst: StateSet)
+    labels: tuple
+    rows: tuple  # rows[src bits] = ((label index, dst bits), ...)
 
     def __post_init__(self):
-        for src, _label, dst in self.edges:
-            if src.table != self.table or dst.table != self.table:
-                raise UsageError("edge endpoints do not live in the relation's table")
+        n, labels = len(self.table), tuple(self.labels)
+        size, count = 1 << n, len(labels)
+        if len(self.rows) != size:
+            raise UsageError(f"{n} variables need {size} relation rows, got {len(self.rows)}")
+        texts = [label_text(label) for label in labels]
+        if any(a >= b for a, b in zip(texts, texts[1:])):
+            raise UsageError("relation labels must be distinct and sorted by their text")
+        order = digit_order(n)
+        rows = []
+        for row in map(tuple, self.rows):
+            canonical, last = True, -1
+            for label, dst in row:
+                if not (0 <= label < count and 0 <= dst < size):
+                    raise UsageError(
+                        f"edge ({label}, {dst}) is outside the relation's {count} labels"
+                        f" or {size} states"
+                    )
+                key = label << n | order[dst]
+                canonical, last = canonical and key > last, key
+            if not canonical:
+                row = tuple(sorted(set(row), key=lambda e: (e[0], order[e[1]])))
+            rows.append(row)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "rows", tuple(rows))
 
-    def sorted_edges(self):
-        return sorted(
-            self.edges, key=lambda e: (e[0].sort_key(), label_text(e[1]), e[2].sort_key())
+    @functools.cached_property
+    def edges(self) -> frozenset:
+        """The relation as ``(src StateSet, label, dst StateSet)`` triples."""
+        state, labels = self.table.state, self.labels
+        return frozenset(
+            (state(src), labels[label], state(dst))
+            for src, row in enumerate(self.rows)
+            for label, dst in row
         )
 
-    def successors(self, src: StateSet):
-        return frozenset((label, dst) for s, label, dst in self.edges if s == src)
+    def successors(self, src: StateSet) -> frozenset:
+        if src.table != self.table:
+            raise UsageError("state over a different variable table")
+        state, labels = self.table.state, self.labels
+        return frozenset((labels[label], state(dst)) for label, dst in self.rows[src.bits])
 
-    def state_text(self, state: StateSet, style: str = "digits") -> str:
-        return state.digits() if style == "digits" else state.set_text()
+    def _texts(self, style: str, quote=str):
+        """State texts indexed by bits and label texts by index, through `quote`."""
+        n = len(self.table)
+        if style == "digits":
+            # the digits of bits are its rank written in n binary digits
+            states = [format(rank | 1 << n, "b")[1:] for rank in digit_order(n)]
+        elif style == "set":
+            members = [()]
+            for name in self.table.names:
+                members += [names + (name,) for names in members]
+            states = ["{" + ", ".join(names) + "}" for names in members]
+        else:
+            raise UsageError(f"unknown state style {style!r}; expected 'digits' or 'set'")
+        return list(map(quote, states)), [quote(label_text(label)) for label in self.labels]
 
     def to_dot(self, style: str = "digits", graph_name: str = "transitions") -> str:
+        states, labels = self._texts(style)
+        rows = self.rows
+        order = digit_order(len(self.table))
+        targets = {dst for row in rows for _label, dst in row}
         lines = [f"digraph {graph_name} {{"]
-        states = sorted(
-            {s for e in self.edges for s in (e[0], e[2])}, key=StateSet.sort_key
-        )
-        for state in states:
-            lines.append(f'  "{self.state_text(state, style)}";')
-        for src, label, dst in self.sorted_edges():
-            lines.append(
-                f'  "{self.state_text(src, style)}" -> "{self.state_text(dst, style)}"'
-                f' [label="{label_text(label)}"];'
-            )
+        lines += [f'  "{states[bits]}";' for bits in order if rows[bits] or bits in targets]
+        lines += [
+            f'  "{states[src]}" -> "{states[dst]}" [label="{labels[label]}"];'
+            for src in order
+            for label, dst in rows[src]
+        ]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json_lines(self, style: str = "digits", label_key: str = "label") -> str:
-        lines = []
-        for src, label, dst in self.sorted_edges():
-            lines.append(
-                json.dumps(
-                    {
-                        "src": self.state_text(src, style),
-                        label_key: label_text(label),
-                        "dst": self.state_text(dst, style),
-                    }
-                )
-            )
+        if label_key in ("src", "dst"):
+            raise UsageError(f"label key {label_key!r} would overwrite an endpoint")
+        # json.dumps of the three-key dict, with each text quoted once
+        states, labels = self._texts(style, json.dumps)
+        rows = self.rows
+        key = json.dumps(label_key)
+        lines = [
+            f'{{"src": {states[src]}, {key}: {labels[label]}, "dst": {states[dst]}}}'
+            for src in digit_order(len(self.table))
+            for label, dst in rows[src]
+        ]
         return "\n".join(lines) + "\n"
 
     def to_text(self, style: str = "digits") -> str:
-        lines = []
-        for src, label, dst in self.sorted_edges():
-            lines.append(
-                f"{self.state_text(src, style)} --{label_text(label)}--> "
-                f"{self.state_text(dst, style)}"
-            )
+        states, labels = self._texts(style)
+        rows = self.rows
+        lines = [
+            f"{states[src]} --{labels[label]}--> {states[dst]}"
+            for src in digit_order(len(self.table))
+            for label, dst in rows[src]
+        ]
         return "\n".join(lines) + "\n"
