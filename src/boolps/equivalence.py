@@ -11,12 +11,15 @@ command.
 
 The network and controlled-network checks compare masks.  The expected side
 spells the rule ids an encoding must have and indexes them in sorted order
-itself, never through the kernel; at each configuration its ``(label mask,
-next bits)`` pairs are compared with the kernel's ``(fired mask, result
-bits)``.  Where the two sets differ, or where the system does not index
-exactly the spelled ids as the check does (both `rule_mask` and the label
-decoder `rule_set`), that configuration is compared again on rule ids, and
-only a difference there is reported.
+itself.  Its per-element plan (each member's update formula, position bit
+and two label bits) is built once per check from the update formulas and
+`_spelled_index`, never from the kernel; at each configuration it evaluates
+those formulas with `Formula.evaluate`, and its ``(label mask, next bits)``
+pairs are compared with the kernel's ``(fired mask, result bits)``.  Where
+the two sets differ, or where the system does not index exactly the spelled
+ids as the check does (both `rule_mask` and the label decoder `rule_set`),
+that configuration is compared again on rule ids, and only a difference
+there is reported.
 """
 
 from __future__ import annotations
@@ -133,30 +136,42 @@ def _spelled_index(x_names, u_names=()):
     return {rule_id: 1 << i for i, rule_id in enumerate(ordered)}
 
 
-def _expected_moves(updates, mode: BooleanMode, configuration: StateSet, bits: int, index):
-    """``(label mask, next variable bits)`` for every mode element, read off
-    the update formulas alone: introduce x where its update holds, erase x
-    where it fails and x is present.
+def _expected_moves(updates, mode: BooleanMode, index):
+    """Build, once per check, the function of ``(configuration, bits)`` that
+    lists ``(label mask, next variable bits)`` for every mode element, read
+    off the update formulas alone: introduce x where its update holds, erase
+    x where it fails and x is present.
 
     `bits` is the variable part of `configuration`; variables come first in
     its table, so their positions index `updates`.  Label bits come from
     `index`, the check's own map from the ids `_spelled_index` spells.
     """
-    out = []
-    for element in mode.elements:
-        label = 0
-        next_bits = bits
-        for name in element:
-            pos = element.table.position(name)
-            if updates[pos].evaluate(configuration):
-                label |= index["set_" + name]
-                next_bits |= 1 << pos
-            else:
-                next_bits &= ~(1 << pos)
-                if bits >> pos & 1:
-                    label |= index["clr_" + name]
-        out.append((label, next_bits))
-    return out
+    plan = [
+        [
+            (updates[pos], 1 << pos, index["set_" + name], index["clr_" + name])
+            for pos, name in enumerate(element.table.names)
+            if element.bits >> pos & 1
+        ]
+        for element in mode.elements
+    ]
+
+    def expected_pairs(configuration, bits):
+        out = []
+        for members in plan:
+            label = 0
+            next_bits = bits
+            for update, bit, set_label, clr_label in members:
+                if update.evaluate(configuration):
+                    label |= set_label
+                    next_bits |= bit
+                else:
+                    next_bits &= ~bit
+                    if bits & bit:
+                        label |= clr_label
+            out.append((label, next_bits))
+        return out
+
+    return expected_pairs
 
 
 def _compare_moves(system, view, table, expected_at, index, detail, cap=None):
@@ -227,11 +242,10 @@ def check_bn_simulation(
     view = derive_mode(system, quasimode)
     table = network.table
     index = _spelled_index(table.names)
+    expected_pairs = _expected_moves(network.updates, mode, index)
 
     def expected_at(configuration):
-        return set(
-            _expected_moves(network.updates, mode, configuration, configuration.bits, index)
-        )
+        return set(expected_pairs(configuration, configuration.bits))
 
     return _compare_moves(
         system, view, table, expected_at, index,
@@ -276,13 +290,12 @@ def check_bcn_simulation(
     erase_labels = labels(u_clr_bits)
     # (label mask, result bits) of re-introducing each subset of control symbols
     intros = [(label, s_bits << n_x) for s_bits, label in enumerate(labels(u_set_bits))]
+    x_pairs = _expected_moves(bcn.updates, mode, index)
 
     def expected_at(configuration):
         erase_label = erase_labels[configuration.bits >> n_x]
         expected = set()
-        for label, bits in _expected_moves(
-            bcn.updates, mode, configuration, configuration.bits & x_mask, index
-        ):
+        for label, bits in x_pairs(configuration, configuration.bits & x_mask):
             x_label = label | erase_label
             expected.update((x_label | intro, bits | u_bits) for intro, u_bits in intros)
         return expected
@@ -327,10 +340,15 @@ def check_product_lemma(
 
 
 def reaction_result(rs: ReactionSystem, state: StateSet) -> StateSet:
-    """Direct interpreter: union of the products of the enabled reactions."""
+    """Direct interpreter: union of the products of the enabled reactions,
+    a reaction being enabled where all its reactants' bits and none of its
+    inhibitors' bits are set in `state`."""
+    if state.table != rs.table:
+        raise UsageError("state sets belong to different variable tables")
+    present = state.bits
     bits = 0
     for reaction in rs.reactions:
-        if reaction.reactants <= state and not (reaction.inhibitors & state).bits:
+        if not (reaction.reactants.bits & ~present or reaction.inhibitors.bits & present):
             bits |= reaction.products.bits
     return rs.table.state(bits)
 

@@ -6,7 +6,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boolps import equivalence
 from boolps.bcn import BooleanControlNetwork, freeze_extend
 from boolps.bn import BooleanMode, BooleanNetwork, named_mode
 from boolps.boolp import (
@@ -21,17 +24,21 @@ from boolps.boolp import (
     successors,
 )
 from boolps.equivalence import (
+    _expected_moves,
+    _spelled_index,
     boolp_transitions,
     check_bcn_simulation,
     check_bn_simulation,
     check_product_lemma,
     check_rs_embedding,
+    reaction_result,
     run_bcn_simulation_suite,
     run_bn_simulation_suite,
     run_product_lemma_suite,
     run_rs_embedding_suite,
 )
-from boolps.formula import StateSet, VarTable, parse_formula
+from boolps.errors import UsageError
+from boolps.formula import Formula, StateSet, VarTable, parse_formula
 from boolps.generators import (
     random_mode,
     random_network,
@@ -40,7 +47,14 @@ from boolps.generators import (
     random_reaction_system,
     random_table,
 )
-from boolps.translate import bcn_to_composite, bn_mode_to_quasimode, bn_to_boolp
+from boolps.translate import (
+    Reaction,
+    ReactionSystem,
+    bcn_to_composite,
+    bn_mode_to_quasimode,
+    bn_to_boolp,
+    rs_to_boolp,
+)
 
 
 @pytest.fixture
@@ -190,6 +204,153 @@ class TestSuites:
 
     def test_rs_suite_smoke(self):
         assert run_rs_embedding_suite(count=10, seed=4)
+
+
+# --- the expected side against its per-configuration walk ---------------------
+
+
+def old_expected_moves(updates, mode, configuration, bits, index):
+    """The expected side as it stood before its per-element plan was built
+    once per check: at every configuration, each element's names walked
+    through `StateSet` and each name's position looked up again."""
+    out = []
+    for element in mode.elements:
+        label = 0
+        next_bits = bits
+        for name in element:
+            pos = element.table.position(name)
+            if updates[pos].evaluate(configuration):
+                label |= index["set_" + name]
+                next_bits |= 1 << pos
+            else:
+                next_bits &= ~(1 << pos)
+                if bits >> pos & 1:
+                    label |= index["clr_" + name]
+        out.append((label, next_bits))
+    return out
+
+
+MODE_NAMES = st.sampled_from(["syn", "asyn", "random", "overlapping", "empty"])
+
+
+def _network_mode(rng, table, mode_name):
+    n = len(table)
+    return {
+        "random": lambda: random_mode(rng, table),
+        "overlapping": lambda: BooleanMode(
+            table,
+            frozenset(table.state(bits % (1 << n)) for bits in (0b0011, 0b0110, 0b1111)),
+        ),
+        "empty": lambda: BooleanMode(table, frozenset()),
+    }.get(mode_name, lambda: named_mode(mode_name, table))()
+
+
+def assert_expected_pairs_match_walk(updates, mode, index, table, x_mask):
+    expected_pairs = _expected_moves(updates, mode, index)
+    for configuration in table.subsets():
+        bits = configuration.bits & x_mask
+        assert set(expected_pairs(configuration, bits)) == set(
+            old_expected_moves(updates, mode, configuration, bits, index)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1), MODE_NAMES)
+def test_expected_moves_match_walk_on_networks(n, seed, mode_name):
+    rng = random.Random(seed)
+    table = random_table(rng, n)
+    network = random_network(rng, table)
+    mode = _network_mode(rng, table, mode_name)
+    index = _spelled_index(table.names)
+    assert_expected_pairs_match_walk(network.updates, mode, index, table, (1 << n) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2**32 - 1), MODE_NAMES)
+def test_expected_moves_match_walk_on_freeze_extended_x_part(n, seed, mode_name):
+    """As `check_bcn_simulation` calls it: updates over the 3n-variable
+    table, the mode over the n variables, the control bits masked off."""
+    rng = random.Random(seed)
+    table = random_table(rng, n)
+    bcn = freeze_extend(random_network(rng, table))
+    mode = _network_mode(rng, table, mode_name)
+    index = _spelled_index(bcn.x_table.names, bcn.u_table.names)
+    assert_expected_pairs_match_walk(bcn.updates, mode, index, bcn.table, (1 << n) - 1)
+
+
+def test_expected_moves_evaluate_each_member_update_once_per_configuration():
+    rng = random.Random(11)
+    table = random_table(rng, 4)
+    network = random_network(rng, table)
+    mode = _network_mode(rng, table, "overlapping")
+    expected_pairs = _expected_moves(network.updates, mode, _spelled_index(table.names))
+    members = sum(len(element) for element in mode.elements)
+    evaluate = Formula.evaluate
+    with mock.patch.object(Formula, "evaluate", autospec=True, side_effect=evaluate) as spy:
+        for configuration in table.subsets():
+            expected_pairs(configuration, configuration.bits)
+    assert spy.call_count == members << len(table)
+
+
+# --- reaction systems: the direct interpreter and a planted fault -------------
+
+
+def _enabled_products(rs, bits):
+    """The result function from the parts' bits, as the test reads it."""
+    out = 0
+    for reaction in rs.reactions:
+        if reaction.reactants.bits & bits == reaction.reactants.bits and not (
+            reaction.inhibitors.bits & bits
+        ):
+            out |= reaction.products.bits
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+def test_rs_embedding_catches_an_extra_product(species, seed, data):
+    rng = random.Random(seed)
+    drawn = random_reaction_system(rng, species)
+    table = drawn.table
+    target = data.draw(st.integers(0, len(drawn.reactions) - 1), label="reaction")
+    extra = table.state(1 << data.draw(st.integers(0, species - 1), label="species"))
+    # no reaction produces the extra species, so it shows wherever the
+    # faulty reaction is enabled
+    rs = ReactionSystem(
+        table,
+        tuple(dataclasses.replace(r, products=r.products - extra) for r in drawn.reactions),
+    )
+    faulty = dataclasses.replace(
+        rs.reactions[target], products=rs.reactions[target].products | extra
+    )
+    planted = dataclasses.replace(
+        rs, reactions=rs.reactions[:target] + (faulty,) + rs.reactions[target + 1:]
+    )
+    assert check_rs_embedding(rs)
+    with mock.patch.object(equivalence, "rs_to_boolp", lambda _rs: rs_to_boolp(planted)):
+        report = check_rs_embedding(rs)
+    assert not report
+    first = next(
+        bits
+        for bits in range(1 << species)
+        if faulty.reactants.bits & ~bits == 0 and not faulty.inhibitors.bits & bits
+    )
+    ce = report.counterexample
+    assert ce.state == table.state(first)
+    expected_bits = _enabled_products(rs, first)
+    assert ce.expected == {(frozenset(), table.state(expected_bits))}
+    assert ce.actual == {(frozenset(), table.state(expected_bits | extra.bits))}
+
+
+def test_reaction_result_rejects_a_state_of_another_table():
+    table = VarTable.of("a", "b")
+    a = StateSet.of(table, ["a"])
+    rs = ReactionSystem(table, (Reaction("r1", a, StateSet.empty(table), a),))
+    for other in (VarTable.of("a", "c"), VarTable.of("a")):
+        with pytest.raises(UsageError):
+            reaction_result(rs, other.state(1))
+    with pytest.raises(UsageError):
+        reaction_result(ReactionSystem(table, ()), VarTable.of("a").state(0))
 
 
 def _mode_views_equal(sys_a, qm_a, sys_b, qm_b):
