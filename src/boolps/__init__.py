@@ -67,7 +67,6 @@ from .formula import (
     equivalent,
     parse_formula,
     parse_state,
-    satisfying_sets,
 )
 from .relation import TransitionRelation
 from .translate import (

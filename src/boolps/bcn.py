@@ -248,12 +248,3 @@ def _read_bcn(
 
 def parse_bcn_text(text: str, source=None) -> BooleanControlNetwork:
     return _read_bcn(text, source)[0]
-
-
-def format_bcn_text(bcn: BooleanControlNetwork) -> str:
-    lines = ["var " + ", ".join(bcn.x_table.names)]
-    if len(bcn.u_table):
-        lines.append("control " + ", ".join(bcn.u_table.names))
-    for name, update in zip(bcn.x_table.names, bcn.updates):
-        lines.append(f"{name}' = {update.to_text()}")
-    return "\n".join(lines) + "\n"

@@ -278,13 +278,6 @@ def parse_bn_text(text: str, source=None) -> BooleanNetwork:
     return BooleanNetwork(bcn.table, bcn.updates)
 
 
-def format_bn_text(network: BooleanNetwork) -> str:
-    lines = ["var " + ", ".join(network.table.names)]
-    for name, update in zip(network.table.names, network.updates):
-        lines.append(f"{name}' = {update.to_text()}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_mode_text(text: str, table: VarTable, source=None) -> BooleanMode:
     """Mode file: one `group {x,y}` line per element (``group {}`` allowed)."""
     lines = _Lines(text, source=source)

@@ -11,8 +11,7 @@ Modes pick which rule sets may fire at each configuration.  A quasimode is
 a configuration-independent family of advised rule sets; the mode it
 derives restricts each advised set to its applicable part at the current
 configuration (an advised set whose rules are all inapplicable contributes
-an explicit empty firing, i.e. a stutter step).  The strict variant instead
-drops advised sets that are not entirely applicable.
+an explicit empty firing, i.e. a stutter step).
 
 Inside the kernel a rule set is an ``int`` mask: the rule with the i-th
 smallest id is bit ``1 << i``.  Modes produce ``(fired mask, erase bits,
@@ -256,17 +255,14 @@ class Quasimode:
         """Enumerate the family without duplicates (may be exponentially large)."""
         raise NotImplementedError
 
-    def advised(self, applicable: RuleSet, strict=False):
+    def advised(self, applicable: RuleSet):
         """The derived mode's value at any configuration whose applicable
-        rule ids are `applicable`; it depends on nothing else.
-
-        Filtered semantics keeps the applicable part of every advised set
-        (retaining empty results as stutter elements); strict semantics
-        keeps only advised sets that are entirely applicable.
-        """
+        rule ids are `applicable`; it depends on nothing else: the
+        applicable part of every advised set, empty results kept as stutter
+        elements."""
         raise NotImplementedError
 
-    def resolve(self, system: BooleanPSystem, strict=False):
+    def resolve(self, system: BooleanPSystem):
         """The same family resolved against `system` once: a function from
         an applicable-rule mask to the derived mode's value there, as
         ``(fired mask, erase bits, add bits)`` triples with distinct masks.
@@ -292,22 +288,12 @@ class ExplicitQuasimode(Quasimode):
     def elements(self):
         return iter(self.family)
 
-    def advised(self, applicable, strict=False):
-        if strict:
-            return frozenset(m for m in self.family if m <= applicable)
+    def advised(self, applicable):
         return frozenset(m & applicable for m in self.family)
 
-    def resolve(self, system, strict=False):
-        masks = set()
-        for element in self.family:
-            mask = system.rule_mask(element)
-            if strict and mask.bit_count() < len(element):
-                continue  # advises a rule the system lacks: never entirely applicable
-            masks.add(mask)
+    def resolve(self, system):
+        masks = {system.rule_mask(element) for element in self.family}
         fold = system.fold
-        if strict:
-            moves = [fold(mask) for mask in masks]
-            return lambda app: [move for move in moves if not move[0] & ~app]
         return lambda app: [fold(mask) for mask in {mask & app for mask in masks}]
 
 
@@ -324,9 +310,7 @@ class PowersetQuasimode(Quasimode):
             for combo in itertools.combinations(base, size):
                 yield frozenset(combo)
 
-    def advised(self, applicable, strict=False):
-        # every subset of the applicable part is entirely applicable, so the
-        # strict and filtered readings coincide here
+    def advised(self, applicable):
         usable = sorted(self.base & applicable)
         check_enumerable(len(usable), what="applicable advised rules")
         return frozenset(
@@ -335,8 +319,7 @@ class PowersetQuasimode(Quasimode):
             for combo in itertools.combinations(usable, size)
         )
 
-    def resolve(self, system, strict=False):
-        # strict and filtered coincide here, as in `advised`
+    def resolve(self, system):
         base = system.rule_mask(self.base)
         lhs, rhs = system._lhs, system._rhs
 
@@ -365,7 +348,6 @@ class ProductQuasimode(Quasimode):
     """
 
     factors: tuple[Quasimode, ...]
-    name: str | None = None
 
     def elements(self):
         seen = set()
@@ -375,15 +357,15 @@ class ProductQuasimode(Quasimode):
                 seen.add(union)
                 yield union
 
-    def advised(self, applicable, strict=False):
-        parts = [f.advised(applicable, strict) for f in self.factors]
+    def advised(self, applicable):
+        parts = [f.advised(applicable) for f in self.factors]
         result = parts[0]
         for part in parts[1:]:
             result = dotted_product(result, part)
         return result
 
-    def resolve(self, system, strict=False):
-        first, *rest = [f.resolve(system, strict) for f in self.factors]
+    def resolve(self, system):
+        first, *rest = [f.resolve(system) for f in self.factors]
 
         def at(app):
             result = first(app)
@@ -394,8 +376,8 @@ class ProductQuasimode(Quasimode):
         return at
 
 
-def explicit_quasimode(family: Iterable[Iterable[str]], name=None) -> ExplicitQuasimode:
-    return ExplicitQuasimode(frozenset(frozenset(m) for m in family), name=name)
+def explicit_quasimode(family: Iterable[Iterable[str]]) -> ExplicitQuasimode:
+    return ExplicitQuasimode(frozenset(frozenset(m) for m in family))
 
 
 def quasimode_maxpar(system: BooleanPSystem) -> ExplicitQuasimode:
@@ -442,9 +424,9 @@ class ModeView:
         return frozenset(rule_set(mask) for mask, _erase, _add in self.moves(configuration))
 
 
-def derive_mode(system: BooleanPSystem, quasimode: Quasimode, strict=False) -> ModeView:
-    """The mode a quasimode induces (filtered by default, strict on request)."""
-    return ModeView(system, quasimode.resolve(system, strict))
+def derive_mode(system: BooleanPSystem, quasimode: Quasimode) -> ModeView:
+    """The mode a quasimode induces."""
+    return ModeView(system, quasimode.resolve(system))
 
 
 def maximally_parallel_mode(system: BooleanPSystem) -> ModeView:
@@ -590,15 +572,6 @@ _RULE_LINE_RE = re.compile(
 )
 
 
-def _rule_parts(line: str):
-    """``(id, lhs, rhs, guard)`` texts of a rule line, or None; a missing or
-    blank guard reads ``1``."""
-    m = _RULE_LINE_RE.match(line)
-    if m is None:
-        return None
-    return m.group("id"), m.group("lhs"), m.group("rhs"), (m.group("guard") or "1").strip() or "1"
-
-
 def parse_system_text(text: str, source=None):
     """Parse a system file; returns ``(system, quasimode or None)``."""
     lines = _Lines(text, names=("alphabet",), values=("quasimode",), source=source)
@@ -608,10 +581,11 @@ def parse_system_text(text: str, source=None):
         if line.startswith("advise "):
             advised.append((line[7:].strip(), lineno))
             continue
-        parts = _rule_parts(line)
-        if parts is None:
+        m = _RULE_LINE_RE.match(line)
+        if m is None:
             raise lines.unreadable(lineno)
-        rule_lines.append((parts, lineno))
+        guard = (m.group("guard") or "").strip() or "1"  # a missing or blank guard reads 1
+        rule_lines.append(((m.group("id"), m.group("lhs"), m.group("rhs"), guard), lineno))
     if not lines.names["alphabet"]:
         raise lines.error("no `alphabet` declaration found")
     with lines.at():

@@ -21,6 +21,7 @@ the test suite.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -157,20 +158,11 @@ def control_space(bcn: BooleanControlNetwork, cap=None) -> list[StateSet]:
         raise CapacityError(
             f"{len(pairs)} freeze pairs still give {3 ** len(pairs)} controls"
         )
-    controls = []
-
-    def build(index, bits):
-        if index == len(pairs):
-            controls.append(u_table.state(bits))
-            return
-        off, on = pairs[index]
-        build(index + 1, bits)
-        build(index + 1, bits | 1 << u_table.position(off))
-        build(index + 1, bits | 1 << u_table.position(on))
-
-    build(0, 0)
-    controls.sort(key=StateSet.sort_key)
-    return controls
+    choices = [
+        (0, 1 << u_table.position(off), 1 << u_table.position(on)) for off, on in pairs
+    ]
+    controls = [u_table.state(sum(picked)) for picked in itertools.product(*choices)]
+    return sorted(controls, key=StateSet.sort_key)
 
 
 # --- phase relations ------------------------------------------------------------
@@ -582,7 +574,7 @@ def parse_instance_text(text: str, source=None) -> CoFaSeInstance:
         starts = _parse_state_list(bcn.x_table, lines.values["start"][0])
         targets = _parse_state_list(bcn.x_table, lines.values["target"][0])
         mode = named_mode(lines.values.get("mode", ("syn",))[0], bcn.x_table)
-    return CoFaSeInstance.of(bcn, starts, targets, mode)
+        return CoFaSeInstance.of(bcn, starts, targets, mode)
 
 
 def solution_to_json(result) -> str:

@@ -769,16 +769,6 @@ def truth_bitmask(formula: Formula, cap=None) -> int:
     return fold_truth_table(formula, truth_patterns(n))
 
 
-def satisfying_sets(formula: Formula, cap=None) -> frozenset[StateSet]:
-    """All subsets of the table satisfying the formula, by exhaustive enumeration."""
-    n = check_enumerable(len(formula.table), cap, "formula table")
-    table = formula.table
-    root = formula.root
-    return frozenset(
-        table.state(bits) for bits in range(1 << n) if _eval_node(root, bits)
-    )
-
-
 def equivalent(a: Formula, b: Formula, cap=None) -> bool:
     """Truth-table equality of two formulas over the same table."""
     if a.table != b.table:

@@ -102,12 +102,12 @@ class TransitionRelation:
             raise UsageError(f"unknown state style {style!r}; expected 'digits' or 'set'")
         return list(map(quote, states)), [quote(label_text(label)) for label in self.labels]
 
-    def to_dot(self, style: str = "digits", graph_name: str = "transitions") -> str:
+    def to_dot(self, style: str = "digits") -> str:
         states, labels = self._texts(style)
         rows = self.rows
         order = digit_order(len(self.table))
         targets = {dst for row in rows for _label, dst in row}
-        lines = [f"digraph {graph_name} {{"]
+        lines = ["digraph transitions {"]
         lines += [f'  "{states[bits]}";' for bits in order if rows[bits] or bits in targets]
         lines += [
             f'  "{states[src]}" -> "{states[dst]}" [label="{labels[label]}"];'

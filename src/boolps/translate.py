@@ -27,20 +27,11 @@ from .boolp import (
     ProductQuasimode,
     Quasimode,
     Rule,
-    _rule_parts,
     derive_mode,
     maximally_parallel_mode,
 )
 from .errors import UsageError, ValidationError
-from .formula import (
-    Formula,
-    StateSet,
-    VarTable,
-    _Lines,
-    _split_names,
-    parse_formula,
-    parse_state,
-)
+from .formula import Formula, StateSet, VarTable, _Lines, _split_names
 from .limits import var_cap
 
 
@@ -119,7 +110,7 @@ def _controller(
             for source in pair
             for target in pair
         ]
-        return tuple(rules), PowersetQuasimode(frozenset(r.id for r in rules), name="acs")
+        return tuple(rules), PowersetQuasimode(frozenset(r.id for r in rules))
     if regime not in ("free", "tcs"):
         raise UsageError(f"unknown control regime {regime!r}")
     rules = []
@@ -136,7 +127,7 @@ def _controller(
             ExplicitQuasimode(frozenset(frozenset({control_rule_ids(name)[0]}) for name in pair))
             for pair in freeze_pairs(u_table)
         ]
-    return tuple(rules), ProductQuasimode(tuple(factors), name=regime)
+    return tuple(rules), ProductQuasimode(tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -230,19 +221,11 @@ class Reaction:
     def table(self) -> VarTable:
         return self.reactants.table
 
-    def text(self) -> str:
-        return (
-            f"{self.id}: reactants {self.reactants.set_text()} "
-            f"inhibitors {self.inhibitors.set_text()} "
-            f"products {self.products.set_text()}"
-        )
-
 
 @dataclass(frozen=True)
 class ReactionSystem:
     table: VarTable
     reactions: tuple[Reaction, ...]
-    allow_degenerate: bool = False
 
     def __post_init__(self):
         seen = set()
@@ -252,7 +235,7 @@ class ReactionSystem:
             if reaction.id in seen:
                 raise ValidationError(f"duplicate reaction id {reaction.id!r}")
             seen.add(reaction.id)
-            if not self.allow_degenerate and (reaction.reactants & reaction.inhibitors).bits:
+            if (reaction.reactants & reaction.inhibitors).bits:
                 raise ValidationError(
                     f"reaction {reaction.id} lists a species as both reactant and "
                     "inhibitor, so it can never fire; drop the reaction or the species "
@@ -332,12 +315,6 @@ def parse_reactions_text(text: str, source=None) -> ReactionSystem:
         return ReactionSystem(table, tuple(built))
 
 
-def format_reactions_text(rs: ReactionSystem) -> str:
-    lines = ["species " + ", ".join(rs.table.names)]
-    lines.extend(r.text() for r in rs.reactions)
-    return "\n".join(lines) + "\n"
-
-
 # --- composite dump format ------------------------------------------------------
 #
 #   alphabet x, y, u_x0, ...
@@ -346,8 +323,7 @@ def format_reactions_text(rs: ReactionSystem) -> str:
 #   mode syn                  # or one `group {...}` line per mode element
 #   <rule lines: the update rules, then the controller rules>
 #
-# The controlled update formulas are recoverable from the introduce-rule
-# guards, so re-parsing rebuilds a semantically identical composite.
+# The alphabet and rule lines are `.pi` syntax; no command reads a dump back.
 
 
 def format_composite_text(composite: ControlledComposite) -> str:
@@ -365,48 +341,3 @@ def format_composite_text(composite: ControlledComposite) -> str:
     for rule in composite.system.rules:
         lines.append(rule.text())
     return "\n".join(lines) + "\n"
-
-
-def parse_composite_text(text: str, source=None) -> ControlledComposite:
-    lines = _Lines(
-        text, names=("alphabet", "controls"), values=("regime", "mode"), source=source
-    )
-    alphabet = lines.names["alphabet"]
-    controls = lines.names["controls"]
-    if not alphabet:
-        raise lines.error("no `alphabet` declaration found")
-    x_names = [n for n in alphabet if n not in set(controls)]
-    with lines.at():
-        x_table = VarTable(x_names)
-        u_table = VarTable(controls)
-        full = VarTable(x_names + controls)
-    if tuple(alphabet) != full.names:
-        raise lines.error("alphabet must list variables before controls")
-    groups = set()
-    set_guards = {}
-    for line, lineno in lines.rest:
-        if line.startswith("group "):
-            with lines.at(lineno):
-                groups.add(parse_state(x_table, line[6:]))
-            continue
-        parts = _rule_parts(line)
-        if parts is None:
-            raise lines.unreadable(lineno)
-        rule_id, _lhs, _rhs, guard = parts
-        if rule_id.startswith("set_"):
-            with lines.at(lineno):
-                guard = parse_formula(guard, full)
-            lines.once(set_guards, rule_id[4:], guard, lineno, f"rule {rule_id!r}")
-    missing = [n for n in x_names if n not in set_guards]
-    if missing:
-        raise lines.error(f"no introduce rule found for {missing[0]!r}")
-    guards = tuple(set_guards[n][0] for n in x_names)
-    bcn = BooleanControlNetwork(x_table, u_table, full, guards)
-    mode_name = lines.values.get("mode", (None,))[0]
-    if groups:
-        mode = BooleanMode(x_table, frozenset(groups))
-    elif mode_name == "asyn":
-        mode = BooleanMode.asyn(x_table)
-    else:
-        mode = BooleanMode.syn(x_table)
-    return bcn_to_composite(bcn, mode, regime=lines.values.get("regime", ("free",))[0])

@@ -6,7 +6,6 @@ from boolps.bcn import (
     BooleanControlNetwork,
     apply_control,
     enumerate_controls,
-    format_bcn_text,
     freeze_extend,
     glue_trajectories,
     parse_bcn_text,
@@ -219,13 +218,6 @@ class TestTextFormat:
         parsed = parse_bcn_text("var x\ncontrol u\nx' = x | u\n")
         assert parsed.u_table.names == ("u",)
         assert parsed.updates[0].variables() == {"x", "u"}
-
-    def test_round_trip(self, frozen_toggle):
-        text = format_bcn_text(frozen_toggle)
-        again = parse_bcn_text(text)
-        assert again.table == frozen_toggle.table
-        for mine, original in zip(again.updates, frozen_toggle.updates):
-            assert equivalent(mine, original)
 
     def test_duplicate_update_names_both_lines(self):
         import boolps.errors as errors

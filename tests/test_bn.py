@@ -18,7 +18,6 @@ from boolps.bn import (
     bn_step,
     bn_trajectories,
     bn_transitions,
-    format_bn_text,
     named_mode,
     parse_bn_text,
     parse_mode_text,
@@ -309,13 +308,6 @@ class TestTrajectories:
 
 
 class TestTextFormat:
-    def test_round_trip(self, toggle):
-        text = format_bn_text(toggle)
-        again = parse_bn_text(text)
-        assert again.table == toggle.table
-        assert bn_transitions(again, BooleanMode.asyn(again.table)).edges == \
-            bn_transitions(toggle, BooleanMode.asyn(toggle.table)).edges
-
     def test_comments_and_blank_lines(self):
         network = parse_bn_text("# c\n\nvar a\n a' = !a # flip\n")
         assert network.table.names == ("a",)

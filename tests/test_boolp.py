@@ -128,21 +128,6 @@ class TestDeriveMode:
         for state in cascade.table.subsets():
             assert successors(cascade, view, state) == ((frozenset(), state),)
 
-    def test_strict_drops_partially_applicable_sets(self, cascade):
-        quasimode = explicit_quasimode([{"r1", "r2"}, {"r1"}])
-        strict = derive_mode(cascade, quasimode, strict=True)
-        filtered = derive_mode(cascade, quasimode)
-        at_full = conf(cascade, ["a", "b"])
-        assert strict.at(at_full) == {frozenset({"r1"})}
-        assert filtered.at(at_full) == {frozenset({"r1"})}
-        # {r1, r2} is never entirely applicable: r1 needs b, r2 forbids it
-        quasimode = explicit_quasimode([{"r1", "r2"}])
-        assert derive_mode(cascade, quasimode, strict=True).at(at_full) == frozenset()
-
-    def test_strict_keeps_empty_advised_set(self, cascade):
-        view = derive_mode(cascade, explicit_quasimode([set()]), strict=True)
-        assert view.at(conf(cascade, [])) == {frozenset()}
-
 
 class TestMaxpar:
     def test_cascade_choices(self, cascade):
@@ -322,13 +307,6 @@ class TestQuasimodeGenerators:
         view = derive_mode(cascade, quasimode_maxpar(cascade))
         assert view.at(conf(cascade, [])) == {frozenset()}
 
-    def test_powerset_strict_equals_filtered(self, cascade):
-        quasimode = quasimode_async(cascade)
-        for state in cascade.table.subsets():
-            assert quasimode.advised(cascade.applicable_rules(state), strict=True) == (
-                quasimode.advised(cascade.applicable_rules(state), strict=False)
-            )
-
 
 RULE_SETS = st.frozensets(st.sampled_from([f"r{i}" for i in range(1, 6)]))
 QUASIMODES = st.recursive(
@@ -348,7 +326,6 @@ QUASIMODES = st.recursive(
 def test_advised_cuts_every_element_to_the_applicable_set(quasimode, applicable):
     elements = list(quasimode.elements())
     assert quasimode.advised(applicable) == {a & applicable for a in elements}
-    assert quasimode.advised(applicable, strict=True) == {a for a in elements if a <= applicable}
 
 
 # The kernel indexes rules in sorted-id order: declared r1, r2, r3, r10, r11,
@@ -390,19 +367,18 @@ def reference_pairs(system, advised, configuration):
 
 
 @settings(max_examples=200, deadline=None)
-@given(pool_systems(), POOL_QUASIMODES, POOL_QUASIMODES, st.booleans())
-def test_successors_match_id_level_reference(system, quasimode, other, strict):
+@given(pool_systems(), POOL_QUASIMODES, POOL_QUASIMODES)
+def test_successors_match_id_level_reference(system, quasimode, other):
     # the reference: Rule.applicable_to, Quasimode.advised, dotted_product
     # and apply_rule_set, none of which uses rule masks
-    derived = derive_mode(system, quasimode, strict)
+    derived = derive_mode(system, quasimode)
     views = (
-        (derived, lambda app: quasimode.advised(app, strict)),
+        (derived, quasimode.advised),
         (
-            product_mode(derived, derive_mode(system, other, strict)),
-            lambda app: dotted_product(quasimode.advised(app, strict), other.advised(app, strict)),
+            product_mode(derived, derive_mode(system, other)),
+            lambda app: dotted_product(quasimode.advised(app), other.advised(app)),
         ),
-        (derive_mode(system, quasimode.dot(other), strict),
-         lambda app: quasimode.dot(other).advised(app, strict)),
+        (derive_mode(system, quasimode.dot(other)), quasimode.dot(other).advised),
         (maximally_parallel_mode(system), lambda app: {app} if app else set()),
     )
     for configuration in system.table.subsets():
@@ -516,9 +492,6 @@ EVOLVE_GOLDEN = {
         '{b} --{r3}--> {c} --{}--> {c}',
         '{b} --{r3}--> {c} --{r10}--> {a, c}',
     ],
-    'explicit-strict': [
-        '{b} --{r10, r3}--> {a, c} --{r2}--> {b, c}',
-    ],
     'product': [
         '{b} --{}--> {b} --{}--> {b}',
         '{b} --{}--> {b} --{r10}--> {a, b}',
@@ -550,7 +523,6 @@ def test_evolve_order_golden():
         "seq": derive_mode(system, quasimode_seq(system)),
         "async": derive_mode(system, quasimode_async(system)),
         "explicit": derive_mode(system, family),
-        "explicit-strict": derive_mode(system, family, strict=True),
         "product": derive_mode(
             system, family.dot(PowersetQuasimode(frozenset({"r10", "r2"})))
         ),

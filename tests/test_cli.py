@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from boolps.bn import parse_bn_text
+from boolps.bcn import parse_bcn_text
+from boolps.bn import BooleanMode, parse_bn_text
 from boolps.boolp import parse_system_text
 from boolps.cli import main
 from boolps.formula import MAX_NESTING
-from boolps.translate import bn_to_boolp, parse_composite_text, parse_reactions_text, rs_to_boolp
+from boolps.translate import bcn_to_composite, bn_to_boolp, parse_reactions_text, rs_to_boolp
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 # `compose` under every mode and regime, and `translate bcn --mode asyn`, on
@@ -179,11 +180,30 @@ class TestTranslateAndCompose:
         assert {r.id for r in system.rules} == {"set_x", "clr_x", "set_y", "clr_y"}
 
     def test_compose_round_trips(self, capsys):
-        code, out, _ = run(capsys, "compose", MODELS / "ex32.bcn", "--mode", "asyn")
+        # a dump's alphabet and rule lines are the composite system as .pi text
+        bcn = parse_bcn_text((MODELS / "ex32.bcn").read_text())
+        dump_only = ("controls ", "regime ", "mode ", "group ")
+        for regime in ("free", "tcs", "acs"):
+            code, out, _ = run(
+                capsys, "compose", MODELS / "ex32.bcn", "--mode", "asyn", "--regime", regime
+            )
+            assert code == 0
+            assert f"regime {regime}\n" in out
+            pi_lines = [line for line in out.splitlines() if not line.startswith(dump_only)]
+            system, quasimode = parse_system_text("\n".join(pi_lines) + "\n")
+            assert quasimode is None
+            composite = bcn_to_composite(bcn, BooleanMode.asyn(bcn.x_table), regime)
+            assert system == composite.system
+
+    def test_compose_mode_file_groups_in_canonical_order(self, capsys, tmp_path):
+        mode_file = tmp_path / "custom.mode"
+        mode_file.write_text("group {x, y}\ngroup {x}\ngroup {}\ngroup {y}\n")
+        code, out, _ = run(capsys, "compose", MODELS / "ex32.bcn", "--mode", mode_file)
         assert code == 0
-        composite = parse_composite_text(out)
-        assert composite.regime == "free"
-        assert len(composite.system.rules) == 12
+        # canonical order is digit order over (x, y): 00, 01, 10, 11
+        assert [line for line in out.splitlines() if line.startswith(("group", "mode"))] == [
+            "group {}", "group {y}", "group {x}", "group {x, y}",
+        ]
 
     @pytest.mark.parametrize("command", sorted(COMPOSITE_GOLDENS))
     def test_composite_dump_golden(self, capsys, command):
@@ -533,6 +553,22 @@ class TestExitCodes:
         )
         assert code == 3 and out == ""
         assert f"parse error: {solution}" in err and message in err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize(
+        "start, target", [(",", "{11}"), ("{01}", ",")], ids=["empty-start", "empty-target"]
+    )
+    def test_empty_start_or_target_is_three(self, capsys, tmp_path, command, start, target):
+        model = tmp_path / "empty.cofase"
+        network = (MODELS / "ex32.cofase").read_text().split("start")[0]
+        model.write_text(f"{network}start {start}\ntarget {target}\n")
+        solution = tmp_path / "solution.json"
+        solution.write_text('{"solvable": false}')
+        extra = ["--solution", solution] if command == "verify" else []
+        code, out, err = run(capsys, "cofase", command, model, *extra)
+        assert code == 3 and out == ""
+        assert f"parse error: {model}" in err
+        assert "need at least one start and one target state" in err
 
     def test_missing_file_is_two(self, capsys):
         code, _, _ = run(capsys, "bn", "transitions", "nope.bn")

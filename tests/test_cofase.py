@@ -555,11 +555,12 @@ class TestControlSpace:
         bcn = freeze_extend(network)
         controls = control_space(bcn, cap=5)  # 2^6 > 2^5 forces the generator
         assert len(controls) == 27  # 3 choices per pair
-        for mu in controls:
-            raised = set(mu.names())
-            for name in t.names:
-                assert not {f"u_{name}0", f"u_{name}1"} <= raised
-        assert controls == sorted(controls, key=StateSet.sort_key)
+        pairs = [{f"u_{name}0", f"u_{name}1"} for name in t.names]
+        expected = [
+            mu for mu in enumerate_controls(bcn.u_table)
+            if all(not pair <= set(mu.names()) for pair in pairs)
+        ]
+        assert controls == expected
 
 
 class TestInstanceIO:

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from boolps.bcn import freeze_extend
-from boolps.bn import BooleanMode, format_bn_text
+from boolps.bn import BooleanMode
 from boolps.cli import main
 from boolps.cofase import (
     CoFaSeInstance,
@@ -87,7 +87,9 @@ def _network_records(workdir: Path):
     for index in range(50):
         table = random_table(rng, rng.randint(1, 4))
         model = workdir / f"net{index}.bn"
-        model.write_text(format_bn_text(random_network(rng, table)))
+        network = random_network(rng, table)
+        updates = "".join(f"{n}' = {u.to_text()}\n" for n, u in zip(table.names, network.updates))
+        model.write_text(f"var {', '.join(table.names)}\n{updates}")
         groups = random_mode(rng, table).sorted_elements()
         mode_file = workdir / f"net{index}.mode"
         mode_file.write_text("".join(f"group {group.set_text()}\n" for group in groups))

@@ -17,6 +17,7 @@ from boolps.boolp import (
     PowersetQuasimode,
     ProductQuasimode,
     Rule,
+    apply_rule_set,
     derive_mode,
     explicit_quasimode,
     maximally_parallel_mode,
@@ -157,21 +158,25 @@ class TestControlledSimulation:
 
 class TestStrictSemanticsComparison:
     def test_filtered_semantics_is_load_bearing(self, toggle):
-        # at the empty configuration no encoded rule is applicable, so the
-        # strict reading drops the advised set entirely and loses the
-        # network's 00 -> 00 self-loop; the filtered reading keeps it as an
-        # explicit empty firing
+        # at the empty configuration no encoded rule is applicable, so a
+        # strict reading, which keeps only the advised sets that are entirely
+        # applicable, drops the advised set and loses the network's 00 -> 00
+        # self-loop; the derived mode keeps it as an explicit empty firing
         system = bn_to_boolp(toggle)
         quasimode = bn_mode_to_quasimode(BooleanMode.syn(toggle.table), system)
         empty = StateSet.empty(toggle.table)
-        filtered = derive_mode(system, quasimode)
-        strict = derive_mode(system, quasimode, strict=True)
-        assert successors(system, filtered, empty) == ((frozenset(), empty),)
-        assert successors(system, strict, empty) == ()
-        filtered_relation = boolp_transitions(system, filtered)
-        strict_relation = boolp_transitions(system, strict)
-        assert (empty, frozenset(), empty) in filtered_relation.edges
-        assert strict_relation.edges < filtered_relation.edges
+        assert not [m for m in quasimode.elements() if m <= system.applicable_rules(empty)]
+        derived = derive_mode(system, quasimode)
+        assert successors(system, derived, empty) == ((frozenset(), empty),)
+        strict_edges = frozenset(
+            (state, element, apply_rule_set(state, map(system.rule, element)))
+            for state in toggle.table.subsets()
+            for element in quasimode.elements()
+            if element <= system.applicable_rules(state)
+        )
+        edges = boolp_transitions(system, derived).edges
+        assert (empty, frozenset(), empty) in edges
+        assert strict_edges < edges
 
 
 class TestLemmaAndReactions:

@@ -23,7 +23,6 @@ from boolps.formula import (
     merge_tables,
     parse_formula,
     parse_state,
-    satisfying_sets,
     truth_bitmask,
 )
 from boolps.generators import random_formula, random_table
@@ -180,28 +179,6 @@ class TestParse:
         assert phi.root == And((Var(0), Var(1), Var(2)))
 
 
-class TestSatisfyingSets:
-    def test_tautology_has_all_subsets(self):
-        t = VarTable.of("a", "b")
-        assert satisfying_sets(parse_formula("1", t)) == frozenset(all_states(t))
-
-    def test_not_b(self):
-        # 4-row truth table: only rows without b qualify
-        t = VarTable.of("a", "b")
-        got = satisfying_sets(parse_formula("!b", t))
-        assert got == frozenset({StateSet.empty(t), StateSet.of(t, ["a"])})
-
-    def test_x_and_not_y(self):
-        t = VarTable.of("x", "y")
-        got = satisfying_sets(parse_formula("x & !y", t))
-        assert got == frozenset({StateSet.of(t, ["x"])})
-
-    def test_cap(self):
-        t = VarTable(f"v{i}" for i in range(6))
-        with pytest.raises(CapacityError):
-            satisfying_sets(parse_formula("1", t), cap=5)
-
-
 # --- properties -----------------------------------------------------------
 
 NAMES = ("a", "b", "c")
@@ -241,15 +218,6 @@ def test_serialize_parse_preserves_truth_table(text):
     again = parse_formula(phi.to_text(), TABLE)
     for state in all_states(TABLE):
         assert phi.evaluate(state) == again.evaluate(state)
-
-
-@settings(max_examples=100, deadline=None)
-@given(formula_texts)
-def test_eval_iff_member_of_satisfying_sets(text):
-    phi = parse_formula(text, TABLE)
-    sats = satisfying_sets(phi)
-    for state in all_states(TABLE):
-        assert phi.evaluate(state) == (state in sats)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,9 @@ Every model in `models/` is edited by inserting, deleting and duplicating
 spans of text; whatever comes out, `cli.main` must return an exit code of
 the 0-4 contract and never raise.  The solution document that
 `cofase solve --format json` writes for models/ex32.cofase is edited the
-same way and fed to `cofase verify`.
+same way and fed to `cofase verify`.  Line-structured text built from the
+formats' keywords, names and operators goes straight to each reader, which
+may only succeed or raise `ParseError`.
 """
 
 import contextlib
@@ -13,10 +15,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boolps.bcn import parse_bcn_text
+from boolps.bn import parse_bn_text, parse_mode_text
+from boolps.boolp import parse_system_text
 from boolps.cli import main
+from boolps.cofase import parse_instance_text
+from boolps.errors import ParseError
+from boolps.formula import VarTable
+from boolps.translate import parse_reactions_text
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -107,3 +116,31 @@ def test_mutated_solution_verifies_within_contract(ex32_solution, edits):
         path.write_text(text, encoding="utf-8")
         code, _out = run_main(["cofase", "verify", MODELS / "ex32.cofase", "--solution", path])
     assert code in range(5), (code, text)
+
+
+# the keywords of every format, a few names, and the punctuation around them
+TOKENS = st.sampled_from([
+    "var", "control", "freeze", "alphabet", "quasimode", "advise", "species", "start",
+    "target", "mode", "group", "reactants", "inhibitors", "products", "maxpar", "syn",
+    "x", "y", "u_x0", "u_x1", "r1", "x'", "01", "{x}", "{}", "{", "}", ",", "=", "->",
+    "|", "&", "!", "(", ")", ":", "0", "1", "#",
+])
+LINES = st.lists(st.lists(TOKENS, max_size=8).map(" ".join), max_size=6).map("\n".join)
+
+READERS = {
+    "bn": parse_bn_text,
+    "bcn": parse_bcn_text,
+    "pi": parse_system_text,
+    "rs": parse_reactions_text,
+    "cofase": parse_instance_text,
+    "mode": lambda text: parse_mode_text(text, VarTable.of("x", "y")),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=200, deadline=None)
+@given(text=LINES)
+@example(text="var x\nfreeze x\nx' = x\nstart ,\ntarget {1}\n")
+def test_reader_raises_only_parse_error(reader, text):
+    with contextlib.suppress(ParseError):
+        READERS[reader](text)

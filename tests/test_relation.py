@@ -38,8 +38,8 @@ def _sorted(edges):
     return sorted(edges, key=lambda e: (e[0].sort_key(), label_text(e[1]), e[2].sort_key()))
 
 
-def old_to_dot(edges, style="digits", graph_name="transitions"):
-    lines = [f"digraph {graph_name} {{"]
+def old_to_dot(edges, style="digits"):
+    lines = ["digraph transitions {"]
     states = sorted({s for e in edges for s in (e[0], e[2])}, key=StateSet.sort_key)
     for state in states:
         lines.append(f'  "{_text(state, style)}";')
@@ -69,10 +69,9 @@ def old_to_text(edges, style="digits"):
     return "\n".join(lines) + "\n"
 
 
-def assert_renders_like_edges(relation, edges, style, label_key, graph_name):
+def assert_renders_like_edges(relation, edges, style, label_key):
     assert relation.edges == edges
     assert relation.to_dot(style) == old_to_dot(edges, style)
-    assert relation.to_dot(style, graph_name) == old_to_dot(edges, style, graph_name)
     assert relation.to_json_lines(style) == old_to_json_lines(edges, style)
     assert relation.to_json_lines(style, label_key) == old_to_json_lines(edges, style, label_key)
     assert relation.to_text(style) == old_to_text(edges, style)
@@ -103,9 +102,8 @@ def _network_mode(rng, table, mode_name):
     st.sampled_from(["syn", "asyn", "random", "overlapping", "empty"]),
     st.sampled_from(STYLES),
     NAMES,
-    NAMES,
 )
-def test_bn_transitions_render_like_edge_set(n, seed, mode_name, style, label_key, graph_name):
+def test_bn_transitions_render_like_edge_set(n, seed, mode_name, style, label_key):
     rng = random.Random(seed)
     table = random_table(rng, n)
     network = random_network(rng, table)
@@ -116,7 +114,7 @@ def test_bn_transitions_render_like_edge_set(n, seed, mode_name, style, label_ke
         for element in mode.elements
     )
     relation = bn_transitions(network, mode)
-    assert_renders_like_edges(relation, edges, style, label_key, graph_name)
+    assert_renders_like_edges(relation, edges, style, label_key)
 
 
 def _pi_case(seed, mode_name):
@@ -138,9 +136,8 @@ def _pi_case(seed, mode_name):
     st.sampled_from(["maxpar", "seq", "async"]),
     st.sampled_from(STYLES),
     NAMES,
-    NAMES,
 )
-def test_boolp_transitions_render_like_edge_set(seed, mode_name, style, label_key, graph_name):
+def test_boolp_transitions_render_like_edge_set(seed, mode_name, style, label_key):
     system, view = _pi_case(seed, mode_name)
     edges = frozenset(
         (configuration, fired, result)
@@ -148,7 +145,7 @@ def test_boolp_transitions_render_like_edge_set(seed, mode_name, style, label_ke
         for fired, result in successors(system, view, configuration)
     )
     relation = boolp_transitions(system, view)
-    assert_renders_like_edges(relation, edges, style, label_key, graph_name)
+    assert_renders_like_edges(relation, edges, style, label_key)
 
 
 def test_halting_configurations_have_empty_rows_and_no_node():
@@ -252,7 +249,7 @@ def test_any_rows_construct_or_raise_usage_error(data):
         for label, dst in row
     )
     for style in STYLES:
-        assert_renders_like_edges(relation, edges, style, "k", "g")
+        assert_renders_like_edges(relation, edges, style, "k")
 
 
 def test_successors_rejects_a_state_of_another_table(pair):

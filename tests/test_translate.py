@@ -26,9 +26,6 @@ from boolps.translate import (
     bcn_to_composite,
     bn_mode_to_quasimode,
     bn_to_boolp,
-    format_composite_text,
-    format_reactions_text,
-    parse_composite_text,
     parse_reactions_text,
     rs_to_boolp,
 )
@@ -304,7 +301,7 @@ def union_reference(bcn, mode, regime):
     if regime == "acs":
         rules = [rule(f"u_set_{n}", [], [n]) for n in names]
         rules += [rule(f"u_rw_{a}_{b}", [a], [b]) for pair in pairs for a in pair for b in pair]
-        control = PowersetQuasimode(frozenset(r.id for r in rules), name="acs")
+        control = PowersetQuasimode(frozenset(r.id for r in rules))
     else:
         rules = []
         for n in names:
@@ -317,7 +314,7 @@ def union_reference(bcn, mode, regime):
                 ExplicitQuasimode(frozenset({frozenset({f"u_set_{n}"}) for n in pair}))
                 for pair in pairs
             ]
-        control = ProductQuasimode(tuple(factors), name=regime)
+        control = ProductQuasimode(tuple(factors))
     system = union_systems(
         BooleanPSystem(table, tuple(encoding)), BooleanPSystem(u_table, tuple(rules))
     )
@@ -436,10 +433,6 @@ class TestReactionEmbedding:
         a = StateSet.of(t, ["a"])
         with pytest.raises(ValidationError):
             ReactionSystem(t, (Reaction("bad", a, a, a),))
-        kept = ReactionSystem(t, (Reaction("bad", a, a, a),), allow_degenerate=True)
-        system, view = rs_to_boolp(kept)
-        for state in t.subsets():
-            assert not system.rule("bad").applicable_to(state)
 
     def test_random_small_systems_against_oracle(self):
         from boolps.generators import random_reaction_system
@@ -452,33 +445,3 @@ class TestReactionEmbedding:
                 steps = successors(system, view, state)
                 got = steps[0][1] if steps else state
                 assert got == reaction_oracle(rs, state)
-
-    def test_text_round_trip(self, loop):
-        text = format_reactions_text(loop)
-        again = parse_reactions_text(text)
-        assert again == loop
-
-
-class TestCompositeDump:
-    def test_round_trip(self, toggle):
-        composite = bcn_to_composite(freeze_extend(toggle), BooleanMode.asyn(toggle.table))
-        text = format_composite_text(composite)
-        again = parse_composite_text(text)
-        assert format_composite_text(again) == text
-        assert again.system == composite.system
-        assert again.mode == composite.mode
-
-    def test_custom_mode_round_trip(self, toggle):
-        mode = BooleanMode.of(toggle.table, [["x"], []])
-        composite = bcn_to_composite(freeze_extend(toggle), mode)
-        text = format_composite_text(composite)
-        assert parse_composite_text(text).mode == mode
-
-    def test_regimes_round_trip(self, toggle):
-        for regime in ("free", "tcs", "acs"):
-            composite = bcn_to_composite(
-                freeze_extend(toggle), BooleanMode.syn(toggle.table), regime=regime
-            )
-            again = parse_composite_text(format_composite_text(composite))
-            assert again.regime == regime
-            assert again.system == composite.system
