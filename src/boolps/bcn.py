@@ -74,35 +74,43 @@ def selected_networks(
     """The distinct (structurally unequal) networks the controls select,
     each under the first control, in the given order, that selects it.
 
-    Each update is folded once per projection of a control onto the control
-    inputs that update mentions.  `substitute` leaves unmentioned names
-    untouched, so controls whose folds are all equal select equal networks.
-    Each class's network is built by `apply_control` on its first control.
+    Update i's fold depends only on the control's projection onto the
+    inputs the update mentions (`substitute` leaves unmentioned names
+    untouched).  `apply_control` runs only on a control that brings some
+    update a projection not met before; that network's update i becomes
+    the fold for the new projection, interned per update, so equal folds
+    are one `Formula` object.  Controls are grouped by the tuple of their
+    per-update fold indices, and each class's network is assembled from
+    the shared folds of its first control.
     """
     u_names = set(bcn.u_table.names)
-    # per update: the formula, the inputs it mentions, their bit mask, and
-    # the index of its fold by projection and by folded formula
-    folds = []
-    for formula in bcn.updates:
-        used = formula.variables() & u_names
-        mask = sum(1 << bcn.u_table.position(name) for name in used)
-        folds.append((formula, used, mask, {}, {}))
+    masks = [
+        sum(1 << bcn.u_table.position(name) for name in formula.variables() & u_names)
+        for formula in bcn.updates
+    ]
+    # per update: the fold index of each projection met, and the distinct folds
+    by_projection = [{} for _ in masks]
+    folds = [{} for _ in masks]
     first = {}
     for control in controls:
         if control.table != bcn.u_table:
             raise UsageError("control over a different control table")
         bits = control.bits
-        key = []
-        for formula, used, mask, by_projection, distinct in folds:
-            index = by_projection.get(bits & mask)
-            if index is None:
-                folded = formula.substitute(
-                    {name: bool(bits >> bcn.u_table.position(name) & 1) for name in used}
-                )
-                index = by_projection[bits & mask] = distinct.setdefault(folded, len(distinct))
-            key.append(index)
-        first.setdefault(tuple(key), control)
-    return {control: apply_control(bcn, control) for control in first.values()}
+        projections = [bits & mask for mask in masks]
+        if any(p not in seen for p, seen in zip(projections, by_projection)):
+            network = apply_control(bcn, control)
+            for seen, distinct, projection, fold in zip(
+                by_projection, folds, projections, network.updates
+            ):
+                if projection not in seen:
+                    seen[projection] = distinct.setdefault(fold, len(distinct))
+        key = tuple(seen[p] for p, seen in zip(projections, by_projection))
+        first.setdefault(key, control)
+    shared = [list(distinct) for distinct in folds]
+    return {
+        control: BooleanNetwork(bcn.x_table, tuple(f[i] for f, i in zip(shared, key)))
+        for key, control in first.items()
+    }
 
 
 def control_pair_names(name: str) -> tuple[str, str]:

@@ -234,7 +234,9 @@ def _shortest_phase_path(table, elements, rows, source, target, min_steps) -> Tr
 def _image(reach, states) -> frozenset:
     out = set()
     for bits in states:
-        out |= reach[bits]
+        # a phase closure is transitive: a state already in `out` adds nothing
+        if bits not in out:
+            out |= reach[bits]
     return frozenset(out)
 
 
@@ -535,34 +537,38 @@ def _decode_composite_run(composite, parents, final, start) -> PhaseWitness:
 # --- instance files and solution JSON ------------------------------------------------
 
 
-def _parse_state_list(table: VarTable, text: str) -> list[StateSet]:
-    text = text.strip()
-    if text.startswith("{") and text.endswith("}"):
-        inner = text[1:-1].strip()
-        if inner.startswith("{"):
-            # list of brace sets: {{x}, {x,y}}
-            parts = []
-            depth = 0
+def _top_level_parts(text: str) -> list[str]:
+    """`text` split at the commas outside braces, stripped, blanks dropped."""
+    parts = []
+    depth = 0
+    current = ""
+    for char in text:
+        if char == "{":
+            depth += 1
+        if char == "}":
+            depth -= 1
+        if char == "," and depth == 0:
+            parts.append(current.strip())
             current = ""
-            for char in inner:
-                if char == "{":
-                    depth += 1
-                if char == "}":
-                    depth -= 1
-                if char == "," and depth == 0:
-                    parts.append(current)
-                    current = ""
-                else:
-                    current += char
-            if current.strip():
-                parts.append(current)
-            return [parse_state(table, p.strip()) for p in parts]
-        items = [p.strip() for p in inner.split(",") if p.strip()]
+        else:
+            current += char
+    parts.append(current.strip())
+    return [part for part in parts if part]
+
+
+def _parse_state_list(table: VarTable, text: str) -> list[StateSet]:
+    """States side by side (`01, 10` or `{x}, {x,y}`), or one brace list of
+    them (`{01, 10}` or `{{x}, {x,y}}`), or one set state (`{x, y}`)."""
+    parts = _top_level_parts(text)
+    if len(parts) == 1 and parts[0].startswith("{") and parts[0].endswith("}"):
+        inner = parts[0][1:-1].strip()
+        if inner.startswith("{"):
+            return [parse_state(table, p) for p in _top_level_parts(inner)]
+        items = _top_level_parts(inner)
         if items and all(all(c in "01" for c in item) for item in items):
             return [parse_state(table, item) for item in items]
-        # a single set literal such as {x, y}
-        return [parse_state(table, text)]
-    return [parse_state(table, p.strip()) for p in text.split(",") if p.strip()]
+        return [parse_state(table, parts[0])]
+    return [parse_state(table, p) for p in parts]
 
 
 def parse_instance_text(text: str, source=None) -> CoFaSeInstance:

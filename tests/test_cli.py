@@ -326,6 +326,33 @@ class TestCofaseCommands:
         assert code == 1
         assert "no solution" in out
 
+    @pytest.mark.parametrize(
+        "brace_list, side_by_side, digits",
+        [("{{x}, {y}}", "{x}, {y}", ["01", "10"]),
+         ("{{x, y}, {y}}", "{x, y}, {y},", ["01", "11"])],
+        ids=["singletons", "pair-trailing-comma"],
+    )
+    def test_set_states_side_by_side_read_like_a_brace_list(self, capsys, tmp_path,
+                                                            brace_list, side_by_side, digits):
+        network = (MODELS / "ex32.cofase").read_text().split("start")[0]
+        outputs = []
+        for starts in (brace_list, side_by_side):
+            instance = tmp_path / "sets.cofase"
+            instance.write_text(f"{network}start {starts}\ntarget {{x, y}}\nmode syn\n")
+            code, out, err = run(capsys, "cofase", "solve", instance, "--format", "json")
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert [w["start"] for w in json.loads(outputs[1])["witnesses"]] == digits
+
+    def test_unclosed_set_state_in_a_list_is_three(self, capsys, tmp_path):
+        network = (MODELS / "ex32.cofase").read_text().split("start")[0]
+        instance = tmp_path / "unclosed.cofase"
+        instance.write_text(f"{network}start {{x}}, {{y\ntarget {{x, y}}\nmode syn\n")
+        code, out, err = run(capsys, "cofase", "solve", instance)
+        assert code == 3 and out == ""
+        assert f"parse error: {instance}" in err
+
 
 class TestCheckCommands:
     def test_bn_sim_file(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import boolps.bcn
 from boolps import cofase
 from boolps.bcn import (
     BooleanControlNetwork,
@@ -374,6 +375,38 @@ def test_selected_networks_match_apply_control(bcn, rng):
         expected.setdefault(apply_control(bcn, mu), mu)
     got = selected_networks(bcn, controls)
     assert list(got.items()) == [(mu, network) for network, mu in expected.items()]
+
+
+def counted_apply_control(monkeypatch):
+    """Count the `apply_control` calls `selected_networks` makes."""
+    calls = []
+    apply = boolps.bcn.apply_control
+    monkeypatch.setattr(
+        boolps.bcn, "apply_control", lambda *args: calls.append(args) or apply(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_selected_networks_apply_each_control_projection_once(n, monkeypatch):
+    # a freeze-wrapped update has 4 projections, and control 0 brings n of them
+    rng = random.Random(n)
+    bcn = freeze_extend(random_network(rng, random_table(rng, n)))
+    calls = counted_apply_control(monkeypatch)
+    networks = selected_networks(bcn, control_space(bcn))
+    assert 1 <= len(calls) <= 1 + 3 * n
+    for i in range(n):
+        # (f & !u0) | u1 folds to f, 0 or 1: equal folds are one object
+        updates = [network.updates[i] for network in networks.values()]
+        assert len({id(update) for update in updates}) == len(set(updates)) <= 3
+
+
+def test_selected_networks_reject_a_foreign_control_before_applying_any(frozen, monkeypatch):
+    calls = counted_apply_control(monkeypatch)
+    foreign = VarTable.of("u_x0", "u_x1").state(0)
+    with pytest.raises(UsageError):
+        selected_networks(frozen, [foreign] + control_space(frozen))
+    assert calls == []
 
 
 def eager_solve(instance, max_phases, policy="uniform", min_steps=0):
