@@ -35,7 +35,6 @@ from .boolp import (
     explicit_quasimode,
     maximally_parallel_mode,
     parse_system_text,
-    product_mode,
     quasimode_async,
     quasimode_maxpar,
     quasimode_seq,

@@ -49,23 +49,19 @@ def enumerate_controls(u_table: VarTable, cap=None) -> list[StateSet]:
 
 
 def apply_control(bcn: BooleanControlNetwork, control: StateSet) -> BooleanNetwork:
-    """The plain network selected by a control: substitute, fold, drop the controls."""
+    """The plain network selected by a control: substitute every control
+    input and fold.  Variables come first in the combined table, so a fold
+    mentions only positions of `x_table` and is re-tabled as it is."""
     if control.table != bcn.u_table:
         raise UsageError("control over a different control table")
     values = {
         name: bool(control.bits >> pos & 1)
         for pos, name in enumerate(bcn.u_table.names)
     }
-    n_x = len(bcn.x_table)
-    x_map = {i: i for i in range(n_x)}
-    updates = []
-    for formula in bcn.updates:
-        folded = formula.substitute(values)
-        leftover = folded.variables() & set(bcn.u_table.names)
-        if leftover:
-            raise ValidationError(f"control inputs survived substitution: {sorted(leftover)}")
-        updates.append(folded.remap(bcn.x_table, x_map))
-    return BooleanNetwork(bcn.x_table, tuple(updates))
+    return BooleanNetwork(
+        bcn.x_table,
+        tuple(Formula(bcn.x_table, f.substitute(values).root) for f in bcn.updates),
+    )
 
 
 def selected_networks(
@@ -169,10 +165,9 @@ def freeze_extend(network: BooleanNetwork, variables=None) -> BooleanControlNetw
             u_names.extend(control_pair_names(name))
     u_table = VarTable(u_names)
     table = VarTable(network.table.names + u_table.names)
-    x_map = {i: i for i in range(len(network.table))}
     updates = []
     for name, update in zip(network.table.names, network.updates):
-        lifted = update.remap(table, x_map)
+        lifted = Formula(table, update.root)  # the variables keep their positions
         updates.append(_frozen(lifted, name) if name in seen else lifted)
     return BooleanControlNetwork(network.table, u_table, table, tuple(updates))
 

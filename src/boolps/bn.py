@@ -154,6 +154,44 @@ def bn_transitions(network: BooleanNetwork, mode: BooleanMode, cap=None) -> Tran
     )
 
 
+def enumerate_runs(start, max_steps: int, breadth_cap, expand, what: str) -> list:
+    """All runs of a labelled one-step relation from `start`, breadth first.
+
+    `expand(state)` lists the state's ``(label, next state)`` pairs in
+    branch order; it is called once per distinct state.  A run stops at a
+    state without pairs, or after `max_steps` steps.  Returns the stopped
+    runs, then the runs still growing, as ``(states, labels)`` tuples.
+    Raises CapacityError ("<what> breadth exceeded cap N") when a step
+    leaves more than `breadth_cap` runs (default DEFAULT_BREADTH_CAP),
+    stopped ones included.
+    """
+    if max_steps < 0:
+        raise UsageError("max_steps must be non-negative")
+    if breadth_cap is not None and breadth_cap < 0:
+        raise UsageError("breadth cap must be non-negative")
+    limit = DEFAULT_BREADTH_CAP if breadth_cap is None else breadth_cap
+    # branches revisit states: expand each one once per call
+    moves = {}
+    done = []
+    paths = [((start,), ())]
+    for _ in range(max_steps):
+        grown = []
+        for states, labels in paths:
+            last = states[-1]
+            if last not in moves:
+                moves[last] = expand(last)
+            if not moves[last]:
+                done.append((states, labels))
+            for label, nxt in moves[last]:
+                grown.append((states + (nxt,), labels + (label,)))
+        if len(grown) + len(done) > limit:
+            raise CapacityError(f"{what} breadth exceeded cap {limit}")
+        paths = grown
+        if not paths:
+            break
+    return done + paths
+
+
 def bn_trajectories(
     network: BooleanNetwork,
     mode: BooleanMode,
@@ -161,32 +199,17 @@ def bn_trajectories(
     max_steps: int,
     breadth_cap=None,
 ) -> tuple[Trajectory, ...]:
-    """All labelled runs from `start`, each extended for `max_steps` steps."""
-    if max_steps < 0:
-        raise UsageError("max_steps must be non-negative")
-    if breadth_cap is not None and breadth_cap < 0:
-        raise UsageError("breadth cap must be non-negative")
-    limit = DEFAULT_BREADTH_CAP if breadth_cap is None else breadth_cap
+    """All labelled runs from `start`, each extended for `max_steps` steps
+    (a mode without elements stops every run at `start`)."""
     elements = mode.sorted_elements()
-    paths = [((start,), ())]
-    for _ in range(max_steps):
-        if not elements:
-            break
-        grown = []
-        for states, labels in paths:
-            for element in elements:
-                grown.append(
-                    (states + (bn_step(network, states[-1], element),), labels + (element,))
-                )
-        if len(grown) > limit:
-            raise CapacityError(
-                f"trajectory breadth exceeded cap {limit}",
-                partial=tuple(Trajectory(s, l) for s, l in paths),
-            )
-        paths = grown
+    runs = enumerate_runs(
+        start, max_steps, breadth_cap,
+        lambda state: [(element, bn_step(network, state, element)) for element in elements],
+        "trajectory",
+    )
     # distinct state sequences; label choices may coincide state-wise
     seen = {}
-    for states, labels in paths:
+    for states, labels in runs:
         seen.setdefault(states, labels)
     return tuple(Trajectory(states, labels) for states, labels in seen.items())
 

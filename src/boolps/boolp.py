@@ -35,8 +35,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .bn import Trajectory
-from .errors import CapacityError, ParseError, UsageError, ValidationError
+from .bn import Trajectory, enumerate_runs
+from .errors import ParseError, UsageError, ValidationError
 from .formula import (
     Formula,
     StateSet,
@@ -50,7 +50,7 @@ from .formula import (
     parse_state,
     truth_patterns,
 )
-from .limits import DEFAULT_BREADTH_CAP, check_enumerable
+from .limits import check_enumerable
 
 RuleSet = frozenset  # of rule id strings
 
@@ -434,13 +434,6 @@ def maximally_parallel_mode(system: BooleanPSystem) -> ModeView:
     return ModeView(system, lambda app: [system.fold(app)] if app else [])
 
 
-def product_mode(first: ModeView, second: ModeView) -> ModeView:
-    """Pointwise dotted product of two mode views over the same system."""
-    if first.system != second.system:
-        raise UsageError("product of modes over different systems")
-    return ModeView(first.system, lambda app: _dot(first.resolved(app), second.resolved(app)))
-
-
 def successors(system: BooleanPSystem, mode: ModeView, configuration: StateSet):
     """Fired-set/result pairs at a configuration, in no particular order;
     `evolve` and the composite engine sort what they need."""
@@ -471,45 +464,18 @@ def evolve(
     state; a dead end under the mode without that (an empty mode value at a
     non-halting state) just stops the branch.
     """
-    if max_steps < 0:
-        raise UsageError("max_steps must be non-negative")
-    if breadth_cap is not None and breadth_cap < 0:
-        raise UsageError("breadth cap must be non-negative")
-    limit = DEFAULT_BREADTH_CAP if breadth_cap is None else breadth_cap
-    # branches revisit configurations: expand each one once per call
-    expanded = {}
+    def expand(configuration):
+        return sorted(
+            successors(system, mode, configuration),
+            key=lambda p: (tuple(sorted(p[0])), p[1].sort_key()),
+        )
+
+    runs = enumerate_runs(start, max_steps, breadth_cap, expand, "evolution")
     halting = {}
-
-    def trajectories(paths):
-        for states, _labels in paths:
-            if states[-1] not in halting:
-                halting[states[-1]] = system.is_halting(states[-1])
-        return tuple(Trajectory(s, l, halting=halting[s[-1]]) for s, l in paths)
-
-    done = []
-    paths = [((start,), ())]
-    for _ in range(max_steps):
-        grown = []
-        for states, labels in paths:
-            last = states[-1]
-            if last not in expanded:
-                expanded[last] = sorted(
-                    successors(system, mode, last),
-                    key=lambda p: (tuple(sorted(p[0])), p[1].sort_key()),
-                )
-            if not expanded[last]:
-                done.append((states, labels))
-                continue
-            for fired, nxt in expanded[last]:
-                grown.append((states + (nxt,), labels + (fired,)))
-        if len(grown) + len(done) > limit:
-            raise CapacityError(
-                f"evolution breadth exceeded cap {limit}", partial=trajectories(done + grown)
-            )
-        paths = grown
-        if not paths:
-            break
-    return trajectories(done + paths)
+    for states, _labels in runs:
+        if states[-1] not in halting:
+            halting[states[-1]] = system.is_halting(states[-1])
+    return tuple(Trajectory(s, l, halting=halting[s[-1]]) for s, l in runs)
 
 
 # --- composition ----------------------------------------------------------------

@@ -29,6 +29,7 @@ from .boolp import (
     maximally_parallel_mode,
     named_quasimode,
     parse_system_text,
+    quasimode_maxpar,
 )
 from .cofase import (
     parse_instance_text,
@@ -38,7 +39,7 @@ from .cofase import (
     solve_cofase_via_composite,
     verify_control_sequence,
 )
-from .errors import BoolpsError, CapacityError, ParseError, UsageError, ValidationError
+from .errors import BoolpsError, CapacityError, ParseError, UsageError
 from .formula import parse_state
 from .translate import (
     _encode_updates,
@@ -100,19 +101,28 @@ def _load_system(args):
     return system, derive_mode(system, quasimode)
 
 
+def _emit_relation(args, relation, style, label_key):
+    if args.format == "dot":
+        _emit(args, relation.to_dot(style=style))
+    elif args.format == "json":
+        _emit(args, relation.to_json_lines(style=style, label_key=label_key))
+    else:
+        _emit(args, relation.to_text(style=style))
+    return EXIT_OK
+
+
+def _emit_runs(args, runs, style):
+    _emit(args, "\n".join(sorted(t.text(style=style) for t in runs)) + "\n")
+    return EXIT_OK
+
+
 # --- bn ------------------------------------------------------------------
 
 
 def _cmd_bn_transitions(args):
     network = parse_bn_text(_read(args.model), source=args.model)
     relation = bn_transitions(network, _bn_mode(args, network.table), cap=args.cap_vars)
-    if args.format == "dot":
-        _emit(args, relation.to_dot(style="digits"))
-    elif args.format == "json":
-        _emit(args, relation.to_json_lines(style="digits", label_key="mode_elem"))
-    else:
-        _emit(args, relation.to_text(style="digits"))
-    return EXIT_OK
+    return _emit_relation(args, relation, "digits", "mode_elem")
 
 
 def _cmd_bn_trace(args):
@@ -121,9 +131,7 @@ def _cmd_bn_trace(args):
     runs = bn_trajectories(
         network, _bn_mode(args, network.table), start, args.steps, args.max_breadth
     )
-    lines = sorted(t.text(style="digits") for t in runs)
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit_runs(args, runs, "digits")
 
 
 def _cmd_bn_attractors(args):
@@ -143,22 +151,13 @@ def _cmd_bn_attractors(args):
 def _cmd_pi_transitions(args):
     system, view = _load_system(args)
     relation = equivalence.boolp_transitions(system, view, cap=args.cap_vars)
-    if args.format == "dot":
-        _emit(args, relation.to_dot(style="set"))
-    elif args.format == "json":
-        _emit(args, relation.to_json_lines(style="set", label_key="rules"))
-    else:
-        _emit(args, relation.to_text(style="set"))
-    return EXIT_OK
+    return _emit_relation(args, relation, "set", "rules")
 
 
 def _cmd_pi_trace(args):
     system, view = _load_system(args)
     start = parse_state(system.table, args.init)
-    runs = evolve(system, view, start, args.steps, args.max_breadth)
-    lines = sorted(t.text(style="set") for t in runs)
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _emit_runs(args, evolve(system, view, start, args.steps, args.max_breadth), "set")
 
 
 # --- translate / compose ---------------------------------------------------
@@ -185,8 +184,7 @@ def _cmd_translate_bcn(args):
 def _cmd_translate_rs(args):
     rs = parse_reactions_text(_read(args.model), source=args.model)
     system, _mode = rs_to_boolp(rs)
-    text = format_system_text(system)
-    _emit(args, text + "quasimode maxpar\n")
+    _emit(args, format_system_text(system, quasimode_maxpar(system)))
     return EXIT_OK
 
 
@@ -228,7 +226,13 @@ def _cmd_cofase_solve(args):
             lines.append(f"    boundaries {list(witness.boundaries)}")
         _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(args, f"no solution within bounds ({result.detail or 'exhausted'})\n")
+        if result.detail:
+            reason = result.detail
+        elif result.frontier[-1:] == (0,):
+            reason = "exhausted"
+        else:
+            reason = f"phase bound {result.phase_bound} reached"
+        _emit(args, f"no solution within bounds ({reason})\n")
     return EXIT_OK if result else EXIT_NEGATIVE
 
 
@@ -302,52 +306,30 @@ def _suite_outcome(args, suite):
     return EXIT_OK if suite else EXIT_NEGATIVE
 
 
-def _cmd_check_bn_sim(args):
+def _cmd_check(args):
+    """A seeded random suite with --random N, else the model file's check."""
     if args.random is not None:
-        return _suite_outcome(
-            args, equivalence.run_bn_simulation_suite(count=args.random, seed=args.seed)
-        )
+        return _suite_outcome(args, args.suite(count=args.random, seed=args.seed))
     if args.model is None:
         raise UsageError("pass a model file or --random N")
+    return _report_outcome(args, args.check(args))
+
+
+def _check_bn_sim(args):
     network = parse_bn_text(_read(args.model), source=args.model)
-    return _report_outcome(
-        args,
-        equivalence.check_bn_simulation(network, _bn_mode(args, network.table), cap=args.cap_vars),
+    return equivalence.check_bn_simulation(
+        network, _bn_mode(args, network.table), cap=args.cap_vars
     )
 
 
-def _cmd_check_bcn_sim(args):
-    if args.random is not None:
-        return _suite_outcome(
-            args, equivalence.run_bcn_simulation_suite(count=args.random, seed=args.seed)
-        )
-    if args.model is None:
-        raise UsageError("pass a model file or --random N")
+def _check_bcn_sim(args):
     bcn = parse_bcn_text(_read(args.model), source=args.model)
-    return _report_outcome(
-        args,
-        equivalence.check_bcn_simulation(bcn, _bn_mode(args, bcn.x_table), cap=args.cap_vars),
-    )
+    return equivalence.check_bcn_simulation(bcn, _bn_mode(args, bcn.x_table), cap=args.cap_vars)
 
 
-def _cmd_check_lemma(args):
-    return _suite_outcome(
-        args,
-        equivalence.run_product_lemma_suite(
-            count=100 if args.random is None else args.random, seed=args.seed
-        ),
-    )
-
-
-def _cmd_check_rs(args):
-    if args.random is not None:
-        return _suite_outcome(
-            args, equivalence.run_rs_embedding_suite(count=args.random, seed=args.seed)
-        )
-    if args.model is None:
-        raise UsageError("pass a model file or --random N")
+def _check_rs(args):
     rs = parse_reactions_text(_read(args.model), source=args.model)
-    return _report_outcome(args, equivalence.check_rs_embedding(rs, cap=args.cap_vars))
+    return equivalence.check_rs_embedding(rs, cap=args.cap_vars)
 
 
 # --- parser -------------------------------------------------------------------
@@ -449,22 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     ck = top.add_parser("check", help="exhaustive equivalence certifications")
     ck_sub = ck.add_subparsers(dest="subcommand", required=True)
-    for name, handler, with_mode in (
-        ("bn-sim", _cmd_check_bn_sim, True),
-        ("bcn-sim", _cmd_check_bcn_sim, True),
-        ("lemma-product", _cmd_check_lemma, False),
-        ("rs-embed", _cmd_check_rs, False),
+    for name, suite, check, with_mode in (
+        ("bn-sim", equivalence.run_bn_simulation_suite, _check_bn_sim, True),
+        ("bcn-sim", equivalence.run_bcn_simulation_suite, _check_bcn_sim, True),
+        ("lemma-product", equivalence.run_product_lemma_suite, None, False),
+        ("rs-embed", equivalence.run_rs_embedding_suite, _check_rs, False),
     ):
         p = ck_sub.add_parser(name)
-        if name != "lemma-product":
+        if check is not None:
             p.add_argument("model", nargs="?", default=None)
         if with_mode:
             p.add_argument("--mode", default="syn")
-        p.add_argument("--random", type=int, default=None,
+        # lemma-product has no model file: it always runs its suite
+        p.add_argument("--random", type=int, default=100 if check is None else None,
                        help="run this many seeded random cases instead of a file")
         p.add_argument("--seed", type=int, default=2024)
         _add_common(p, fmt=("text", "json"))
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_check, suite=suite, check=check)
 
     return parser
 
@@ -480,10 +463,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (UsageError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoolpsError as exc:  # any future library error: treat as usage
+    except BoolpsError as exc:  # usage, validation and any other library error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -450,7 +450,7 @@ def solve_cofase_via_composite(
         heap = []
         for control in controls:
             config = composite.initial_config(start, control).bits
-            if config not in best or best[config] > (0, 0):
+            if config not in best:
                 best[config] = (0, 0)
                 parents[config] = None
                 heapq.heappush(heap, (0, 0, counter, config))
@@ -516,10 +516,8 @@ def _decode_composite_run(composite, parents, final, start) -> PhaseWitness:
         path.insert(0, parents[path[0]])
     path = [composite.system.table.state(bits) for bits in path]
     states = tuple(composite.project_x(config) for config in path)
-    if len(path) == 1:
-        step_controls = [composite.project_u(path[0])]
-    else:
-        step_controls = [composite.project_u(config) for config in path[:-1]]
+    # a run of no steps still has its initial control
+    step_controls = [composite.project_u(config) for config in path[:-1] or path]
     controls = [step_controls[0]]
     boundaries = []
     for index, control in enumerate(step_controls[1:], start=1):

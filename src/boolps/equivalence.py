@@ -40,6 +40,14 @@ from .boolp import (
 )
 from .errors import UsageError
 from .formula import StateSet
+from .generators import (
+    random_mode,
+    random_network,
+    random_psystem,
+    random_quasimode,
+    random_reaction_system,
+    random_table,
+)
 from .limits import check_enumerable
 from .relation import TransitionRelation, label_text
 from .translate import (
@@ -406,83 +414,72 @@ class SuiteResult:
         return "\n".join(out)
 
 
-def _suite_rng(count: int, seed: int) -> random.Random:
+def _run_suite(name: str, count: int, seed: int, draw) -> SuiteResult:
+    """Run `count` seeded random cases.  ``draw(rng)`` draws one case and
+    yields its checks as ``(variant, report)`` pairs, variant None for a
+    case with a single check; every check counts toward the total."""
     if count < 0:
         raise UsageError(f"case count must be non-negative, not {count}")
-    return random.Random(seed)
-
-
-def run_bn_simulation_suite(count=100, seed=2024, sizes=(2, 5)) -> SuiteResult:
-    """Random networks under the synchronous, asynchronous and one random mode."""
-    from .generators import random_mode, random_network, random_table
-
-    rng = _suite_rng(count, seed)
+    rng = random.Random(seed)
     failures = []
     total = 0
     for index in range(count):
-        table = random_table(rng, rng.randint(sizes[0], sizes[1]))
-        network = random_network(rng, table)
-        modes = [
-            ("syn", BooleanMode.syn(table)),
-            ("asyn", BooleanMode.asyn(table)),
-            ("random", random_mode(rng, table)),
-        ]
-        for mode_name, mode in modes:
+        for variant, report in draw(rng):
             total += 1
-            report = check_bn_simulation(network, mode)
             if not report:
-                failures.append((f"case {index} ({mode_name})", report))
-    return SuiteResult("network-embedding suite", total, tuple(failures))
+                label = f"case {index}" if variant is None else f"case {index} ({variant})"
+                failures.append((label, report))
+    return SuiteResult(name, total, tuple(failures))
 
 
-def run_bcn_simulation_suite(count=50, seed=2025, sizes=(2, 3)) -> SuiteResult:
-    """Random freeze-extended networks under syn and asyn."""
-    from .generators import random_network, random_table
+def _bn_simulation_case(rng):
+    table = random_table(rng, rng.randint(2, 5))
+    network = random_network(rng, table)
+    modes = [
+        ("syn", BooleanMode.syn(table)),
+        ("asyn", BooleanMode.asyn(table)),
+        ("random", random_mode(rng, table)),
+    ]
+    for mode_name, mode in modes:
+        yield mode_name, check_bn_simulation(network, mode)
 
-    rng = _suite_rng(count, seed)
-    failures = []
-    total = 0
-    for index in range(count):
-        table = random_table(rng, rng.randint(sizes[0], sizes[1]))
-        bcn = freeze_extend(random_network(rng, table))
-        for mode_name in ("syn", "asyn"):
-            total += 1
-            mode = BooleanMode.syn(table) if mode_name == "syn" else BooleanMode.asyn(table)
-            report = check_bcn_simulation(bcn, mode)
-            if not report:
-                failures.append((f"case {index} ({mode_name})", report))
-    return SuiteResult("controlled-embedding suite", total, tuple(failures))
+
+def _bcn_simulation_case(rng):
+    table = random_table(rng, rng.randint(2, 3))
+    bcn = freeze_extend(random_network(rng, table))
+    yield "syn", check_bcn_simulation(bcn, BooleanMode.syn(table))
+    yield "asyn", check_bcn_simulation(bcn, BooleanMode.asyn(table))
+
+
+def _product_lemma_case(rng):
+    table = random_table(rng, rng.randint(2, 5))
+    first = random_psystem(rng, table, prefix="a")
+    second = random_psystem(rng, table, prefix="b")
+    yield None, check_product_lemma(
+        first, second, random_quasimode(rng, first), random_quasimode(rng, second)
+    )
+
+
+def _rs_embedding_case(rng):
+    yield None, check_rs_embedding(random_reaction_system(rng, rng.randint(1, 6)))
+
+
+def run_bn_simulation_suite(count=100, seed=2024) -> SuiteResult:
+    """Random networks of 2-5 variables under the synchronous, asynchronous
+    and one random mode."""
+    return _run_suite("network-embedding suite", count, seed, _bn_simulation_case)
+
+
+def run_bcn_simulation_suite(count=50, seed=2025) -> SuiteResult:
+    """Random freeze-extended networks of 2-3 variables under syn and asyn."""
+    return _run_suite("controlled-embedding suite", count, seed, _bcn_simulation_case)
 
 
 def run_product_lemma_suite(count=100, seed=2026) -> SuiteResult:
     """Random system pairs with random explicit quasimodes."""
-    from .generators import random_psystem, random_quasimode, random_table
-
-    rng = _suite_rng(count, seed)
-    failures = []
-    for index in range(count):
-        table = random_table(rng, rng.randint(2, 5))
-        first = random_psystem(rng, table, prefix="a")
-        second = random_psystem(rng, table, prefix="b")
-        report = check_product_lemma(
-            first,
-            second,
-            random_quasimode(rng, first),
-            random_quasimode(rng, second),
-        )
-        if not report:
-            failures.append((f"case {index}", report))
-    return SuiteResult("mode-product suite", count, tuple(failures))
+    return _run_suite("mode-product suite", count, seed, _product_lemma_case)
 
 
-def run_rs_embedding_suite(count=100, seed=2027, max_species=6) -> SuiteResult:
-    from .generators import random_reaction_system
-
-    rng = _suite_rng(count, seed)
-    failures = []
-    for index in range(count):
-        rs = random_reaction_system(rng, rng.randint(1, max_species))
-        report = check_rs_embedding(rs)
-        if not report:
-            failures.append((f"case {index}", report))
-    return SuiteResult("reaction-embedding suite", count, tuple(failures))
+def run_rs_embedding_suite(count=100, seed=2027) -> SuiteResult:
+    """Random reaction systems of 1-6 species."""
+    return _run_suite("reaction-embedding suite", count, seed, _rs_embedding_case)

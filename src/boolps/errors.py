@@ -14,15 +14,7 @@ class ValidationError(BoolpsError):
 
 
 class CapacityError(BoolpsError):
-    """An exhaustive operation would exceed the configured enumeration cap.
-
-    `partial` optionally carries whatever results were collected before the
-    cap was hit.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """An exhaustive operation would exceed the configured enumeration cap."""
 
 
 class ParseError(BoolpsError):

@@ -31,7 +31,7 @@ from .limits import check_enumerable
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # Deepest accepted nesting of `!` and `(` in formula text.  Parsing,
-# substitution and structural hashing each take up to four frames per
+# substitution and structural equality each take up to four frames per
 # level, so an accepted formula, plus the few levels the encodings wrap
 # around it, needs about 410 frames: well below Python's default recursion
 # limit of 1000, with room for the caller's own frames.
@@ -210,10 +210,6 @@ class StateSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    def value(self, name: str) -> bool:
-        """Indicator reading: 1 iff the variable is a member."""
-        return name in self
-
     def names(self) -> tuple[str, ...]:
         return tuple(self)
 
@@ -334,51 +330,84 @@ class _Lines:
 
 
 class Node:
-    """Marker base class for AST nodes."""
+    """Base class for AST nodes.
+
+    Each node is checked, and its hash and span (one more than its largest
+    variable position, 0 without variables) computed, once when it is
+    built, from its children's.  The hash mixes only ints (a tag per node
+    kind, positions, truth values and the children's hashes), never a
+    `type()` or `id()`, so a node pickled into another process still hashes
+    like the equal nodes built there.
+    """
 
     __slots__ = ()
 
+    def __hash__(self):
+        return self._hash
 
-@dataclass(frozen=True)
+    def _seal(self, tag: int, key, span: int):
+        object.__setattr__(self, "_hash", hash((tag, key)))
+        object.__setattr__(self, "_span", span)
+
+
+def _node(cls):
+    """A frozen dataclass node keeping `Node`'s cached hash."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Node.__hash__
+    return cls
+
+
+def _check_children(children):
+    for child in children:
+        if not isinstance(child, Node):
+            raise ValidationError(f"unknown formula node {child!r}")
+    return max((child._span for child in children), default=0)
+
+
+@_node
 class Const(Node):
     value: bool
 
+    def __post_init__(self):
+        self._seal(0, self.value, 0)
 
-@dataclass(frozen=True)
+
+@_node
 class Var(Node):
     position: int
 
+    def __post_init__(self):
+        if not isinstance(self.position, int) or self.position < 0:
+            raise ValidationError(f"variable position {self.position!r} out of range")
+        self._seal(1, self.position, self.position + 1)
 
-@dataclass(frozen=True)
+
+@_node
 class Not(Node):
     child: Node
 
+    def __post_init__(self):
+        self._seal(2, self.child, _check_children((self.child,)))
 
-@dataclass(frozen=True)
+
+@_node
 class And(Node):
     children: tuple[Node, ...]
 
+    def __post_init__(self):
+        self._seal(3, self.children, _check_children(self.children))
 
-@dataclass(frozen=True)
+
+@_node
 class Or(Node):
     children: tuple[Node, ...]
+
+    def __post_init__(self):
+        self._seal(4, self.children, _check_children(self.children))
 
 
 CONST0 = Const(False)
 CONST1 = Const(True)
-
-
-def _check_positions(node: Node, size: int):
-    if isinstance(node, Var):
-        if not isinstance(node.position, int) or not 0 <= node.position < size:
-            raise ValidationError(f"variable position {node.position!r} out of range")
-    elif isinstance(node, Not):
-        _check_positions(node.child, size)
-    elif isinstance(node, (And, Or)):
-        for child in node.children:
-            _check_positions(child, size)
-    elif not isinstance(node, Const):
-        raise ValidationError(f"unknown formula node {node!r}")
 
 
 def _eval_node(node: Node, bits: int) -> bool:
@@ -451,7 +480,9 @@ class Formula:
     root: Node
 
     def __post_init__(self):
-        _check_positions(self.root, len(self.table))
+        span = _check_children((self.root,))
+        if span > len(self.table):
+            raise ValidationError(f"variable position {span - 1} out of range")
 
     # -- constructors
 

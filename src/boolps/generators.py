@@ -97,9 +97,7 @@ def random_reaction_system(
     return ReactionSystem(table, tuple(reactions))
 
 
-def random_cofase_instance(
-    rng: random.Random, max_vars: int = 3, syn_only: bool = False
-) -> CoFaSeInstance:
+def random_cofase_instance(rng: random.Random, max_vars: int = 3) -> CoFaSeInstance:
     """Freeze-controlled instance with one start and one target state.
 
     Only a random non-empty subset of the variables is controllable, so
@@ -112,9 +110,5 @@ def random_cofase_instance(
     bcn = freeze_extend(random_network(rng, table), variables=controllable)
     start = random_subset(rng, table)
     target = random_subset(rng, table)
-    mode = (
-        BooleanMode.syn(table)
-        if syn_only or rng.random() < 0.5
-        else BooleanMode.asyn(table)
-    )
+    mode = BooleanMode.syn(table) if rng.random() < 0.5 else BooleanMode.asyn(table)
     return CoFaSeInstance.of(bcn, [start], [target], mode)

@@ -10,7 +10,7 @@ import os
 from .errors import CapacityError, UsageError
 
 DEFAULT_VAR_CAP = 20  # 2**20 subsets, about 1M states
-DEFAULT_BREADTH_CAP = 10_000  # concurrent branches kept by `evolve`
+DEFAULT_BREADTH_CAP = 10_000  # concurrent runs kept by `bn.enumerate_runs`
 
 ENV_VAR_CAP = "BOOLPS_CAP_VARS"
 

@@ -146,7 +146,7 @@ def test_criterion_3_sequential_control_golden(toggle, tmp_path):
 
 def test_criterion_4_network_embedding_suite():
     with criterion(4, 60.0, "100 random networks x 3 modes: exact labelled simulation"):
-        suite = run_bn_simulation_suite(count=100, seed=2024, sizes=(2, 5))
+        suite = run_bn_simulation_suite(count=100, seed=2024)
         assert suite.total == 300
         assert suite, suite.summary()
 
@@ -160,14 +160,14 @@ def test_criterion_5_mode_product_suite():
 
 def test_criterion_6_controlled_embedding_suite():
     with criterion(6, 120.0, "50 random freeze-controlled networks x syn/asyn: exact"):
-        suite = run_bcn_simulation_suite(count=50, seed=2025, sizes=(2, 3))
+        suite = run_bcn_simulation_suite(count=50, seed=2025)
         assert suite.total == 100
         assert suite, suite.summary()
 
 
 def test_criterion_7_reaction_embedding_suite():
     with criterion(7, 30.0, "100 random reaction systems: step = result function"):
-        suite = run_rs_embedding_suite(count=100, seed=2027, max_species=6)
+        suite = run_rs_embedding_suite(count=100, seed=2027)
         assert suite.total == 100
         assert suite, suite.summary()
 

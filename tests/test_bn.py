@@ -292,7 +292,7 @@ class TestTrajectories:
         t = toggle.table
         with pytest.raises(CapacityError) as err:
             bn_trajectories(toggle, BooleanMode.asyn(t), digit(t, "01"), 8, breadth_cap=10)
-        assert err.value.partial
+        assert "trajectory breadth exceeded cap 10" in str(err.value)
 
     def test_labels_record_groups(self, toggle):
         t = toggle.table

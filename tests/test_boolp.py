@@ -18,8 +18,8 @@ from boolps.boolp import (
     explicit_quasimode,
     format_system_text,
     maximally_parallel_mode,
+    named_quasimode,
     parse_system_text,
-    product_mode,
     quasimode_async,
     quasimode_maxpar,
     quasimode_seq,
@@ -27,8 +27,20 @@ from boolps.boolp import (
     successors,
     union_systems,
 )
-from boolps.errors import CapacityError, UsageError, ValidationError
-from boolps.formula import Formula, StateSet, VarTable, parse_formula
+from boolps.errors import CapacityError, ParseError, UsageError, ValidationError
+from boolps.formula import (
+    MAX_NESTING,
+    And,
+    Const,
+    Formula,
+    Not,
+    Or,
+    StateSet,
+    Var,
+    VarTable,
+    equivalent,
+    parse_formula,
+)
 from boolps.generators import random_formula, random_psystem, random_quasimode, random_table
 from boolps.relation import label_text
 
@@ -195,7 +207,7 @@ class TestSuccessorsAndEvolve:
         view = derive_mode(cascade, quasimode_async(cascade))
         with pytest.raises(CapacityError) as err:
             evolve(cascade, view, conf(cascade, ["a", "b"]), 12, breadth_cap=5)
-        assert err.value.partial is not None
+        assert "evolution breadth exceeded cap 5" in str(err.value)
 
 
 class TestUnion:
@@ -262,17 +274,13 @@ class TestDottedProduct:
 
 class TestProductMode:
     def test_stutter_factor_is_identity(self, cascade):
-        view = maximally_parallel_mode(cascade)
-        stutter = derive_mode(cascade, explicit_quasimode([set()]))
-        combined = product_mode(view, stutter)
+        maxpar = quasimode_maxpar(cascade)
+        view = derive_mode(cascade, maxpar)
+        combined = derive_mode(cascade, maxpar.dot(explicit_quasimode([set()])))
         for state in cascade.table.subsets():
             assert combined.at(state) == view.at(state)
 
     def test_mismatched_systems_rejected(self, cascade):
-        rng = random.Random(2)
-        other = random_psystem(rng, random_table(rng, 2, prefix="k"))
-        with pytest.raises(UsageError):
-            product_mode(maximally_parallel_mode(cascade), maximally_parallel_mode(other))
         # same table, other rules: the mode's masks would index the wrong rules
         no_rules = BooleanPSystem(cascade.table, ())
         with pytest.raises(UsageError):
@@ -289,9 +297,10 @@ class TestProductMode:
         qm_one = random_quasimode(rng, one)
         qm_two = random_quasimode(rng, two)
         left = derive_mode(union, qm_one.dot(qm_two))
-        right = product_mode(derive_mode(union, qm_one), derive_mode(union, qm_two))
         for state in union.table.subsets():
-            assert left.at(state) == right.at(state)
+            applicable = union.applicable_rules(state)
+            right = dotted_product(qm_one.advised(applicable), qm_two.advised(applicable))
+            assert left.at(state) == right
 
 
 class TestQuasimodeGenerators:
@@ -374,10 +383,6 @@ def test_successors_match_id_level_reference(system, quasimode, other):
     derived = derive_mode(system, quasimode)
     views = (
         (derived, quasimode.advised),
-        (
-            product_mode(derived, derive_mode(system, other)),
-            lambda app: dotted_product(quasimode.advised(app), other.advised(app)),
-        ),
         (derive_mode(system, quasimode.dot(other)), quasimode.dot(other).advised),
         (maximally_parallel_mode(system), lambda app: {app} if app else set()),
     )
@@ -574,3 +579,73 @@ class TestTextFormat:
                 assert other.lhs == rule.lhs and other.rhs == rule.rhs
                 assert equivalent(other.guard, rule.guard)
             assert frozenset(parsed.elements()) == frozenset(quasimode.elements())
+
+
+# --- .pi round trip -------------------------------------------------------------
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+RULE_IDS = st.from_regex(r"[A-Za-z0-9_]{1,4}", fullmatch=True)
+
+
+def guard_nodes(size):
+    """Guard ASTs over `size` symbols: small random trees, and chains of
+    ``!(... | s0)`` levels from well inside to past MAX_NESTING."""
+    leaves = st.one_of(st.booleans().map(Const), st.integers(0, size - 1).map(Var))
+    trees = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(Not),
+            st.lists(inner, max_size=3).map(lambda nodes: And(tuple(nodes))),
+            st.lists(inner, max_size=3).map(lambda nodes: Or(tuple(nodes))),
+        ),
+        max_leaves=12,
+    )
+
+    def chain(levels):
+        node = Var(0)
+        for _ in range(levels):
+            node = Not(Or((node, Var(0))))
+        return node
+
+    return st.one_of(trees, st.integers(0, MAX_NESTING // 2 + 2).map(chain))
+
+
+@st.composite
+def written_systems(draw):
+    """A system with its quasimode (none, named, or an advised family)."""
+    table = VarTable(draw(st.lists(NAMES, min_size=1, max_size=4, unique=True)))
+    states = st.integers(0, (1 << len(table)) - 1).map(table.state)
+    guards = guard_nodes(len(table)).map(lambda root: Formula(table, root))
+    ids = draw(st.lists(RULE_IDS, max_size=5, unique=True))
+    system = BooleanPSystem(
+        table, tuple(Rule(i, draw(states), draw(states), draw(guards)) for i in ids)
+    )
+    kind = draw(st.sampled_from(["none", "maxpar", "seq", "async", "advised"]))
+    if kind == "none":
+        return system, None
+    if kind != "advised":
+        return system, named_quasimode(kind, system)
+    rule_sets = st.frozensets(st.sampled_from(ids)) if ids else st.just(frozenset())
+    return system, ExplicitQuasimode(draw(st.frozensets(rule_sets, min_size=1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_systems())
+def test_pi_text_round_trip(written):
+    system, quasimode = written
+    try:
+        text = format_system_text(system, quasimode)
+    except ParseError as exc:  # the writer refuses a guard the reader would
+        assert f"nested deeper than {MAX_NESTING} levels" in str(exc)
+        return
+    again, parsed = parse_system_text(text)
+    assert again.table == system.table
+    assert [rule.id for rule in again.rules] == [rule.id for rule in system.rules]
+    for rule, other in zip(system.rules, again.rules):
+        assert (other.lhs, other.rhs) == (rule.lhs, rule.rhs)
+        assert equivalent(other.guard, rule.guard)
+    if quasimode is None:
+        assert parsed is None
+    else:
+        assert parsed.name == quasimode.name
+        assert frozenset(parsed.elements()) == frozenset(quasimode.elements())

@@ -327,6 +327,21 @@ class TestCofaseCommands:
         assert "no solution" in out
 
     @pytest.mark.parametrize(
+        "phases, reason", [("1", "phase bound 1 reached"), ("2", "exhausted")]
+    )
+    def test_unsolvable_text_says_why_the_search_stopped(self, capsys, tmp_path, phases,
+                                                         reason):
+        # the one control's reach set is a new node after one phase and its
+        # own image after two, so only the second search closes every node
+        instance = tmp_path / "stuck.cofase"
+        instance.write_text(
+            "var x, y\nx' = !x & y\ny' = x & !y\n"
+            "start {01}\ntarget {11}\nmode syn\n"
+        )
+        code, out, _ = run(capsys, "cofase", "solve", instance, "--max-phases", phases)
+        assert (code, out) == (1, f"no solution within bounds ({reason})\n")
+
+    @pytest.mark.parametrize(
         "brace_list, side_by_side, digits",
         [("{{x}, {y}}", "{x}, {y}", ["01", "10"]),
          ("{{x, y}, {y}}", "{x, y}, {y},", ["01", "11"])],
@@ -515,6 +530,22 @@ class TestExitCodes:
         )
         assert code == 4
         assert "breadth exceeded cap 0" in err
+
+    def test_zero_breadth_cap_counts_a_stopped_run(self, capsys, tmp_path):
+        # a mode without groups stops the run at its start; both traces count
+        # stopped runs against the cap, so that one run exceeds a zero cap
+        mode = tmp_path / "none.mode"
+        mode.write_text("# no group lines\n")
+        args = ["bn", "trace", MODELS / "ex31.bn", "--mode", mode, "--init", "00"]
+        assert run(capsys, *args)[:2] == (0, "00\n")
+        code, _, err = run(capsys, *args, "--max-breadth", "0")
+        assert code == 4
+        assert err == "capacity exceeded: trajectory breadth exceeded cap 0\n"
+        code, _, err = run(
+            capsys, "pi", "trace", MODELS / "ex41.pi", "--init", "{}", "--max-breadth", "0"
+        )
+        assert code == 4
+        assert err == "capacity exceeded: evolution breadth exceeded cap 0\n"
 
     def test_model_not_utf8_is_three(self, capsys, tmp_path):
         model = tmp_path / "latin1.bn"

@@ -762,3 +762,28 @@ def test_composite_search_matches_heap_search_over_state_sets(
     expected = heap_composite_solve(instance, max_steps, max_phases)
     assert got == expected
     assert solution_to_json(got) == solution_to_json(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1).map(random.Random),
+    st.sampled_from(["uniform", "per-start", "composite"]),
+)
+def test_solution_json_round_trip_of_random_solutions(rng, engine):
+    instance = random_cofase_instance(rng, max_vars=3)
+    starts = [random_subset(rng, instance.bcn.x_table) for _ in range(rng.randint(1, 2))]
+    instance = CoFaSeInstance.of(instance.bcn, starts, instance.targets, instance.mode)
+    if engine == "composite":
+        solution = solve_cofase_via_composite(instance, max_steps=40, max_phases=4)
+    else:
+        solution = solve_cofase(instance, max_phases=4, policy=engine)
+    if not solution:
+        return
+    text = solution_to_json(solution)
+    loaded = solution_from_json(instance, text)
+    assert solution_to_json(loaded) == text
+    for witness in loaded.witnesses:
+        assert verify_control_sequence(
+            instance.bcn, witness.sequence, instance.mode, witness.trajectory,
+            witness.boundaries,
+        )

@@ -1,6 +1,10 @@
 import functools
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -91,7 +95,7 @@ class TestStateSet:
     def test_indicator_reading(self):
         t = VarTable.of("a", "b")
         s = StateSet.of(t, ["a"])
-        assert s.value("a") and not s.value("b")
+        assert "a" in s and "b" not in s
 
     def test_cross_table_ops_rejected(self):
         s = StateSet.of(VarTable.of("a"), ["a"])
@@ -392,6 +396,48 @@ def test_formula_pickles_after_evaluation():
 def test_non_int_position_rejected():
     with pytest.raises(ValidationError):
         Formula(VarTable.of("a", "b"), Var(1.0))
+
+
+def test_malformed_nodes_rejected():
+    with pytest.raises(ValidationError, match="variable position -1 out of range"):
+        Formula(VarTable.of("a"), Var(-1))
+    with pytest.raises(ValidationError, match="variable position 2 out of range"):
+        Formula(VarTable.of("a", "b"), Or((Var(0), Not(Var(2)))))
+    with pytest.raises(ValidationError, match="unknown formula node 'a'"):
+        Formula(VarTable.of("a"), And((Var(0), "a")))
+    with pytest.raises(ValidationError, match="unknown formula node 1"):
+        Formula(VarTable.of("a"), 1)
+
+
+def test_thousand_levels_build_in_linear_time():
+    # each level is checked and hashed once: neither walks the tree below it
+    t = VarTable.of("a", "b")
+    b = Formula.var(t, "b")
+    phi = twin = Formula.var(t, "a")
+    for _ in range(1000):
+        phi = phi.conj(b).negate()
+        twin = twin.conj(b).negate()
+    assert hash(phi) == hash(twin)
+    assert phi.root._span == 2
+    with pytest.raises(ValidationError, match="variable position 1 out of range"):
+        Formula(VarTable.of("a"), phi.root)
+
+
+def test_node_hash_survives_pickling_into_another_process():
+    text = "a & !(b | c) | 1"
+    child = (
+        "import pickle, sys\n"
+        "from boolps.formula import VarTable, parse_formula\n"
+        "root = pickle.loads(sys.stdin.buffer.read())\n"
+        f"fresh = parse_formula({text!r}, VarTable.of('a', 'b', 'c')).root\n"
+        "print(fresh in {root})\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", child], input=pickle.dumps(parse_formula(text, TABLE).root),
+        check=True, capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.split() == [b"True"]
 
 
 def test_deep_formula_built_through_the_api_evaluates():
