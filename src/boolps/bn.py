@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CapacityError, UsageError, ValidationError
-from .formula import Formula, StateSet, VarTable, _Lines, parse_state
+from .formula import (
+    Formula,
+    StateSet,
+    VarTable,
+    _Lines,
+    fold_truth_table,
+    parse_state,
+    truth_patterns,
+)
 from .limits import DEFAULT_BREADTH_CAP, check_enumerable
 from .relation import TransitionRelation, label_text
 
@@ -271,18 +279,96 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
     Every run eventually stays inside one of these: they are the sets of
     mutually reachable states the dynamics cannot escape.  Returned as
     canonically sorted tuples of states, sorted among themselves.
+
+    A mode whose elements each name at most one variable (asyn, any part
+    of it, the empty group) is searched on sets of states, the others
+    over the rows of `step_table`.
     """
     table = network.table
-    rows = step_table(network, mode, cap)[1]
-    result = []
-    for component in _components(rows):
-        members = set(component)
-        if any(w not in members for u in component for w in rows[u]):
-            continue  # an edge leaves: not terminal
-        states = sorted((table.state(bits) for bits in component), key=StateSet.sort_key)
-        result.append(tuple(states))
+    if all(element.bits & (element.bits - 1) == 0 for element in mode.elements):
+        components = _bottom_components(network, mode, cap)
+    else:
+        rows = step_table(network, mode, cap)[1]
+        components = []
+        for component in _components(rows):
+            members = set(component)
+            if any(w not in members for u in component for w in rows[u]):
+                continue  # an edge leaves: not terminal
+            components.append(component)
+    result = [
+        tuple(sorted((table.state(bits) for bits in component), key=StateSet.sort_key))
+        for component in components
+    ]
     result.sort(key=lambda states: tuple(s.sort_key() for s in states))
     return result
+
+
+def _bottom_components(network: BooleanNetwork, mode: BooleanMode, cap=None):
+    """Terminal components under single-variable groups, found on ints of
+    2**n bits (bit b = the state with bits b), after Beneš, Brim, Pastva
+    and Šafránek (CAV 2021).
+
+    Group {x_i} moves exactly the states of D_i, where update i disagrees
+    with x_i, and flips bit i: in the bitset, that swaps each block of
+    2**i bits with its neighbour.  The empty group moves nothing.
+    Returns each component's state bits.
+    """
+    if mode.table != network.table:
+        raise UsageError("mode over a different variable table")
+    n = check_enumerable(len(network.table), cap, "network")
+    patterns = truth_patterns(n)
+    union = functools.reduce(operator.or_, (element.bits for element in mode.elements), 0)
+    flips = [
+        (patterns[i], fold_truth_table(network.updates[i], patterns) ^ patterns[i], 1 << i)
+        for i in range(n)
+        if union >> i & 1
+    ]
+
+    def swap(states, pattern, width):
+        return (states & ~pattern) << width | (states & pattern) >> width
+
+    def post(states):
+        return functools.reduce(
+            operator.or_, (swap(states & moved, p, w) for p, moved, w in flips), 0
+        )
+
+    def pre(states):
+        return functools.reduce(
+            operator.or_, (moved & swap(states, p, w) for p, moved, w in flips), 0
+        )
+
+    def closure(start, image):
+        reached = frontier = start
+        while frontier:
+            frontier = image(frontier) & ~reached
+            reached |= frontier
+        return reached
+
+    found = []
+    remaining = (1 << (1 << n)) - 1
+    downstream = 0  # states the last non-terminal pick reaches but not back
+    while remaining:
+        pool = downstream & remaining or remaining
+        start = pool & -pool
+        forward = closure(start, post)
+        backward = closure(start, pre)
+        if forward & ~backward:
+            downstream = forward & ~backward
+        else:
+            found.append(_members(forward))
+            downstream = 0
+        # every state of `backward` reaches `start`, so it lies in start's
+        # terminal component or in none
+        remaining &= ~backward
+    return found
+
+
+def _members(states: int) -> list[int]:
+    """The set bits of `states`, in ascending order: one pass over the
+    digits, where peeling off low bits would take time quadratic in the
+    width of a large component."""
+    digits = format(states, "b")[::-1]
+    return [b for b, digit in enumerate(digits) if digit == "1"]
 
 
 # --- text format ------------------------------------------------------------

@@ -602,6 +602,10 @@ def format_system_text(system: BooleanPSystem, quasimode: Quasimode | None = Non
         if quasimode.name in ("maxpar", "seq", "async"):
             lines.append(f"quasimode {quasimode.name}")
         else:
-            for element in sorted(quasimode.elements(), key=lambda m: tuple(sorted(m))):
+            elements = sorted(quasimode.elements(), key=lambda m: tuple(sorted(m)))
+            if not elements:
+                # no advise line reads back as no quasimode at all
+                raise UsageError("an advised quasimode without elements has no text form")
+            for element in elements:
                 lines.append("advise {" + ", ".join(sorted(element)) + "}")
     return "\n".join(lines) + "\n"

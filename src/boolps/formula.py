@@ -80,6 +80,10 @@ class VarTable:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt from the names: the cached hash is seeded per process
+        return VarTable, (self.names,)
+
     def __repr__(self):
         return f"VarTable({', '.join(self.names)})"
 
@@ -235,6 +239,10 @@ class StateSet:
             if self.bits >> pos & 1:
                 bits |= 1 << position_map[pos]
         return table.state(bits)
+
+    def __reduce__(self):
+        # interned in the rebuilt table, with that process's hash
+        return VarTable.state, (self.table, self.bits)
 
     def __repr__(self):
         return f"StateSet({self.set_text()})"

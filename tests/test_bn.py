@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from boolps.bn import (
     BooleanMode,
     BooleanNetwork,
     Trajectory,
+    _components,
     attractors,
     bn_step,
     bn_trajectories,
@@ -196,23 +198,71 @@ def _oracle_attractors(network, mode):
     return {closure[s] for s in succ if all(closure[t] == closure[s] for t in closure[s])}
 
 
+def _single_mode(rng, table):
+    """A random subset of the one-variable groups, sometimes with the empty
+    group, sometimes without any element."""
+    groups = [StateSet.of(table, [name]) for name in table if rng.random() < 0.5]
+    if rng.random() < 0.3:
+        groups.append(StateSet.empty(table))
+    return BooleanMode(table, frozenset(groups))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["syn", "asyn", "random"]),
+    st.sampled_from(["syn", "asyn", "random", "single"]),
 )
 def test_attractors_match_reachability_oracle(n, seed, mode_name):
     rng = random.Random(seed)
     table = random_table(rng, n)
     network = random_network(rng, table)
-    mode = random_mode(rng, table) if mode_name == "random" else named_mode(mode_name, table)
+    mode = {
+        "random": lambda: random_mode(rng, table),
+        "single": lambda: _single_mode(rng, table),
+    }.get(mode_name, lambda: named_mode(mode_name, table))()
     got = attractors(network, mode)
     assert {frozenset(a) for a in got} == _oracle_attractors(network, mode)
     assert len(set(got)) == len(got)
     for states in got:
         assert list(states) == sorted(states, key=StateSet.sort_key)
     assert got == sorted(got, key=lambda states: tuple(s.sort_key() for s in states))
+
+
+def _row_attractors(network, mode):
+    """Terminal components of Tarjan's components over the `step_table` rows."""
+    rows = step_table(network, mode)[1]
+    found = set()
+    for component in _components(rows):
+        members = set(component)
+        if all(w in members for u in component for w in rows[u]):
+            found.add(frozenset(network.table.state(bits) for bits in component))
+    return found
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_asyn_attractors_match_the_row_components(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        table = random_table(rng, n)
+        network = random_network(rng, table)
+        mode = BooleanMode.asyn(table)
+        assert {frozenset(a) for a in attractors(network, mode)} == _row_attractors(network, mode)
+
+
+def test_asyn_attractors_at_fourteen_variables_stay_small():
+    # the set search holds a few ints of 2**14 bits: no per-state object
+    # or row is built, only the attractors' own states
+    table = random_table(random.Random(5), 14)
+    network = random_network(random.Random(5), table)
+    mode = BooleanMode.asyn(table)
+    tracemalloc.start()
+    try:
+        attractors(network, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @settings(max_examples=150, deadline=None)

@@ -163,6 +163,24 @@ class TestTranslateAndCompose:
             frozenset({"set_x", "clr_x", "set_y", "clr_y"})
         }
 
+    @pytest.mark.parametrize("kind, model", [("bn", "ex31.bn"), ("bcn", "ex32.bcn")])
+    def test_translate_refuses_a_mode_without_groups(self, capsys, tmp_path, kind, model):
+        # no `advise` line would read back as no quasimode at all
+        mode_file = tmp_path / "none.mode"
+        mode_file.write_text("# no group line\n")
+        target = tmp_path / "out.pi"
+        code, out, err = run(
+            capsys, "translate", kind, MODELS / model, "--mode", mode_file, "--out", target
+        )
+        assert (code, out) == (2, "")
+        assert "advised quasimode without elements" in err
+        assert not target.exists()
+        # the empty group is an element: it round-trips
+        mode_file.write_text("group {}\n")
+        code, out, _ = run(capsys, "translate", kind, MODELS / model, "--mode", mode_file)
+        assert code == 0
+        assert list(parse_system_text(out)[1].elements()) == [frozenset()]
+
     def test_translate_rs_round_trips(self, capsys):
         code, out, _ = run(capsys, "translate", "rs", MODELS / "rs_example.rs")
         assert code == 0

@@ -440,6 +440,34 @@ def test_node_hash_survives_pickling_into_another_process():
     assert out.split() == [b"True"]
 
 
+def test_table_and_state_hash_survive_pickling_across_hash_seeds():
+    # string hashes are seeded per process: pickle under one seed, load
+    # under another, and compare with a table built in the loading process
+    src = Path(__file__).resolve().parent.parent / "src"
+    dump = (
+        "import pickle, sys\n"
+        "from boolps.formula import VarTable\n"
+        "t = VarTable.of('a', 'b', 'c')\n"
+        "sys.stdout.buffer.write(pickle.dumps((t, t.state(5))))\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from boolps.formula import VarTable\n"
+        "t, s = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = VarTable.of('a', 'b', 'c')\n"
+        "print(t == fresh, t in {fresh}, s == fresh.state(5), s in {fresh.state(5)},"
+        " s.table is t, t.state(5) is s)\n"
+    )
+
+    def run(code, seed, data=None):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        return subprocess.run(
+            [sys.executable, "-c", code], input=data, check=True, capture_output=True, env=env
+        ).stdout
+
+    assert run(load, "2", run(dump, "1")).split() == [b"True"] * 6
+
+
 def test_deep_formula_built_through_the_api_evaluates():
     # 300 levels of conj/disj alternation: one nested parenthesis per two
     t = VarTable.of("a", "b", "c")
