@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, UsageError, ValidationError
 from .formula import (
@@ -222,9 +222,9 @@ def bn_trajectories(
     return tuple(Trajectory(states, labels) for states, labels in seen.items())
 
 
-def _components(successors) -> list[list[int]]:
-    """Strongly connected components, each listed after every component its
-    edges reach (the order in which Tarjan closes them).
+def _components(successors) -> Iterator[list[int]]:
+    """Strongly connected components, each yielded after every component
+    its edges reach (the order in which Tarjan closes them).
 
     Iterative Tarjan (SIAM J. Comput. 1, 1972) over ``successors[v]``, the
     successor list of node v.
@@ -234,7 +234,6 @@ def _components(successors) -> list[list[int]]:
     low = [0] * n
     on_stack = [False] * n
     stack = []
-    found = []
     counter = 0
     for root in range(n):
         if order[root]:
@@ -269,8 +268,7 @@ def _components(successors) -> list[list[int]]:
                     component.append(w)
                     if w == v:
                         break
-                found.append(component)
-    return found
+                yield component
 
 
 def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
@@ -280,95 +278,58 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
     mutually reachable states the dynamics cannot escape.  Returned as
     canonically sorted tuples of states, sorted among themselves.
 
-    A mode whose elements each name at most one variable (asyn, any part
-    of it, the empty group) is searched on sets of states, the others
-    over the rows of `step_table`.
+    Under a mode whose elements each name at most one variable (asyn, any
+    part of it, the empty group) the successors are read from the updates'
+    truth tables (`_FlipMoves`), under any other from the rows of
+    `step_table`; Tarjan's components are walked the same way over both.
     """
     table = network.table
     if all(element.bits & (element.bits - 1) == 0 for element in mode.elements):
-        components = _bottom_components(network, mode, cap)
+        successors = _FlipMoves(network, mode, cap)
     else:
-        rows = step_table(network, mode, cap)[1]
-        components = []
-        for component in _components(rows):
-            members = set(component)
-            if any(w not in members for u in component for w in rows[u]):
-                continue  # an edge leaves: not terminal
-            components.append(component)
-    result = [
-        tuple(sorted((table.state(bits) for bits in component), key=StateSet.sort_key))
-        for component in components
-    ]
+        successors = step_table(network, mode, cap)[1]
+    result = []
+    for component in _components(successors):
+        members = set(component)
+        if any(w not in members for u in component for w in successors[u]):
+            continue  # an edge leaves: not terminal
+        states = sorted((table.state(bits) for bits in component), key=StateSet.sort_key)
+        result.append(tuple(states))
     result.sort(key=lambda states: tuple(s.sort_key() for s in states))
     return result
 
 
-def _bottom_components(network: BooleanNetwork, mode: BooleanMode, cap=None):
-    """Terminal components under single-variable groups, found on ints of
-    2**n bits (bit b = the state with bits b), after Beneš, Brim, Pastva
-    and Šafránek (CAV 2021).
+class _FlipMoves:
+    """Successor lists of a mode whose elements each name at most one
+    variable, indexed by state bits like `step_table`'s rows but built on
+    demand and without self-loops.
 
-    Group {x_i} moves exactly the states of D_i, where update i disagrees
-    with x_i, and flips bit i: in the bitset, that swaps each block of
-    2**i bits with its neighbour.  The empty group moves nothing.
-    Returns each component's state bits.
+    Group {x_i} moves state b to b ^ 2**i exactly where update i disagrees
+    with x_i; that set of states is one bitwise fold of the update's truth
+    table (`fold_truth_table`), kept as bytes for a constant-time lookup.
+    The empty group moves nothing.
     """
-    if mode.table != network.table:
-        raise UsageError("mode over a different variable table")
-    n = check_enumerable(len(network.table), cap, "network")
-    patterns = truth_patterns(n)
-    union = functools.reduce(operator.or_, (element.bits for element in mode.elements), 0)
-    flips = [
-        (patterns[i], fold_truth_table(network.updates[i], patterns) ^ patterns[i], 1 << i)
-        for i in range(n)
-        if union >> i & 1
-    ]
 
-    def swap(states, pattern, width):
-        return (states & ~pattern) << width | (states & pattern) >> width
+    def __init__(self, network: BooleanNetwork, mode: BooleanMode, cap=None):
+        if mode.table != network.table:
+            raise UsageError("mode over a different variable table")
+        n = check_enumerable(len(network.table), cap, "network")
+        patterns = truth_patterns(n)
+        union = functools.reduce(operator.or_, (element.bits for element in mode.elements), 0)
+        width = max(1, (1 << n) >> 3)  # bytes of a 2**n-bit table
+        self.size = 1 << n
+        self.flips = [
+            (moved.to_bytes(width, "little"), 1 << i)
+            for i in range(n)
+            if union >> i & 1
+            for moved in (fold_truth_table(network.updates[i], patterns) ^ patterns[i],)
+        ]
 
-    def post(states):
-        return functools.reduce(
-            operator.or_, (swap(states & moved, p, w) for p, moved, w in flips), 0
-        )
+    def __len__(self):
+        return self.size
 
-    def pre(states):
-        return functools.reduce(
-            operator.or_, (moved & swap(states, p, w) for p, moved, w in flips), 0
-        )
-
-    def closure(start, image):
-        reached = frontier = start
-        while frontier:
-            frontier = image(frontier) & ~reached
-            reached |= frontier
-        return reached
-
-    found = []
-    remaining = (1 << (1 << n)) - 1
-    downstream = 0  # states the last non-terminal pick reaches but not back
-    while remaining:
-        pool = downstream & remaining or remaining
-        start = pool & -pool
-        forward = closure(start, post)
-        backward = closure(start, pre)
-        if forward & ~backward:
-            downstream = forward & ~backward
-        else:
-            found.append(_members(forward))
-            downstream = 0
-        # every state of `backward` reaches `start`, so it lies in start's
-        # terminal component or in none
-        remaining &= ~backward
-    return found
-
-
-def _members(states: int) -> list[int]:
-    """The set bits of `states`, in ascending order: one pass over the
-    digits, where peeling off low bits would take time quadratic in the
-    width of a large component."""
-    digits = format(states, "b")[::-1]
-    return [b for b, digit in enumerate(digits) if digit == "1"]
+    def __getitem__(self, bits: int) -> list[int]:
+        return [bits ^ flip for moved, flip in self.flips if moved[bits >> 3] >> (bits & 7) & 1]
 
 
 # --- text format ------------------------------------------------------------

@@ -240,6 +240,27 @@ def _row_attractors(network, mode):
     return found
 
 
+def _gray_walk_network(table):
+    """Under asyn, each state's only move leads to the next state of the
+    reflected Gray code: one transient of 2**n - 1 steps from 0..0 to the
+    fixed point where only the last variable holds."""
+    xs = [Formula.var(table, name) for name in table]
+
+    def xor(a, b):
+        return a.conj(b.negate()).disj(a.negate().conj(b))
+
+    def parity(fs):
+        half = len(fs) // 2
+        return fs[0] if len(fs) == 1 else xor(parity(fs[:half]), parity(fs[half:]))
+
+    # even parity moves x0; odd parity moves the variable above the lowest one set
+    odd = parity(xs)
+    moves = [odd.negate()] + [
+        odd.conj(xs[i - 1], *(x.negate() for x in xs[: i - 1])) for i in range(1, len(xs))
+    ]
+    return BooleanNetwork(table, tuple(xor(x, move) for x, move in zip(xs, moves)))
+
+
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_asyn_attractors_match_the_row_components(n):
     rng = random.Random(n)
@@ -248,11 +269,14 @@ def test_asyn_attractors_match_the_row_components(n):
         network = random_network(rng, table)
         mode = BooleanMode.asyn(table)
         assert {frozenset(a) for a in attractors(network, mode)} == _row_attractors(network, mode)
+    walk = _gray_walk_network(table)
+    assert attractors(walk, mode) == [(table.state(1 << n - 1),)]
+    assert {frozenset(a) for a in attractors(walk, mode)} == _row_attractors(walk, mode)
 
 
 def test_asyn_attractors_at_fourteen_variables_stay_small():
-    # the set search holds a few ints of 2**14 bits: no per-state object
-    # or row is built, only the attractors' own states
+    # the successors come from 14 truth tables of 2**14 bits and Tarjan
+    # keeps a few per-state lists: no row and no per-state object is built
     table = random_table(random.Random(5), 14)
     network = random_network(random.Random(5), table)
     mode = BooleanMode.asyn(table)
