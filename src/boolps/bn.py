@@ -318,12 +318,11 @@ class _FlipMoves:
         union = functools.reduce(operator.or_, (element.bits for element in mode.elements), 0)
         width = max(1, (1 << n) >> 3)  # bytes of a 2**n-bit table
         self.size = 1 << n
-        self.flips = [
-            (moved.to_bytes(width, "little"), 1 << i)
-            for i in range(n)
-            if union >> i & 1
-            for moved in (fold_truth_table(network.updates[i], patterns) ^ patterns[i],)
-        ]
+        self.flips = []
+        for i in range(n):
+            if union >> i & 1:
+                moved = fold_truth_table(network.updates[i], patterns) ^ patterns[i]
+                self.flips.append((moved.to_bytes(width, "little"), 1 << i))
 
     def __len__(self):
         return self.size
