@@ -22,6 +22,7 @@ from .formula import (
     _Lines,
     fold_truth_table,
     parse_state,
+    truth_columns,
     truth_patterns,
 )
 from .limits import DEFAULT_BREADTH_CAP, check_enumerable
@@ -222,14 +223,13 @@ def bn_trajectories(
     return tuple(Trajectory(states, labels) for states, labels in seen.items())
 
 
-def _components(successors) -> Iterator[list[int]]:
-    """Strongly connected components, each yielded after every component
-    its edges reach (the order in which Tarjan closes them).
+def _components(successors, n: int) -> Iterator[list[int]]:
+    """Strongly connected components of nodes 0..n-1, each yielded after
+    every component its edges reach (the order in which Tarjan closes them).
 
-    Iterative Tarjan (SIAM J. Comput. 1, 1972) over ``successors[v]``, the
+    Iterative Tarjan (SIAM J. Comput. 1, 1972) over ``successors(v)``, the
     successor list of node v.
     """
-    n = len(successors)
     order = [0] * n  # 1-based discovery order; 0 = not visited yet
     low = [0] * n
     on_stack = [False] * n
@@ -242,7 +242,7 @@ def _components(successors) -> Iterator[list[int]]:
         order[root] = low[root] = counter
         stack.append(root)
         on_stack[root] = True
-        work = [(root, iter(successors[root]))]
+        work = [(root, iter(successors(root)))]
         while work:
             v, edges = work[-1]
             for w in edges:
@@ -251,7 +251,7 @@ def _components(successors) -> Iterator[list[int]]:
                     order[w] = low[w] = counter
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(successors[w])))
+                    work.append((w, iter(successors(w))))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], order[w])
@@ -278,57 +278,46 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
     mutually reachable states the dynamics cannot escape.  Returned as
     canonically sorted tuples of states, sorted among themselves.
 
-    Under a mode whose elements each name at most one variable (asyn, any
-    part of it, the empty group) the successors are read from the updates'
-    truth tables (`_FlipMoves`), under any other from the rows of
-    `step_table`; Tarjan's components are walked the same way over both.
+    The successors come from the updates' truth tables under every mode.
+    For each variable x_i some group names, D_i, the states where update i
+    disagrees with x_i, is one bitwise fold of the update's truth table;
+    `truth_columns` transposes the D_i into ``moved[b]``, the bits a step
+    under the groups' union changes at state b.  Group g moves b to
+    ``b ^ (moved[b] & g)``; self-loops are left out, as they change no
+    component.  Tarjan yields a component only after every component its
+    edges reach, so a component is terminal iff none of its states'
+    successors is already closed.
     """
+    if mode.table != network.table:
+        raise UsageError("mode over a different variable table")
     table = network.table
-    if all(element.bits & (element.bits - 1) == 0 for element in mode.elements):
-        successors = _FlipMoves(network, mode, cap)
-    else:
-        successors = step_table(network, mode, cap)[1]
+    n = check_enumerable(len(table), cap, "network")
+    groups = [element.bits for element in mode.elements]
+    union = functools.reduce(operator.or_, groups, 0)
+    patterns = truth_patterns(n)
+    moved = truth_columns(
+        [
+            fold_truth_table(update, patterns) ^ pattern if union >> i & 1 else 0
+            for i, (update, pattern) in enumerate(zip(network.updates, patterns))
+        ],
+        n,
+    )
+
+    def successors(bits):
+        change = moved[bits]
+        return [bits ^ (change & g) for g in groups if change & g]
+
+    closed = bytearray(1 << n)
     result = []
-    for component in _components(successors):
-        members = set(component)
-        if any(w not in members for u in component for w in successors[u]):
-            continue  # an edge leaves: not terminal
-        states = sorted((table.state(bits) for bits in component), key=StateSet.sort_key)
-        result.append(tuple(states))
+    for component in _components(successors, 1 << n):
+        terminal = not any(closed[w] for u in component for w in successors(u))
+        for u in component:
+            closed[u] = 1
+        if terminal:
+            states = sorted((table.state(bits) for bits in component), key=StateSet.sort_key)
+            result.append(tuple(states))
     result.sort(key=lambda states: tuple(s.sort_key() for s in states))
     return result
-
-
-class _FlipMoves:
-    """Successor lists of a mode whose elements each name at most one
-    variable, indexed by state bits like `step_table`'s rows but built on
-    demand and without self-loops.
-
-    Group {x_i} moves state b to b ^ 2**i exactly where update i disagrees
-    with x_i; that set of states is one bitwise fold of the update's truth
-    table (`fold_truth_table`), kept as bytes for a constant-time lookup.
-    The empty group moves nothing.
-    """
-
-    def __init__(self, network: BooleanNetwork, mode: BooleanMode, cap=None):
-        if mode.table != network.table:
-            raise UsageError("mode over a different variable table")
-        n = check_enumerable(len(network.table), cap, "network")
-        patterns = truth_patterns(n)
-        union = functools.reduce(operator.or_, (element.bits for element in mode.elements), 0)
-        width = max(1, (1 << n) >> 3)  # bytes of a 2**n-bit table
-        self.size = 1 << n
-        self.flips = []
-        for i in range(n):
-            if union >> i & 1:
-                moved = fold_truth_table(network.updates[i], patterns) ^ patterns[i]
-                self.flips.append((moved.to_bytes(width, "little"), 1 << i))
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, bits: int) -> list[int]:
-        return [bits ^ flip for moved, flip in self.flips if moved[bits >> 3] >> (bits & 7) & 1]
 
 
 # --- text format ------------------------------------------------------------

@@ -48,6 +48,7 @@ from .formula import (
     merge_tables,
     parse_formula,
     parse_state,
+    truth_columns,
     truth_patterns,
 )
 from .limits import check_enumerable
@@ -181,24 +182,19 @@ class BooleanPSystem:
     def applicable_masks(self, cap=None) -> list:
         """`out[bits]` is `applicable_mask` at the configuration with those
         bits, for every configuration: each guard's truth table, ANDed with
-        the patterns of its rule's lhs, read off state by state.  The list
-        belongs to the caller; nothing of it is kept here."""
+        the patterns of its rule's lhs, read off state by state by
+        `truth_columns`.  The list belongs to the caller; nothing of it is
+        kept here."""
         n = check_enumerable(len(self.table), cap, "system")
-        if not self._checks:
-            return [0] * (1 << n)
         patterns = truth_patterns(n)
-        rows = []
-        for _bit, lhs, guard in reversed(self._checks):
+        tables = []
+        for _bit, lhs, guard in self._checks:
             table = fold_truth_table(guard, patterns)
             for pos, pattern in enumerate(patterns):
                 if lhs >> pos & 1:
                     table &= pattern
-            rows.append(format(table, f"0{1 << n}b"))
-        # column j, read across the rows (highest rule index first), is the
-        # binary mask at state 2**n - 1 - j
-        masks = [int("".join(column), 2) for column in zip(*rows)]
-        masks.reverse()
-        return masks
+            tables.append(table)
+        return truth_columns(tables, n)
 
     def applicable_rules(self, configuration: StateSet) -> RuleSet:
         """Ids of the rules individually applicable to the configuration."""
@@ -595,6 +591,8 @@ def named_quasimode(name: str, system: BooleanPSystem) -> Quasimode:
 
 
 def format_system_text(system: BooleanPSystem, quasimode: Quasimode | None = None) -> str:
+    if not system.table.names:  # the reader needs a symbol after `alphabet`
+        raise UsageError("a system over an empty alphabet has no text form")
     lines = ["alphabet " + ", ".join(system.table.names)]
     for rule in system.rules:
         lines.append(rule.text())

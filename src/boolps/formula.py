@@ -802,6 +802,19 @@ def fold_truth_table(formula: Formula, patterns: list[int]) -> int:
     return _table_node(formula.root, patterns, (1 << (1 << len(patterns))) - 1)
 
 
+def truth_columns(tables: list[int], n: int) -> list[int]:
+    """Truth tables over n variables read state by state: bit k of
+    ``out[b]`` is bit b of ``tables[k]``, for each of the 2**n states b."""
+    if not tables:
+        return [0] * (1 << n)
+    # column j of the binary digits, highest table first, is the mask at
+    # state 2**n - 1 - j
+    rows = [format(table, f"0{1 << n}b") for table in reversed(tables)]
+    masks = [int("".join(column), 2) for column in zip(*rows)]
+    masks.reverse()
+    return masks
+
+
 def truth_bitmask(formula: Formula, cap=None) -> int:
     """Bitmask over all 2**n states: bit `b` set iff the state with bits `b` satisfies."""
     n = check_enumerable(len(formula.table), cap, "formula table")

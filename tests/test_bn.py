@@ -207,20 +207,38 @@ def _single_mode(rng, table):
     return BooleanMode(table, frozenset(groups))
 
 
+def _overlapping_mode(rng, table):
+    """Two to four windows of two or three cyclically consecutive
+    variables, each sharing a variable with the next."""
+    n = len(table)
+    start = rng.randrange(n)
+    groups = []
+    for _ in range(rng.randint(2, 4)):
+        width = rng.randint(2, 3)
+        groups.append(table.state(sum({1 << (start + k) % n for k in range(width)})))
+        start += width - 1
+    return BooleanMode(table, frozenset(groups))
+
+
+def _draw_mode(mode_name, rng, table):
+    return {
+        "random": lambda: random_mode(rng, table),
+        "single": lambda: _single_mode(rng, table),
+        "overlapping": lambda: _overlapping_mode(rng, table),
+    }.get(mode_name, lambda: named_mode(mode_name, table))()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["syn", "asyn", "random", "single"]),
+    st.sampled_from(["syn", "asyn", "random", "single", "overlapping"]),
 )
 def test_attractors_match_reachability_oracle(n, seed, mode_name):
     rng = random.Random(seed)
     table = random_table(rng, n)
     network = random_network(rng, table)
-    mode = {
-        "random": lambda: random_mode(rng, table),
-        "single": lambda: _single_mode(rng, table),
-    }.get(mode_name, lambda: named_mode(mode_name, table))()
+    mode = _draw_mode(mode_name, rng, table)
     got = attractors(network, mode)
     assert {frozenset(a) for a in got} == _oracle_attractors(network, mode)
     assert len(set(got)) == len(got)
@@ -233,7 +251,7 @@ def _row_attractors(network, mode):
     """Terminal components of Tarjan's components over the `step_table` rows."""
     rows = step_table(network, mode)[1]
     found = set()
-    for component in _components(rows):
+    for component in _components(rows.__getitem__, len(rows)):
         members = set(component)
         if all(w in members for u in component for w in rows[u]):
             found.add(frozenset(network.table.state(bits) for bits in component))
@@ -261,32 +279,56 @@ def _gray_walk_network(table):
     return BooleanNetwork(table, tuple(xor(x, move) for x, move in zip(xs, moves)))
 
 
+@pytest.mark.parametrize("mode_name", ["asyn", "syn", "random", "overlapping"])
 @pytest.mark.parametrize("n", [8, 9, 10])
-def test_asyn_attractors_match_the_row_components(n):
+def test_attractors_match_the_row_components(n, mode_name):
+    # the rows come from `bn_step`, independently of the truth tables
     rng = random.Random(n)
     for _ in range(3):
         table = random_table(rng, n)
         network = random_network(rng, table)
-        mode = BooleanMode.asyn(table)
+        mode = _draw_mode(mode_name, rng, table)
         assert {frozenset(a) for a in attractors(network, mode)} == _row_attractors(network, mode)
-    walk = _gray_walk_network(table)
-    assert attractors(walk, mode) == [(table.state(1 << n - 1),)]
-    assert {frozenset(a) for a in attractors(walk, mode)} == _row_attractors(walk, mode)
+    if mode_name in ("asyn", "syn"):
+        # each state of the walk moves one variable: syn steps as asyn does
+        walk = _gray_walk_network(table)
+        assert attractors(walk, mode) == [(table.state(1 << n - 1),)]
+        assert {frozenset(a) for a in attractors(walk, mode)} == _row_attractors(walk, mode)
 
 
-def test_asyn_attractors_at_fourteen_variables_stay_small():
-    # the successors come from 14 truth tables of 2**14 bits and Tarjan
-    # keeps a few per-state lists: no row and no per-state object is built
+def _traced_attractors_peak(mode_of):
     table = random_table(random.Random(5), 14)
     network = random_network(random.Random(5), table)
-    mode = BooleanMode.asyn(table)
+    mode = mode_of(table)
     tracemalloc.start()
     try:
         attractors(network, mode)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+
+
+def test_asyn_attractors_at_fourteen_variables_stay_small():
+    # the successors come from 14 truth tables of 2**14 bits, transposed
+    # into one int per state; no row is built and Tarjan keeps a successor
+    # list only for the states on its path
+    assert _traced_attractors_peak(BooleanMode.asyn) < 2 * 2**20
+
+
+@pytest.mark.parametrize("mode_name", ["syn", "random"])
+def test_wide_group_attractors_at_fourteen_variables_stay_small(mode_name):
+    # the same tables serve groups of any width: no `step_table` row is built
+    mode_of = {"syn": BooleanMode.syn, "random": lambda t: random_mode(random.Random(5), t)}
+    assert _traced_attractors_peak(mode_of[mode_name]) < 2 * 2**20
+
+
+def test_attractors_check_mode_and_cap_before_folding(toggle, monkeypatch):
+    monkeypatch.setattr(boolps.bn, "fold_truth_table", lambda *args: pytest.fail("folded"))
+    other = BooleanMode.syn(VarTable.of("x", "z"))
+    with pytest.raises(UsageError):
+        attractors(toggle, other)
+    with pytest.raises(CapacityError):
+        attractors(toggle, BooleanMode.syn(toggle.table), cap=1)
 
 
 @settings(max_examples=150, deadline=None)

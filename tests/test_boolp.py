@@ -551,6 +551,15 @@ class TestTextFormat:
         _system, parsed = parse_system_text(text)
         assert parsed.name == "maxpar"
 
+    def test_empty_alphabet_has_no_text_form(self):
+        # the reader needs a symbol after `alphabet`, so the writer refuses
+        with pytest.raises(ParseError):
+            parse_system_text("alphabet \n")
+        system = BooleanPSystem(VarTable.of(), ())
+        for quasimode in (None, quasimode_maxpar(system)):
+            with pytest.raises(UsageError, match="empty alphabet"):
+                format_system_text(system, quasimode)
+
     def test_default_guard_is_tautology(self):
         system, _ = parse_system_text("alphabet a\nr1: {a} -> {}\n")
         assert system.rule("r1").guard.root == parse_formula("1", system.table).root

@@ -28,6 +28,7 @@ from boolps.formula import (
     parse_formula,
     parse_state,
     truth_bitmask,
+    truth_columns,
 )
 from boolps.generators import random_formula, random_table
 from boolps.translate import bn_to_boolp
@@ -295,6 +296,19 @@ def test_truth_bitmask_cap():
     with pytest.raises(CapacityError):
         truth_bitmask(parse_formula("v0", t), cap=5)
     assert truth_bitmask(parse_formula("v0", t), cap=6) == int("10" * 32, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << (1 << n)) - 1), max_size=9))
+    )
+)
+def test_truth_columns_read_each_table_state_by_state(case):
+    n, tables = case
+    expected = [sum((table >> b & 1) << k for k, table in enumerate(tables)) for b in range(1 << n)]
+    assert truth_columns(tables, n) == expected
+    assert truth_columns([], n) == [0] * (1 << n)
 
 
 def test_substitute_folds_constants():
