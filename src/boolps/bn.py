@@ -131,9 +131,12 @@ def step_table(network: BooleanNetwork, mode: BooleanMode, cap=None):
     `elements` is ``mode.sorted_elements()`` and ``rows[bits]`` holds the
     next-state bits under each element, in that order.
 
-    Each state is stepped once, under the union of the elements: an update
-    reads only the state, so element g moves exactly the bits of g that
-    the union step moves.
+    Each state is stepped once with `bn_step`, under the union of the
+    elements: an update reads only the state, so element g moves exactly
+    the bits of g that the union step moves.  The direct engine steps
+    through these rows; `bn_transitions` and `attractors` read the truth
+    tables instead (`_moved`), and the tests keep `step_table` as their
+    independent reference.
     """
     if mode.table != network.table:
         raise UsageError("mode over a different variable table")
@@ -149,17 +152,46 @@ def step_table(network: BooleanNetwork, mode: BooleanMode, cap=None):
     return elements, rows
 
 
+def _moved(network: BooleanNetwork, union: int, n: int) -> list[int]:
+    """``moved[b]``: the bits a step under the group `union` changes at
+    each of the 2**n states b.
+
+    For each variable x_i in `union`, D_i, the states where update i
+    disagrees with x_i, is one bitwise fold of the update's truth table;
+    `truth_columns` transposes the D_i state by state.  Group g (a subset
+    of `union`) moves b to ``b ^ (moved[b] & g)``: an update reads only the
+    state.
+    """
+    patterns = truth_patterns(n)
+    return truth_columns(
+        [
+            fold_truth_table(update, patterns) ^ pattern if union >> i & 1 else 0
+            for i, (update, pattern) in enumerate(zip(network.updates, patterns))
+        ],
+        n,
+    )
+
+
 def bn_transitions(network: BooleanNetwork, mode: BooleanMode, cap=None) -> TransitionRelation:
-    """Full labelled edge set over all 2**n states, one edge per mode element."""
-    elements, rows = step_table(network, mode, cap)
-    # each element has one destination per state: permuting a row into
-    # label order makes it canonical
-    perm = sorted(range(len(elements)), key=lambda i: label_text(elements[i]))
-    indices = range(len(perm))
+    """Full labelled edge set over all 2**n states, one edge per mode element.
+
+    The destinations come from the updates' truth tables (`_moved`), as in
+    `attractors`; the elements are put in label order once, so each row,
+    one destination per element, is already canonical.
+    """
+    if mode.table != network.table:
+        raise UsageError("mode over a different variable table")
+    n = check_enumerable(len(network.table), cap, "network")
+    elements = sorted(mode.elements, key=label_text)
+    groups = [element.bits for element in elements]
+    moved = _moved(network, functools.reduce(operator.or_, groups, 0), n)
     return TransitionRelation(
         network.table,
-        tuple(elements[i] for i in perm),
-        [tuple(zip(indices, map(row.__getitem__, perm))) for row in rows],
+        tuple(elements),
+        [
+            tuple(enumerate([bits ^ (change & g) for g in groups]))
+            for bits, change in enumerate(moved)
+        ],
     )
 
 
@@ -223,16 +255,21 @@ def bn_trajectories(
     return tuple(Trajectory(states, labels) for states, labels in seen.items())
 
 
-def _components(successors, n: int) -> Iterator[list[int]]:
+def _components(successors, n: int) -> Iterator[tuple[list[int], bool]]:
     """Strongly connected components of nodes 0..n-1, each yielded after
-    every component its edges reach (the order in which Tarjan closes them).
+    every component its edges reach (the order in which Tarjan closes them),
+    as ``(nodes, leaves)``: `leaves` is whether an edge leaves the component.
 
     Iterative Tarjan (SIAM J. Comput. 1, 1972) over ``successors(v)``, the
-    successor list of node v.
+    successor list of node v.  An edge leaves v's component iff it reaches
+    a closed component: a visited node off the stack, or a tree child that
+    closed its own.  Each node passes its flag to its tree parent, so the
+    component's root holds the OR of its nodes' flags when it closes.
     """
     order = [0] * n  # 1-based discovery order; 0 = not visited yet
     low = [0] * n
     on_stack = [False] * n
+    leaves = bytearray(n)
     stack = []
     counter = 0
     for root in range(n):
@@ -255,11 +292,14 @@ def _components(successors, n: int) -> Iterator[list[int]]:
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], order[w])
+                else:
+                    leaves[v] = 1
             else:
                 work.pop()
                 if low[v] < order[v]:  # v's component is still open: pass its low up
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
+                    leaves[parent] |= leaves[v]
                     continue
                 component = []
                 while True:
@@ -268,7 +308,9 @@ def _components(successors, n: int) -> Iterator[list[int]]:
                     component.append(w)
                     if w == v:
                         break
-                yield component
+                if work:  # the parent's edge to v leaves the parent's component
+                    leaves[work[-1][0]] = 1
+                yield component, bool(leaves[v])
 
 
 def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
@@ -278,42 +320,24 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
     mutually reachable states the dynamics cannot escape.  Returned as
     canonically sorted tuples of states, sorted among themselves.
 
-    The successors come from the updates' truth tables under every mode.
-    For each variable x_i some group names, D_i, the states where update i
-    disagrees with x_i, is one bitwise fold of the update's truth table;
-    `truth_columns` transposes the D_i into ``moved[b]``, the bits a step
-    under the groups' union changes at state b.  Group g moves b to
-    ``b ^ (moved[b] & g)``; self-loops are left out, as they change no
-    component.  Tarjan yields a component only after every component its
-    edges reach, so a component is terminal iff none of its states'
-    successors is already closed.
+    The successors come from the updates' truth tables (`_moved`) under
+    every mode; self-loops are left out, as they change no component.  A
+    component is terminal iff no edge leaves it.
     """
     if mode.table != network.table:
         raise UsageError("mode over a different variable table")
     table = network.table
     n = check_enumerable(len(table), cap, "network")
     groups = [element.bits for element in mode.elements]
-    union = functools.reduce(operator.or_, groups, 0)
-    patterns = truth_patterns(n)
-    moved = truth_columns(
-        [
-            fold_truth_table(update, patterns) ^ pattern if union >> i & 1 else 0
-            for i, (update, pattern) in enumerate(zip(network.updates, patterns))
-        ],
-        n,
-    )
+    moved = _moved(network, functools.reduce(operator.or_, groups, 0), n)
 
     def successors(bits):
         change = moved[bits]
         return [bits ^ (change & g) for g in groups if change & g]
 
-    closed = bytearray(1 << n)
     result = []
-    for component in _components(successors, 1 << n):
-        terminal = not any(closed[w] for u in component for w in successors(u))
-        for u in component:
-            closed[u] = 1
-        if terminal:
+    for component, leaves in _components(successors, 1 << n):
+        if not leaves:
             states = sorted((table.state(bits) for bits in component), key=StateSet.sort_key)
             result.append(tuple(states))
     result.sort(key=lambda states: tuple(s.sort_key() for s in states))

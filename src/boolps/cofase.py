@@ -177,7 +177,7 @@ def _phase_reach(rows, min_steps: int) -> list:
     `_components` lists first; the component's states share that one set.
     """
     closure = [None] * len(rows)
-    for component in _components(rows.__getitem__, len(rows)):
+    for component, _leaves in _components(rows.__getitem__, len(rows)):
         out = set(component)
         for v in component:
             for w in rows[v]:

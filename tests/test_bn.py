@@ -251,7 +251,7 @@ def _row_attractors(network, mode):
     """Terminal components of Tarjan's components over the `step_table` rows."""
     rows = step_table(network, mode)[1]
     found = set()
-    for component in _components(rows.__getitem__, len(rows)):
+    for component, _leaves in _components(rows.__getitem__, len(rows)):
         members = set(component)
         if all(w in members for u in component for w in rows[u]):
             found.add(frozenset(network.table.state(bits) for bits in component))
@@ -329,6 +329,31 @@ def test_attractors_check_mode_and_cap_before_folding(toggle, monkeypatch):
         attractors(toggle, other)
     with pytest.raises(CapacityError):
         attractors(toggle, BooleanMode.syn(toggle.table), cap=1)
+
+
+def test_bn_transitions_checks_mode_and_cap_before_folding(toggle, monkeypatch):
+    monkeypatch.setattr(boolps.bn, "fold_truth_table", lambda *args: pytest.fail("folded"))
+    other = BooleanMode.syn(VarTable.of("x", "z"))
+    with pytest.raises(UsageError):
+        bn_transitions(toggle, other)
+    with pytest.raises(CapacityError):
+        bn_transitions(toggle, BooleanMode.syn(toggle.table), cap=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_components_flag_exactly_the_components_an_edge_leaves(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 40)
+    rows = [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)]
+    seen = []
+    for component, leaves in _components(rows.__getitem__, n):
+        members = set(component)
+        assert leaves == any(w not in members for v in component for w in rows[v])
+        # every edge leaving the component reaches one yielded before it
+        assert all(w in members or w in seen for v in component for w in rows[v])
+        seen.extend(component)
+    assert sorted(seen) == list(range(n))
 
 
 @settings(max_examples=150, deadline=None)

@@ -22,6 +22,7 @@ from boolps.errors import UsageError
 from boolps.formula import StateSet, VarTable
 from boolps.generators import random_mode, random_network, random_psystem, random_table
 from boolps.relation import TransitionRelation, digit_order, label_text
+from test_bn import _gray_walk_network
 
 STYLES = ("digits", "set")
 NAMES = st.sampled_from(["label", "mode_elem", "rules", "kéy", 'q"uote', "g_2"])
@@ -95,6 +96,15 @@ def _network_mode(rng, table, mode_name):
     }.get(mode_name, lambda: named_mode(mode_name, table))()
 
 
+def _stepped_edges(network, mode):
+    """The relation's edges, one `bn_step` per state and element."""
+    return frozenset(
+        (state, element, bn_step(network, state, element))
+        for state in network.table.subsets()
+        for element in mode.elements
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 6),
@@ -108,13 +118,20 @@ def test_bn_transitions_render_like_edge_set(n, seed, mode_name, style, label_ke
     table = random_table(rng, n)
     network = random_network(rng, table)
     mode = _network_mode(rng, table, mode_name)
-    edges = frozenset(
-        (state, element, bn_step(network, state, element))
-        for state in table.subsets()
-        for element in mode.elements
-    )
     relation = bn_transitions(network, mode)
-    assert_renders_like_edges(relation, edges, style, label_key)
+    assert_renders_like_edges(relation, _stepped_edges(network, mode), style, label_key)
+
+
+@pytest.mark.parametrize("mode_name", ["asyn", "syn", "random", "overlapping", "empty"])
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_bn_transitions_match_bn_step_at_larger_n(n, mode_name):
+    rng = random.Random(n)
+    table = random_table(rng, n)
+    mode = _network_mode(rng, table, mode_name)
+    for network in (random_network(rng, table), _gray_walk_network(table)):
+        relation = bn_transitions(network, mode)
+        assert relation.labels == tuple(sorted(mode.elements, key=label_text))
+        assert relation.edges == _stepped_edges(network, mode)
 
 
 def _pi_case(seed, mode_name):
