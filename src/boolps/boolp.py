@@ -486,11 +486,8 @@ def _remap_rule(rule: Rule, table: VarTable, position_map) -> Rule:
     )
 
 
-def remap_system(system: BooleanPSystem, table: VarTable) -> BooleanPSystem:
-    """Re-intern a system into a larger table containing all its names."""
-    position_map = {
-        i: table.position(name) for i, name in enumerate(system.table.names)
-    }
+def remap_system(system: BooleanPSystem, table: VarTable, position_map) -> BooleanPSystem:
+    """Re-intern a system into a larger table by a `merge_tables` position map."""
     return BooleanPSystem(table, tuple(_remap_rule(r, table, position_map) for r in system.rules))
 
 
@@ -500,9 +497,9 @@ def union_systems(first: BooleanPSystem, second: BooleanPSystem) -> BooleanPSyst
     A rule id occurring in both systems must name the same rule (same lhs
     and rhs, guards equal as truth tables); such duplicates are kept once.
     """
-    merged, _map_a, _map_b = merge_tables(first.table, second.table)
-    left = remap_system(first, merged)
-    right = remap_system(second, merged)
+    merged, map_a, map_b = merge_tables(first.table, second.table)
+    left = remap_system(first, merged, map_a)
+    right = remap_system(second, merged, map_b)
     rules = list(left.rules)
     by_id = {r.id: r for r in rules}
     for rule in right.rules:

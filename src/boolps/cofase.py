@@ -40,6 +40,7 @@ from .boolp import successors as boolp_successors  # noqa: F401
 from .errors import CapacityError, ParseError, UsageError, ValidationError
 from .formula import StateSet, VarTable, parse_state
 from .limits import check_enumerable, var_cap
+from .relation import digit_order
 from .translate import bcn_to_composite
 
 
@@ -169,31 +170,30 @@ def control_space(bcn: BooleanControlNetwork, cap=None) -> list[StateSet]:
 
 
 def _phase_reach(rows, min_steps: int) -> list:
-    """Per state bits, the bits of the states reachable within one phase
-    (>= min_steps steps), as a frozenset.
+    """Per state bits, the states reachable within one phase (>= min_steps
+    steps), as an int with bit s set for each reachable state s.
 
     The reflexive-transitive closure of a strongly connected component is its
     states plus the closures of the components its edges reach, which
-    `_components` lists first; the component's states share that one set.
+    `_components` lists first; the component's states share that one int.
     """
-    closure = [None] * len(rows)
+    closure = [0] * len(rows)
     for component, _leaves in _components(rows.__getitem__, len(rows)):
-        out = set(component)
+        out = 0
         for v in component:
+            out |= 1 << v
             for w in rows[v]:
-                if closure[w] is not None:  # None: an edge inside this component
-                    out |= closure[w]
-        shared = frozenset(out)
+                out |= closure[w]  # 0: an edge inside this component
         for v in component:
-            closure[v] = shared
+            closure[v] = out
     if min_steps == 0:
         return closure
     reach = []
     for row in rows:
-        out = set()
+        out = 0
         for dst in row:
             out |= closure[dst]
-        reach.append(frozenset(out))
+        reach.append(out)
     return reach
 
 
@@ -231,13 +231,15 @@ def _shortest_phase_path(table, elements, rows, source, target, min_steps) -> Tr
 # --- direct engine --------------------------------------------------------------
 
 
-def _image(reach, states) -> frozenset:
-    out = set()
-    for bits in states:
-        # a phase closure is transitive: a state already in `out` adds nothing
-        if bits not in out:
-            out |= reach[bits]
-    return frozenset(out)
+def _image(reach, states: int) -> int:
+    """The union of `reach` over the states set in `states`, as an int."""
+    out = 0
+    while states:
+        low = states & -states
+        out |= reach[low.bit_length() - 1]
+        # what a state already in `out` reaches is in `out` (for min_steps 1 too)
+        states &= ~(out | low)
+    return out
 
 
 def solve_cofase(
@@ -300,8 +302,8 @@ def solve_cofase(
 def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
     """The breadth-first phase search; returns the result and the number of
     search nodes it visited."""
-    targets = frozenset(target.bits for target in instance.targets)
-    initial = tuple(frozenset({start.bits}) for start in instance.starts)
+    targets = sum(1 << target.bits for target in instance.targets)
+    initial = tuple(1 << start.bits for start in instance.starts)
     visited = {initial}
     queue = [(initial, ())]
     frontier = [1]  # one entry per depth searched, the start node's first
@@ -327,27 +329,27 @@ def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
 
 
 def _build_solution(instance, sequence, phase_maps, min_steps):
+    targets = sum(1 << target.bits for target in instance.targets)
+    order = digit_order(len(instance.bcn.x_table))
     witnesses = []
     for start in instance.starts:
         witnesses.append(
-            _witness_for(start, sequence, instance.targets, phase_maps, min_steps)
+            _witness_for(start, sequence, targets, order, phase_maps, min_steps)
         )
     return CoFaSeSolution(policy="uniform", witnesses=tuple(witnesses))
 
 
-def _witness_for(start, sequence, targets, phase_maps, min_steps):
+def _witness_for(start, sequence, targets, order, phase_maps, min_steps):
+    """One start's witness; a phase ends at the first state by `order` rank that can finish."""
     table = start.table
-    frontiers = [frozenset({start.bits})]
+    frontiers = [1 << start.bits]
     for control in sequence:
         frontiers.append(_image(phase_maps(control)[2], frontiers[-1]))
-
-    def first(candidates):
-        return min((table.state(bits) for bits in candidates), key=StateSet.sort_key).bits
-
-    endpoints = [first(frontiers[-1] & {target.bits for target in targets})]
+    endpoints = [min(_bit_indices(frontiers[-1] & targets), key=order.__getitem__)]
     for i in reversed(range(len(sequence))):
         reach = phase_maps(sequence[i])[2]
-        endpoints.insert(0, first(s for s in frontiers[i] if endpoints[0] in reach[s]))
+        back = [s for s in _bit_indices(frontiers[i]) if reach[s] >> endpoints[0] & 1]
+        endpoints.insert(0, min(back, key=order.__getitem__))
     segments = []
     for i, control in enumerate(sequence):
         elements, rows, _reach = phase_maps(control)
@@ -439,7 +441,7 @@ def solve_cofase_via_composite(
     # the control part the bits above them
     n_x = len(instance.bcn.x_table)
     x_mask = (1 << n_x) - 1
-    target_bits = {target.bits for target in instance.targets}
+    targets = sum(1 << target.bits for target in instance.targets)
     witnesses = []
     explored = 0
     for start in instance.starts:
@@ -460,7 +462,7 @@ def solve_cofase_via_composite(
             if best.get(config, (-1, -1)) != (switches, steps):
                 continue  # stale entry
             explored += 1
-            if config & x_mask in target_bits:
+            if targets >> (config & x_mask) & 1:
                 found = config
                 break
             if steps >= max_steps:

@@ -39,6 +39,7 @@ from boolps.formula import (
     Var,
     VarTable,
     equivalent,
+    merge_tables,
     parse_formula,
 )
 from boolps.generators import random_formula, random_psystem, random_quasimode, random_table
@@ -248,8 +249,10 @@ class TestUnion:
             one = random_psystem(rng, table_one, prefix="a")
             two = random_psystem(rng, table_two, prefix="b")
             union = union_systems(one, two)
-            lifted_one = remap_system(one, union.table)
-            lifted_two = remap_system(two, union.table)
+            merged, map_one, map_two = merge_tables(table_one, table_two)
+            assert merged == union.table
+            lifted_one = remap_system(one, union.table, map_one)
+            lifted_two = remap_system(two, union.table, map_two)
             for state in union.table.subsets():
                 assert union.applicable_rules(state) == (
                     lifted_one.applicable_rules(state) | lifted_two.applicable_rules(state)

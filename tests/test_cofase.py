@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -297,6 +298,16 @@ def brute_force_min_phases(instance, max_phases):
     return None
 
 
+def as_int(states):
+    """A set of state bits as the int with those bits set."""
+    return sum(1 << bits for bits in states)
+
+
+def as_bits(states: int, size: int) -> set:
+    """The state bits set in an int of `size` bits."""
+    return {bits for bits in range(size) if states >> bits & 1}
+
+
 def _oracle_phase_reach(rows, min_steps):
     """Reach by one BFS per state; with min_steps 1, from the one-step successors."""
 
@@ -310,9 +321,10 @@ def _oracle_phase_reach(rows, min_steps):
                     queue.append(dst)
         return seen
 
+    closure = [reach(s) for s in range(len(rows))]
     if min_steps == 0:
-        return [reach(s) for s in range(len(rows))]
-    return [set().union(*(reach(dst) for dst in row)) for row in rows]
+        return closure
+    return [set().union(*(closure[dst] for dst in row)) for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
@@ -329,14 +341,15 @@ def test_phase_reach_matches_bfs_oracle(n, seed, mode_name, min_steps):
     mode = random_mode(rng, table) if mode_name == "random" else named_mode(mode_name, table)
     rows = step_table(network, mode)[1]
     got = _phase_reach(rows, min_steps)
-    assert all(type(reach) is frozenset for reach in got)
-    assert got == _oracle_phase_reach(rows, min_steps)
+    assert all(type(reach) is int for reach in got)
+    decoded = [as_bits(reach, len(rows)) for reach in got]
+    assert decoded == _oracle_phase_reach(rows, min_steps)
     if min_steps == 0:
-        # mutually reachable states share one closure object
-        for s, reach in enumerate(got):
+        # mutually reachable states share one closure
+        for s, reach in enumerate(decoded):
             for t in reach:
-                if s in got[t]:
-                    assert got[t] is reach
+                if s in decoded[t]:
+                    assert got[t] == got[s]
 
 
 def random_control_network(rng, n, explicit, idle):
@@ -409,15 +422,24 @@ def test_selected_networks_reject_a_foreign_control_before_applying_any(frozen, 
     assert calls == []
 
 
-def eager_solve(instance, max_phases, policy="uniform", min_steps=0):
-    """The direct engine without the control quotient: `apply_control`, a
-    step table and a phase closure for every control, then a breadth-first
-    search trying every control at every node.  Witnesses come from the
-    engine's own `_build_solution`, fed these maps."""
+def eager_maps(instance, min_steps):
+    """Per control, via `apply_control`: the step table with the BFS phase
+    reach (`_oracle_phase_reach`) as ints, and that reach as sets."""
     maps = {}
+    oracle = {}
     for mu in control_space(instance.bcn):
         elements, rows = step_table(apply_control(instance.bcn, mu), instance.mode)
-        maps[mu] = (elements, rows, _phase_reach(rows, min_steps))
+        oracle[mu] = _oracle_phase_reach(rows, min_steps)
+        maps[mu] = (elements, rows, [as_int(reach) for reach in oracle[mu]])
+    return maps, oracle
+
+
+def eager_solve(instance, max_phases, policy, min_steps, built):
+    """The direct engine without the control quotient: `built`, the
+    `eager_maps` of the instance under min_steps, then a breadth-first
+    search over frozensets trying every control at every node.  Witnesses
+    come from the engine's own `_build_solution`, fed the reaches as ints."""
+    maps, oracle = built
 
     def search(sub):
         """The result and the number of search nodes visited."""
@@ -431,7 +453,7 @@ def eager_solve(instance, max_phases, policy="uniform", min_steps=0):
                 break
             next_queue = []
             for node, sequence in queue:
-                for mu, (_elements, _rows, reach) in maps.items():
+                for mu, reach in oracle.items():
                     image = tuple(
                         frozenset().union(*(reach[s] for s in comp)) for comp in node
                     )
@@ -466,10 +488,16 @@ def eager_solve(instance, max_phases, policy="uniform", min_steps=0):
 
 
 def assert_same_as_eager(instance, max_phases):
-    for policy in ("uniform", "per-start"):
-        for min_steps in (0, 1):
+    """Both policies and both phase readings give the eager solver's result;
+    returns the results."""
+    results = []
+    for min_steps in (0, 1):
+        built = eager_maps(instance, min_steps)
+        for policy in ("uniform", "per-start"):
             got = solve_cofase(instance, max_phases, policy, min_steps)
-            assert got == eager_solve(instance, max_phases, policy, min_steps)
+            assert got == eager_solve(instance, max_phases, policy, min_steps, built)
+            results.append(got)
+    return results
 
 
 @settings(max_examples=60, deadline=None)
@@ -493,6 +521,38 @@ def test_quotient_solver_matches_eager_solver_on_acceptance_instances():
         assert_same_as_eager(random_cofase_instance(rng, max_vars=3), 4)
     with open(MODELS / "ex32.cofase") as handle:
         assert_same_as_eager(parse_instance_text(handle.read()), 3)
+
+
+def wide_instance(seed, n):
+    """An asyn instance on n variables, x1-x3 freeze-controlled (27 networks),
+    with three starts and one target."""
+    rng = random.Random(seed)
+    table = random_table(rng, n)
+    bcn = freeze_extend(random_network(rng, table), ["x1", "x2", "x3"])
+    starts = [random_subset(rng, table) for _ in range(3)]
+    return CoFaSeInstance.of(bcn, starts, [random_subset(rng, table)], BooleanMode.asyn(table))
+
+
+@pytest.mark.parametrize("seed, n", [(3, 7), (7, 8)])
+def test_quotient_solver_matches_eager_solver_on_sets_wider_than_a_word(seed, n):
+    # 128 and 256 states; none is solvable within 5 phases, so the
+    # comparison covers `explored` and `frontier`
+    results = assert_same_as_eager(wide_instance(seed, n), 5)
+    assert not any(results)
+    assert all(len(result.frontier) > 2 for result in results)
+
+
+def test_uniform_solve_on_256_states_stays_small():
+    # each node holds three ints of 256 bits and each phase reach one int
+    # per state: the solve needs about 1 MiB
+    instance = wide_instance(3, 8)
+    tracemalloc.start()
+    try:
+        assert not solve_cofase(instance, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_one_phase_solve_builds_a_step_map_per_network_at_most(monkeypatch):
