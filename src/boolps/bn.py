@@ -185,9 +185,9 @@ def bn_transitions(network: BooleanNetwork, mode: BooleanMode, cap=None) -> Tran
     elements = sorted(mode.elements, key=label_text)
     groups = [element.bits for element in elements]
     moved = _moved(network, functools.reduce(operator.or_, groups, 0), n)
-    return TransitionRelation(
+    return TransitionRelation._canonical(
         network.table,
-        tuple(elements),
+        elements,
         [
             tuple(enumerate([bits ^ (change & g) for g in groups]))
             for bits, change in enumerate(moved)

@@ -51,7 +51,7 @@ from .formula import (
     truth_columns,
     truth_patterns,
 )
-from .limits import check_enumerable
+from .limits import check_enumerable, var_cap
 
 RuleSet = frozenset  # of rule id strings
 
@@ -318,10 +318,11 @@ class PowersetQuasimode(Quasimode):
     def resolve(self, system):
         base = system.rule_mask(self.base)
         lhs, rhs = system._lhs, system._rhs
+        limit = var_cap()  # read once, not once per configuration
 
         def at(app):
             usable = base & app
-            check_enumerable(usable.bit_count(), what="applicable advised rules")
+            check_enumerable(usable.bit_count(), limit, "applicable advised rules")
             moves = [(0, 0, 0)]
             while usable:
                 low = usable & -usable

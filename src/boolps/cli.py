@@ -1,13 +1,16 @@
 """Command-line front door: run, translate, solve and check models.
 
 Exit codes: 0 success or check passed, 1 no solution or check failed,
-2 usage problem, 3 parse error, 4 enumeration cap exceeded.
+2 usage problem, 3 parse error, 4 enumeration cap exceeded.  A reader
+that closes stdout early (`| head`) ends the command with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -67,14 +70,23 @@ def _read(path: str) -> str:
         raise ParseError(f"not UTF-8 text: byte {exc.start} ({exc.reason})", source=path) from None
 
 
+@contextlib.contextmanager
+def _output(args):
+    """The text stream for `--out`, else stdout; an OSError on the file is a usage error."""
+    path = getattr(args, "out", None)
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as out:
+            yield out
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(args, text: str):
-    if getattr(args, "out", None):
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+    with _output(args) as out:
+        out.write(text)
 
 
 def _bn_mode(args, table):
@@ -102,12 +114,13 @@ def _load_system(args):
 
 
 def _emit_relation(args, relation, style, label_key):
-    if args.format == "dot":
-        _emit(args, relation.to_dot(style=style))
-    elif args.format == "json":
-        _emit(args, relation.to_json_lines(style=style, label_key=label_key))
-    else:
-        _emit(args, relation.to_text(style=style))
+    with _output(args) as out:
+        if args.format == "dot":
+            relation.to_dot(style=style, out=out)
+        elif args.format == "json":
+            relation.to_json_lines(style=style, label_key=label_key, out=out)
+        else:
+            relation.to_text(style=style, out=out)
     return EXIT_OK
 
 
@@ -226,12 +239,11 @@ def _cmd_cofase_solve(args):
             lines.append(f"    boundaries {list(witness.boundaries)}")
         _emit(args, "\n".join(lines) + "\n")
     else:
-        if result.detail:
-            reason = result.detail
-        elif result.frontier[-1:] == (0,):
-            reason = "exhausted"
-        else:
-            reason = f"phase bound {result.phase_bound} reached"
+        stop = ""  # the composite engine keeps no frontier; its detail says it all
+        if result.frontier:
+            stop = ("exhausted" if result.frontier[-1] == 0
+                    else f"phase bound {result.phase_bound} reached")
+        reason = "; ".join(filter(None, (result.detail, stop)))
         _emit(args, f"no solution within bounds ({reason})\n")
     return EXIT_OK if result else EXIT_NEGATIVE
 
@@ -456,7 +468,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`): what it read is all it
+        # wanted; send what is still buffered to devnull so exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -81,7 +81,7 @@ def boolp_transitions(system: BooleanPSystem, mode: ModeView, cap=None) -> Trans
         tuple([(label, bits & ~erase | add) for label, erase, add in entries[app]])
         for bits, app in enumerate(apps)
     ]
-    return TransitionRelation(system.table, tuple(decoded[mask] for mask in masks), rows)
+    return TransitionRelation._canonical(system.table, [decoded[mask] for mask in masks], rows)
 
 
 def _item_text(item) -> str:

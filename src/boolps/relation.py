@@ -39,6 +39,10 @@ class TransitionRelation:
     then by the destination's digits; a row given in another order is put
     in that order.  The renderers list sources in digit order, so their
     lines are sorted by (source digits, label text, destination digits).
+    Each renderer returns its text, or, given a text stream `out`, writes it
+    there one run of source states at a time (`_runs`) and returns None.
+    It checks its arguments and builds the state and label texts before it
+    writes anything.
     """
 
     table: VarTable
@@ -71,6 +75,16 @@ class TransitionRelation:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "rows", tuple(rows))
 
+    @classmethod
+    def _canonical(cls, table: VarTable, labels, rows) -> TransitionRelation:
+        """A relation from labels and rows already in canonical order, as the
+        package's builders make them; unlike the constructor, it checks no edge."""
+        relation = cls.__new__(cls)
+        object.__setattr__(relation, "table", table)
+        object.__setattr__(relation, "labels", tuple(labels))
+        object.__setattr__(relation, "rows", tuple(rows))
+        return relation
+
     @functools.cached_property
     def edges(self) -> frozenset:
         """The relation as ``(src StateSet, label, dst StateSet)`` triples."""
@@ -102,41 +116,77 @@ class TransitionRelation:
             raise UsageError(f"unknown state style {style!r}; expected 'digits' or 'set'")
         return list(map(quote, states)), [quote(label_text(label)) for label in self.labels]
 
-    def to_dot(self, style: str = "digits") -> str:
+    def _runs(self):
+        """The source states in digit order, in runs of 2^(n//2) states: one
+        chunk of output per run keeps both the chunks and the number of
+        writes near the square root of the state count."""
+        order = digit_order(len(self.table))
+        step = 1 << len(self.table) // 2
+        return [order[i:i + step] for i in range(0, len(order), step)]
+
+    def to_dot(self, style: str = "digits", out=None) -> str | None:
         states, labels = self._texts(style)
         rows = self.rows
-        order = digit_order(len(self.table))
         targets = {dst for row in rows for _label, dst in row}
-        lines = ["digraph transitions {"]
-        lines += [f'  "{states[bits]}";' for bits in order if rows[bits] or bits in targets]
-        lines += [
-            f'  "{states[src]}" -> "{states[dst]}" [label="{labels[label]}"];'
-            for src in order
-            for label, dst in rows[src]
-        ]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        runs = self._runs()
 
-    def to_json_lines(self, style: str = "digits", label_key: str = "label") -> str:
+        def chunks():
+            yield "digraph transitions {\n"
+            for run in runs:
+                yield "".join([
+                    f'  "{states[bits]}";\n' for bits in run if rows[bits] or bits in targets
+                ])
+            for run in runs:
+                yield "".join([
+                    f'  "{states[src]}" -> "{states[dst]}" [label="{labels[label]}"];\n'
+                    for src in run
+                    for label, dst in rows[src]
+                ])
+            yield "}\n"
+
+        return _deliver(chunks(), out)
+
+    def to_json_lines(
+        self, style: str = "digits", label_key: str = "label", out=None
+    ) -> str | None:
         if label_key in ("src", "dst"):
             raise UsageError(f"label key {label_key!r} would overwrite an endpoint")
         # json.dumps of the three-key dict, with each text quoted once
         states, labels = self._texts(style, json.dumps)
         rows = self.rows
         key = json.dumps(label_key)
-        lines = [
-            f'{{"src": {states[src]}, {key}: {labels[label]}, "dst": {states[dst]}}}'
-            for src in digit_order(len(self.table))
-            for label, dst in rows[src]
-        ]
-        return "\n".join(lines) + "\n"
 
-    def to_text(self, style: str = "digits") -> str:
+        def chunks():
+            for run in self._runs():
+                yield "".join([
+                    f'{{"src": {states[src]}, {key}: {labels[label]}, "dst": {states[dst]}}}\n'
+                    for src in run
+                    for label, dst in rows[src]
+                ])
+            if not any(rows):
+                yield "\n"
+
+        return _deliver(chunks(), out)
+
+    def to_text(self, style: str = "digits", out=None) -> str | None:
         states, labels = self._texts(style)
         rows = self.rows
-        lines = [
-            f"{states[src]} --{labels[label]}--> {states[dst]}"
-            for src in digit_order(len(self.table))
-            for label, dst in rows[src]
-        ]
-        return "\n".join(lines) + "\n"
+
+        def chunks():
+            for run in self._runs():
+                yield "".join([
+                    f"{states[src]} --{labels[label]}--> {states[dst]}\n"
+                    for src in run
+                    for label, dst in rows[src]
+                ])
+            if not any(rows):
+                yield "\n"
+
+        return _deliver(chunks(), out)
+
+
+def _deliver(chunks, out):
+    """Write the text chunks to the stream `out`, or return them joined when it is None."""
+    if out is None:
+        return "".join(chunks)
+    out.writelines(chunks)

@@ -434,6 +434,20 @@ def test_applicable_masks_of_no_rules_and_no_symbols():
     assert BooleanPSystem(table, ()).applicable_masks() == [0, 0, 0, 0]
 
 
+def test_powerset_over_the_cap_raises(monkeypatch):
+    # the cap is read once, when the mode is derived
+    system, _ = parse_system_text("alphabet a, b\nr1: {a} -> {b} | 1\nr2: {b} -> {a} | 1\n")
+    monkeypatch.setenv("BOOLPS_CAP_VARS", "1")
+    view = derive_mode(system, PowersetQuasimode(frozenset({"r1", "r2"})))
+    assert view.at(conf(system, ["a"])) == {frozenset(), frozenset({"r1"})}
+    with pytest.raises(CapacityError) as err:
+        view.at(conf(system, ["a", "b"]))
+    assert str(err.value) == (
+        "applicable advised rules has 2 variables; enumeration capped at 1 "
+        "(set BOOLPS_CAP_VARS or pass a cap to raise)"
+    )
+
+
 def test_applicable_masks_cap(cascade):
     with pytest.raises(CapacityError):
         cascade.applicable_masks(cap=1)

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from boolps.bcn import parse_bcn_text
 from boolps.bn import BooleanMode, parse_bn_text
 from boolps.boolp import parse_system_text
+import boolps
 from boolps.cli import main
 from boolps.formula import MAX_NESTING
 from boolps.translate import bcn_to_composite, bn_to_boolp, parse_reactions_text, rs_to_boolp
@@ -357,6 +361,24 @@ class TestCofaseCommands:
             "start {01}\ntarget {11}\nmode syn\n"
         )
         code, out, _ = run(capsys, "cofase", "solve", instance, "--max-phases", phases)
+        assert (code, out) == (1, f"no solution within bounds ({reason})\n")
+
+    @pytest.mark.parametrize(
+        "extra, reason",
+        [(["--max-phases", "1"], "no sequence for start {y}; phase bound 1 reached"),
+         (["--max-phases", "2"], "no sequence for start {y}; exhausted"),
+         (["--engine", "composite", "--max-steps", "4", "--max-phases", "2"],
+          "no composite run for start {y}")],
+        ids=["direct-bound", "direct-exhausted", "composite"],
+    )
+    def test_per_start_failure_names_the_start_and_the_cause(self, capsys, tmp_path, extra,
+                                                             reason):
+        instance = tmp_path / "stuck.cofase"
+        instance.write_text(
+            "var x, y\nx' = !x & y\ny' = x & !y\n"
+            "start {01}\ntarget {11}\nmode syn\n"
+        )
+        code, out, _ = run(capsys, "cofase", "solve", instance, "--policy", "per-start", *extra)
         assert (code, out) == (1, f"no solution within bounds ({reason})\n")
 
     @pytest.mark.parametrize(
@@ -893,3 +915,62 @@ def test_readme_command_golden(capsys, tmp_path, monkeypatch, command, code, std
         (tmp_path / "solution.json").write_text(capsys.readouterr().out)
     assert main(argv(command)) == code
     assert capsys.readouterr().out == stdout
+
+
+# --- streamed relation output ----------------------------------------------------
+
+
+def _ring_network(tmp_path, n):
+    """An n-variable .bn file where each variable copies the next one's negation."""
+    names = [f"x{i}" for i in range(n)]
+    model = tmp_path / f"ring{n}.bn"
+    model.write_text(
+        "var " + ", ".join(names) + "\n"
+        + "".join(f"{a}' = !{b} | {a} & {c}\n"
+                  for a, b, c in zip(names, names[1:] + names[:1], names[2:] + names[:2]))
+    )
+    return model
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@pytest.mark.parametrize(
+    "command", [("bn", "ring", "asyn"), ("bn", "ring", "syn"), ("pi", "ex41.pi", "seq")],
+    ids=["bn-asyn", "bn-syn", "pi-seq"],
+)
+def test_relation_out_file_has_the_stdout_bytes(capsys, tmp_path, command, fmt):
+    kind, model, mode = command
+    model = _ring_network(tmp_path, 6) if model == "ring" else MODELS / model
+    argv = [kind, "transitions", model, "--mode", mode, "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.strip()
+    target = tmp_path / "relation.out"
+    assert run(capsys, *argv, "--out", target) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_capacity_error_leaves_no_out_file(capsys, tmp_path):
+    target = tmp_path / "relation.out"
+    code, out, err = run(capsys, "bn", "transitions", _ring_network(tmp_path, 6),
+                         "--mode", "asyn", "--cap-vars", "5", "--out", target)
+    assert (code, out) == (4, "") and "capacity exceeded" in err
+    assert not target.exists()
+
+
+def test_closed_stdout_ends_quietly_with_zero(tmp_path):
+    # about 1.5 MB of text: far more than a pipe holds, so the writer is
+    # still writing when the reader goes away
+    argv = ["bn", "transitions", str(_ring_network(tmp_path, 12)), "--mode", "asyn"]
+    src = str(Path(boolps.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from boolps.cli import main; sys.exit(main())",
+         *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first == b"000000000000 --{x0}--> 100000000000\n"
+    assert err == b""

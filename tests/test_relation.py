@@ -1,7 +1,10 @@
 """Transition relations: int rows against the edge-set renderer they replaced."""
 
+import io
 import json
+import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -70,18 +73,36 @@ def old_to_text(edges, style="digits"):
     return "\n".join(lines) + "\n"
 
 
+def _renders(style, label_key):
+    """(renderer name, its arguments, the edge-set renderer with the same arguments)."""
+    return [
+        ("to_dot", (style,), lambda edges: old_to_dot(edges, style)),
+        ("to_json_lines", (style,), lambda edges: old_to_json_lines(edges, style)),
+        ("to_json_lines", (style, label_key),
+         lambda edges: old_to_json_lines(edges, style, label_key)),
+        ("to_text", (style,), lambda edges: old_to_text(edges, style)),
+    ]
+
+
 def assert_renders_like_edges(relation, edges, style, label_key):
+    """Each render, as a string and streamed, has the edge-set renderer's bytes."""
     assert relation.edges == edges
-    assert relation.to_dot(style) == old_to_dot(edges, style)
-    assert relation.to_json_lines(style) == old_to_json_lines(edges, style)
-    assert relation.to_json_lines(style, label_key) == old_to_json_lines(edges, style, label_key)
-    assert relation.to_text(style) == old_to_text(edges, style)
+    for name, args, old in _renders(style, label_key):
+        render = getattr(relation, name)
+        out = io.StringIO()
+        assert render(*args, out=out) is None
+        assert out.getvalue() == render(*args) == old(edges)
     for state in relation.table.subsets():
         expected = frozenset((label, dst) for src, label, dst in edges if src == state)
         assert relation.successors(state) == expected
 
 
 # --- built relations -------------------------------------------------------------
+
+
+def assert_rows_are_canonical(relation):
+    """A builder's rows, which skip the constructor's check, pass it unchanged."""
+    assert TransitionRelation(relation.table, relation.labels, relation.rows) == relation
 
 
 def _network_mode(rng, table, mode_name):
@@ -119,6 +140,7 @@ def test_bn_transitions_render_like_edge_set(n, seed, mode_name, style, label_ke
     network = random_network(rng, table)
     mode = _network_mode(rng, table, mode_name)
     relation = bn_transitions(network, mode)
+    assert_rows_are_canonical(relation)
     assert_renders_like_edges(relation, _stepped_edges(network, mode), style, label_key)
 
 
@@ -132,6 +154,43 @@ def test_bn_transitions_match_bn_step_at_larger_n(n, mode_name):
         relation = bn_transitions(network, mode)
         assert relation.labels == tuple(sorted(mode.elements, key=label_text))
         assert relation.edges == _stepped_edges(network, mode)
+
+
+@pytest.mark.parametrize("n, mode_name", [(8, "syn"), (9, "asyn"), (10, "overlapping")])
+def test_bn_transitions_stream_like_edge_set_at_larger_n(n, mode_name):
+    rng = random.Random(n)
+    table = random_table(rng, n)
+    relation = bn_transitions(random_network(rng, table), _network_mode(rng, table, mode_name))
+    assert_rows_are_canonical(relation)
+    for style in STYLES:
+        assert_renders_like_edges(relation, relation.edges, style, 'k"é')
+
+
+def test_boolp_transitions_stream_like_edge_set_at_larger_n():
+    rng = random.Random(9)
+    system = random_psystem(rng, random_table(rng, 8), max_rules=11)
+    for view in (maximally_parallel_mode(system), derive_mode(system, quasimode_seq(system))):
+        relation = boolp_transitions(system, view)
+        assert sum(map(len, relation.rows)) > 100
+        assert_rows_are_canonical(relation)
+        for style in STYLES:
+            assert_renders_like_edges(relation, relation.edges, style, "rules")
+
+
+@pytest.mark.parametrize("render", ["to_dot", "to_json_lines", "to_text"])
+def test_streamed_render_holds_one_run_at_a_time(render):
+    # the whole n=12 text is 1.5-2.5 MB; as one string it peaks near 10 MiB
+    rng = random.Random(12)
+    table = random_table(rng, 12)
+    relation = bn_transitions(random_network(rng, table), named_mode("asyn", table))
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            getattr(relation, render)(out=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _pi_case(seed, mode_name):
@@ -162,6 +221,7 @@ def test_boolp_transitions_render_like_edge_set(seed, mode_name, style, label_ke
         for fired, result in successors(system, view, configuration)
     )
     relation = boolp_transitions(system, view)
+    assert_rows_are_canonical(relation)
     assert_renders_like_edges(relation, edges, style, label_key)
 
 
@@ -296,3 +356,4 @@ def test_empty_relations_render_one_newline():
         for style in STYLES:
             assert relation.to_text(style) == relation.to_json_lines(style) == "\n"
             assert relation.to_dot(style) == "digraph transitions {\n}\n"
+            assert_renders_like_edges(relation, frozenset(), style, "k")
