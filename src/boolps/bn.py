@@ -126,32 +126,6 @@ def bn_step(network: BooleanNetwork, state: StateSet, group: StateSet) -> StateS
     return network.table.state(bits)
 
 
-def step_table(network: BooleanNetwork, mode: BooleanMode, cap=None):
-    """The one-step graph over all 2**n states, as ``(elements, rows)``:
-    `elements` is ``mode.sorted_elements()`` and ``rows[bits]`` holds the
-    next-state bits under each element, in that order.
-
-    Each state is stepped once with `bn_step`, under the union of the
-    elements: an update reads only the state, so element g moves exactly
-    the bits of g that the union step moves.  The direct engine steps
-    through these rows; `bn_transitions` and `attractors` read the truth
-    tables instead (`_moved`), and the tests keep `step_table` as their
-    independent reference.
-    """
-    if mode.table != network.table:
-        raise UsageError("mode over a different variable table")
-    check_enumerable(len(network.table), cap, "network")
-    elements = mode.sorted_elements()
-    groups = [element.bits for element in elements]
-    union = network.table.state(functools.reduce(operator.or_, groups, 0))
-    rows = []
-    for state in network.table.subsets():
-        bits = state.bits
-        moved = bits ^ bn_step(network, state, union).bits
-        rows.append(tuple(bits ^ (moved & g) for g in groups))
-    return elements, rows
-
-
 def _moved(network: BooleanNetwork, union: int, n: int) -> list[int]:
     """``moved[b]``: the bits a step under the group `union` changes at
     each of the 2**n states b.
@@ -160,7 +134,9 @@ def _moved(network: BooleanNetwork, union: int, n: int) -> list[int]:
     disagrees with x_i, is one bitwise fold of the update's truth table;
     `truth_columns` transposes the D_i state by state.  Group g (a subset
     of `union`) moves b to ``b ^ (moved[b] & g)``: an update reads only the
-    state.
+    state.  `bn_transitions`, `attractors` and the direct engine's phase
+    reach (`cofase.solve_cofase`) read their successors from it; `bn_step`
+    stays the per-state reference stepper.
     """
     patterns = truth_patterns(n)
     return truth_columns(

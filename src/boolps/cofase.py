@@ -20,9 +20,11 @@ the test suite.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from .bcn import (
@@ -34,7 +36,7 @@ from .bcn import (
     glue_trajectories,
     selected_networks,
 )
-from .bn import BooleanMode, Trajectory, _components, bn_step, named_mode, step_table
+from .bn import BooleanMode, Trajectory, _components, _moved, bn_step, named_mode
 # unused here; bench/tracer.py counts the kernel's calls through every binding
 from .boolp import successors as boolp_successors  # noqa: F401
 from .errors import CapacityError, ParseError, UsageError, ValidationError
@@ -197,10 +199,18 @@ def _phase_reach(rows, min_steps: int) -> list:
     return reach
 
 
-def _shortest_phase_path(table, elements, rows, source, target, min_steps) -> Trajectory:
-    """Shortest labelled run from source to target bits inside one phase."""
+def _shortest_phase_path(network, elements, source, target, min_steps) -> Trajectory:
+    """Shortest labelled run from source to target bits inside one phase.
+
+    Each state the search reaches is stepped once with `bn_step` under the
+    union of the elements, independently of the truth tables the phase
+    reach was folded from; element g moves it to ``bits ^ (moved & g)``.
+    """
+    table = network.table
     if min_steps == 0 and source == target:
         return Trajectory((table.state(source),), ())
+    groups = [element.bits for element in elements]
+    union = table.state(functools.reduce(operator.or_, groups, 0))
     # breadth-first with >= 1 step: seed from the one-step successors, so a
     # path back to the source itself counts as a cycle, not as length zero
     parents = {}
@@ -208,7 +218,9 @@ def _shortest_phase_path(table, elements, rows, source, target, min_steps) -> Tr
     while target not in parents and frontier:
         nxt = []
         for bits in frontier:
-            for index, dst in enumerate(rows[bits]):
+            moved = bits ^ bn_step(network, table.state(bits), union).bits
+            for index, g in enumerate(groups):
+                dst = bits ^ (moved & g)
                 if dst not in parents:
                     parents[dst] = (bits, index)
                     nxt.append(dst)
@@ -262,18 +274,26 @@ def solve_cofase(
         raise UsageError(f"unknown policy {policy!r}")
     if min_steps_per_phase not in (0, 1):
         raise UsageError("min_steps_per_phase must be 0 or 1")
-    check_enumerable(len(instance.bcn.x_table), cap, "state space")
+    n = check_enumerable(len(instance.bcn.x_table), cap, "state space")
     # controls selecting one network have one image; the class's first
     # control in canonical order stands for it, so the search is unchanged
     networks = selected_networks(instance.bcn, control_space(instance.bcn, cap))
     controls = list(networks)
+    groups = [element.bits for element in instance.mode.sorted_elements()]
+    union = functools.reduce(operator.or_, groups, 0)
     built = {}
 
     def phase_maps(control):
-        """(elements, rows, phase reach) of the control's network, built on first use."""
+        """(network, phase reach) of the control's class, built on first use;
+        the one-step rows come from the truth tables and are dropped once
+        the reach is built."""
         if control not in built:
-            elements, rows = step_table(networks[control], instance.mode, cap)
-            built[control] = (elements, rows, _phase_reach(rows, min_steps_per_phase))
+            network = networks[control]
+            rows = [
+                tuple(bits ^ (change & g) for g in groups)
+                for bits, change in enumerate(_moved(network, union, n))
+            ]
+            built[control] = (network, _phase_reach(rows, min_steps_per_phase))
         return built[control]
 
     if policy == "per-start":
@@ -311,7 +331,7 @@ def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
         next_queue = []
         for node, sequence in queue:
             for control in controls:
-                reach = phase_maps(control)[2]
+                reach = phase_maps(control)[1]
                 successors = tuple(_image(reach, comp) for comp in node)
                 grown = sequence + (control,)
                 if all(comp & targets for comp in successors):
@@ -331,30 +351,30 @@ def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
 def _build_solution(instance, sequence, phase_maps, min_steps):
     targets = sum(1 << target.bits for target in instance.targets)
     order = digit_order(len(instance.bcn.x_table))
+    elements = instance.mode.sorted_elements()
     witnesses = []
     for start in instance.starts:
         witnesses.append(
-            _witness_for(start, sequence, targets, order, phase_maps, min_steps)
+            _witness_for(start, sequence, targets, order, elements, phase_maps, min_steps)
         )
     return CoFaSeSolution(policy="uniform", witnesses=tuple(witnesses))
 
 
-def _witness_for(start, sequence, targets, order, phase_maps, min_steps):
+def _witness_for(start, sequence, targets, order, elements, phase_maps, min_steps):
     """One start's witness; a phase ends at the first state by `order` rank that can finish."""
-    table = start.table
     frontiers = [1 << start.bits]
     for control in sequence:
-        frontiers.append(_image(phase_maps(control)[2], frontiers[-1]))
+        frontiers.append(_image(phase_maps(control)[1], frontiers[-1]))
     endpoints = [min(_bit_indices(frontiers[-1] & targets), key=order.__getitem__)]
     for i in reversed(range(len(sequence))):
-        reach = phase_maps(sequence[i])[2]
+        reach = phase_maps(sequence[i])[1]
         back = [s for s in _bit_indices(frontiers[i]) if reach[s] >> endpoints[0] & 1]
         endpoints.insert(0, min(back, key=order.__getitem__))
     segments = []
     for i, control in enumerate(sequence):
-        elements, rows, _reach = phase_maps(control)
+        network = phase_maps(control)[0]
         segments.append(
-            _shortest_phase_path(table, elements, rows, endpoints[i], endpoints[i + 1], min_steps)
+            _shortest_phase_path(network, elements, endpoints[i], endpoints[i + 1], min_steps)
         )
     trajectory = glue_trajectories(segments)
     boundaries = []

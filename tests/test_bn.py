@@ -1,3 +1,5 @@
+import functools
+import operator
 import os
 import random
 import subprocess
@@ -23,7 +25,6 @@ from boolps.bn import (
     named_mode,
     parse_bn_text,
     parse_mode_text,
-    step_table,
 )
 from boolps.errors import CapacityError, ParseError, UsageError, ValidationError
 from boolps.formula import Formula, StateSet, VarTable, parse_formula
@@ -247,9 +248,30 @@ def test_attractors_match_reachability_oracle(n, seed, mode_name):
     assert got == sorted(got, key=lambda states: tuple(s.sort_key() for s in states))
 
 
+def step_rows(network, mode):
+    """The one-step graph over all 2**n states, as ``(elements, rows)``:
+    `elements` is ``mode.sorted_elements()`` and ``rows[bits]`` holds the
+    next-state bits under each element, in that order.
+
+    Each state is stepped once with `bn_step`, under the union of the
+    elements: an update reads only the state, so element g moves exactly
+    the bits of g that the union step moves.  The tests' reference for the
+    one-step graph, independent of the truth tables (`bn._moved`).
+    """
+    elements = mode.sorted_elements()
+    groups = [element.bits for element in elements]
+    union = network.table.state(functools.reduce(operator.or_, groups, 0))
+    rows = []
+    for state in network.table.subsets():
+        bits = state.bits
+        moved = bits ^ bn_step(network, state, union).bits
+        rows.append(tuple(bits ^ (moved & g) for g in groups))
+    return elements, rows
+
+
 def _row_attractors(network, mode):
-    """Terminal components of Tarjan's components over the `step_table` rows."""
-    rows = step_table(network, mode)[1]
+    """Terminal components of Tarjan's components over the `step_rows` rows."""
+    rows = step_rows(network, mode)[1]
     found = set()
     for component, _leaves in _components(rows.__getitem__, len(rows)):
         members = set(component)
@@ -317,7 +339,7 @@ def test_asyn_attractors_at_fourteen_variables_stay_small():
 
 @pytest.mark.parametrize("mode_name", ["syn", "random"])
 def test_wide_group_attractors_at_fourteen_variables_stay_small(mode_name):
-    # the same tables serve groups of any width: no `step_table` row is built
+    # the same tables serve groups of any width: no row of next states is built
     mode_of = {"syn": BooleanMode.syn, "random": lambda t: random_mode(random.Random(5), t)}
     assert _traced_attractors_peak(mode_of[mode_name]) < 2 * 2**20
 
@@ -354,57 +376,6 @@ def test_components_flag_exactly_the_components_an_edge_leaves(seed):
         assert all(w in members or w in seen for v in component for w in rows[v])
         seen.extend(component)
     assert sorted(seen) == list(range(n))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(0, 5),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from(["syn", "asyn", "random", "empty"]),
-)
-def test_step_table_rows_are_bn_step_in_sorted_element_order(n, seed, mode_name):
-    rng = random.Random(seed)
-    table = random_table(rng, n)
-    network = random_network(rng, table)
-    mode = {
-        "random": lambda: random_mode(rng, table),
-        "empty": lambda: BooleanMode(table, frozenset()),
-    }.get(mode_name, lambda: named_mode(mode_name, table))()
-    elements, rows = step_table(network, mode)
-    assert elements == sorted(mode.elements, key=StateSet.sort_key)
-    assert len(rows) == 1 << n
-    for state in table.subsets():
-        assert rows[state.bits] == tuple(bn_step(network, state, m).bits for m in elements)
-
-
-@pytest.mark.parametrize("mode_name", ["syn", "asyn", "random", "overlapping", "empty"])
-@pytest.mark.parametrize("n", [0, 1, 4])
-def test_step_table_steps_each_state_once(n, mode_name, monkeypatch):
-    rng = random.Random(n)
-    table = random_table(rng, n)
-    network = random_network(rng, table)
-    mode = {
-        "random": lambda: random_mode(rng, table),
-        "overlapping": lambda: BooleanMode(
-            table,
-            frozenset(table.state(bits % (1 << n)) for bits in (0b0011, 0b0110, 0b1111)),
-        ),
-        "empty": lambda: BooleanMode(table, frozenset()),
-    }.get(mode_name, lambda: named_mode(mode_name, table))()
-    calls = []
-    step = boolps.bn.bn_step
-    monkeypatch.setattr(boolps.bn, "bn_step", lambda *args: calls.append(args) or step(*args))
-    step_table(network, mode)
-    assert len(calls) == 1 << n
-
-
-def test_step_table_checks_mode_and_cap_before_stepping(toggle, monkeypatch):
-    monkeypatch.setattr(boolps.bn, "bn_step", lambda *args: pytest.fail("stepped"))
-    other = BooleanMode.syn(VarTable.of("x", "z"))
-    with pytest.raises(UsageError):
-        step_table(toggle, other)
-    with pytest.raises(CapacityError):
-        step_table(toggle, BooleanMode.syn(toggle.table), cap=1)
 
 
 def test_import_loads_only_the_standard_library():

@@ -19,7 +19,7 @@ from boolps.bcn import (
     parse_bcn_text,
     selected_networks,
 )
-from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode, step_table
+from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode
 from boolps.boolp import successors
 from boolps.cofase import (
     CoFaSeInstance,
@@ -35,7 +35,7 @@ from boolps.cofase import (
     solve_cofase_via_composite,
     verify_control_sequence,
 )
-from boolps.errors import ParseError, UsageError, ValidationError
+from boolps.errors import CapacityError, ParseError, UsageError, ValidationError
 from boolps.formula import Formula, StateSet, VarTable, parse_formula
 from boolps.generators import (
     random_cofase_instance,
@@ -46,6 +46,7 @@ from boolps.generators import (
     random_table,
 )
 from boolps.translate import bcn_to_composite
+from test_bn import step_rows
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -339,7 +340,7 @@ def test_phase_reach_matches_bfs_oracle(n, seed, mode_name, min_steps):
     table = random_table(rng, n)
     network = random_network(rng, table)
     mode = random_mode(rng, table) if mode_name == "random" else named_mode(mode_name, table)
-    rows = step_table(network, mode)[1]
+    rows = step_rows(network, mode)[1]
     got = _phase_reach(rows, min_steps)
     assert all(type(reach) is int for reach in got)
     decoded = [as_bits(reach, len(rows)) for reach in got]
@@ -423,14 +424,15 @@ def test_selected_networks_reject_a_foreign_control_before_applying_any(frozen, 
 
 
 def eager_maps(instance, min_steps):
-    """Per control, via `apply_control`: the step table with the BFS phase
-    reach (`_oracle_phase_reach`) as ints, and that reach as sets."""
+    """Per control, via `apply_control`: the network with the BFS phase
+    reach (`_oracle_phase_reach`) of its `step_rows` as ints, and that
+    reach as sets."""
     maps = {}
     oracle = {}
     for mu in control_space(instance.bcn):
-        elements, rows = step_table(apply_control(instance.bcn, mu), instance.mode)
-        oracle[mu] = _oracle_phase_reach(rows, min_steps)
-        maps[mu] = (elements, rows, [as_int(reach) for reach in oracle[mu]])
+        network = apply_control(instance.bcn, mu)
+        oracle[mu] = _oracle_phase_reach(step_rows(network, instance.mode)[1], min_steps)
+        maps[mu] = (network, [as_int(reach) for reach in oracle[mu]])
     return maps, oracle
 
 
@@ -561,10 +563,36 @@ def test_one_phase_solve_builds_a_step_map_per_network_at_most(monkeypatch):
     bcn = freeze_extend(BooleanNetwork(t, tuple(Formula.var(t, n) for n in t.names)))
     instance = CoFaSeInstance.of(bcn, [digit(t, "000")], [digit(t, "111")], BooleanMode.syn(t))
     calls = []
-    build = cofase.step_table
-    monkeypatch.setattr(cofase, "step_table", lambda *args: calls.append(args) or build(*args))
+    fold = cofase._moved
+    monkeypatch.setattr(cofase, "_moved", lambda *args: calls.append(args) or fold(*args))
     assert solve_cofase(instance, max_phases=1).phases == 1
     assert 0 < len(calls) <= 27
+
+
+def test_solve_checks_the_cap_before_folding(frozen, monkeypatch):
+    monkeypatch.setattr(cofase, "_moved", lambda *args: pytest.fail("folded"))
+    with pytest.raises(CapacityError):
+        solve_cofase(golden_instance(frozen), 3, cap=1)
+
+
+def test_a_planted_table_fault_raises_instead_of_a_witness(monkeypatch):
+    # x' = x never moves x, so no phase leads from 00 to 10; the witness
+    # steps with `bn_step`, so a fold that claims x moves at 00 shows
+    instance = parse_instance_text(
+        "var x, y\nfreeze y\nx' = x\ny' = y\nstart {}\ntarget {x}\nmode asyn\n"
+    )
+    assert not solve_cofase(instance, 3)
+    fold = cofase._moved
+
+    def planted(network, union, n):
+        moved = fold(network, union, n)
+        moved[0] |= 1 << network.table.position("x")
+        return moved
+
+    monkeypatch.setattr(cofase, "_moved", planted)
+    for policy in ("uniform", "per-start"):
+        with pytest.raises(ValidationError, match="no path inside a phase"):
+            solve_cofase(instance, 3, policy)
 
 
 class TestMinimalityAndAgreement:
