@@ -5,11 +5,11 @@ embeddings between the formalisms."""
 from .bcn import (
     BooleanControlNetwork,
     apply_control,
+    control_classes,
     enumerate_controls,
     freeze_extend,
     glue_trajectories,
     parse_bcn_text,
-    selected_networks,
 )
 from .bn import (
     BooleanMode,

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .bn import BooleanNetwork, Trajectory
 from .errors import UsageError, ValidationError
-from .formula import Formula, StateSet, VarTable, _Lines, parse_formula
+from .formula import Formula, StateSet, VarTable, _Lines, _table_node, parse_formula, truth_patterns
 from .limits import check_enumerable
 
 
@@ -49,9 +49,10 @@ def enumerate_controls(u_table: VarTable, cap=None) -> list[StateSet]:
 
 
 def apply_control(bcn: BooleanControlNetwork, control: StateSet) -> BooleanNetwork:
-    """The plain network selected by a control: substitute every control
-    input and fold.  Variables come first in the combined table, so a fold
-    mentions only positions of `x_table` and is re-tabled as it is."""
+    """The plain network selected by a control, the reference that witnesses
+    and `verify_control_sequence` step: substitute every control input and
+    fold.  Variables come first in the combined table, so a fold mentions
+    only positions of `x_table` and is re-tabled as it is."""
     if control.table != bcn.u_table:
         raise UsageError("control over a different control table")
     values = {
@@ -64,29 +65,28 @@ def apply_control(bcn: BooleanControlNetwork, control: StateSet) -> BooleanNetwo
     )
 
 
-def selected_networks(
-    bcn: BooleanControlNetwork, controls: Iterable[StateSet]
-) -> dict[StateSet, BooleanNetwork]:
-    """The distinct (structurally unequal) networks the controls select,
-    each under the first control, in the given order, that selects it.
+def control_classes(
+    bcn: BooleanControlNetwork, controls: Iterable[StateSet], n: int
+) -> dict[StateSet, tuple[int, ...]]:
+    """The classes of controls that select networks with equal truth
+    tables, each as its first control, in the given order, mapped to the
+    per-update truth tables over the 2**n states of `x_table`.
 
-    Update i's fold depends only on the control's projection onto the
-    inputs the update mentions (`substitute` leaves unmentioned names
-    untouched).  `apply_control` runs only on a control that brings some
-    update a projection not met before; that network's update i becomes
-    the fold for the new projection, interned per update, so equal folds
-    are one `Formula` object.  Controls are grouped by the tuple of their
-    per-update fold indices, and each class's network is assembled from
-    the shared folds of its first control.
+    Update i's table depends only on the control's projection onto the
+    inputs the update mentions, so it is folded once per projection met,
+    with every control input read as the all-0 or the all-1 table.
+    Controls are keyed by the tuple of their per-update table indices.
     """
     u_names = set(bcn.u_table.names)
     masks = [
         sum(1 << bcn.u_table.position(name) for name in formula.variables() & u_names)
         for formula in bcn.updates
     ]
-    # per update: the fold index of each projection met, and the distinct folds
+    patterns = truth_patterns(n)
+    full = (1 << (1 << n)) - 1
+    # per update: the table index of each projection met, and the distinct tables
     by_projection = [{} for _ in masks]
-    folds = [{} for _ in masks]
+    tables = [{} for _ in masks]
     first = {}
     for control in controls:
         if control.table != bcn.u_table:
@@ -94,19 +94,17 @@ def selected_networks(
         bits = control.bits
         projections = [bits & mask for mask in masks]
         if any(p not in seen for p, seen in zip(projections, by_projection)):
-            network = apply_control(bcn, control)
-            for seen, distinct, projection, fold in zip(
-                by_projection, folds, projections, network.updates
+            inputs = [full if bits >> pos & 1 else 0 for pos in range(len(bcn.u_table))]
+            for update, seen, distinct, projection in zip(
+                bcn.updates, by_projection, tables, projections
             ):
                 if projection not in seen:
-                    seen[projection] = distinct.setdefault(fold, len(distinct))
+                    table = _table_node(update.root, patterns + inputs, full)
+                    seen[projection] = distinct.setdefault(table, len(distinct))
         key = tuple(seen[p] for p, seen in zip(projections, by_projection))
         first.setdefault(key, control)
-    shared = [list(distinct) for distinct in folds]
-    return {
-        control: BooleanNetwork(bcn.x_table, tuple(f[i] for f, i in zip(shared, key)))
-        for key, control in first.items()
-    }
+    shared = [list(distinct) for distinct in tables]
+    return {control: tuple(t[i] for t, i in zip(shared, key)) for key, control in first.items()}
 
 
 def control_pair_names(name: str) -> tuple[str, str]:

@@ -126,23 +126,27 @@ def bn_step(network: BooleanNetwork, state: StateSet, group: StateSet) -> StateS
     return network.table.state(bits)
 
 
-def _moved(network: BooleanNetwork, union: int, n: int) -> list[int]:
+def _truth_tables(network: BooleanNetwork, n: int) -> list[int]:
+    """The updates' truth tables over the 2**n states."""
+    patterns = truth_patterns(n)
+    return [fold_truth_table(update, patterns) for update in network.updates]
+
+
+def _moved(tables: list[int], union: int, n: int) -> list[int]:
     """``moved[b]``: the bits a step under the group `union` changes at
-    each of the 2**n states b.
+    each of the 2**n states b, from the updates' truth `tables` over them.
 
     For each variable x_i in `union`, D_i, the states where update i
-    disagrees with x_i, is one bitwise fold of the update's truth table;
-    `truth_columns` transposes the D_i state by state.  Group g (a subset
-    of `union`) moves b to ``b ^ (moved[b] & g)``: an update reads only the
-    state.  `bn_transitions`, `attractors` and the direct engine's phase
-    reach (`cofase.solve_cofase`) read their successors from it; `bn_step`
-    stays the per-state reference stepper.
+    disagrees with x_i, is table i XOR x_i's pattern; `truth_columns`
+    transposes the D_i state by state.  Group g (a subset of `union`) moves
+    b to ``b ^ (moved[b] & g)``: an update reads only the state.  The tables
+    are a network's (`bn_transitions`, `attractors`) or a control class's
+    (`cofase.solve_cofase`); `bn_step` stays the per-state reference stepper.
     """
-    patterns = truth_patterns(n)
     return truth_columns(
         [
-            fold_truth_table(update, patterns) ^ pattern if union >> i & 1 else 0
-            for i, (update, pattern) in enumerate(zip(network.updates, patterns))
+            table ^ pattern if union >> i & 1 else 0
+            for i, (table, pattern) in enumerate(zip(tables, truth_patterns(n)))
         ],
         n,
     )
@@ -160,7 +164,7 @@ def bn_transitions(network: BooleanNetwork, mode: BooleanMode, cap=None) -> Tran
     n = check_enumerable(len(network.table), cap, "network")
     elements = sorted(mode.elements, key=label_text)
     groups = [element.bits for element in elements]
-    moved = _moved(network, functools.reduce(operator.or_, groups, 0), n)
+    moved = _moved(_truth_tables(network, n), functools.reduce(operator.or_, groups, 0), n)
     return TransitionRelation._canonical(
         network.table,
         elements,
@@ -305,7 +309,7 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
     table = network.table
     n = check_enumerable(len(table), cap, "network")
     groups = [element.bits for element in mode.elements]
-    moved = _moved(network, functools.reduce(operator.or_, groups, 0), n)
+    moved = _moved(_truth_tables(network, n), functools.reduce(operator.or_, groups, 0), n)
 
     def successors(bits):
         change = moved[bits]

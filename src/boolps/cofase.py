@@ -9,13 +9,13 @@ any number of steps, including zero by default; pass
 Two engines are provided.  The direct engine searches the phase graph:
 it runs a breadth-first search over per-start frontier sets, returning a
 shortest sequence (ties broken by canonical control order).  Controls that
-select the same network form one class, tried once under its first
-control in canonical order; the reflexive-transitive closure of a
-network's step relation is built when the search first needs it.  The
-second engine searches the composed set-rewriting embedding of the
-instance and decodes the control sequence from the control-symbol
-history; the two must agree, which is used as a cross-check throughout
-the test suite.
+select networks with equal truth tables form one class, tried once under
+its first control in canonical order; the reflexive-transitive closure of
+the class's step relation is folded from those tables when the search
+first needs it.  The second engine searches the composed set-rewriting
+embedding of the instance and decodes the control sequence from the
+control-symbol history; the two must agree, which is used as a
+cross-check throughout the test suite.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .bcn import (
     BooleanControlNetwork,
     _read_bcn,
     apply_control,
+    control_classes,
     enumerate_controls,
     freeze_pairs,
     glue_trajectories,
-    selected_networks,
 )
 from .bn import BooleanMode, Trajectory, _components, _moved, bn_step, named_mode
 # unused here; bench/tracer.py counts the kernel's calls through every binding
@@ -275,25 +275,24 @@ def solve_cofase(
     if min_steps_per_phase not in (0, 1):
         raise UsageError("min_steps_per_phase must be 0 or 1")
     n = check_enumerable(len(instance.bcn.x_table), cap, "state space")
-    # controls selecting one network have one image; the class's first
+    # controls selecting equal truth tables have one image; the class's first
     # control in canonical order stands for it, so the search is unchanged
-    networks = selected_networks(instance.bcn, control_space(instance.bcn, cap))
-    controls = list(networks)
+    classes = control_classes(instance.bcn, control_space(instance.bcn, cap), n)
+    controls = list(classes)
     groups = [element.bits for element in instance.mode.sorted_elements()]
     union = functools.reduce(operator.or_, groups, 0)
     built = {}
 
     def phase_maps(control):
-        """(network, phase reach) of the control's class, built on first use;
-        the one-step rows come from the truth tables and are dropped once
-        the reach is built."""
+        """The phase reach of the control's class, built on first use; the
+        one-step rows come from the class's truth tables and are dropped
+        once the reach is built."""
         if control not in built:
-            network = networks[control]
             rows = [
                 tuple(bits ^ (change & g) for g in groups)
-                for bits, change in enumerate(_moved(network, union, n))
+                for bits, change in enumerate(_moved(classes[control], union, n))
             ]
-            built[control] = (network, _phase_reach(rows, min_steps_per_phase))
+            built[control] = _phase_reach(rows, min_steps_per_phase)
         return built[control]
 
     if policy == "per-start":
@@ -331,7 +330,7 @@ def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
         next_queue = []
         for node, sequence in queue:
             for control in controls:
-                reach = phase_maps(control)[1]
+                reach = phase_maps(control)
                 successors = tuple(_image(reach, comp) for comp in node)
                 grown = sequence + (control,)
                 if all(comp & targets for comp in successors):
@@ -352,30 +351,29 @@ def _build_solution(instance, sequence, phase_maps, min_steps):
     targets = sum(1 << target.bits for target in instance.targets)
     order = digit_order(len(instance.bcn.x_table))
     elements = instance.mode.sorted_elements()
-    witnesses = []
-    for start in instance.starts:
-        witnesses.append(
-            _witness_for(start, sequence, targets, order, elements, phase_maps, min_steps)
-        )
-    return CoFaSeSolution(policy="uniform", witnesses=tuple(witnesses))
+    # the witnesses step the selected networks, apart from the truth tables
+    networks = {control: apply_control(instance.bcn, control) for control in set(sequence)}
+    witnesses = tuple(
+        _witness_for(start, sequence, targets, order, elements, phase_maps, networks, min_steps)
+        for start in instance.starts
+    )
+    return CoFaSeSolution(policy="uniform", witnesses=witnesses)
 
 
-def _witness_for(start, sequence, targets, order, elements, phase_maps, min_steps):
+def _witness_for(start, sequence, targets, order, elements, phase_maps, networks, min_steps):
     """One start's witness; a phase ends at the first state by `order` rank that can finish."""
     frontiers = [1 << start.bits]
     for control in sequence:
-        frontiers.append(_image(phase_maps(control)[1], frontiers[-1]))
+        frontiers.append(_image(phase_maps(control), frontiers[-1]))
     endpoints = [min(_bit_indices(frontiers[-1] & targets), key=order.__getitem__)]
     for i in reversed(range(len(sequence))):
-        reach = phase_maps(sequence[i])[1]
+        reach = phase_maps(sequence[i])
         back = [s for s in _bit_indices(frontiers[i]) if reach[s] >> endpoints[0] & 1]
         endpoints.insert(0, min(back, key=order.__getitem__))
-    segments = []
-    for i, control in enumerate(sequence):
-        network = phase_maps(control)[0]
-        segments.append(
-            _shortest_phase_path(network, elements, endpoints[i], endpoints[i + 1], min_steps)
-        )
+    segments = [
+        _shortest_phase_path(networks[control], elements, endpoints[i], endpoints[i + 1], min_steps)
+        for i, control in enumerate(sequence)
+    ]
     trajectory = glue_trajectories(segments)
     boundaries = []
     at = 0

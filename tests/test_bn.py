@@ -254,9 +254,9 @@ def step_rows(network, mode):
     next-state bits under each element, in that order.
 
     Each state is stepped once with `bn_step`, under the union of the
-    elements: an update reads only the state, so element g moves exactly
-    the bits of g that the union step moves.  The tests' reference for the
-    one-step graph, independent of the truth tables (`bn._moved`).
+    elements: an update reads only the state, so element g changes exactly
+    the bits of g that the union step changes.  The tests' reference for
+    the one-step graph, independent of the package's truth tables.
     """
     elements = mode.sorted_elements()
     groups = [element.bits for element in elements]

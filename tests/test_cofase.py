@@ -14,10 +14,10 @@ from boolps import cofase
 from boolps.bcn import (
     BooleanControlNetwork,
     apply_control,
+    control_classes,
     enumerate_controls,
     freeze_extend,
     parse_bcn_text,
-    selected_networks,
 )
 from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode
 from boolps.boolp import successors
@@ -310,7 +310,7 @@ def as_bits(states: int, size: int) -> set:
 
 
 def _oracle_phase_reach(rows, min_steps):
-    """Reach by one BFS per state; with min_steps 1, from the one-step successors."""
+    """Reach by one BFS per state; with min_steps 1, from the states one step away."""
 
     def reach(source):
         seen = {source}
@@ -379,60 +379,96 @@ control_networks = st.builds(
 )
 
 
+def _oracle_control_classes(bcn, controls):
+    """Per control, via `apply_control`: each update of the selected
+    network read state by state with `Formula.evaluate`, as a table of
+    2**n bits; the first control in the given order stands for each
+    distinct tuple of tables."""
+    states = list(bcn.x_table.subsets())
+    first = {}
+    for mu in controls:
+        network = apply_control(bcn, mu)
+        tables = tuple(
+            sum(update.evaluate(state) << state.bits for state in states)
+            for update in network.updates
+        )
+        first.setdefault(tables, mu)
+    return {mu: tables for tables, mu in first.items()}
+
+
+def assert_classes_match(bcn, controls):
+    """`control_classes` gives the oracle's classes, tables and order."""
+    got = control_classes(bcn, controls, len(bcn.x_table))
+    assert list(got.items()) == list(_oracle_control_classes(bcn, controls).items())
+
+
 @settings(max_examples=100, deadline=None)
 @given(control_networks, st.randoms(use_true_random=False))
 def test_selected_networks_match_apply_control(bcn, rng):
+    # `control_classes` against per-control networks; the tables are
+    # compared as exact ints, so a fold wider than 2**n bits fails
     controls = control_space(bcn)
     rng.shuffle(controls)
-    expected = {}
-    for mu in controls:  # the first control in the given order stands for its class
-        expected.setdefault(apply_control(bcn, mu), mu)
-    got = selected_networks(bcn, controls)
-    assert list(got.items()) == [(mu, network) for network, mu in expected.items()]
+    assert_classes_match(bcn, controls)
 
 
-def counted_apply_control(monkeypatch):
-    """Count the `apply_control` calls `selected_networks` makes."""
+def counted_folds(monkeypatch):
+    """Record the table folds `control_classes` makes, and fail on any
+    `apply_control` call."""
     calls = []
-    apply = boolps.bcn.apply_control
+    fold = boolps.bcn._table_node
     monkeypatch.setattr(
-        boolps.bcn, "apply_control", lambda *args: calls.append(args) or apply(*args)
+        boolps.bcn, "_table_node", lambda *args: calls.append(args) or fold(*args)
     )
+    monkeypatch.setattr(boolps.bcn, "apply_control", lambda *args: pytest.fail("applied"))
     return calls
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_selected_networks_apply_each_control_projection_once(n, monkeypatch):
-    # a freeze-wrapped update has 4 projections, and control 0 brings n of them
+    # a freeze-wrapped update mentions at most its own pair (none if it
+    # folds to a constant): at most 4 projections each, all met
     rng = random.Random(n)
     bcn = freeze_extend(random_network(rng, random_table(rng, n)))
-    calls = counted_apply_control(monkeypatch)
-    networks = selected_networks(bcn, control_space(bcn))
-    assert 1 <= len(calls) <= 1 + 3 * n
+    folds = counted_folds(monkeypatch)
+    classes = control_classes(bcn, control_space(bcn), n)
+    inputs = set(bcn.u_table.names)
+    assert len(folds) == sum(1 << len(u.variables() & inputs) for u in bcn.updates) <= 4 * n
     for i in range(n):
-        # (f & !u0) | u1 folds to f, 0 or 1: equal folds are one object
-        updates = [network.updates[i] for network in networks.values()]
-        assert len({id(update) for update in updates}) == len(set(updates)) <= 3
+        # (f & !u0) | u1 folds to f, 0 or 1
+        assert len({tables[i] for tables in classes.values()}) <= 3
 
 
 def test_selected_networks_reject_a_foreign_control_before_applying_any(frozen, monkeypatch):
-    calls = counted_apply_control(monkeypatch)
+    folds = counted_folds(monkeypatch)
     foreign = VarTable.of("u_x0", "u_x1").state(0)
     with pytest.raises(UsageError):
-        selected_networks(frozen, [foreign] + control_space(frozen))
-    assert calls == []
+        control_classes(frozen, [foreign] + control_space(frozen), 2)
+    assert folds == []
+
+
+def test_equivalent_folds_are_one_class():
+    # a = 1 folds x's update to x | y and a = 0 to y | x: structurally
+    # unequal, equal tables
+    instance = parse_instance_text(
+        "var x, y\ncontrol a\nx' = a & (x | y) | !a & (y | x)\ny' = y\n"
+        "start {y}\ntarget {x, y}\nmode asyn\n"
+    )
+    classes = control_classes(instance.bcn, control_space(instance.bcn), 2)
+    assert list(classes) == [control(instance.bcn, [])]
+    assert all(assert_same_as_eager(instance, 2))
 
 
 def eager_maps(instance, min_steps):
-    """Per control, via `apply_control`: the network with the BFS phase
-    reach (`_oracle_phase_reach`) of its `step_rows` as ints, and that
-    reach as sets."""
+    """Per control, via `apply_control`: the BFS phase reach
+    (`_oracle_phase_reach`) of the network's `step_rows`, as ints and as
+    sets."""
     maps = {}
     oracle = {}
     for mu in control_space(instance.bcn):
         network = apply_control(instance.bcn, mu)
         oracle[mu] = _oracle_phase_reach(step_rows(network, instance.mode)[1], min_steps)
-        maps[mu] = (network, [as_int(reach) for reach in oracle[mu]])
+        maps[mu] = [as_int(reach) for reach in oracle[mu]]
     return maps, oracle
 
 
@@ -577,17 +613,16 @@ def test_solve_checks_the_cap_before_folding(frozen, monkeypatch):
 
 def test_a_planted_table_fault_raises_instead_of_a_witness(monkeypatch):
     # x' = x never moves x, so no phase leads from 00 to 10; the witness
-    # steps with `bn_step`, so a fold that claims x moves at 00 shows
+    # steps with `bn_step`, so a table that claims x' = 1 at 00 shows
     instance = parse_instance_text(
         "var x, y\nfreeze y\nx' = x\ny' = y\nstart {}\ntarget {x}\nmode asyn\n"
     )
     assert not solve_cofase(instance, 3)
     fold = cofase._moved
 
-    def planted(network, union, n):
-        moved = fold(network, union, n)
-        moved[0] |= 1 << network.table.position("x")
-        return moved
+    def planted(tables, union, n):
+        x = instance.bcn.x_table.position("x")
+        return fold([table | (i == x) for i, table in enumerate(tables)], union, n)
 
     monkeypatch.setattr(cofase, "_moved", planted)
     for policy in ("uniform", "per-start"):

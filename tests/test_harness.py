@@ -7,6 +7,8 @@ import re
 from pathlib import Path
 
 import pytest
+import test_bn
+import test_cofase
 
 from boolps import equivalence
 
@@ -29,16 +31,31 @@ def test_every_traced_function_still_exists():
 KERNEL_ENTRY_POINTS = (
     "rule_mask", "rule_set", "fold", "moves", "successors", "applicable_mask",
     "applicable_masks", "resolved", "_bit", "truth_patterns", "fold_truth_table",
-    "truth_bitmask", "truth_columns", "step_table", "_moved",
+    "truth_bitmask", "truth_columns", "step_table", "_moved", "control_classes", "_table_node",
 )
 
 
-@pytest.mark.parametrize("function", ["_expected_moves", "_spelled_index", "reaction_result"])
-def test_expected_side_names_no_kernel_entry_point(function):
+EXPECTED_SIDES = (
+    (equivalence, "_expected_moves"),
+    (equivalence, "_spelled_index"),
+    (equivalence, "reaction_result"),
+    (test_cofase, "eager_maps"),
+    (test_cofase, "eager_solve"),
+    (test_cofase, "_oracle_phase_reach"),
+    (test_cofase, "_oracle_control_classes"),
+    (test_bn, "step_rows"),
+)
+
+
+@pytest.mark.parametrize(
+    "owner, function", EXPECTED_SIDES, ids=[function for _owner, function in EXPECTED_SIDES]
+)
+def test_expected_side_names_no_kernel_entry_point(owner, function):
     """The simulation checks compare the kernel's masks with masks the
-    expected side builds under its own index; that side must not read the
-    kernel's index, moves or truth tables, or a kernel fault would show on
-    both sides."""
-    source = inspect.getsource(getattr(equivalence, function))
+    expected side builds under its own index, and the direct engine's
+    oracles step networks from `apply_control` with `bn_step`; an expected
+    side must not read the kernel's index, moves, truth tables or control
+    classes, or a kernel fault would show on both sides."""
+    source = inspect.getsource(getattr(owner, function))
     named = [name for name in KERNEL_ENTRY_POINTS if re.search(rf"\b{name}\b", source)]
     assert named == []

@@ -1,0 +1,50 @@
+"""Planted faults: each test patches one function of `boolps` in process,
+runs the one check that should catch the fault, at a size where it does,
+and requires that check to fail.  The patch is undone before the test
+ends, and the same check then passes again.  A later change that weakens
+one of these checks fails here."""
+
+import pytest
+from test_cofase import frozen, toggle  # noqa: F401  (fixtures)
+from test_cofase import assert_classes_match, assert_same_as_eager, golden_instance
+
+import boolps.bcn
+from boolps import cofase
+from boolps.bcn import parse_bcn_text
+from boolps.cofase import control_space
+
+
+def test_a_class_key_reading_only_update_0_fails_the_eager_comparison(frozen, monkeypatch):
+    # controls that pin y differ only in update 1, so merging them loses
+    # the control the golden instance needs
+    classes = boolps.bcn.control_classes
+
+    def first_update_only(bcn, controls, n):
+        merged = {}
+        for control, tables in classes(bcn, controls, n).items():
+            merged.setdefault(tables[0], (control, tables))
+        return dict(merged.values())
+
+    instance = golden_instance(frozen)
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase, "control_classes", first_update_only)
+        with pytest.raises(AssertionError):
+            assert_same_as_eager(instance, 1)
+    assert_same_as_eager(instance, 1)
+
+
+def test_a_fold_at_the_combined_width_fails_the_class_match(monkeypatch):
+    # the width of `full` taken from the 2 + 1 patterns, as
+    # `fold_truth_table` would over the combined table: `!x` sets bits
+    # above the 2**2 states
+    fold = boolps.bcn._table_node
+
+    def combined_width(node, patterns, full):
+        return fold(node, patterns, (1 << (1 << len(patterns))) - 1)
+
+    bcn = parse_bcn_text("var x, y\ncontrol a\nx' = !x | a\ny' = x & !a\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(boolps.bcn, "_table_node", combined_width)
+        with pytest.raises(AssertionError):
+            assert_classes_match(bcn, control_space(bcn))
+    assert_classes_match(bcn, control_space(bcn))
