@@ -42,9 +42,9 @@ class BooleanControlNetwork:
                 raise ValidationError("update formula over a different combined table")
 
 
-def enumerate_controls(u_table: VarTable, cap=None) -> list[StateSet]:
+def enumerate_controls(u_table: VarTable) -> list[StateSet]:
     """All controls in canonical (digit-value) order."""
-    check_enumerable(len(u_table), cap, "control alphabet")
+    check_enumerable(len(u_table), "control alphabet")
     return sorted(u_table.subsets(), key=StateSet.sort_key)
 
 

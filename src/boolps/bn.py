@@ -152,7 +152,7 @@ def _moved(tables: list[int], union: int, n: int) -> list[int]:
     )
 
 
-def bn_transitions(network: BooleanNetwork, mode: BooleanMode, cap=None) -> TransitionRelation:
+def bn_transitions(network: BooleanNetwork, mode: BooleanMode) -> TransitionRelation:
     """Full labelled edge set over all 2**n states, one edge per mode element.
 
     The destinations come from the updates' truth tables (`_moved`), as in
@@ -161,7 +161,7 @@ def bn_transitions(network: BooleanNetwork, mode: BooleanMode, cap=None) -> Tran
     """
     if mode.table != network.table:
         raise UsageError("mode over a different variable table")
-    n = check_enumerable(len(network.table), cap, "network")
+    n = check_enumerable(len(network.table), "network")
     elements = sorted(mode.elements, key=label_text)
     groups = [element.bits for element in elements]
     moved = _moved(_truth_tables(network, n), functools.reduce(operator.or_, groups, 0), n)
@@ -293,7 +293,7 @@ def _components(successors, n: int) -> Iterator[tuple[list[int], bool]]:
                 yield component, bool(leaves[v])
 
 
-def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
+def attractors(network: BooleanNetwork, mode: BooleanMode):
     """Terminal strongly-connected components of the one-step graph.
 
     Every run eventually stays inside one of these: they are the sets of
@@ -307,7 +307,7 @@ def attractors(network: BooleanNetwork, mode: BooleanMode, cap=None):
     if mode.table != network.table:
         raise UsageError("mode over a different variable table")
     table = network.table
-    n = check_enumerable(len(table), cap, "network")
+    n = check_enumerable(len(table), "network")
     groups = [element.bits for element in mode.elements]
     moved = _moved(_truth_tables(network, n), functools.reduce(operator.or_, groups, 0), n)
 

@@ -51,7 +51,7 @@ from .formula import (
     truth_columns,
     truth_patterns,
 )
-from .limits import check_enumerable, var_cap
+from .limits import check_enumerable, check_within, var_cap
 
 RuleSet = frozenset  # of rule id strings
 
@@ -179,13 +179,13 @@ class BooleanPSystem:
                 mask |= bit
         return mask
 
-    def applicable_masks(self, cap=None) -> list:
+    def applicable_masks(self) -> list:
         """`out[bits]` is `applicable_mask` at the configuration with those
         bits, for every configuration: each guard's truth table, ANDed with
         the patterns of its rule's lhs, read off state by state by
         `truth_columns`.  The list belongs to the caller; nothing of it is
         kept here."""
-        n = check_enumerable(len(self.table), cap, "system")
+        n = check_enumerable(len(self.table), "system")
         patterns = truth_patterns(n)
         tables = []
         for _bit, lhs, guard in self._checks:
@@ -308,7 +308,7 @@ class PowersetQuasimode(Quasimode):
 
     def advised(self, applicable):
         usable = sorted(self.base & applicable)
-        check_enumerable(len(usable), what="applicable advised rules")
+        check_enumerable(len(usable), "applicable advised rules")
         return frozenset(
             frozenset(combo)
             for size in range(len(usable) + 1)
@@ -316,13 +316,14 @@ class PowersetQuasimode(Quasimode):
         )
 
     def resolve(self, system):
+        """The variable cap is read when the mode is derived, not per configuration."""
         base = system.rule_mask(self.base)
         lhs, rhs = system._lhs, system._rhs
-        limit = var_cap()  # read once, not once per configuration
+        limit = var_cap()
 
         def at(app):
             usable = base & app
-            check_enumerable(usable.bit_count(), limit, "applicable advised rules")
+            check_within(usable.bit_count(), limit, "applicable advised rules")
             moves = [(0, 0, 0)]
             while usable:
                 low = usable & -usable

@@ -44,6 +44,7 @@ from .cofase import (
 )
 from .errors import BoolpsError, CapacityError, ParseError, UsageError
 from .formula import parse_state
+from .limits import capped
 from .translate import (
     _encode_updates,
     bcn_to_composite,
@@ -134,7 +135,7 @@ def _emit_runs(args, runs, style):
 
 def _cmd_bn_transitions(args):
     network = parse_bn_text(_read(args.model), source=args.model)
-    relation = bn_transitions(network, _bn_mode(args, network.table), cap=args.cap_vars)
+    relation = bn_transitions(network, _bn_mode(args, network.table))
     return _emit_relation(args, relation, "digits", "mode_elem")
 
 
@@ -149,7 +150,7 @@ def _cmd_bn_trace(args):
 
 def _cmd_bn_attractors(args):
     network = parse_bn_text(_read(args.model), source=args.model)
-    found = attractors(network, _bn_mode(args, network.table), cap=args.cap_vars)
+    found = attractors(network, _bn_mode(args, network.table))
     if args.format == "json":
         _emit(args, json.dumps([[s.digits() for s in a] for a in found], indent=2) + "\n")
     else:
@@ -163,7 +164,7 @@ def _cmd_bn_attractors(args):
 
 def _cmd_pi_transitions(args):
     system, view = _load_system(args)
-    relation = equivalence.boolp_transitions(system, view, cap=args.cap_vars)
+    relation = equivalence.boolp_transitions(system, view)
     return _emit_relation(args, relation, "set", "rules")
 
 
@@ -215,8 +216,7 @@ def _cmd_cofase_solve(args):
     instance = parse_instance_text(_read(args.instance), source=args.instance)
     if args.engine == "composite":
         result = solve_cofase_via_composite(
-            instance, max_steps=args.max_steps, max_phases=args.max_phases,
-            cap=args.cap_vars,
+            instance, max_steps=args.max_steps, max_phases=args.max_phases
         )
     else:
         result = solve_cofase(
@@ -224,7 +224,6 @@ def _cmd_cofase_solve(args):
             max_phases=args.max_phases,
             policy=args.policy,
             min_steps_per_phase=args.min_steps_per_phase,
-            cap=args.cap_vars,
         )
     if args.format == "json":
         _emit(args, solution_to_json(result) + "\n")
@@ -329,19 +328,17 @@ def _cmd_check(args):
 
 def _check_bn_sim(args):
     network = parse_bn_text(_read(args.model), source=args.model)
-    return equivalence.check_bn_simulation(
-        network, _bn_mode(args, network.table), cap=args.cap_vars
-    )
+    return equivalence.check_bn_simulation(network, _bn_mode(args, network.table))
 
 
 def _check_bcn_sim(args):
     bcn = parse_bcn_text(_read(args.model), source=args.model)
-    return equivalence.check_bcn_simulation(bcn, _bn_mode(args, bcn.x_table), cap=args.cap_vars)
+    return equivalence.check_bcn_simulation(bcn, _bn_mode(args, bcn.x_table))
 
 
 def _check_rs(args):
     rs = parse_reactions_text(_read(args.model), source=args.model)
-    return equivalence.check_rs_embedding(rs, cap=args.cap_vars)
+    return equivalence.check_rs_embedding(rs)
 
 
 # --- parser -------------------------------------------------------------------
@@ -468,7 +465,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        with capped(args.cap_vars):
+            code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -141,12 +141,12 @@ class VerificationResult:
 # --- control space ------------------------------------------------------------
 
 
-def control_space(bcn: BooleanControlNetwork, cap=None) -> list[StateSet]:
+def control_space(bcn: BooleanControlNetwork) -> list[StateSet]:
     """All controls in canonical order; falls back to the freeze-pair
     generator (none / pin-to-0 / pin-to-1 per pair) when the control
     alphabet is too large to enumerate fully."""
     try:
-        return enumerate_controls(bcn.u_table, cap)
+        return enumerate_controls(bcn.u_table)
     except CapacityError:
         pass
     u_table = bcn.u_table
@@ -154,10 +154,10 @@ def control_space(bcn: BooleanControlNetwork, cap=None) -> list[StateSet]:
         pairs = freeze_pairs(u_table)
     except ValidationError as exc:
         raise CapacityError(
-            f"{len(u_table)} control inputs exceed the cap {var_cap(cap)} and no "
+            f"{len(u_table)} control inputs exceed the cap {var_cap()} and no "
             f"reduced generator applies: {exc}"
         ) from None
-    if 3 ** len(pairs) > 1 << var_cap(cap):
+    if 3 ** len(pairs) > 1 << var_cap():
         raise CapacityError(
             f"{len(pairs)} freeze pairs still give {3 ** len(pairs)} controls"
         )
@@ -259,7 +259,6 @@ def solve_cofase(
     max_phases: int,
     policy: str = "uniform",
     min_steps_per_phase: int = 0,
-    cap=None,
 ):
     """Breadth-first search over phase graphs for a shortest control sequence.
 
@@ -274,10 +273,10 @@ def solve_cofase(
         raise UsageError(f"unknown policy {policy!r}")
     if min_steps_per_phase not in (0, 1):
         raise UsageError("min_steps_per_phase must be 0 or 1")
-    n = check_enumerable(len(instance.bcn.x_table), cap, "state space")
+    n = check_enumerable(len(instance.bcn.x_table), "state space")
     # controls selecting equal truth tables have one image; the class's first
     # control in canonical order stands for it, so the search is unchanged
-    classes = control_classes(instance.bcn, control_space(instance.bcn, cap), n)
+    classes = control_classes(instance.bcn, control_space(instance.bcn), n)
     controls = list(classes)
     groups = [element.bits for element in instance.mode.sorted_elements()]
     union = functools.reduce(operator.or_, groups, 0)
@@ -435,7 +434,6 @@ def solve_cofase_via_composite(
     instance: CoFaSeInstance,
     max_steps: int,
     max_phases: int | None = None,
-    cap=None,
 ):
     """Solve by searching the composed set-rewriting embedding.
 
@@ -450,11 +448,11 @@ def solve_cofase_via_composite(
         raise UsageError("max_steps must be at least 0")
     if max_phases is not None and max_phases < 1:
         raise UsageError("max_phases must be at least 1")
-    check_enumerable(len(instance.bcn.table), cap, "composite state space")
+    check_enumerable(len(instance.bcn.table), "composite state space")
     composite = bcn_to_composite(instance.bcn, instance.mode)
     mode_view = composite.mode_view()
     configuration = composite.system.table.state
-    controls = control_space(instance.bcn, cap)
+    controls = control_space(instance.bcn)
     # configurations are kept as bits: the variables are the low n_x bits,
     # the control part the bits above them
     n_x = len(instance.bcn.x_table)

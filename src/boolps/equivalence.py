@@ -59,9 +59,9 @@ from .translate import (
 )
 
 
-def boolp_transitions(system: BooleanPSystem, mode: ModeView, cap=None) -> TransitionRelation:
+def boolp_transitions(system: BooleanPSystem, mode: ModeView) -> TransitionRelation:
     """Edges for every configuration and every fired set the mode allows there."""
-    apps = system.applicable_masks(cap)
+    apps = system.applicable_masks()
     if mode.system is not system and mode.system != system:
         raise UsageError("mode over a different system")
     # the mode depends on the applicable mask alone: resolve each distinct
@@ -182,7 +182,7 @@ def _expected_moves(updates, mode: BooleanMode, index):
     return expected_pairs
 
 
-def _compare_moves(system, view, table, expected_at, index, detail, cap=None):
+def _compare_moves(system, view, table, expected_at, index, detail):
     """Compare the kernel's moves at every configuration of `table` with
     `expected_at(configuration)`, a set of ``(label mask, next bits)`` under
     `index`, as the module docstring says: as ints while the system maps
@@ -190,7 +190,7 @@ def _compare_moves(system, view, table, expected_at, index, detail, cap=None):
     where the int sets differ or the indices do not agree."""
     if table != system.table:
         raise UsageError("configuration over a different variable table")
-    apps = system.applicable_masks(cap)
+    apps = system.applicable_masks()
     ordered = list(index)
     trusted = system.rule_ids() == set(index) and all(
         system.rule_mask((rule_id,)) == bit and system.rule_set(bit) == {rule_id}
@@ -226,7 +226,6 @@ def _compare_moves(system, view, table, expected_at, index, detail, cap=None):
 def check_bn_simulation(
     network: BooleanNetwork,
     mode: BooleanMode,
-    cap=None,
     system: BooleanPSystem | None = None,
     quasimode: Quasimode | None = None,
 ) -> EquivalenceReport:
@@ -242,7 +241,7 @@ def check_bn_simulation(
     """
     if mode.table != network.table:
         raise UsageError("mode over a different variable table")
-    check_enumerable(len(network.table), cap, "network")
+    check_enumerable(len(network.table), "network")
     if system is None:
         system = bn_to_boolp(network)
     if quasimode is None:
@@ -257,14 +256,13 @@ def check_bn_simulation(
 
     return _compare_moves(
         system, view, table, expected_at, index,
-        "network encoding and network dynamics disagree", cap,
+        "network encoding and network dynamics disagree",
     )
 
 
 def check_bcn_simulation(
     bcn: BooleanControlNetwork,
     mode: BooleanMode,
-    cap=None,
     composite=None,
 ) -> EquivalenceReport:
     """Compare the composed controlled embedding with the controlled dynamics.
@@ -277,7 +275,7 @@ def check_bcn_simulation(
     re-introduced.  `composite` defaults to the canonical embedding; fault
     injection tests pass a mutated one.
     """
-    check_enumerable(len(bcn.table), cap, "composite")
+    check_enumerable(len(bcn.table), "composite")
     if composite is None:
         composite = bcn_to_composite(bcn, mode)
     system = composite.system
@@ -310,7 +308,7 @@ def check_bcn_simulation(
 
     return _compare_moves(
         system, composite.mode_view(), system.table, expected_at, index,
-        "composed embedding and controlled dynamics disagree", cap,
+        "composed embedding and controlled dynamics disagree",
     )
 
 
@@ -319,16 +317,15 @@ def check_product_lemma(
     second: BooleanPSystem,
     first_quasimode: Quasimode,
     second_quasimode: Quasimode,
-    cap=None,
 ) -> EquivalenceReport:
     """Deriving the dotted product of two quasimodes must equal the pointwise
     dotted product of the modes they derive, at every configuration of the
     union system.  The left side runs the rule-mask kernel; the right side
     derives each mode with the id-level `Quasimode.advised`."""
     union = union_systems(first, second)
-    check_enumerable(len(union.table), cap, "union system")
+    check_enumerable(len(union.table), "union system")
     left = derive_mode(union, first_quasimode.dot(second_quasimode))
-    apps = union.applicable_masks(cap)
+    apps = union.applicable_masks()
     rule_set = union.rule_set
     for configuration in union.table.subsets():
         applicable = union.applicable_rules(configuration)
@@ -361,13 +358,13 @@ def reaction_result(rs: ReactionSystem, state: StateSet) -> StateSet:
     return rs.table.state(bits)
 
 
-def check_rs_embedding(rs: ReactionSystem, cap=None) -> EquivalenceReport:
+def check_rs_embedding(rs: ReactionSystem) -> EquivalenceReport:
     """One maximally parallel step of the embedding equals the direct result
     function on every state (a halting state can only be the empty one, and
     there both sides stay empty)."""
-    check_enumerable(len(rs.table), cap, "reaction system")
+    check_enumerable(len(rs.table), "reaction system")
     system, mode = rs_to_boolp(rs)
-    apps = system.applicable_masks(cap)
+    apps = system.applicable_masks()
     for state in rs.table.subsets():
         expected = reaction_result(rs, state)
         moves = mode.resolved(apps[state.bits])

@@ -815,14 +815,14 @@ def truth_columns(tables: list[int], n: int) -> list[int]:
     return masks
 
 
-def truth_bitmask(formula: Formula, cap=None) -> int:
+def truth_bitmask(formula: Formula) -> int:
     """Bitmask over all 2**n states: bit `b` set iff the state with bits `b` satisfies."""
-    n = check_enumerable(len(formula.table), cap, "formula table")
+    n = check_enumerable(len(formula.table), "formula table")
     return fold_truth_table(formula, truth_patterns(n))
 
 
-def equivalent(a: Formula, b: Formula, cap=None) -> bool:
+def equivalent(a: Formula, b: Formula) -> bool:
     """Truth-table equality of two formulas over the same table."""
     if a.table != b.table:
         raise UsageError("formulas belong to different variable tables")
-    return truth_bitmask(a, cap) == truth_bitmask(b, cap)
+    return truth_bitmask(a) == truth_bitmask(b)

@@ -14,7 +14,6 @@ regime reproduces the controlled dynamics.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 
 from .bcn import BooleanControlNetwork, freeze_pairs
@@ -32,7 +31,6 @@ from .boolp import (
 )
 from .errors import UsageError, ValidationError
 from .formula import Formula, StateSet, VarTable, _Lines, _split_names
-from .limits import var_cap
 
 
 def variable_rule_ids(name: str) -> tuple[str, str]:
@@ -180,13 +178,6 @@ def bcn_to_composite(
     """
     if mode.table != bcn.x_table:
         raise UsageError("mode over a different variable table")
-    if len(bcn.u_table) > var_cap():
-        warnings.warn(
-            f"{len(bcn.u_table)} control symbols: controller families stay lazy, "
-            "but exhaustive runs will not be feasible",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     updates = _encode_updates(bcn.table, bcn.x_table.names, bcn.updates)
     controller, control_quasimode = _controller(bcn.table, bcn.u_table, regime)
     system = BooleanPSystem(bcn.table, updates + controller)

@@ -29,6 +29,7 @@ from boolps.bn import (
 from boolps.errors import CapacityError, ParseError, UsageError, ValidationError
 from boolps.formula import Formula, StateSet, VarTable, parse_formula
 from boolps.generators import random_mode, random_network, random_table
+from boolps.limits import capped
 
 
 @pytest.fixture
@@ -108,8 +109,8 @@ class TestTransitions:
                 assert len(rel.successors(state)) == 1
 
     def test_capacity(self, toggle):
-        with pytest.raises(CapacityError):
-            bn_transitions(toggle, BooleanMode.syn(toggle.table), cap=1)
+        with capped(1), pytest.raises(CapacityError):
+            bn_transitions(toggle, BooleanMode.syn(toggle.table))
 
 
 class TestAttractors:
@@ -349,8 +350,8 @@ def test_attractors_check_mode_and_cap_before_folding(toggle, monkeypatch):
     other = BooleanMode.syn(VarTable.of("x", "z"))
     with pytest.raises(UsageError):
         attractors(toggle, other)
-    with pytest.raises(CapacityError):
-        attractors(toggle, BooleanMode.syn(toggle.table), cap=1)
+    with capped(1), pytest.raises(CapacityError):
+        attractors(toggle, BooleanMode.syn(toggle.table))
 
 
 def test_bn_transitions_checks_mode_and_cap_before_folding(toggle, monkeypatch):
@@ -358,8 +359,8 @@ def test_bn_transitions_checks_mode_and_cap_before_folding(toggle, monkeypatch):
     other = BooleanMode.syn(VarTable.of("x", "z"))
     with pytest.raises(UsageError):
         bn_transitions(toggle, other)
-    with pytest.raises(CapacityError):
-        bn_transitions(toggle, BooleanMode.syn(toggle.table), cap=1)
+    with capped(1), pytest.raises(CapacityError):
+        bn_transitions(toggle, BooleanMode.syn(toggle.table))
 
 
 @settings(max_examples=100, deadline=None)

@@ -43,6 +43,7 @@ from boolps.formula import (
     parse_formula,
 )
 from boolps.generators import random_formula, random_psystem, random_quasimode, random_table
+from boolps.limits import capped
 from boolps.relation import label_text
 
 CASCADE_TEXT = """
@@ -444,14 +445,15 @@ def test_powerset_over_the_cap_raises(monkeypatch):
         view.at(conf(system, ["a", "b"]))
     assert str(err.value) == (
         "applicable advised rules has 2 variables; enumeration capped at 1 "
-        "(set BOOLPS_CAP_VARS or pass a cap to raise)"
+        "(raise it with --cap-vars or BOOLPS_CAP_VARS)"
     )
 
 
 def test_applicable_masks_cap(cascade):
-    with pytest.raises(CapacityError):
-        cascade.applicable_masks(cap=1)
-    assert cascade.applicable_masks(cap=2) == [0, 0b10, 0, 0b01]
+    with capped(1), pytest.raises(CapacityError):
+        cascade.applicable_masks()
+    with capped(2):
+        assert cascade.applicable_masks() == [0, 0b10, 0, 0b01]
 
 
 def test_rule_masks_follow_sorted_ids():

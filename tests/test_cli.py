@@ -30,6 +30,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# One per command, with a cap it exceeds.  The first three exited 0 with
+# the flag and 4 with the environment variable: the powerset mode and the
+# random suites read only the latter.
+CAP_CASES = {
+    "pi-trace": ("0", ("pi", "trace", MODELS / "ex41.pi", "--mode", "async",
+                       "--init", "{a, b}", "--steps", "2")),
+    "bn-sim": ("1", ("check", "bn-sim", "--random", "3")),
+    "lemma-product": ("1", ("check", "lemma-product", "--random", "3")),
+    "pi-transitions": ("1", ("pi", "transitions", MODELS / "ex41.pi", "--mode", "async")),
+    "bn-transitions": ("1", ("bn", "transitions", MODELS / "ex31.bn")),
+    "bn-attractors": ("1", ("bn", "attractors", MODELS / "ex31.bn", "--mode", "asyn")),
+    "cofase-direct": ("3", ("cofase", "solve", MODELS / "ex32.cofase", "--engine", "direct")),
+    "cofase-composite": ("5", ("cofase", "solve", MODELS / "ex32.cofase",
+                               "--engine", "composite")),
+}
+
+
+def assert_cap_flag_and_env_agree(capsys, monkeypatch, cap, argv):
+    """`--cap-vars cap` and BOOLPS_CAP_VARS=cap give the same exit code, 4,
+    and the same stdout."""
+    with monkeypatch.context() as patch:
+        patch.delenv("BOOLPS_CAP_VARS", raising=False)
+        flag = run(capsys, *argv, "--cap-vars", cap)[:2]
+        patch.setenv("BOOLPS_CAP_VARS", cap)
+        assert run(capsys, *argv)[:2] == flag
+    assert flag[0] == 4
+
+
 class TestBnCommands:
     def test_transitions_text(self, capsys):
         code, out, _ = run(capsys, "bn", "transitions", MODELS / "ex31.bn", "--mode", "syn")
@@ -715,6 +743,16 @@ class TestExitCodes:
         assert "the variable cap must be non-negative, not -1" in err
         code, _, err = run(capsys, "bn", "transitions", MODELS / "ex31.bn", "--cap-vars", "0")
         assert code == 4 and "capped at 0" in err
+        # commands that enumerate nothing exited 0: no code read the flag
+        for argv in (("bn", "trace", MODELS / "ex31.bn", "--init", "00"),
+                     ("translate", "bn", MODELS / "ex31.bn")):
+            code, out, err = run(capsys, *argv, "--cap-vars", "-1")
+            assert code == 2 and out == ""
+            assert "the variable cap must be non-negative, not -1" in err
+
+    @pytest.mark.parametrize("cap, argv", CAP_CASES.values(), ids=CAP_CASES)
+    def test_cap_flag_and_env_agree(self, capsys, monkeypatch, cap, argv):
+        assert_cap_flag_and_env_agree(capsys, monkeypatch, cap, argv)
 
     def test_negative_env_cap_is_two(self, capsys, monkeypatch):
         monkeypatch.setenv("BOOLPS_CAP_VARS", "-1")

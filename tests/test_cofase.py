@@ -45,6 +45,7 @@ from boolps.generators import (
     random_subset,
     random_table,
 )
+from boolps.limits import capped
 from boolps.translate import bcn_to_composite
 from test_bn import step_rows
 
@@ -607,8 +608,8 @@ def test_one_phase_solve_builds_a_step_map_per_network_at_most(monkeypatch):
 
 def test_solve_checks_the_cap_before_folding(frozen, monkeypatch):
     monkeypatch.setattr(cofase, "_moved", lambda *args: pytest.fail("folded"))
-    with pytest.raises(CapacityError):
-        solve_cofase(golden_instance(frozen), 3, cap=1)
+    with capped(1), pytest.raises(CapacityError):
+        solve_cofase(golden_instance(frozen), 3)
 
 
 def test_a_planted_table_fault_raises_instead_of_a_witness(monkeypatch):
@@ -709,7 +710,8 @@ class TestControlSpace:
             t, tuple(Formula.var(t, n) for n in t.names)
         )
         bcn = freeze_extend(network)
-        controls = control_space(bcn, cap=5)  # 2^6 > 2^5 forces the generator
+        with capped(5):  # 2^6 > 2^5 forces the generator
+            controls = control_space(bcn)
         assert len(controls) == 27  # 3 choices per pair
         pairs = [{f"u_{name}0", f"u_{name}1"} for name in t.names]
         expected = [

@@ -31,6 +31,7 @@ from boolps.formula import (
     truth_columns,
 )
 from boolps.generators import random_formula, random_table
+from boolps.limits import capped
 from boolps.translate import bn_to_boolp
 
 
@@ -293,9 +294,10 @@ def test_truth_bitmask_of_zero_variables_is_one_bit(text):
 
 def test_truth_bitmask_cap():
     t = VarTable(f"v{i}" for i in range(6))
-    with pytest.raises(CapacityError):
-        truth_bitmask(parse_formula("v0", t), cap=5)
-    assert truth_bitmask(parse_formula("v0", t), cap=6) == int("10" * 32, 2)
+    with capped(5), pytest.raises(CapacityError):
+        truth_bitmask(parse_formula("v0", t))
+    with capped(6):
+        assert truth_bitmask(parse_formula("v0", t)) == int("10" * 32, 2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,10 @@
 """The benchmark's tracer (bench/tracer.py) patches package functions by name;
 renaming one must fail here, not only in the benchmark's own tests."""
 
+import importlib
 import importlib.util
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 import test_bn
 import test_cofase
 
+import boolps
 from boolps import equivalence
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -59,3 +62,36 @@ def test_expected_side_names_no_kernel_entry_point(owner, function):
     source = inspect.getsource(getattr(owner, function))
     named = [name for name in KERNEL_ENTRY_POINTS if re.search(rf"\b{name}\b", source)]
     assert named == []
+
+
+def _package_functions():
+    """Every function and method defined in a module of `boolps`."""
+    for info in pkgutil.iter_modules(boolps.__path__):
+        module = importlib.import_module(f"boolps.{info.name}")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                yield f"{module.__name__}.{name}", value
+            elif inspect.isclass(value):
+                for attribute, member in vars(value).items():
+                    member = getattr(member, "__func__", member)  # static and class methods
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attribute}", member
+
+
+def test_no_function_takes_a_cap():
+    """`limits.var_cap` is the one reader of the variable cap; callers set
+    it with `limits.capped`, not with an argument."""
+    functions = dict(_package_functions())
+    assert "boolps.limits.check_enumerable" in functions
+    assert "boolps.boolp.BooleanPSystem.applicable_masks" in functions
+    taking = [name for name, function in functions.items()
+              if "cap" in inspect.signature(function).parameters]
+    assert taking == []
+
+
+def test_only_limits_reads_the_environment():
+    package = Path(boolps.__file__).resolve().parent
+    reading = sorted(path.name for path in package.glob("*.py") if "os.environ" in path.read_text())
+    assert reading == ["limits.py"]

@@ -4,12 +4,15 @@ and requires that check to fail.  The patch is undone before the test
 ends, and the same check then passes again.  A later change that weakens
 one of these checks fails here."""
 
+import os
+
 import pytest
+from test_cli import CAP_CASES, assert_cap_flag_and_env_agree
 from test_cofase import frozen, toggle  # noqa: F401  (fixtures)
 from test_cofase import assert_classes_match, assert_same_as_eager, golden_instance
 
 import boolps.bcn
-from boolps import cofase
+from boolps import boolp, cofase, limits
 from boolps.bcn import parse_bcn_text
 from boolps.cofase import control_space
 
@@ -48,3 +51,19 @@ def test_a_fold_at_the_combined_width_fails_the_class_match(monkeypatch):
         with pytest.raises(AssertionError):
             assert_classes_match(bcn, control_space(bcn))
     assert_classes_match(bcn, control_space(bcn))
+
+
+def test_a_cap_that_ignores_the_scope_fails_the_flag_env_parity(capsys, monkeypatch):
+    # `--cap-vars` reaches the code through `capped`; a `var_cap` that reads
+    # only the environment lets `pi trace` enumerate past the flag's cap
+    def env_only():
+        return int(os.environ.get(limits.ENV_VAR_CAP, limits.DEFAULT_VAR_CAP))
+
+    cap, argv = CAP_CASES["pi-trace"]
+    with monkeypatch.context() as patch:
+        # the bindings `check_enumerable` and `PowersetQuasimode.resolve` read
+        patch.setattr(limits, "var_cap", env_only)
+        patch.setattr(boolp, "var_cap", env_only)
+        with pytest.raises(AssertionError):
+            assert_cap_flag_and_env_agree(capsys, monkeypatch, cap, argv)
+    assert_cap_flag_and_env_agree(capsys, monkeypatch, cap, argv)
