@@ -18,6 +18,7 @@ from .bn import BooleanNetwork, Trajectory
 from .errors import UsageError, ValidationError
 from .formula import Formula, StateSet, VarTable, _Lines, _table_node, parse_formula, truth_patterns
 from .limits import check_enumerable
+from .relation import digit_order
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class BooleanControlNetwork:
 
 def enumerate_controls(u_table: VarTable) -> list[StateSet]:
     """All controls in canonical (digit-value) order."""
-    check_enumerable(len(u_table), "control alphabet")
-    return sorted(u_table.subsets(), key=StateSet.sort_key)
+    n = check_enumerable(len(u_table), "control alphabet")
+    return [u_table.state(bits) for bits in digit_order(n)]
 
 
 def apply_control(bcn: BooleanControlNetwork, control: StateSet) -> BooleanNetwork:

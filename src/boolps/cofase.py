@@ -25,7 +25,8 @@ import heapq
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from .bcn import (
     BooleanControlNetwork,
@@ -199,59 +200,83 @@ def _phase_reach(rows, min_steps: int) -> list:
     return reach
 
 
-def _shortest_phase_path(network, elements, source, target, min_steps) -> Trajectory:
-    """Shortest labelled run from source to target bits inside one phase.
+@dataclass(eq=False)
+class _Phase:
+    """One control class's phase: `fold()` gives its reach (per state bits,
+    the int of states reachable within the phase), and the class's first
+    control selects the network its witnesses step.  Each is built on
+    first use and kept for the solve."""
 
-    Each state the search reaches is stepped once with `bn_step` under the
-    union of the elements, independently of the truth tables the phase
-    reach was folded from; element g moves it to ``bits ^ (moved & g)``.
-    """
-    table = network.table
-    if min_steps == 0 and source == target:
-        return Trajectory((table.state(source),), ())
-    groups = [element.bits for element in elements]
-    union = table.state(functools.reduce(operator.or_, groups, 0))
-    # breadth-first with >= 1 step: seed from the one-step successors, so a
-    # path back to the source itself counts as a cycle, not as length zero
-    parents = {}
-    frontier = [source]
-    while target not in parents and frontier:
-        nxt = []
-        for bits in frontier:
-            moved = bits ^ bn_step(network, table.state(bits), union).bits
-            for index, g in enumerate(groups):
-                dst = bits ^ (moved & g)
-                if dst not in parents:
-                    parents[dst] = (bits, index)
-                    nxt.append(dst)
-        frontier = nxt
-    if target not in parents:
-        raise ValidationError("no path inside a phase; reachability bookkeeping broken")
-    states = [table.state(target)]
-    labels = []
-    cursor = target
-    while True:
-        prev, index = parents[cursor]
-        states.insert(0, table.state(prev))
-        labels.insert(0, elements[index])
-        if prev == source:
-            break
-        cursor = prev
-    return Trajectory(tuple(states), tuple(labels))
+    instance: CoFaSeInstance
+    control: StateSet
+    min_steps: int
+    fold: Callable[[], list]
+
+    @functools.cached_property
+    def reach(self) -> list:
+        return self.fold()
+
+    @functools.cached_property
+    def network(self):
+        return apply_control(self.instance.bcn, self.control)
+
+    def image(self, states: int) -> int:
+        """The union of the reach over the states set in `states`, as an int."""
+        reach = self.reach
+        out = 0
+        while states:
+            low = states & -states
+            out |= reach[low.bit_length() - 1]
+            # what a state already in `out` reaches is in `out` (for min_steps 1 too)
+            states &= ~(out | low)
+        return out
+
+    def reaches(self, source: int, target: int) -> bool:
+        return bool(self.reach[source] >> target & 1)
+
+    def path(self, source: int, target: int) -> Trajectory:
+        """Shortest labelled run from source to target bits inside the phase.
+
+        Each state the search reaches is stepped once with `bn_step` under
+        the union of the mode's elements, independently of the truth tables
+        the reach was folded from; element g moves it to ``bits ^ (moved & g)``.
+        """
+        table = self.network.table
+        if self.min_steps == 0 and source == target:
+            return Trajectory((table.state(source),), ())
+        elements = self.instance.mode.sorted_elements()
+        groups = [element.bits for element in elements]
+        union = table.state(functools.reduce(operator.or_, groups, 0))
+        # breadth-first with >= 1 step: seed from the one-step successors, so a
+        # path back to the source itself counts as a cycle, not as length zero
+        parents = {}
+        frontier = [source]
+        while target not in parents and frontier:
+            nxt = []
+            for bits in frontier:
+                moved = bits ^ bn_step(self.network, table.state(bits), union).bits
+                for index, g in enumerate(groups):
+                    dst = bits ^ (moved & g)
+                    if dst not in parents:
+                        parents[dst] = (bits, index)
+                        nxt.append(dst)
+            frontier = nxt
+        if target not in parents:
+            raise ValidationError("no path inside a phase; reachability bookkeeping broken")
+        states = [table.state(target)]
+        labels = []
+        cursor = target
+        while True:
+            prev, index = parents[cursor]
+            states.insert(0, table.state(prev))
+            labels.insert(0, elements[index])
+            if prev == source:
+                break
+            cursor = prev
+        return Trajectory(tuple(states), tuple(labels))
 
 
 # --- direct engine --------------------------------------------------------------
-
-
-def _image(reach, states: int) -> int:
-    """The union of `reach` over the states set in `states`, as an int."""
-    out = 0
-    while states:
-        low = states & -states
-        out |= reach[low.bit_length() - 1]
-        # what a state already in `out` reaches is in `out` (for min_steps 1 too)
-        states &= ~(out | low)
-    return out
 
 
 def solve_cofase(
@@ -274,50 +299,41 @@ def solve_cofase(
     if min_steps_per_phase not in (0, 1):
         raise UsageError("min_steps_per_phase must be 0 or 1")
     n = check_enumerable(len(instance.bcn.x_table), "state space")
+    groups = [element.bits for element in instance.mode.sorted_elements()]
+    union = functools.reduce(operator.or_, groups, 0)
+
+    def fold(tables):
+        """The phase reach of a class; its one-step rows come from the
+        class's truth tables and are dropped once the reach is built."""
+        rows = [
+            tuple(bits ^ (change & g) for g in groups)
+            for bits, change in enumerate(_moved(tables, union, n))
+        ]
+        return _phase_reach(rows, min_steps_per_phase)
+
     # controls selecting equal truth tables have one image; the class's first
     # control in canonical order stands for it, so the search is unchanged
     classes = control_classes(instance.bcn, control_space(instance.bcn), n)
-    controls = list(classes)
-    groups = [element.bits for element in instance.mode.sorted_elements()]
-    union = functools.reduce(operator.or_, groups, 0)
-    built = {}
-
-    def phase_maps(control):
-        """The phase reach of the control's class, built on first use; the
-        one-step rows come from the class's truth tables and are dropped
-        once the reach is built."""
-        if control not in built:
-            rows = [
-                tuple(bits ^ (change & g) for g in groups)
-                for bits, change in enumerate(_moved(classes[control], union, n))
-            ]
-            built[control] = _phase_reach(rows, min_steps_per_phase)
-        return built[control]
+    phases = [_Phase(instance, control, min_steps_per_phase, functools.partial(fold, tables))
+              for control, tables in classes.items()]
 
     if policy == "per-start":
         witnesses = []
         explored = 0
         for start in instance.starts:
             sub = CoFaSeInstance(instance.bcn, (start,), instance.targets, instance.mode)
-            result, visited = _solve_uniform(
-                sub, controls, phase_maps, max_phases, min_steps_per_phase
-            )
+            result, visited = _solve_uniform(sub, phases, max_phases)
             explored += visited
             if not result:
-                return NoSolutionWithinBound(
-                    phase_bound=max_phases,
-                    step_bound=None,
-                    explored=explored,
-                    detail=f"no sequence for start {start.set_text()}",
-                    frontier=result.frontier,
-                )
+                detail = f"no sequence for start {start.set_text()}"
+                return replace(result, explored=explored, detail=detail)
             witnesses.extend(result.witnesses)
         return CoFaSeSolution(policy="per-start", witnesses=tuple(witnesses))
 
-    return _solve_uniform(instance, controls, phase_maps, max_phases, min_steps_per_phase)[0]
+    return _solve_uniform(instance, phases, max_phases)[0]
 
 
-def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
+def _solve_uniform(instance, phases, max_phases):
     """The breadth-first phase search; returns the result and the number of
     search nodes it visited."""
     targets = sum(1 << target.bits for target in instance.targets)
@@ -328,12 +344,11 @@ def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
     while queue and len(frontier) <= max_phases:
         next_queue = []
         for node, sequence in queue:
-            for control in controls:
-                reach = phase_maps(control)
-                successors = tuple(_image(reach, comp) for comp in node)
-                grown = sequence + (control,)
+            for phase in phases:
+                successors = tuple(phase.image(comp) for comp in node)
+                grown = sequence + (phase,)
                 if all(comp & targets for comp in successors):
-                    return _build_solution(instance, grown, phase_maps, min_steps), len(visited)
+                    return _build_solution(instance, grown), len(visited)
                 if successors not in visited:
                     visited.add(successors)
                     next_queue.append((successors, grown))
@@ -346,45 +361,26 @@ def _solve_uniform(instance, controls, phase_maps, max_phases, min_steps):
     return result, len(visited)
 
 
-def _build_solution(instance, sequence, phase_maps, min_steps):
+def _build_solution(instance, phases):
+    """A witness per start; a phase ends at the first state by digit order
+    that can finish."""
     targets = sum(1 << target.bits for target in instance.targets)
     order = digit_order(len(instance.bcn.x_table))
-    elements = instance.mode.sorted_elements()
-    # the witnesses step the selected networks, apart from the truth tables
-    networks = {control: apply_control(instance.bcn, control) for control in set(sequence)}
-    witnesses = tuple(
-        _witness_for(start, sequence, targets, order, elements, phase_maps, networks, min_steps)
-        for start in instance.starts
-    )
-    return CoFaSeSolution(policy="uniform", witnesses=witnesses)
-
-
-def _witness_for(start, sequence, targets, order, elements, phase_maps, networks, min_steps):
-    """One start's witness; a phase ends at the first state by `order` rank that can finish."""
-    frontiers = [1 << start.bits]
-    for control in sequence:
-        frontiers.append(_image(phase_maps(control), frontiers[-1]))
-    endpoints = [min(_bit_indices(frontiers[-1] & targets), key=order.__getitem__)]
-    for i in reversed(range(len(sequence))):
-        reach = phase_maps(sequence[i])
-        back = [s for s in _bit_indices(frontiers[i]) if reach[s] >> endpoints[0] & 1]
-        endpoints.insert(0, min(back, key=order.__getitem__))
-    segments = [
-        _shortest_phase_path(networks[control], elements, endpoints[i], endpoints[i + 1], min_steps)
-        for i, control in enumerate(sequence)
-    ]
-    trajectory = glue_trajectories(segments)
-    boundaries = []
-    at = 0
-    for segment in segments[:-1]:
-        at += len(segment.states) - 1
-        boundaries.append(at)
-    return PhaseWitness(
-        start=start,
-        sequence=tuple(sequence),
-        trajectory=trajectory,
-        boundaries=tuple(boundaries),
-    )
+    sequence = tuple(phase.control for phase in phases)
+    witnesses = []
+    for start in instance.starts:
+        frontiers = [1 << start.bits]
+        for phase in phases:
+            frontiers.append(phase.image(frontiers[-1]))
+        endpoints = [min(_bit_indices(frontiers[-1] & targets), key=order.__getitem__)]
+        for phase, frontier in zip(reversed(phases), reversed(frontiers[:-1])):
+            back = [s for s in _bit_indices(frontier) if phase.reaches(s, endpoints[0])]
+            endpoints.insert(0, min(back, key=order.__getitem__))
+        segments = [phase.path(endpoints[i], endpoints[i + 1]) for i, phase in enumerate(phases)]
+        boundaries = itertools.accumulate(len(segment.states) - 1 for segment in segments[:-1])
+        trajectory = glue_trajectories(segments)
+        witnesses.append(PhaseWitness(start, sequence, trajectory, tuple(boundaries)))
+    return CoFaSeSolution(policy="uniform", witnesses=tuple(witnesses))
 
 
 # --- verification ----------------------------------------------------------------

@@ -39,7 +39,10 @@ def var_cap():
 
 @contextlib.contextmanager
 def capped(n):
-    """Within the block `var_cap()` is `n`, checked on entry; None changes nothing."""
+    """Within the block `var_cap()` is `n`, checked on entry; None changes nothing.
+    UsageError: `n` is neither None nor a non-negative int (a bool is not one)."""
+    if n is not None and type(n) is not int:
+        raise UsageError(f"the variable cap must be an integer, not {n!r}")
     token = _scoped_cap.set(_scoped_cap.get() if n is None else _checked(n, "the variable cap"))
     try:
         yield

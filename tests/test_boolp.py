@@ -456,6 +456,13 @@ def test_applicable_masks_cap(cascade):
         assert cascade.applicable_masks() == [0, 0b10, 0, 0b01]
 
 
+@pytest.mark.parametrize("value", [2.7, True, "3"])
+def test_capped_rejects_a_non_integer(value):
+    # 2.7 set the cap to 2 and True to 1
+    with pytest.raises(UsageError, match="must be an integer"), capped(value):
+        pass
+
+
 def test_rule_masks_follow_sorted_ids():
     table = VarTable.of("a")
     true = Formula.const(table, True)

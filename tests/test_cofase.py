@@ -25,6 +25,7 @@ from boolps.cofase import (
     CoFaSeInstance,
     CoFaSeSolution,
     NoSolutionWithinBound,
+    _Phase,
     _build_solution,
     _phase_reach,
     control_space,
@@ -477,7 +478,8 @@ def eager_solve(instance, max_phases, policy, min_steps, built):
     """The direct engine without the control quotient: `built`, the
     `eager_maps` of the instance under min_steps, then a breadth-first
     search over frozensets trying every control at every node.  Witnesses
-    come from the engine's own `_build_solution`, fed the reaches as ints."""
+    come from the engine's own `_build_solution`, fed phases whose reaches
+    are these ints."""
     maps, oracle = built
 
     def search(sub):
@@ -497,8 +499,9 @@ def eager_solve(instance, max_phases, policy, min_steps, built):
                         frozenset().union(*(reach[s] for s in comp)) for comp in node
                     )
                     if all(comp & targets for comp in image):
-                        solution = _build_solution(sub, sequence + (mu,), maps.__getitem__,
-                                                   min_steps)
+                        phases = [_Phase(sub, mu, min_steps, lambda mu=mu: maps[mu])
+                                  for mu in sequence + (mu,)]
+                        solution = _build_solution(sub, phases)
                         return solution, len(visited)
                     if image not in visited:
                         visited.add(image)
@@ -604,6 +607,22 @@ def test_one_phase_solve_builds_a_step_map_per_network_at_most(monkeypatch):
     monkeypatch.setattr(cofase, "_moved", lambda *args: calls.append(args) or fold(*args))
     assert solve_cofase(instance, max_phases=1).phases == 1
     assert 0 < len(calls) <= 27
+
+
+def test_per_start_solve_applies_a_shared_control_once(monkeypatch):
+    # both starts need x pinned to 1 for one phase: the phase, and the
+    # network its witnesses step, serve the whole solve
+    instance = parse_instance_text(
+        "var x, y\nfreeze x\nx' = x\ny' = y\nstart {}, {y}\ntarget {x}, {x, y}\nmode asyn\n"
+    )
+    calls = []
+    apply = cofase.apply_control
+    monkeypatch.setattr(cofase, "apply_control", lambda *args: calls.append(args) or apply(*args))
+    solution = solve_cofase(instance, 1, "per-start")
+    assert [witness.sequence for witness in solution.witnesses] == [
+        (control(instance.bcn, ["u_x1"]),)
+    ] * 2
+    assert len(calls) == 1
 
 
 def test_solve_checks_the_cap_before_folding(frozen, monkeypatch):

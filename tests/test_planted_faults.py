@@ -5,6 +5,7 @@ ends, and the same check then passes again.  A later change that weakens
 one of these checks fails here."""
 
 import os
+import random
 
 import pytest
 from test_cli import CAP_CASES, assert_cap_flag_and_env_agree
@@ -15,6 +16,8 @@ import boolps.bcn
 from boolps import boolp, cofase, limits
 from boolps.bcn import parse_bcn_text
 from boolps.cofase import control_space
+from boolps.errors import ValidationError
+from boolps.generators import random_cofase_instance
 
 
 def test_a_class_key_reading_only_update_0_fails_the_eager_comparison(frozen, monkeypatch):
@@ -67,3 +70,35 @@ def test_a_cap_that_ignores_the_scope_fails_the_flag_env_parity(capsys, monkeypa
         with pytest.raises(AssertionError):
             assert_cap_flag_and_env_agree(capsys, monkeypatch, cap, argv)
     assert_cap_flag_and_env_agree(capsys, monkeypatch, cap, argv)
+
+
+def acceptance_instance(index):
+    """The instance drawn `index`-th from the generator of acceptance criterion 8."""
+    rng = random.Random(4040)
+    for _ in range(index):
+        random_cofase_instance(rng, max_vars=3)
+    return random_cofase_instance(rng, max_vars=3)
+
+
+def test_an_image_of_the_lowest_state_only_fails_the_eager_comparison(monkeypatch):
+    def lowest_only(phase, states):
+        return phase.reach[(states & -states).bit_length() - 1] if states else 0
+
+    instance = acceptance_instance(0)
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase._Phase, "image", lowest_only)
+        with pytest.raises(AssertionError):
+            assert_same_as_eager(instance, 4)
+    assert_same_as_eager(instance, 4)
+
+
+def test_a_phase_that_reaches_everything_raises_instead_of_a_witness(monkeypatch):
+    # `eager_solve` builds its witnesses with the engine's `_build_solution`,
+    # so the eager comparison shares this fault; the witness's `bn_step`
+    # search finds no run to the endpoint the fault picked
+    instance = acceptance_instance(3)
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase._Phase, "reaches", lambda phase, source, target: True)
+        with pytest.raises(ValidationError, match="no path inside a phase"):
+            assert_same_as_eager(instance, 4)
+    assert_same_as_eager(instance, 4)
