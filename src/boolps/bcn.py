@@ -11,13 +11,17 @@ disjunction per variable at ingestion.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bn import BooleanNetwork, Trajectory
-from .errors import UsageError, ValidationError
+from .errors import CapacityError, UsageError, ValidationError
 from .formula import Formula, StateSet, VarTable, _Lines, _table_node, parse_formula, truth_patterns
-from .limits import check_enumerable
+from .limits import ENV_VAR_CAP, check_enumerable, var_cap
 from .relation import digit_order
 
 
@@ -66,17 +70,21 @@ def apply_control(bcn: BooleanControlNetwork, control: StateSet) -> BooleanNetwo
     )
 
 
-def control_classes(
-    bcn: BooleanControlNetwork, controls: Iterable[StateSet], n: int
-) -> dict[StateSet, tuple[int, ...]]:
-    """The classes of controls that select networks with equal truth
-    tables, each as its first control, in the given order, mapped to the
-    per-update truth tables over the 2**n states of `x_table`.
+def control_classes(bcn: BooleanControlNetwork, n: int) -> dict[StateSet, tuple[int, ...]]:
+    """The classes of controls that select networks with equal truth tables,
+    each as its first control in canonical order mapped to the per-update
+    truth tables over the 2**n states of `x_table`, sorted by that control.
 
     Update i's table depends only on the control's projection onto the
-    inputs the update mentions, so it is folded once per projection met,
-    with every control input read as the all-0 or the all-1 table.
-    Controls are keyed by the tuple of their per-update table indices.
+    inputs it mentions, so it is folded once per projection, with each
+    input read as the all-0 or the all-1 table.  Updates whose inputs
+    overlap, directly or through other updates, form a group, which keeps
+    the first projection onto its inputs in canonical order for each tuple
+    of its updates' tables.  The classes are the product over the groups:
+    digit order compares their disjoint positions independently, so the
+    union of a class's first projections is its canonical minimum.
+    CapacityError, before a group or the product is built: a group has
+    more inputs than the cap, or there are more than 2**cap classes.
     """
     u_names = set(bcn.u_table.names)
     masks = [
@@ -85,27 +93,46 @@ def control_classes(
     ]
     patterns = truth_patterns(n)
     full = (1 << (1 << n)) - 1
-    # per update: the table index of each projection met, and the distinct tables
-    by_projection = [{} for _ in masks]
-    tables = [{} for _ in masks]
-    first = {}
-    for control in controls:
-        if control.table != bcn.u_table:
-            raise UsageError("control over a different control table")
-        bits = control.bits
-        projections = [bits & mask for mask in masks]
-        if any(p not in seen for p, seen in zip(projections, by_projection)):
-            inputs = [full if bits >> pos & 1 else 0 for pos in range(len(bcn.u_table))]
-            for update, seen, distinct, projection in zip(
-                bcn.updates, by_projection, tables, projections
-            ):
-                if projection not in seen:
-                    table = _table_node(update.root, patterns + inputs, full)
-                    seen[projection] = distinct.setdefault(table, len(distinct))
-        key = tuple(seen[p] for p, seen in zip(projections, by_projection))
-        first.setdefault(key, control)
-    shared = [list(distinct) for distinct in tables]
-    return {control: tuple(t[i] for t, i in zip(shared, key)) for key, control in first.items()}
+
+    @functools.cache
+    def fold(update, projection):
+        inputs = [full if projection >> pos & 1 else 0 for pos in range(len(bcn.u_table))]
+        return _table_node(bcn.updates[update].root, patterns + inputs, full)
+
+    firsts = []  # per group: its (update, table) pairs -> the first projection giving them
+    for mask, members in _input_groups(masks):
+        k = check_enumerable(mask.bit_count(), "control group")
+        spread = [0]  # spread[local]: the group's k-bit pattern at its positions
+        for pos in range(len(bcn.u_table)):
+            if mask >> pos & 1:
+                spread += [bits | 1 << pos for bits in spread]
+        first = {}
+        for bits in (spread[local] for local in digit_order(k)):
+            first.setdefault(tuple((u, fold(u, bits & masks[u])) for u in members), bits)
+        firsts.append(first)
+    count, cap = math.prod(map(len, firsts)), var_cap()
+    if count > 1 << cap:
+        raise CapacityError(f"{count} control classes exceed 2**{cap}; enumeration capped "
+                            f"at {cap} (raise it with --cap-vars or {ENV_VAR_CAP})")
+    classes = {}
+    for picks in itertools.product(*(first.items() for first in firsts)):
+        control = functools.reduce(operator.or_, (bits for _key, bits in picks), 0)
+        pairs = sorted(pair for key, _bits in picks for pair in key)
+        classes[bcn.u_table.state(control)] = tuple(table for _update, table in pairs)
+    return dict(sorted(classes.items(), key=lambda item: item[0].sort_key()))
+
+
+def _input_groups(masks: list[int]) -> list[tuple[int, list[int]]]:
+    """(union of the masks, the updates) per group of overlapping input masks."""
+    groups = []
+    for update, mask in enumerate(masks):
+        members = [update]
+        for group in [group for group in groups if group[0] & mask]:
+            groups.remove(group)
+            mask |= group[0]
+            members += group[1]
+        groups.append((mask, members))
+    return groups
 
 
 def control_pair_names(name: str) -> tuple[str, str]:

@@ -10,12 +10,14 @@ Two engines are provided.  The direct engine searches the phase graph:
 it runs a breadth-first search over per-start frontier sets, returning a
 shortest sequence (ties broken by canonical control order).  Controls that
 select networks with equal truth tables form one class, tried once under
-its first control in canonical order; the reflexive-transitive closure of
-the class's step relation is folded from those tables when the search
-first needs it.  The second engine searches the composed set-rewriting
-embedding of the instance and decodes the control sequence from the
-control-symbol history; the two must agree, which is used as a
-cross-check throughout the test suite.
+its first control in canonical order.  The classes are built per group of
+updates that share control inputs (`bcn.control_classes`), never by a loop
+over every control; the reflexive-transitive closure of the class's step
+relation is folded from its tables when the search first needs it.  The
+second engine searches the composed set-rewriting embedding of the
+instance from every control (`control_space`) and decodes the control
+sequence from the control-symbol history; the two must agree, which is
+used as a cross-check throughout the test suite.
 """
 
 from __future__ import annotations
@@ -34,15 +36,14 @@ from .bcn import (
     apply_control,
     control_classes,
     enumerate_controls,
-    freeze_pairs,
     glue_trajectories,
 )
 from .bn import BooleanMode, Trajectory, _components, _moved, bn_step, named_mode
 # unused here; bench/tracer.py counts the kernel's calls through every binding
 from .boolp import successors as boolp_successors  # noqa: F401
-from .errors import CapacityError, ParseError, UsageError, ValidationError
+from .errors import ParseError, UsageError, ValidationError
 from .formula import StateSet, VarTable, parse_state
-from .limits import check_enumerable, var_cap
+from .limits import check_enumerable
 from .relation import digit_order
 from .translate import bcn_to_composite
 
@@ -143,30 +144,10 @@ class VerificationResult:
 
 
 def control_space(bcn: BooleanControlNetwork) -> list[StateSet]:
-    """All controls in canonical order; falls back to the freeze-pair
-    generator (none / pin-to-0 / pin-to-1 per pair) when the control
-    alphabet is too large to enumerate fully."""
-    try:
-        return enumerate_controls(bcn.u_table)
-    except CapacityError:
-        pass
-    u_table = bcn.u_table
-    try:
-        pairs = freeze_pairs(u_table)
-    except ValidationError as exc:
-        raise CapacityError(
-            f"{len(u_table)} control inputs exceed the cap {var_cap()} and no "
-            f"reduced generator applies: {exc}"
-        ) from None
-    if 3 ** len(pairs) > 1 << var_cap():
-        raise CapacityError(
-            f"{len(pairs)} freeze pairs still give {3 ** len(pairs)} controls"
-        )
-    choices = [
-        (0, 1 << u_table.position(off), 1 << u_table.position(on)) for off, on in pairs
-    ]
-    controls = [u_table.state(sum(picked)) for picked in itertools.product(*choices)]
-    return sorted(controls, key=StateSet.sort_key)
+    """All controls in canonical order: the composite engine's seeds, one
+    initial control-symbol set each.  CapacityError: the control alphabet
+    is over the variable cap."""
+    return enumerate_controls(bcn.u_table)
 
 
 # --- phase relations ------------------------------------------------------------
@@ -313,9 +294,8 @@ def solve_cofase(
 
     # controls selecting equal truth tables have one image; the class's first
     # control in canonical order stands for it, so the search is unchanged
-    classes = control_classes(instance.bcn, control_space(instance.bcn), n)
     phases = [_Phase(instance, control, min_steps_per_phase, functools.partial(fold, tables))
-              for control, tables in classes.items()]
+              for control, tables in control_classes(instance.bcn, n).items()]
 
     if policy == "per-start":
         witnesses = []
@@ -551,21 +531,15 @@ def _decode_composite_run(composite, parents, final, start) -> PhaseWitness:
 
 def _top_level_parts(text: str) -> list[str]:
     """`text` split at the commas outside braces, stripped, blanks dropped."""
-    parts = []
+    parts = [""]
     depth = 0
-    current = ""
     for char in text:
-        if char == "{":
-            depth += 1
-        if char == "}":
-            depth -= 1
+        depth += (char == "{") - (char == "}")
         if char == "," and depth == 0:
-            parts.append(current.strip())
-            current = ""
+            parts.append("")
         else:
-            current += char
-    parts.append(current.strip())
-    return [part for part in parts if part]
+            parts[-1] += char
+    return [part.strip() for part in parts if part.strip()]
 
 
 def _parse_state_list(table: VarTable, text: str) -> list[StateSet]:
@@ -574,10 +548,8 @@ def _parse_state_list(table: VarTable, text: str) -> list[StateSet]:
     parts = _top_level_parts(text)
     if len(parts) == 1 and parts[0].startswith("{") and parts[0].endswith("}"):
         inner = parts[0][1:-1].strip()
-        if inner.startswith("{"):
-            return [parse_state(table, p) for p in _top_level_parts(inner)]
         items = _top_level_parts(inner)
-        if items and all(all(c in "01" for c in item) for item in items):
+        if inner.startswith("{") or items and all(set(item) <= set("01") for item in items):
             return [parse_state(table, item) for item in items]
         return [parse_state(table, parts[0])]
     return [parse_state(table, p) for p in parts]

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import json
 import random
 import tracemalloc
 from collections import deque
@@ -21,6 +22,7 @@ from boolps.bcn import (
 )
 from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, named_mode
 from boolps.boolp import successors
+from boolps.cli import main
 from boolps.cofase import (
     CoFaSeInstance,
     CoFaSeSolution,
@@ -398,20 +400,37 @@ def _oracle_control_classes(bcn, controls):
     return {mu: tables for tables, mu in first.items()}
 
 
-def assert_classes_match(bcn, controls):
-    """`control_classes` gives the oracle's classes, tables and order."""
-    got = control_classes(bcn, controls, len(bcn.x_table))
-    assert list(got.items()) == list(_oracle_control_classes(bcn, controls).items())
+def assert_classes_match(bcn):
+    """`control_classes` gives the oracle's classes, tables and order over
+    every control."""
+    got = control_classes(bcn, len(bcn.x_table))
+    expected = _oracle_control_classes(bcn, enumerate_controls(bcn.u_table))
+    assert list(got.items()) == list(expected.items())
 
 
 @settings(max_examples=100, deadline=None)
-@given(control_networks, st.randoms(use_true_random=False))
-def test_selected_networks_match_apply_control(bcn, rng):
+@given(control_networks)
+def test_selected_networks_match_apply_control(bcn):
     # `control_classes` against per-control networks; the tables are
     # compared as exact ints, so a fold wider than 2**n bits fails
-    controls = control_space(bcn)
-    rng.shuffle(controls)
-    assert_classes_match(bcn, controls)
+    assert_classes_match(bcn)
+
+
+def chained_overlap_network():
+    """u0 is read by x0 and x1, u1 by x1 and x2: x0 and x2 share no input,
+    yet the three updates form one group."""
+    return parse_bcn_text(
+        "var x0, x1, x2\ncontrol u0, u1\n"
+        "x0' = u0 | x1\nx1' = u0 & !u1 | x2\nx2' = u1 | x0\n"
+    )
+
+
+def test_overlap_chains_into_one_group():
+    # the 4 controls select 4 distinct tuples of tables; a group per update
+    # would give 2 * 2 * 2 classes, pairing tables no one control selects
+    bcn = chained_overlap_network()
+    assert_classes_match(bcn)
+    assert len(control_classes(bcn, 3)) == 4
 
 
 def counted_folds(monkeypatch):
@@ -433,7 +452,7 @@ def test_selected_networks_apply_each_control_projection_once(n, monkeypatch):
     rng = random.Random(n)
     bcn = freeze_extend(random_network(rng, random_table(rng, n)))
     folds = counted_folds(monkeypatch)
-    classes = control_classes(bcn, control_space(bcn), n)
+    classes = control_classes(bcn, n)
     inputs = set(bcn.u_table.names)
     assert len(folds) == sum(1 << len(u.variables() & inputs) for u in bcn.updates) <= 4 * n
     for i in range(n):
@@ -441,11 +460,13 @@ def test_selected_networks_apply_each_control_projection_once(n, monkeypatch):
         assert len({tables[i] for tables in classes.values()}) <= 3
 
 
-def test_selected_networks_reject_a_foreign_control_before_applying_any(frozen, monkeypatch):
+def test_a_group_over_the_cap_raises_before_folding(monkeypatch):
+    # one update reads all 6 inputs: a group of 6 inputs, though 2 classes
+    bcn = parse_bcn_text("var x\ncontrol a, b, c, d, e, f\nx' = a | b | c | d | e | f\n")
+    assert len(control_classes(bcn, 1)) == 2
     folds = counted_folds(monkeypatch)
-    foreign = VarTable.of("u_x0", "u_x1").state(0)
-    with pytest.raises(UsageError):
-        control_classes(frozen, [foreign] + control_space(frozen), 2)
+    with capped(5), pytest.raises(CapacityError, match="control group has 6 variables"):
+        control_classes(bcn, 1)
     assert folds == []
 
 
@@ -456,7 +477,7 @@ def test_equivalent_folds_are_one_class():
         "var x, y\ncontrol a\nx' = a & (x | y) | !a & (y | x)\ny' = y\n"
         "start {y}\ntarget {x, y}\nmode asyn\n"
     )
-    classes = control_classes(instance.bcn, control_space(instance.bcn), 2)
+    classes = control_classes(instance.bcn, 2)
     assert list(classes) == [control(instance.bcn, [])]
     assert all(assert_same_as_eager(instance, 2))
 
@@ -631,6 +652,52 @@ def test_solve_checks_the_cap_before_folding(frozen, monkeypatch):
         solve_cofase(golden_instance(frozen), 3)
 
 
+def test_solve_checks_the_class_count_before_folding(monkeypatch):
+    # ex32's two freeze pairs form two groups of 3 classes: 9 > 2**3
+    instance = parse_instance_text((MODELS / "ex32.cofase").read_text())
+    monkeypatch.setattr(cofase, "_moved", lambda *args: pytest.fail("folded"))
+    with capped(3), pytest.raises(CapacityError, match="9 control classes"):
+        solve_cofase(instance, 3)
+
+
+# a pair of controls named like a freeze pair that the update reads as an
+# AND: only the control raising both reaches the target
+U_P_INSTANCE = (
+    "var a, b\ncontrol u_p0, u_p1, u_q0, u_q1, u_r0, u_r1\n"
+    "a' = u_p0 & u_p1\nb' = b\nstart 00\ntarget 10\nmode syn\n"
+)
+
+
+def test_an_alphabet_over_the_cap_keeps_every_class():
+    # 6 inputs over a cap of 5: the classes come from the one input group
+    # of a's update, not from a generator that reads the names as pairs
+    instance = parse_instance_text(U_P_INSTANCE)
+    uncapped = solution_to_json(solve_cofase(instance, 3))
+    with capped(5):
+        assert solution_to_json(solve_cofase(instance, 3)) == uncapped
+    assert json.loads(uncapped)["witnesses"][0]["controls"] == [["u_p0", "u_p1"]]
+
+
+def test_cli_solves_an_alphabet_over_the_cap(tmp_path, capsys):
+    path = tmp_path / "u_p.cofase"
+    path.write_text(U_P_INSTANCE)
+    assert main(["cofase", "solve", str(path), "--cap-vars", "5"]) == 0
+    assert "controls {u_p0, u_p1}" in capsys.readouterr().out
+
+
+def test_freeze_all_over_the_cap_solves_as_uncapped():
+    # 6 freeze controls over a cap of 5; 3 groups of 3 classes: 27 <= 2**5
+    instance = parse_instance_text(
+        "var p, q, r\nfreeze p\nfreeze q\nfreeze r\np' = q\nq' = r\nr' = !p\n"
+        "start 000\ntarget 110\nmode asyn\n"
+    )
+    uncapped = solution_to_json(solve_cofase(instance, 3))
+    with capped(5):
+        assert len(control_classes(instance.bcn, 3)) == 27
+        assert solution_to_json(solve_cofase(instance, 3)) == uncapped
+    assert '"solvable": true' in uncapped
+
+
 def test_a_planted_table_fault_raises_instead_of_a_witness(monkeypatch):
     # x' = x never moves x, so no phase leads from 00 to 10; the witness
     # steps with `bn_step`, so a table that claims x' = 1 at 00 shows
@@ -723,21 +790,11 @@ class TestControlSpace:
         assert controls[0].names() == ()
         assert controls[1].names() == ("u_y1",)
 
-    def test_freeze_generator_when_capped(self):
+    def test_over_the_cap_raises(self):
         t = VarTable.of("p", "q", "r")
-        network = BooleanNetwork(
-            t, tuple(Formula.var(t, n) for n in t.names)
-        )
-        bcn = freeze_extend(network)
-        with capped(5):  # 2^6 > 2^5 forces the generator
-            controls = control_space(bcn)
-        assert len(controls) == 27  # 3 choices per pair
-        pairs = [{f"u_{name}0", f"u_{name}1"} for name in t.names]
-        expected = [
-            mu for mu in enumerate_controls(bcn.u_table)
-            if all(not pair <= set(mu.names()) for pair in pairs)
-        ]
-        assert controls == expected
+        bcn = freeze_extend(BooleanNetwork(t, tuple(Formula.var(t, n) for n in t.names)))
+        with capped(5), pytest.raises(CapacityError, match="control alphabet"):
+            control_space(bcn)
 
 
 class TestInstanceIO:

@@ -34,8 +34,8 @@ def test_every_traced_function_still_exists():
 KERNEL_ENTRY_POINTS = (
     "rule_mask", "rule_set", "fold", "moves", "successors", "applicable_mask",
     "applicable_masks", "resolved", "_bit", "truth_patterns", "fold_truth_table",
-    "truth_bitmask", "truth_columns", "step_table", "_moved", "control_classes", "_table_node",
-    "_phase_reach",
+    "truth_bitmask", "truth_columns", "_moved", "control_classes", "_input_groups",
+    "_table_node", "_phase_reach",
 )
 
 

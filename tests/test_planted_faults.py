@@ -10,12 +10,16 @@ import random
 import pytest
 from test_cli import CAP_CASES, assert_cap_flag_and_env_agree
 from test_cofase import frozen, toggle  # noqa: F401  (fixtures)
-from test_cofase import assert_classes_match, assert_same_as_eager, golden_instance
+from test_cofase import (
+    assert_classes_match,
+    assert_same_as_eager,
+    chained_overlap_network,
+    golden_instance,
+)
 
 import boolps.bcn
 from boolps import boolp, cofase, limits
 from boolps.bcn import parse_bcn_text
-from boolps.cofase import control_space
 from boolps.errors import ValidationError
 from boolps.generators import random_cofase_instance
 
@@ -25,9 +29,9 @@ def test_a_class_key_reading_only_update_0_fails_the_eager_comparison(frozen, mo
     # the control the golden instance needs
     classes = boolps.bcn.control_classes
 
-    def first_update_only(bcn, controls, n):
+    def first_update_only(bcn, n):
         merged = {}
-        for control, tables in classes(bcn, controls, n).items():
+        for control, tables in classes(bcn, n).items():
             merged.setdefault(tables[0], (control, tables))
         return dict(merged.values())
 
@@ -52,8 +56,22 @@ def test_a_fold_at_the_combined_width_fails_the_class_match(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(boolps.bcn, "_table_node", combined_width)
         with pytest.raises(AssertionError):
-            assert_classes_match(bcn, control_space(bcn))
-    assert_classes_match(bcn, control_space(bcn))
+            assert_classes_match(bcn)
+    assert_classes_match(bcn)
+
+
+def test_a_group_per_update_fails_the_class_match(monkeypatch):
+    # updates that share an input only through a third update must be
+    # one group; apart, their product pairs tables no one control selects
+    def one_per_update(masks):
+        return [(mask, [update]) for update, mask in enumerate(masks)]
+
+    bcn = chained_overlap_network()
+    with monkeypatch.context() as patch:
+        patch.setattr(boolps.bcn, "_input_groups", one_per_update)
+        with pytest.raises(AssertionError):
+            assert_classes_match(bcn)
+    assert_classes_match(bcn)
 
 
 def test_a_cap_that_ignores_the_scope_fails_the_flag_env_parity(capsys, monkeypatch):
