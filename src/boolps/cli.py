@@ -35,12 +35,12 @@ from .boolp import (
     quasimode_maxpar,
 )
 from .cofase import (
+    check_solution,
     parse_instance_text,
     solution_from_json,
     solution_to_json,
     solve_cofase,
     solve_cofase_via_composite,
-    verify_control_sequence,
 )
 from .errors import BoolpsError, CapacityError, ParseError, UsageError
 from .formula import parse_state
@@ -250,34 +250,7 @@ def _cmd_cofase_solve(args):
 def _cmd_cofase_verify(args):
     instance = parse_instance_text(_read(args.instance), source=args.instance)
     solution = solution_from_json(instance, _read(args.solution), source=args.solution)
-    problems = []
-    witnessed = {witness.start for witness in solution.witnesses}
-    for start in instance.starts:
-        if start not in witnessed:
-            problems.append(f"start {start.digits()}: no witness")
-    for witness in solution.witnesses:
-        if witness.start not in instance.starts:
-            problems.append(f"start {witness.start.digits()}: not a start of the instance")
-            continue
-        first = solution.witnesses[0]
-        if solution.policy == "uniform" and witness.sequence != first.sequence:
-            problems.append(
-                f"start {witness.start.digits()}: uniform solution, but the control "
-                f"sequence differs from that of start {first.start.digits()}"
-            )
-            continue
-        result = verify_control_sequence(
-            instance.bcn, witness.sequence, instance.mode,
-            witness.trajectory, witness.boundaries,
-        )
-        if not result:
-            problems.append(f"start {witness.start.digits()}: {result.reason}")
-        elif witness.trajectory.last not in instance.targets:
-            problems.append(
-                f"start {witness.start.digits()}: witness ends outside the target set"
-            )
-        elif witness.trajectory.first != witness.start:
-            problems.append(f"start {witness.start.digits()}: witness starts elsewhere")
+    problems = check_solution(instance, solution)
     if problems:
         _emit(args, "\n".join(problems) + "\n")
         return EXIT_NEGATIVE

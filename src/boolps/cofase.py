@@ -403,6 +403,32 @@ def verify_control_sequence(
     return VerificationResult(ok=True)
 
 
+def check_solution(instance: CoFaSeInstance, solution: CoFaSeSolution) -> list[str]:
+    """The problems that keep `solution` from solving `instance`, one line each
+    in `cofase verify`'s order; empty when it solves it.  Each start needs one
+    witness, replayed in `verify_control_sequence`, from the start to a target."""
+    seen = [witness.start for witness in solution.witnesses]
+    problems = [f"start {start.digits()}: {'more than one' if start in seen else 'no'} witness"
+                for start in instance.starts if seen.count(start) != 1]
+    for witness in solution.witnesses:
+        if witness.start not in instance.starts:
+            problem = "not a start of the instance"
+        elif solution.policy == "uniform" and witness.sequence != solution.witnesses[0].sequence:
+            problem = ("uniform solution, but the control sequence differs from that of "
+                       f"start {solution.witnesses[0].start.digits()}")
+        elif not (replay := verify_control_sequence(instance.bcn, witness.sequence, instance.mode,
+                                                    witness.trajectory, witness.boundaries)):
+            problem = replay.reason
+        elif witness.trajectory.last not in instance.targets:
+            problem = "witness ends outside the target set"
+        elif witness.trajectory.first != witness.start:
+            problem = "witness starts elsewhere"
+        else:
+            continue
+        problems.append(f"start {witness.start.digits()}: {problem}")
+    return problems
+
+
 # --- composite engine --------------------------------------------------------------
 
 
@@ -629,7 +655,11 @@ def solution_from_json(instance: CoFaSeInstance, text: str, source=None) -> CoFa
         raise ParseError(f"not JSON: {exc.msg}", line=exc.lineno, source=source) from None
     if not isinstance(doc, dict):
         raise ParseError("a solution document is a JSON object", source=source)
-    if not doc.get("solvable", False):
+    solvable = doc.get("solvable", False)
+    if not isinstance(solvable, bool):
+        raise ParseError(f"`solvable` must be true or false, not {json.dumps(solvable)}",
+                         source=source)
+    if not solvable:
         raise ValidationError("solution document says the instance is unsolvable")
     if not isinstance(doc.get("witnesses"), list):
         raise ParseError("solution document has no `witnesses` list", source=source)

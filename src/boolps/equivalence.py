@@ -61,9 +61,9 @@ from .translate import (
 
 def boolp_transitions(system: BooleanPSystem, mode: ModeView) -> TransitionRelation:
     """Edges for every configuration and every fired set the mode allows there."""
-    apps = system.applicable_masks()
     if mode.system is not system and mode.system != system:
         raise UsageError("mode over a different system")
+    apps = system.applicable_masks()
     # the mode depends on the applicable mask alone: resolve each distinct
     # one once, and decode each fired mask once
     resolved = {app: mode.resolved(app) for app in dict.fromkeys(apps)}

@@ -18,6 +18,7 @@ from boolps.boolp import maximally_parallel_mode, evolve, parse_system_text
 from boolps.cli import main as cli_main
 from boolps.cofase import (
     NoSolutionWithinBound,
+    check_solution,
     solve_cofase,
     solve_cofase_via_composite,
     verify_control_sequence,
@@ -130,11 +131,7 @@ def test_criterion_3_sequential_control_golden(toggle, tmp_path):
         instance = CoFaSeInstance.of(bcn, [d("01")], [d("11")], mode)
         solution = solve_cofase(instance, max_phases=3)
         assert solution and solution.phases <= 3
-        witness = solution.witnesses[0]
-        assert verify_control_sequence(
-            bcn, witness.sequence, mode, witness.trajectory, witness.boundaries
-        )
-        assert witness.trajectory.last in instance.targets
+        assert check_solution(instance, solution) == []
 
         out = tmp_path / "solution.json"
         assert cli_main(
@@ -183,12 +180,8 @@ def test_criterion_8_cross_engine_agreement():
             assert bool(direct) == bool(via), f"instance {index}: solvability differs"
             if direct:
                 assert direct.phases == via.phases, f"instance {index}: phase counts differ"
-                for witness in list(direct.witnesses) + list(via.witnesses):
-                    assert verify_control_sequence(
-                        instance.bcn, witness.sequence, instance.mode,
-                        witness.trajectory, witness.boundaries,
-                    )
-                    assert witness.trajectory.last in instance.targets
+                for solution in (direct, via):
+                    assert check_solution(instance, solution) == [], f"instance {index}"
 
 
 def test_criterion_9_maxpar_determinism_and_no_competition():

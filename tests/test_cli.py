@@ -332,6 +332,21 @@ class TestCofaseCommands:
         assert code == 1
         assert out.splitlines() == problems
 
+    def test_verify_rejects_two_witnesses_for_one_start(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "cofase", "solve", MODELS / "ex32.cofase", "--policy", "per-start",
+            "--format", "json",
+        )
+        doc = json.loads(out)
+        doc["witnesses"] *= 2
+        solution_file = tmp_path / "solution.json"
+        solution_file.write_text(json.dumps(doc))
+        code, out, _ = run(
+            capsys, "cofase", "verify", MODELS / "ex32.cofase", "--solution", solution_file
+        )
+        assert code == 1
+        assert out.splitlines() == ["start 01: more than one witness"]
+
     def test_verify_rejects_uniform_solution_with_two_sequences(self, capsys, tmp_path):
         # the per-start solution gives 00 and 01 different sequences
         instance = tmp_path / "two.cofase"
@@ -652,6 +667,7 @@ class TestExitCodes:
             ({"controls": [["u_z1"]]}, "witness 0: unknown variable 'u_z1'"),
             ({"states": []}, "witness 0: a trajectory needs at least one state"),
             ({"policy": "banana"}, "policy must be uniform or per-start, not 'banana'"),
+            ({"solvable": "no"}, '`solvable` must be true or false, not "no"'),
             ({"controls": []}, "witness 0: empty control sequence"),
             ({"boundaries": [1]}, "witness 0: 1 phases need 0 boundaries, got 1"),
             (
@@ -660,7 +676,7 @@ class TestExitCodes:
             ),
         ],
         ids=["short-state", "unknown-control", "no-states", "unknown-policy",
-             "no-controls", "boundary-count", "negative-boundary"],
+             "solvable-not-a-boolean", "no-controls", "boundary-count", "negative-boundary"],
     )
     def test_malformed_witness_is_three(self, capsys, tmp_path, changes, message):
         # each is a change to the valid solution of models/ex32.cofase
@@ -668,8 +684,8 @@ class TestExitCodes:
             {"start": "01", "controls": [["u_y1"]], "states": ["01", "11"], "boundaries": []}
         ]}
         for field, value in changes.items():
-            if field == "policy":
-                doc["policy"] = value
+            if field in ("policy", "solvable"):
+                doc[field] = value
             else:
                 doc["witnesses"][0][field] = value
         solution = tmp_path / "solution.json"

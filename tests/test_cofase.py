@@ -30,6 +30,7 @@ from boolps.cofase import (
     _Phase,
     _build_solution,
     _phase_reach,
+    check_solution,
     control_space,
     parse_instance_text,
     solution_from_json,
@@ -133,18 +134,58 @@ class TestVerify:
         )
 
 
+def ex32_witness(start, controls, states):
+    return {"start": start, "controls": controls, "states": states, "boundaries": []}
+
+
+SOLVES_EX32 = ex32_witness("01", [["u_y1"]], ["01", "11"])
+# One uniform solution document per line `check_solution` gives on
+# models/ex32.cofase (start 01, target 11): its witnesses and the lines.
+PROBLEM_CASES = {
+    "solves": ([SOLVES_EX32], []),
+    "no-witness": ([], ["start 01: no witness"]),
+    "more-than-one-witness": ([SOLVES_EX32, SOLVES_EX32], ["start 01: more than one witness"]),
+    "foreign-start": (
+        [ex32_witness("11", [[]], ["11"])],
+        ["start 01: no witness", "start 11: not a start of the instance"],
+    ),
+    "two-sequences": (
+        [SOLVES_EX32, ex32_witness("01", [[]], ["01"])],
+        ["start 01: more than one witness",
+         "start 01: uniform solution, but the control sequence differs from that of start 01"],
+    ),
+    "not-a-move": (
+        [ex32_witness("01", [["u_y1"]], ["01", "00"])],
+        ["start 01: step 0: 01 -> 00 is not a move of the network under control {u_y1}"],
+    ),
+    "ends-outside-targets": (
+        [ex32_witness("01", [[]], ["01"])], ["start 01: witness ends outside the target set"]
+    ),
+    "starts-elsewhere": (
+        [ex32_witness("01", [[]], ["11"])], ["start 01: witness starts elsewhere"]
+    ),
+}
+
+
+def assert_problem_lines(witnesses, lines):
+    instance = parse_instance_text((MODELS / "ex32.cofase").read_text())
+    document = json.dumps({"solvable": True, "policy": "uniform", "witnesses": witnesses})
+    # through the module, so that a patched `check_solution` is the one called
+    assert cofase.check_solution(instance, solution_from_json(instance, document)) == lines
+
+
+@pytest.mark.parametrize("case", PROBLEM_CASES)
+def test_check_solution_gives_each_problem_line(case):
+    assert_problem_lines(*PROBLEM_CASES[case])
+
+
 class TestDirectSolver:
     def test_golden_instance_solved_within_three_phases(self, frozen):
         instance = golden_instance(frozen)
         solution = solve_cofase(instance, max_phases=3)
         assert solution
         assert solution.phases <= 3
-        witness = solution.witnesses[0]
-        assert verify_control_sequence(
-            frozen, witness.sequence, instance.mode, witness.trajectory, witness.boundaries
-        )
-        assert witness.trajectory.first == instance.starts[0]
-        assert witness.trajectory.last in instance.targets
+        assert check_solution(instance, solution) == []
 
     def test_start_inside_targets(self, frozen):
         t = frozen.x_table
@@ -202,12 +243,7 @@ class TestDirectSolver:
         solution = solve_cofase(instance, max_phases=3, policy="uniform")
         assert solution
         assert len({w.sequence for w in solution.witnesses}) == 1
-        for witness in solution.witnesses:
-            assert verify_control_sequence(
-                frozen, witness.sequence, instance.mode, witness.trajectory,
-                witness.boundaries,
-            )
-            assert witness.trajectory.last in instance.targets
+        assert check_solution(instance, solution) == []
 
     def test_per_start_policy(self, frozen):
         t = frozen.x_table
@@ -219,12 +255,7 @@ class TestDirectSolver:
         )
         solution = solve_cofase(instance, max_phases=3, policy="per-start")
         assert solution and solution.policy == "per-start"
-        assert {w.start for w in solution.witnesses} == set(instance.starts)
-        for witness in solution.witnesses:
-            assert verify_control_sequence(
-                frozen, witness.sequence, instance.mode, witness.trajectory,
-                witness.boundaries,
-            )
+        assert check_solution(instance, solution) == []
 
     def test_min_steps_per_phase(self):
         # constant-off variable: with zero-step phases the trivial instance
@@ -739,12 +770,8 @@ class TestMinimalityAndAgreement:
             assert bool(direct) == bool(via)
             if direct:
                 assert direct.phases == via.phases
-                for witness in via.witnesses:
-                    assert verify_control_sequence(
-                        instance.bcn, witness.sequence, instance.mode,
-                        witness.trajectory, witness.boundaries,
-                    )
-                    assert witness.trajectory.last in instance.targets
+                assert check_solution(instance, direct) == []
+                assert check_solution(instance, via) == []
 
 
 class TestCompositeSolver:
@@ -752,10 +779,7 @@ class TestCompositeSolver:
         instance = golden_instance(frozen)
         solution = solve_cofase_via_composite(instance, max_steps=32, max_phases=3)
         assert solution and solution.phases == 1
-        witness = solution.witnesses[0]
-        assert verify_control_sequence(
-            frozen, witness.sequence, instance.mode, witness.trajectory, witness.boundaries
-        )
+        assert check_solution(instance, solution) == []
 
     def test_no_controls_is_plain_reachability(self, toggle):
         t = toggle.table
@@ -844,11 +868,7 @@ class TestInstanceIO:
         text = solution_to_json(solution)
         loaded = solution_from_json(instance, text)
         assert loaded.phases == solution.phases
-        for witness in loaded.witnesses:
-            assert verify_control_sequence(
-                frozen, witness.sequence, instance.mode, witness.trajectory,
-                witness.boundaries,
-            )
+        assert check_solution(instance, loaded) == []
 
     def test_no_solution_json(self, frozen):
         result = NoSolutionWithinBound(phase_bound=2, step_bound=None, explored=5)
@@ -983,8 +1003,4 @@ def test_solution_json_round_trip_of_random_solutions(rng, engine):
     text = solution_to_json(solution)
     loaded = solution_from_json(instance, text)
     assert solution_to_json(loaded) == text
-    for witness in loaded.witnesses:
-        assert verify_control_sequence(
-            instance.bcn, witness.sequence, instance.mode, witness.trajectory,
-            witness.boundaries,
-        )
+    assert check_solution(instance, loaded) == []

@@ -91,6 +91,17 @@ class TestBoolpTransitions:
         assert pairs == {("00", "00"), ("01", "10"), ("10", "01"), ("11", "00")}
         assert len(relation.edges) == 4
 
+    def test_foreign_mode_raises_before_enumerating(self, monkeypatch):
+        system, _ = parse_system_text("alphabet a, b\nr1: {a, b} -> {a} | 1\n")
+        other, _ = parse_system_text("alphabet a, b\nr1: {a} -> {} | 1\n")
+
+        def enumerate_all(system):
+            raise AssertionError("applicable_masks called")
+
+        monkeypatch.setattr(BooleanPSystem, "applicable_masks", enumerate_all)
+        with pytest.raises(UsageError, match="mode over a different system"):
+            boolp_transitions(system, maximally_parallel_mode(other))
+
 
 class TestNetworkSimulation:
     def test_golden_network_passes(self, toggle):

@@ -13,7 +13,7 @@ import test_bn
 import test_cofase
 
 import boolps
-from boolps import equivalence
+from boolps import cofase, equivalence
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -48,6 +48,7 @@ EXPECTED_SIDES = (
     (test_cofase, "_oracle_phase_reach"),
     (test_cofase, "_oracle_control_classes"),
     (test_bn, "step_rows"),
+    (cofase, "check_solution"),
 )
 
 

@@ -4,6 +4,7 @@ and requires that check to fail.  The patch is undone before the test
 ends, and the same check then passes again.  A later change that weakens
 one of these checks fails here."""
 
+import dataclasses
 import os
 import random
 
@@ -11,10 +12,13 @@ import pytest
 from test_cli import CAP_CASES, assert_cap_flag_and_env_agree
 from test_cofase import frozen, toggle  # noqa: F401  (fixtures)
 from test_cofase import (
+    PROBLEM_CASES,
     assert_classes_match,
+    assert_problem_lines,
     assert_same_as_eager,
     chained_overlap_network,
     golden_instance,
+    wide_instance,
 )
 
 import boolps.bcn
@@ -120,3 +124,34 @@ def test_a_phase_that_reaches_everything_raises_instead_of_a_witness(monkeypatch
         with pytest.raises(ValidationError, match="no path inside a phase"):
             assert_same_as_eager(instance, 4)
     assert_same_as_eager(instance, 4)
+
+
+def test_an_image_masked_to_64_bits_fails_the_eager_comparison(monkeypatch):
+    # 128 states: the states above bit 63 drop out of every image, which
+    # two phases already show
+    image = cofase._Phase.image
+
+    def one_word(phase, states):
+        return image(phase, states) & (1 << 64) - 1
+
+    instance = wide_instance(3, 7)
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase._Phase, "image", one_word)
+        with pytest.raises(AssertionError):
+            assert_same_as_eager(instance, 2)
+    assert_same_as_eager(instance, 2)
+
+
+def test_a_checker_without_the_target_test_fails_the_problem_lines(monkeypatch):
+    check = cofase.check_solution
+
+    def every_state_a_target(instance, solution):
+        targets = frozenset(instance.bcn.x_table.subsets())
+        return check(dataclasses.replace(instance, targets=targets), solution)
+
+    case = PROBLEM_CASES["ends-outside-targets"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase, "check_solution", every_state_a_target)
+        with pytest.raises(AssertionError):
+            assert_problem_lines(*case)
+    assert_problem_lines(*case)
