@@ -268,12 +268,14 @@ class Quasimode:
     def dot(self, other: "Quasimode") -> "Quasimode":
         return ProductQuasimode((self, other))
 
+    def rule_ids(self) -> frozenset:
+        """Every rule id some element advises."""
+        return frozenset().union(*self.elements())
+
     def validate(self, system: BooleanPSystem):
-        known = system.rule_ids()
-        for element in self.elements():
-            missing = element - known
-            if missing:
-                raise ValidationError(f"advised unknown rule ids {sorted(missing)}")
+        missing = self.rule_ids() - system.rule_ids()
+        if missing:
+            raise ValidationError(f"advised unknown rule ids {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -305,6 +307,9 @@ class PowersetQuasimode(Quasimode):
         for size in range(len(base) + 1):
             for combo in itertools.combinations(base, size):
                 yield frozenset(combo)
+
+    def rule_ids(self):
+        return self.base
 
     def advised(self, applicable):
         usable = sorted(self.base & applicable)
@@ -401,13 +406,15 @@ def quasimode_async(system: BooleanPSystem) -> PowersetQuasimode:
 class ModeView:
     """Configuration-indexed view of the rule sets a system may fire.
 
-    Every mode here depends on the applicable rules alone: `resolved` maps
-    an applicable mask to the mode's value there, as ``(fired mask, erase
-    bits, add bits)`` triples with distinct masks.  `moves` gives that value
-    at a configuration, `at` as id sets.  Every fired rule is individually
-    applicable at that configuration.  Nothing is cached; a caller that
-    revisits configurations keeps what it needs itself, and an exhaustive
-    caller reads its masks from `BooleanPSystem.applicable_masks`.
+    A mode belongs to the system it was derived for, kept as `system`; its
+    consumers take the view alone.  Every mode here depends on the
+    applicable rules alone: `resolved` maps an applicable mask to the mode's
+    value there, as ``(fired mask, erase bits, add bits)`` triples with
+    distinct masks.  `moves` gives that value at a configuration, `at` as id
+    sets.  Every fired rule is individually applicable at that
+    configuration.  Nothing is cached; a caller that revisits configurations
+    keeps what it needs itself, and an exhaustive caller reads its masks
+    from `BooleanPSystem.applicable_masks`.
     """
 
     def __init__(self, system: BooleanPSystem, resolved):
@@ -432,11 +439,10 @@ def maximally_parallel_mode(system: BooleanPSystem) -> ModeView:
     return ModeView(system, lambda app: [system.fold(app)] if app else [])
 
 
-def successors(system: BooleanPSystem, mode: ModeView, configuration: StateSet):
-    """Fired-set/result pairs at a configuration, in no particular order;
-    `evolve` and the composite engine sort what they need."""
-    if mode.system is not system and mode.system != system:
-        raise UsageError("mode over a different system")
+def successors(mode: ModeView, configuration: StateSet):
+    """Fired-set/result pairs at a configuration of `mode.system`, in no
+    particular order; `evolve` and the composite engine sort what they need."""
+    system = mode.system
     bits = configuration.bits
     state = system.table.state
     rule_set = system.rule_set
@@ -447,24 +453,20 @@ def successors(system: BooleanPSystem, mode: ModeView, configuration: StateSet):
 
 
 def evolve(
-    system: BooleanPSystem,
-    mode: ModeView,
-    start: StateSet,
-    max_steps: int,
-    breadth_cap=None,
+    mode: ModeView, start: StateSet, max_steps: int, breadth_cap=None
 ) -> tuple[Trajectory, ...]:
     """All evolutions from `start`, each extended until `max_steps` or a dead end.
 
     Branches follow the fired sets in rule-id lexicographic order (rule
     indices follow sorted ids, so this is the order of their index tuples).
 
-    A trajectory is flagged halting iff no rule is applicable at its last
-    state; a dead end under the mode without that (an empty mode value at a
-    non-halting state) just stops the branch.
+    A trajectory is flagged halting iff no rule of `mode.system` is
+    applicable at its last state; a dead end under the mode without that
+    (an empty mode value at a non-halting state) just stops the branch.
     """
     def expand(configuration):
         return sorted(
-            successors(system, mode, configuration),
+            successors(mode, configuration),
             key=lambda p: (tuple(sorted(p[0])), p[1].sort_key()),
         )
 
@@ -472,7 +474,7 @@ def evolve(
     halting = {}
     for states, _labels in runs:
         if states[-1] not in halting:
-            halting[states[-1]] = system.is_halting(states[-1])
+            halting[states[-1]] = mode.system.is_halting(states[-1])
     return tuple(Trajectory(s, l, halting=halting[s[-1]]) for s, l in runs)
 
 

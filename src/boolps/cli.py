@@ -97,21 +97,25 @@ def _bn_mode(args, table):
     return parse_mode_text(_read(name), table, source=name)
 
 
-def _load_system(args):
+def _load_mode(args):
+    """The model's mode under `--mode`; it carries the model's system."""
     system, embedded = parse_system_text(_read(args.model), source=args.model)
     name = args.mode
     if name == "embedded":
         if embedded is None:
             raise UsageError("model file declares no quasimode; pass --mode")
-        return system, derive_mode(system, embedded)
+        return derive_mode(system, embedded)
     if name == "maxpar":
-        return system, maximally_parallel_mode(system)
+        return maximally_parallel_mode(system)
     if name in ("seq", "async"):
-        return system, derive_mode(system, named_quasimode(name, system))
+        return derive_mode(system, named_quasimode(name, system))
     _other, quasimode = parse_system_text(_read(name), source=name)
     if quasimode is None:
         raise UsageError(f"quasimode file {name} declares no quasimode")
-    return system, derive_mode(system, quasimode)
+    unknown = quasimode.rule_ids() - system.rule_ids()
+    if unknown:
+        raise UsageError(f"quasimode file {name} advises rules the model lacks: {sorted(unknown)}")
+    return derive_mode(system, quasimode)
 
 
 def _emit_relation(args, relation, style, label_key):
@@ -163,15 +167,14 @@ def _cmd_bn_attractors(args):
 
 
 def _cmd_pi_transitions(args):
-    system, view = _load_system(args)
-    relation = equivalence.boolp_transitions(system, view)
+    relation = equivalence.boolp_transitions(_load_mode(args))
     return _emit_relation(args, relation, "set", "rules")
 
 
 def _cmd_pi_trace(args):
-    system, view = _load_system(args)
-    start = parse_state(system.table, args.init)
-    return _emit_runs(args, evolve(system, view, start, args.steps, args.max_breadth), "set")
+    view = _load_mode(args)
+    start = parse_state(view.system.table, args.init)
+    return _emit_runs(args, evolve(view, start, args.steps, args.max_breadth), "set")
 
 
 # --- translate / compose ---------------------------------------------------
@@ -197,7 +200,7 @@ def _cmd_translate_bcn(args):
 
 def _cmd_translate_rs(args):
     rs = parse_reactions_text(_read(args.model), source=args.model)
-    system, _mode = rs_to_boolp(rs)
+    system = rs_to_boolp(rs).system
     _emit(args, format_system_text(system, quasimode_maxpar(system)))
     return EXIT_OK
 

@@ -355,6 +355,9 @@ def _build_solution(instance, phases):
         endpoints = [min(_bit_indices(frontiers[-1] & targets), key=order.__getitem__)]
         for phase, frontier in zip(reversed(phases), reversed(frontiers[:-1])):
             back = [s for s in _bit_indices(frontier) if phase.reaches(s, endpoints[0])]
+            if not back:
+                raise ValidationError("no phase start reaches the endpoint; "
+                                      "reachability bookkeeping broken")
             endpoints.insert(0, min(back, key=order.__getitem__))
         segments = [phase.path(endpoints[i], endpoints[i + 1]) for i, phase in enumerate(phases)]
         boundaries = itertools.accumulate(len(segment.states) - 1 for segment in segments[:-1])
@@ -655,7 +658,9 @@ def solution_from_json(instance: CoFaSeInstance, text: str, source=None) -> CoFa
         raise ParseError(f"not JSON: {exc.msg}", line=exc.lineno, source=source) from None
     if not isinstance(doc, dict):
         raise ParseError("a solution document is a JSON object", source=source)
-    solvable = doc.get("solvable", False)
+    if "solvable" not in doc:
+        raise ParseError("solution document has no `solvable` field", source=source)
+    solvable = doc["solvable"]
     if not isinstance(solvable, bool):
         raise ParseError(f"`solvable` must be true or false, not {json.dumps(solvable)}",
                          source=source)

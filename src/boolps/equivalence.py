@@ -59,10 +59,9 @@ from .translate import (
 )
 
 
-def boolp_transitions(system: BooleanPSystem, mode: ModeView) -> TransitionRelation:
-    """Edges for every configuration and every fired set the mode allows there."""
-    if mode.system is not system and mode.system != system:
-        raise UsageError("mode over a different system")
+def boolp_transitions(mode: ModeView) -> TransitionRelation:
+    """Edges for every configuration of `mode.system` and every fired set it allows."""
+    system = mode.system
     apps = system.applicable_masks()
     # the mode depends on the applicable mask alone: resolve each distinct
     # one once, and decode each fired mask once
@@ -182,12 +181,14 @@ def _expected_moves(updates, mode: BooleanMode, index):
     return expected_pairs
 
 
-def _compare_moves(system, view, table, expected_at, index, detail):
-    """Compare the kernel's moves at every configuration of `table` with
+def _compare_moves(view: ModeView, table, expected_at, index, detail):
+    """Compare the moves of `view` at every configuration of `table` with
     `expected_at(configuration)`, a set of ``(label mask, next bits)`` under
-    `index`, as the module docstring says: as ints while the system maps
-    each spelled id to its bit in `index` and back, and at the id level
-    where the int sets differ or the indices do not agree."""
+    `index`, as the module docstring says: as ints while the view's system
+    maps each spelled id to its bit in `index` and back, and at the id level
+    where the int sets differ or the indices do not agree.  `table` is the
+    checked model's; an encoding over another table is a usage error."""
+    system = view.system
     if table != system.table:
         raise UsageError("configuration over a different variable table")
     apps = system.applicable_masks()
@@ -211,7 +212,7 @@ def _compare_moves(system, view, table, expected_at, index, detail):
              table.state(next_bits))
             for mask, next_bits in expected
         }
-        actual_ids = set(successors(system, view, configuration))
+        actual_ids = set(successors(view, configuration))
         if expected_ids != actual_ids:
             return EquivalenceReport(
                 passed=False,
@@ -224,10 +225,7 @@ def _compare_moves(system, view, table, expected_at, index, detail):
 
 
 def check_bn_simulation(
-    network: BooleanNetwork,
-    mode: BooleanMode,
-    system: BooleanPSystem | None = None,
-    quasimode: Quasimode | None = None,
+    network: BooleanNetwork, mode: BooleanMode, encoding: ModeView | None = None
 ) -> EquivalenceReport:
     """Compare a network's labelled dynamics with its rewriting encoding.
 
@@ -236,17 +234,15 @@ def check_bn_simulation(
     label directly from the update formulas (introduce x where the update
     holds, erase x where it fails and x is present) and steps the network.
 
-    `system` and `quasimode` default to the canonical encoding; fault
-    injection tests pass mutated ones.
+    `encoding`, the derived mode under test, defaults to the canonical
+    encoding's mode; fault injection tests pass a mutated one.
     """
     if mode.table != network.table:
         raise UsageError("mode over a different variable table")
     check_enumerable(len(network.table), "network")
-    if system is None:
+    if encoding is None:
         system = bn_to_boolp(network)
-    if quasimode is None:
-        quasimode = bn_mode_to_quasimode(mode, system)
-    view = derive_mode(system, quasimode)
+        encoding = derive_mode(system, bn_mode_to_quasimode(mode, system))
     table = network.table
     index = _spelled_index(table.names)
     expected_pairs = _expected_moves(network.updates, mode, index)
@@ -255,8 +251,7 @@ def check_bn_simulation(
         return set(expected_pairs(configuration, configuration.bits))
 
     return _compare_moves(
-        system, view, table, expected_at, index,
-        "network encoding and network dynamics disagree",
+        encoding, table, expected_at, index, "network encoding and network dynamics disagree"
     )
 
 
@@ -278,7 +273,6 @@ def check_bcn_simulation(
     check_enumerable(len(bcn.table), "composite")
     if composite is None:
         composite = bcn_to_composite(bcn, mode)
-    system = composite.system
     u_names = bcn.u_table.names
     index = _spelled_index(bcn.x_table.names, u_names)
     n_x = len(bcn.x_table)
@@ -307,7 +301,7 @@ def check_bcn_simulation(
         return expected
 
     return _compare_moves(
-        system, composite.mode_view(), system.table, expected_at, index,
+        composite.mode_view(), composite.system.table, expected_at, index,
         "composed embedding and controlled dynamics disagree",
     )
 
@@ -363,8 +357,8 @@ def check_rs_embedding(rs: ReactionSystem) -> EquivalenceReport:
     function on every state (a halting state can only be the empty one, and
     there both sides stay empty)."""
     check_enumerable(len(rs.table), "reaction system")
-    system, mode = rs_to_boolp(rs)
-    apps = system.applicable_masks()
+    mode = rs_to_boolp(rs)
+    apps = mode.system.applicable_masks()
     for state in rs.table.subsets():
         expected = reaction_result(rs, state)
         moves = mode.resolved(apps[state.bits])

@@ -238,9 +238,10 @@ def degradation_rule_id(name: str) -> str:
     return f"deg_{name}"
 
 
-def rs_to_boolp(rs: ReactionSystem) -> tuple[BooleanPSystem, ModeView]:
+def rs_to_boolp(rs: ReactionSystem) -> ModeView:
     """Embed a reaction system: one introduce rule per reaction, one
-    always-enabled erase rule per species, run maximally parallel.
+    always-enabled erase rule per species, run maximally parallel.  The
+    result is that maximally parallel mode; its `system` holds the rules.
 
     One maximally parallel step from W then produces exactly the union of
     the products of the reactions enabled at W: everything not sustained by
@@ -265,8 +266,7 @@ def rs_to_boolp(rs: ReactionSystem) -> tuple[BooleanPSystem, ModeView]:
                 Formula.const(table, True),
             )
         )
-    system = BooleanPSystem(table, tuple(rules))
-    return system, maximally_parallel_mode(system)
+    return maximally_parallel_mode(BooleanPSystem(table, tuple(rules)))
 
 
 # --- reaction system text format ----------------------------------------------

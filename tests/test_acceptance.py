@@ -97,7 +97,7 @@ def test_criterion_2_cascade_golden(tmp_path):
         system, _ = parse_system_text((MODELS / "ex41.pi").read_text())
         view = maximally_parallel_mode(system)
         start = StateSet.of(system.table, ["a", "b"])
-        runs = evolve(system, view, start, 2)
+        runs = evolve(view, start, 2)
         assert len(runs) == 1
         only = runs[0]
         assert [s.set_text() for s in only.states] == ["{a, b}", "{a}", "{}"]

@@ -140,7 +140,7 @@ class TestDeriveMode:
         for state in cascade.table.subsets():
             assert view.at(state) == {frozenset()}
         for state in cascade.table.subsets():
-            assert successors(cascade, view, state) == ((frozenset(), state),)
+            assert successors(view, state) == ((frozenset(), state),)
 
 
 class TestMaxpar:
@@ -166,13 +166,13 @@ class TestMaxpar:
 class TestSuccessorsAndEvolve:
     def test_maxpar_successors(self, cascade):
         view = maximally_parallel_mode(cascade)
-        assert successors(cascade, view, conf(cascade, ["a", "b"])) == (
+        assert successors(view, conf(cascade, ["a", "b"])) == (
             (frozenset({"r1"}), conf(cascade, ["a"])),
         )
 
     def test_sequential_advising_filters_to_stutter(self, cascade):
         view = derive_mode(cascade, quasimode_seq(cascade))
-        got = set(successors(cascade, view, conf(cascade, ["a", "b"])))
+        got = set(successors(view, conf(cascade, ["a", "b"])))
         assert got == {
             (frozenset({"r1"}), conf(cascade, ["a"])),
             (frozenset(), conf(cascade, ["a", "b"])),
@@ -180,35 +180,35 @@ class TestSuccessorsAndEvolve:
 
     def test_halting_state_has_no_successors(self, cascade):
         view = maximally_parallel_mode(cascade)
-        assert successors(cascade, view, conf(cascade, [])) == ()
+        assert successors(view, conf(cascade, [])) == ()
 
     def test_cascade_evolution(self, cascade):
         view = maximally_parallel_mode(cascade)
-        runs = evolve(cascade, view, conf(cascade, ["a", "b"]), 2)
+        runs = evolve(view, conf(cascade, ["a", "b"]), 2)
         assert len(runs) == 1
         assert runs[0].text(style="set") == "{a, b} -> {a} -> {} [halting]"
         assert runs[0].halting
 
     def test_evolution_stops_at_halting_before_bound(self, cascade):
         view = maximally_parallel_mode(cascade)
-        runs = evolve(cascade, view, conf(cascade, ["a", "b"]), 10)
+        runs = evolve(view, conf(cascade, ["a", "b"]), 10)
         assert [s.set_text() for s in runs[0].states] == ["{a, b}", "{a}", "{}"]
 
     def test_start_already_halting(self, cascade):
         view = maximally_parallel_mode(cascade)
-        runs = evolve(cascade, view, conf(cascade, []), 4)
-        assert runs == (evolve(cascade, view, conf(cascade, []), 0))
+        runs = evolve(view, conf(cascade, []), 4)
+        assert runs == (evolve(view, conf(cascade, []), 0))
         assert runs[0].halting and len(runs[0]) == 1
 
     def test_zero_steps_reports_applicability(self, cascade):
         view = maximally_parallel_mode(cascade)
-        assert not evolve(cascade, view, conf(cascade, ["a"]), 0)[0].halting
-        assert evolve(cascade, view, conf(cascade, ["b"]), 0)[0].halting
+        assert not evolve(view, conf(cascade, ["a"]), 0)[0].halting
+        assert evolve(view, conf(cascade, ["b"]), 0)[0].halting
 
     def test_breadth_cap(self, cascade):
         view = derive_mode(cascade, quasimode_async(cascade))
         with pytest.raises(CapacityError) as err:
-            evolve(cascade, view, conf(cascade, ["a", "b"]), 12, breadth_cap=5)
+            evolve(view, conf(cascade, ["a", "b"]), 12, breadth_cap=5)
         assert "evolution breadth exceeded cap 5" in str(err.value)
 
 
@@ -283,12 +283,6 @@ class TestProductMode:
         combined = derive_mode(cascade, maxpar.dot(explicit_quasimode([set()])))
         for state in cascade.table.subsets():
             assert combined.at(state) == view.at(state)
-
-    def test_mismatched_systems_rejected(self, cascade):
-        # same table, other rules: the mode's masks would index the wrong rules
-        no_rules = BooleanPSystem(cascade.table, ())
-        with pytest.raises(UsageError):
-            successors(no_rules, maximally_parallel_mode(cascade), conf(cascade, ["a", "b"]))
 
     def test_derived_product_equals_product_of_derived(self):
         # one concrete instance of the composition property (the seeded
@@ -393,7 +387,7 @@ def test_successors_match_id_level_reference(system, quasimode, other):
     for configuration in system.table.subsets():
         applicable = frozenset(r.id for r in system.rules if r.applicable_to(configuration))
         for view, advised in views:
-            got = successors(system, view, configuration)
+            got = successors(view, configuration)
             assert len(got) == len(set(got))
             assert set(got) == reference_pairs(system, advised(applicable), configuration)
             assert view.at(configuration) == advised(applicable)
@@ -560,7 +554,7 @@ def test_evolve_order_golden():
     }
     start = conf(system, ["b"])
     for name, view in views.items():
-        runs = evolve(system, view, start, 2)
+        runs = evolve(view, start, 2)
         assert [run_text(t) for t in runs] == EVOLVE_GOLDEN[name], name
 
 

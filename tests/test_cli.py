@@ -104,6 +104,13 @@ class TestBnCommands:
         assert code == 0
         assert out.splitlines() == ["{00}", "{01, 10}"]
 
+    def test_attractors_json(self, capsys):
+        code, out, _ = run(
+            capsys, "bn", "attractors", MODELS / "ex31.bn", "--mode", "asyn", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == [["00"]]
+
 
 SORTED_IDS_PI = """alphabet a, b, c
 r2: {a} -> {b} | 1
@@ -181,6 +188,64 @@ class TestPiCommands:
         assert code == 0
         assert out.strip() == "{a, b} -> {a} -> {} [halting]"
 
+    def test_embedded_mode_reads_the_models_advise_lines(self, capsys, tmp_path):
+        model = tmp_path / "advised.pi"
+        model.write_text((MODELS / "ex41.pi").read_text() + "advise {r1}\nadvise {r2}\n")
+        code, out, _ = run(capsys, "pi", "transitions", model, "--mode", "embedded")
+        assert code == 0
+        assert out.splitlines() == [
+            "{} --{}--> {}",
+            "{b} --{}--> {b}",
+            "{a} --{r2}--> {}",
+            "{a} --{}--> {a}",
+            "{a, b} --{r1}--> {a}",
+            "{a, b} --{}--> {a, b}",
+        ]
+
+    def test_embedded_mode_without_a_quasimode_is_two(self, capsys):
+        code, out, err = run(capsys, "pi", "transitions", MODELS / "ex41.pi")
+        assert code == 2 and out == ""
+        assert "model file declares no quasimode" in err
+
+    def test_quasimode_file(self, capsys, tmp_path):
+        quasimode = tmp_path / "q.pi"
+        quasimode.write_text("alphabet a, b\nr1: {a, b} -> {a} | 1\nadvise {r1}\n")
+        code, out, _ = run(capsys, "pi", "transitions", MODELS / "ex41.pi", "--mode", quasimode)
+        assert code == 0
+        assert out.splitlines() == [
+            "{} --{}--> {}",
+            "{b} --{}--> {b}",
+            "{a} --{}--> {a}",
+            "{a, b} --{r1}--> {a}",
+        ]
+
+    def test_quasimode_file_without_a_quasimode_is_two(self, capsys, tmp_path):
+        quasimode = tmp_path / "q.pi"
+        quasimode.write_text("alphabet a, b\nr1: {a, b} -> {a} | 1\n")
+        code, out, err = run(capsys, "pi", "transitions", MODELS / "ex41.pi", "--mode", quasimode)
+        assert code == 2 and out == ""
+        assert f"quasimode file {quasimode} declares no quasimode" in err
+
+    @pytest.mark.parametrize("command", ["transitions", "trace"])
+    @pytest.mark.parametrize(
+        "lines, unknown",
+        [("advise {r9}", "['r9']"), ("advise {r1, r9}\nadvise {r8}", "['r8', 'r9']"),
+         ("quasimode async", "['r8', 'r9']")],
+        ids=["explicit", "two-elements", "named-async"],
+    )
+    def test_quasimode_file_advising_rules_the_model_lacks_is_two(
+        self, capsys, tmp_path, command, lines, unknown
+    ):
+        quasimode = tmp_path / "q.pi"
+        rules = "r1: {a, b} -> {a} | 1\nr9: {a} -> {} | 1\nr8: {b} -> {} | 1"
+        quasimode.write_text(f"alphabet a, b\n{rules}\n{lines}\n")
+        extra = ["--init", "{a, b}"] if command == "trace" else []
+        code, out, err = run(
+            capsys, "pi", command, MODELS / "ex41.pi", "--mode", quasimode, *extra
+        )
+        assert code == 2 and out == ""
+        assert f"quasimode file {quasimode} advises rules the model lacks: {unknown}" in err
+
 
 class TestTranslateAndCompose:
     def test_translate_bn_round_trips(self, capsys, tmp_path):
@@ -218,7 +283,7 @@ class TestTranslateAndCompose:
         assert code == 0
         system, quasimode = parse_system_text(out)
         rs = parse_reactions_text((MODELS / "rs_example.rs").read_text())
-        expected, _mode = rs_to_boolp(rs)
+        expected = rs_to_boolp(rs).system
         assert system == expected
         assert quasimode.name == "maxpar"
 
@@ -495,6 +560,9 @@ class TestCheckCommands:
         assert json.loads(out)["passed"] is True
 
 
+DELETED = object()  # a change that removes the field
+
+
 class TestExitCodes:
     def test_parse_error_is_three(self, capsys, tmp_path):
         bad = tmp_path / "bad.bn"
@@ -668,6 +736,7 @@ class TestExitCodes:
             ({"states": []}, "witness 0: a trajectory needs at least one state"),
             ({"policy": "banana"}, "policy must be uniform or per-start, not 'banana'"),
             ({"solvable": "no"}, '`solvable` must be true or false, not "no"'),
+            ({"solvable": DELETED}, "solution document has no `solvable` field"),
             ({"controls": []}, "witness 0: empty control sequence"),
             ({"boundaries": [1]}, "witness 0: 1 phases need 0 boundaries, got 1"),
             (
@@ -676,7 +745,8 @@ class TestExitCodes:
             ),
         ],
         ids=["short-state", "unknown-control", "no-states", "unknown-policy",
-             "solvable-not-a-boolean", "no-controls", "boundary-count", "negative-boundary"],
+             "solvable-not-a-boolean", "no-solvable", "no-controls", "boundary-count",
+             "negative-boundary"],
     )
     def test_malformed_witness_is_three(self, capsys, tmp_path, changes, message):
         # each is a change to the valid solution of models/ex32.cofase
@@ -684,10 +754,11 @@ class TestExitCodes:
             {"start": "01", "controls": [["u_y1"]], "states": ["01", "11"], "boundaries": []}
         ]}
         for field, value in changes.items():
-            if field in ("policy", "solvable"):
-                doc[field] = value
+            fields = doc if field in ("policy", "solvable") else doc["witnesses"][0]
+            if value is DELETED:
+                del fields[field]
             else:
-                doc["witnesses"][0][field] = value
+                fields[field] = value
         solution = tmp_path / "solution.json"
         solution.write_text(json.dumps(doc))
         code, out, err = run(

@@ -914,7 +914,7 @@ def heap_composite_solve(instance, max_steps, max_phases=None):
             if steps >= max_steps:
                 continue
             improving = {}
-            for fired, nxt in successors(system, view, config):
+            for fired, nxt in successors(view, config):
                 switched = composite.project_u(nxt) != composite.project_u(config)
                 cost = (switches + switched, steps + 1)
                 if max_phases is not None and cost[0] > max_phases - 1:

@@ -69,7 +69,7 @@ class TestBoolpTransitions:
         system, _ = parse_system_text(
             "alphabet a, b\nr1: {a, b} -> {a} | 1\nr2: {a} -> {} | !b\n"
         )
-        relation = boolp_transitions(system, maximally_parallel_mode(system))
+        relation = boolp_transitions(maximally_parallel_mode(system))
         t = system.table
         assert relation.edges == frozenset(
             {
@@ -80,27 +80,16 @@ class TestBoolpTransitions:
 
     def test_empty_system_has_no_edges(self):
         system = BooleanPSystem(VarTable.of("a"), ())
-        relation = boolp_transitions(system, maximally_parallel_mode(system))
+        relation = boolp_transitions(maximally_parallel_mode(system))
         assert relation.edges == frozenset()
 
     def test_encoded_toggle_under_derived_synchronous(self, toggle):
         system = bn_to_boolp(toggle)
         view = derive_mode(system, bn_mode_to_quasimode(BooleanMode.syn(toggle.table), system))
-        relation = boolp_transitions(system, view)
+        relation = boolp_transitions(view)
         pairs = {(src.digits(), dst.digits()) for src, _l, dst in relation.edges}
         assert pairs == {("00", "00"), ("01", "10"), ("10", "01"), ("11", "00")}
         assert len(relation.edges) == 4
-
-    def test_foreign_mode_raises_before_enumerating(self, monkeypatch):
-        system, _ = parse_system_text("alphabet a, b\nr1: {a, b} -> {a} | 1\n")
-        other, _ = parse_system_text("alphabet a, b\nr1: {a} -> {} | 1\n")
-
-        def enumerate_all(system):
-            raise AssertionError("applicable_masks called")
-
-        monkeypatch.setattr(BooleanPSystem, "applicable_masks", enumerate_all)
-        with pytest.raises(UsageError, match="mode over a different system"):
-            boolp_transitions(system, maximally_parallel_mode(other))
 
 
 class TestNetworkSimulation:
@@ -119,15 +108,15 @@ class TestNetworkSimulation:
             for r in system.rules
         )
         mutant = BooleanPSystem(system.table, rules)
-        report = check_bn_simulation(toggle, BooleanMode.syn(toggle.table), system=mutant)
+        view = derive_mode(
+            mutant, bn_mode_to_quasimode(BooleanMode.syn(toggle.table), mutant)
+        )
+        report = check_bn_simulation(toggle, BooleanMode.syn(toggle.table), encoding=view)
         assert not report
         ce = report.counterexample
         assert ce is not None
         # re-check the counterexample by hand at the reported state
-        view = derive_mode(
-            mutant, bn_mode_to_quasimode(BooleanMode.syn(toggle.table), mutant)
-        )
-        assert frozenset(successors(mutant, view, ce.state)) == ce.actual
+        assert frozenset(successors(view, ce.state)) == ce.actual
         assert ce.expected != ce.actual
 
     def test_dropped_quasimode_element_detected(self, toggle):
@@ -135,7 +124,7 @@ class TestNetworkSimulation:
         full = bn_mode_to_quasimode(BooleanMode.asyn(toggle.table), system)
         pruned = explicit_quasimode(list(full.family)[1:])
         report = check_bn_simulation(
-            toggle, BooleanMode.asyn(toggle.table), system=system, quasimode=pruned
+            toggle, BooleanMode.asyn(toggle.table), encoding=derive_mode(system, pruned)
         )
         assert not report
 
@@ -178,14 +167,14 @@ class TestStrictSemanticsComparison:
         empty = StateSet.empty(toggle.table)
         assert not [m for m in quasimode.elements() if m <= system.applicable_rules(empty)]
         derived = derive_mode(system, quasimode)
-        assert successors(system, derived, empty) == ((frozenset(), empty),)
+        assert successors(derived, empty) == ((frozenset(), empty),)
         strict_edges = frozenset(
             (state, element, apply_rule_set(state, map(system.rule, element)))
             for state in toggle.table.subsets()
             for element in quasimode.elements()
             if element <= system.applicable_rules(state)
         )
-        edges = boolp_transitions(system, derived).edges
+        edges = boolp_transitions(derived).edges
         assert (empty, frozenset(), empty) in edges
         assert strict_edges < edges
 
@@ -377,7 +366,7 @@ def _mode_views_equal(sys_a, qm_a, sys_b, qm_b):
     view_a = derive_mode(sys_a, qm_a)
     view_b = derive_mode(sys_b, qm_b)
     for state in sys_a.table.subsets():
-        if set(successors(sys_a, view_a, state)) != set(successors(sys_b, view_b, state)):
+        if set(successors(view_a, state)) != set(successors(view_b, state)):
             return False
     return True
 
@@ -427,9 +416,8 @@ class TestMutantDetection:
                 mutants.append((system, explicit_quasimode(family)))
 
             for mutant_system, mutant_quasimode in mutants:
-                report = check_bn_simulation(
-                    network, mode, system=mutant_system, quasimode=mutant_quasimode
-                )
+                view = derive_mode(mutant_system, mutant_quasimode)
+                report = check_bn_simulation(network, mode, encoding=view)
                 if report:
                     # claimed equivalent: confirm against the canonical encoding
                     assert _mode_views_equal(
@@ -442,8 +430,7 @@ class TestMutantDetection:
                     missed += 1
                     continue
                 # counterexamples must be independently re-checkable
-                view = derive_mode(mutant_system, mutant_quasimode)
-                assert frozenset(successors(mutant_system, view, ce.state)) == ce.actual
+                assert frozenset(successors(view, ce.state)) == ce.actual
         assert counted > 0
         assert missed == 0
 
@@ -569,7 +556,7 @@ def _bn_case(mode_name, mutate=None, swap=False):
         if mutate is not None:
             system, quasimode = mutate(system, quasimode)
         with _swapped_rule_mask() if swap else contextlib.nullcontext():
-            return check_bn_simulation(network, mode, system=system, quasimode=quasimode)
+            return check_bn_simulation(network, mode, encoding=derive_mode(system, quasimode))
 
     return run
 

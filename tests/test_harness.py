@@ -93,6 +93,23 @@ def test_no_function_takes_a_cap():
     assert taking == []
 
 
+def test_no_function_takes_a_mode_beside_its_system():
+    """A `ModeView` carries the system it was derived for; a function that
+    takes both could be handed a mode of another system.  The package uses
+    postponed annotations, so parameters are matched by annotation text."""
+
+    def annotated(function, name):
+        return [parameter for parameter in inspect.signature(function).parameters.values()
+                if re.search(rf"\b{name}\b", str(parameter.annotation))]
+
+    functions = dict(_package_functions())
+    assert annotated(functions["boolps.equivalence._compare_moves"], "ModeView")
+    assert annotated(functions["boolps.boolp.derive_mode"], "BooleanPSystem")
+    taking = [name for name, function in functions.items()
+              if annotated(function, "ModeView") and annotated(function, "BooleanPSystem")]
+    assert taking == []
+
+
 def test_only_limits_reads_the_environment():
     package = Path(boolps.__file__).resolve().parent
     reading = sorted(path.name for path in package.glob("*.py") if "os.environ" in path.read_text())

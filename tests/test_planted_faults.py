@@ -5,11 +5,12 @@ ends, and the same check then passes again.  A later change that weakens
 one of these checks fails here."""
 
 import dataclasses
+import json
 import os
 import random
 
 import pytest
-from test_cli import CAP_CASES, assert_cap_flag_and_env_agree
+from test_cli import CAP_CASES, MODELS, assert_cap_flag_and_env_agree, run
 from test_cofase import frozen, toggle  # noqa: F401  (fixtures)
 from test_cofase import (
     PROBLEM_CASES,
@@ -24,6 +25,7 @@ from test_cofase import (
 import boolps.bcn
 from boolps import boolp, cofase, limits
 from boolps.bcn import parse_bcn_text
+from boolps.cofase import parse_instance_text
 from boolps.errors import ValidationError
 from boolps.generators import random_cofase_instance
 
@@ -126,6 +128,19 @@ def test_a_phase_that_reaches_everything_raises_instead_of_a_witness(monkeypatch
     assert_same_as_eager(instance, 4)
 
 
+def test_a_phase_that_reaches_nothing_raises_a_validation_error(monkeypatch):
+    # the image still hits the target, so the backward walk finds no start
+    # of the phase that reaches it; both engines share `_build_solution`
+    instance = parse_instance_text((MODELS / "ex32.cofase").read_text())
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase._Phase, "reaches", lambda phase, source, target: False)
+        with pytest.raises(ValidationError, match="reachability bookkeeping broken"):
+            cofase.solve_cofase(instance, max_phases=1)
+        with pytest.raises(ValidationError, match="reachability bookkeeping broken"):
+            assert_same_as_eager(instance, 1)
+    assert_same_as_eager(instance, 1)
+
+
 def test_an_image_masked_to_64_bits_fails_the_eager_comparison(monkeypatch):
     # 128 states: the states above bit 63 drop out of every image, which
     # two phases already show
@@ -155,3 +170,71 @@ def test_a_checker_without_the_target_test_fails_the_problem_lines(monkeypatch):
         with pytest.raises(AssertionError):
             assert_problem_lines(*case)
     assert_problem_lines(*case)
+
+
+def _dot_dropping_the_second_erase(first, second):
+    out = {}
+    for mask, erase, add in first:
+        for mask2, _erase2, add2 in second:
+            out[mask | mask2] = (mask | mask2, erase, add | add2)
+    return list(out.values())
+
+
+def _dot_keeping_the_first_mask(first, second):
+    out = {}
+    for mask, erase, add in first:
+        for mask2, erase2, add2 in second:
+            out[mask | mask2] = (mask, erase | erase2, add | add2)
+    return list(out.values())
+
+
+def test_a_product_dropping_erase_bits_fails_the_controlled_check(capsys, monkeypatch):
+    # the controller's erase rules are the second factor of the composite's
+    # product: control symbols are never erased, so {u_x0} keeps u_x0
+    argv = ("check", "bcn-sim", MODELS / "ex32.bcn", "--mode", "syn")
+    with monkeypatch.context() as patch:
+        patch.setattr(boolp, "_dot", _dot_dropping_the_second_erase)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "FAIL: composed embedding and controlled dynamics disagree"
+        assert lines[1].startswith("at {u_x0}: expected {")
+        assert "{u_clr_u_x0} -> {}" in lines[1]
+        assert " but got {" in lines[1] and lines[1].endswith("{u_clr_u_x0} -> {u_x0}")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        counterexample = doc["counterexample"]
+        assert counterexample["state"] == "{u_x0}"
+        assert "{u_clr_u_x0} -> {}" in counterexample["expected"]
+        assert "{u_clr_u_x0} -> {u_x0}" in counterexample["actual"]
+    assert run(capsys, *argv)[0] == 0
+
+
+LEMMA_DETAIL = "derived product mode differs from product of derived modes"
+
+
+def test_a_product_keeping_the_first_mask_fails_the_lemma_suite(capsys, monkeypatch):
+    argv = ("check", "lemma-product", "--random", "20")
+    with monkeypatch.context() as patch:
+        patch.setattr(boolp, "_dot", _dot_keeping_the_first_mask)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        summary, *cases = out.splitlines()
+        assert summary.startswith("mode-product suite: ") and summary.endswith(" [FAIL]")
+        failed = 20 - int(summary.split(": ")[1].split("/")[0])
+        assert failed > 0
+        assert len(cases) == 2 * failed
+        assert cases[0].startswith("  case ")
+        assert cases[0].endswith(": " + LEMMA_DETAIL)
+        assert cases[1].startswith("    at {") and " but got " in cases[1]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["total"] == 20 and len(doc["failures"]) == failed
+        for failure in doc["failures"]:
+            assert failure["case"].startswith("case ") and failure["passed"] is False
+            assert failure["detail"] == LEMMA_DETAIL
+            assert {"state", "expected", "actual"} <= set(failure["counterexample"])
+    assert run(capsys, *argv)[0] == 0

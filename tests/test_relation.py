@@ -170,7 +170,7 @@ def test_boolp_transitions_stream_like_edge_set_at_larger_n():
     rng = random.Random(9)
     system = random_psystem(rng, random_table(rng, 8), max_rules=11)
     for view in (maximally_parallel_mode(system), derive_mode(system, quasimode_seq(system))):
-        relation = boolp_transitions(system, view)
+        relation = boolp_transitions(view)
         assert sum(map(len, relation.rows)) > 100
         assert_rows_are_canonical(relation)
         for style in STYLES:
@@ -218,16 +218,16 @@ def test_boolp_transitions_render_like_edge_set(seed, mode_name, style, label_ke
     edges = frozenset(
         (configuration, fired, result)
         for configuration in system.table.subsets()
-        for fired, result in successors(system, view, configuration)
+        for fired, result in successors(view, configuration)
     )
-    relation = boolp_transitions(system, view)
+    relation = boolp_transitions(view)
     assert_rows_are_canonical(relation)
     assert_renders_like_edges(relation, edges, style, label_key)
 
 
 def test_halting_configurations_have_empty_rows_and_no_node():
     system, _ = parse_system_text("alphabet a, b\nr1: {a} -> {b} | 1\n")
-    relation = boolp_transitions(system, maximally_parallel_mode(system))
+    relation = boolp_transitions(maximally_parallel_mode(system))
     # 00 and 01 halt; 01 is a destination, 00 is on no edge
     assert [bool(row) for row in relation.rows] == [False, True, False, True]
     assert relation.to_text() == "10 --{r1}--> 01\n11 --{r1}--> 01\n"
@@ -241,7 +241,7 @@ def test_rows_follow_label_text_and_digit_order():
         "alphabet a\n"
         + "".join(f"r{k}: {{}} -> {{a}} | 1\n" for k in range(1, 12))
     )
-    relation = boolp_transitions(system, derive_mode(system, quasimode_seq(system)))
+    relation = boolp_transitions(derive_mode(system, quasimode_seq(system)))
     texts = [label_text(label) for label in relation.labels]
     assert texts == sorted(texts) and texts[:3] == ["{r10}", "{r11}", "{r1}"]
     assert relation.rows == (tuple((i, 1) for i in range(11)),) * 2

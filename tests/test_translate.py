@@ -135,7 +135,7 @@ class TestComposite:
             config("11", []),
         ]
         for here, there in zip(walk, walk[1:]):
-            reached = {nxt for _fired, nxt in successors(composite.system, view, here)}
+            reached = {nxt for _fired, nxt in successors(view, here)}
             assert there in reached
 
     def test_projections(self, toggle):
@@ -230,7 +230,7 @@ class TestAbidingControl:
         pairs = [("u_x0", "u_x1"), ("u_y0", "u_y1")]
         for state in system.table.subsets():
             held = [p for p in pairs if p[0] in state or p[1] in state]
-            for _fired, nxt in successors(system, view, state):
+            for _fired, nxt in successors(view, state):
                 for off, on in held:
                     assert off in nxt or on in nxt
 
@@ -248,7 +248,7 @@ class TestRegimeDynamics:
         view = composite.mode_view()
         table = composite.system.table
         for config in table.subsets():
-            for _fired, nxt in successors(composite.system, view, config):
+            for _fired, nxt in successors(view, config):
                 assert len({"u_x0", "u_x1"} & set(nxt)) == 1
 
     def test_acs_never_releases_a_controlled_variable(self, one_var):
@@ -259,7 +259,7 @@ class TestRegimeDynamics:
         table = composite.system.table
         for config in table.subsets():
             controlled = bool({"u_x0", "u_x1"} & set(config))
-            for _fired, nxt in successors(composite.system, view, config):
+            for _fired, nxt in successors(view, config):
                 if controlled:
                     assert {"u_x0", "u_x1"} & set(nxt)
 
@@ -271,7 +271,7 @@ class TestRegimeDynamics:
         table = composite.system.table
         config = StateSet.of(table, ["u_x0"])
         released = {
-            nxt for _f, nxt in successors(composite.system, view, config)
+            nxt for _f, nxt in successors(view, config)
             if not {"u_x0", "u_x1"} & set(nxt)
         }
         assert released
@@ -392,22 +392,22 @@ class TestReactionEmbedding:
         return parse_reactions_text(text)
 
     def test_one_step_equals_result_function(self, loop):
-        system, view = rs_to_boolp(loop)
+        view = rs_to_boolp(loop)
         for state in loop.table.subsets():
-            steps = successors(system, view, state)
+            steps = successors(view, state)
             got = steps[0][1] if steps else state
             assert got == reaction_oracle(loop, state)
 
     def test_nothing_enabled_erases_everything(self, loop):
-        system, view = rs_to_boolp(loop)
+        view = rs_to_boolp(loop)
         state = StateSet.of(loop.table, ["a", "c"])  # a1 inhibited by c, a2 lacks b
         assert reaction_oracle(loop, state) == StateSet.empty(loop.table)
-        ((fired, nxt),) = successors(system, view, state)
+        ((fired, nxt),) = successors(view, state)
         assert nxt == StateSet.empty(loop.table)
         assert fired == {"deg_a", "deg_c"}
 
     def test_empty_state_halts_when_reactions_need_reactants(self, loop):
-        system, _view = rs_to_boolp(loop)
+        system = rs_to_boolp(loop).system
         assert system.is_halting(StateSet.empty(loop.table))
 
     def test_reactant_free_reaction_fires_at_empty_state(self):
@@ -422,10 +422,10 @@ class TestReactionEmbedding:
                 ),
             ),
         )
-        system, view = rs_to_boolp(rs)
+        view = rs_to_boolp(rs)
         state = StateSet.empty(rs.table)
-        assert not system.is_halting(state)
-        ((_, nxt),) = successors(system, view, state)
+        assert not view.system.is_halting(state)
+        ((_, nxt),) = successors(view, state)
         assert nxt == reaction_oracle(rs, state)
 
     def test_overlapping_reactant_inhibitor_rejected(self):
@@ -440,8 +440,8 @@ class TestReactionEmbedding:
         rng = random.Random(71)
         for _ in range(20):
             rs = random_reaction_system(rng, rng.randint(1, 4))
-            system, view = rs_to_boolp(rs)
+            view = rs_to_boolp(rs)
             for state in rs.table.subsets():
-                steps = successors(system, view, state)
+                steps = successors(view, state)
                 got = steps[0][1] if steps else state
                 assert got == reaction_oracle(rs, state)
