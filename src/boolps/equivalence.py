@@ -9,17 +9,15 @@ Failures carry a counterexample state together with both successor sets,
 so they can be re-checked by hand or replayed through the CLI trace
 command.
 
-The network and controlled-network checks compare masks.  The expected side
-spells the rule ids an encoding must have and indexes them in sorted order
-itself.  Its per-element plan (each member's update formula, position bit
-and two label bits) is built once per check from the update formulas and
-`_spelled_index`, never from the kernel; at each configuration it evaluates
-those formulas with `Formula.evaluate`, and its ``(label mask, next bits)``
-pairs are compared with the kernel's ``(fired mask, result bits)``.  Where
-the two sets differ, or where the system does not index exactly the spelled
-ids as the check does (both `rule_mask` and the label decoder `rule_set`),
-that configuration is compared again on rule ids, and only a difference
-there is reported.
+The network and controlled-network checks compare masks.  The expected
+side spells the rule ids an encoding must have and indexes them in sorted
+order itself (`_spelled_index`); its per-element plan is built once per
+check from the update formulas, never from the kernel, and evaluated with
+`Formula.evaluate` at each configuration.  Its ``(label mask, next bits)``
+pairs meet the kernel's ``(fired mask, result bits)``, derived once per
+configuration from `applicable_masks`: as ints where the system indexes
+exactly the spelled ids (`rule_mask` and `rule_set`), as id sets otherwise.
+`successors` runs only at a failing configuration, for the counterexample.
 """
 
 from __future__ import annotations
@@ -184,43 +182,44 @@ def _expected_moves(updates, mode: BooleanMode, index):
 def _compare_moves(view: ModeView, table, expected_at, index, detail):
     """Compare the moves of `view` at every configuration of `table` with
     `expected_at(configuration)`, a set of ``(label mask, next bits)`` under
-    `index`, as the module docstring says: as ints while the view's system
-    maps each spelled id to its bit in `index` and back, and at the id level
-    where the int sets differ or the indices do not agree.  `table` is the
-    checked model's; an encoding over another table is a usage error."""
+    `index`, as the module docstring says.  `table` is the checked model's;
+    an encoding over another table is a usage error, raised before the
+    applicability table is built."""
     system = view.system
     if table != system.table:
         raise UsageError("configuration over a different variable table")
     apps = system.applicable_masks()
-    ordered = list(index)
+    rule_set = system.rule_set
     trusted = system.rule_ids() == set(index) and all(
-        system.rule_mask((rule_id,)) == bit and system.rule_set(bit) == {rule_id}
+        system.rule_mask((rule_id,)) == bit and rule_set(bit) == {rule_id}
         for rule_id, bit in index.items()
     )
+
+    def spelled(mask):
+        return frozenset(rule_id for rule_id, bit in index.items() if mask & bit)
+
     for configuration in table.subsets():
+        bits = configuration.bits
+        moves = view.resolved(apps[bits])
         expected = expected_at(configuration)
         if trusted:
-            bits = configuration.bits
-            actual = {
-                (mask, bits & ~erase | add)
-                for mask, erase, add in view.resolved(apps[bits])
-            }
-            if actual == expected:
+            if {(mask, bits & ~erase | add) for mask, erase, add in moves} == expected:
                 continue
-        expected_ids = {
-            (frozenset(rule_id for i, rule_id in enumerate(ordered) if mask >> i & 1),
-             table.state(next_bits))
-            for mask, next_bits in expected
-        }
-        actual_ids = set(successors(view, configuration))
-        if expected_ids != actual_ids:
-            return EquivalenceReport(
-                passed=False,
-                detail=detail,
-                counterexample=Counterexample(
-                    configuration, frozenset(expected_ids), frozenset(actual_ids)
-                ),
+        elif {(rule_set(mask), bits & ~erase | add) for mask, erase, add in moves} == {
+            (spelled(mask), next_bits) for mask, next_bits in expected
+        }:
+            continue
+        expected_ids = frozenset(
+            (spelled(mask), table.state(next_bits)) for mask, next_bits in expected
+        )
+        actual = frozenset(successors(view, configuration))
+        if actual == expected_ids:  # only the table's derivation is wrong
+            detail += (
+                ": the exhaustive applicability table disagrees"
+                " with the per-configuration moves"
             )
+        counterexample = Counterexample(configuration, expected_ids, actual)
+        return EquivalenceReport(False, detail, counterexample)
     return EquivalenceReport(passed=True, detail="labelled transition relations coincide")
 
 
@@ -301,7 +300,7 @@ def check_bcn_simulation(
         return expected
 
     return _compare_moves(
-        composite.mode_view(), composite.system.table, expected_at, index,
+        composite.mode_view(), bcn.table, expected_at, index,
         "composed embedding and controlled dynamics disagree",
     )
 

@@ -363,20 +363,29 @@ def test_bn_transitions_checks_mode_and_cap_before_folding(toggle, monkeypatch):
         bn_transitions(toggle, BooleanMode.syn(toggle.table))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_components_flag_exactly_the_components_an_edge_leaves(seed):
-    rng = random.Random(seed)
-    n = rng.randint(0, 40)
-    rows = [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)]
+def assert_component_flags(rows):
+    """`boolps.bn._components` over the graph ``rows[v]`` (v's successors)
+    yields every node once, each component after every one its edges reach,
+    and flags exactly the components an edge leaves."""
+    n = len(rows)
     seen = []
-    for component, leaves in _components(rows.__getitem__, n):
+    for component, leaves in boolps.bn._components(rows.__getitem__, n):
         members = set(component)
         assert leaves == any(w not in members for v in component for w in rows[v])
         # every edge leaving the component reaches one yielded before it
         assert all(w in members or w in seen for v in component for w in rows[v])
         seen.extend(component)
     assert sorted(seen) == list(range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_components_flag_exactly_the_components_an_edge_leaves(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 40)
+    assert_component_flags(
+        [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)]
+    )
 
 
 def test_import_loads_only_the_standard_library():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolps import equivalence
-from boolps.bcn import BooleanControlNetwork, freeze_extend
+from boolps.bcn import BooleanControlNetwork, freeze_extend, parse_bcn_text
 from boolps.bn import BooleanMode, BooleanNetwork, named_mode
 from boolps.boolp import (
     BooleanPSystem,
@@ -154,6 +154,19 @@ class TestControlledSimulation:
         report = check_bcn_simulation(bcn, mode, composite=mutant)
         assert not report
         assert report.counterexample is not None
+
+    def test_composite_of_another_control_network_is_refused_first(self, monkeypatch):
+        # `freeze x` alone: the composite lacks ex32's u_y0 and u_y1
+        models = Path(__file__).resolve().parent.parent / "models"
+        bcn = parse_bcn_text((models / "ex32.bcn").read_text())
+        other = parse_bcn_text("var x, y\nfreeze x\nx' = !x & y\ny' = x & !y\n")
+        mode = BooleanMode.asyn(bcn.x_table)
+        composite = bcn_to_composite(other, mode)
+        monkeypatch.setattr(
+            BooleanPSystem, "applicable_masks", lambda system: pytest.fail("table built")
+        )
+        with pytest.raises(UsageError, match="over a different variable table"):
+            check_bcn_simulation(bcn, mode, composite=composite)
 
 
 class TestStrictSemanticsComparison:
@@ -609,6 +622,24 @@ VERDICT_GOLDENS = json.loads(
 @pytest.mark.parametrize("name", sorted(VERDICT_CASES))
 def test_verdict_golden(name):
     assert json.dumps(VERDICT_CASES[name]().to_json_dict()) == VERDICT_GOLDENS[name]
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CASES))
+def test_verdict_derives_moves_from_the_table_alone(name):
+    # the per-configuration `applicable_mask` runs only through `successors`,
+    # for a failing verdict's counterexample
+    original = BooleanPSystem.applicable_mask
+    calls = []
+
+    def counting(system, configuration):
+        calls.append(configuration)
+        return original(system, configuration)
+
+    with mock.patch.object(BooleanPSystem, "applicable_mask", counting):
+        report = VERDICT_CASES[name]()
+    assert len(calls) == (0 if report else 1)
+    if not report:
+        assert calls == [report.counterexample.state]
 
 
 def test_verdict_goldens_cover_every_case():

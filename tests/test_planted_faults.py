@@ -5,11 +5,13 @@ ends, and the same check then passes again.  A later change that weakens
 one of these checks fails here."""
 
 import dataclasses
+import inspect
 import json
 import os
 import random
 
 import pytest
+from test_bn import assert_component_flags
 from test_cli import CAP_CASES, MODELS, assert_cap_flag_and_env_agree, run
 from test_cofase import frozen, toggle  # noqa: F401  (fixtures)
 from test_cofase import (
@@ -23,10 +25,13 @@ from test_cofase import (
 )
 
 import boolps.bcn
+import boolps.bn
 from boolps import boolp, cofase, limits
 from boolps.bcn import parse_bcn_text
+from boolps.boolp import BooleanPSystem
 from boolps.cofase import parse_instance_text
 from boolps.errors import ValidationError
+from boolps.formula import fold_truth_table, truth_columns, truth_patterns
 from boolps.generators import random_cofase_instance
 
 
@@ -238,3 +243,72 @@ def test_a_product_keeping_the_first_mask_fails_the_lemma_suite(capsys, monkeypa
             assert failure["detail"] == LEMMA_DETAIL
             assert {"state", "expected", "actual"} <= set(failure["counterexample"])
     assert run(capsys, *argv)[0] == 0
+
+
+def _masks_ignoring_lhs(system):
+    n = len(system.table)
+    patterns = truth_patterns(n)
+    guards = [fold_truth_table(guard, patterns) for _bit, _lhs, guard in system._checks]
+    return truth_columns(guards, n)
+
+
+def _masks_without_the_lowest_rule(system, masks=BooleanPSystem.applicable_masks):
+    return [mask & ~1 for mask in masks(system)]
+
+
+TABLE_DISAGREES = (
+    ": the exhaustive applicability table disagrees with the per-configuration moves"
+)
+
+
+@pytest.mark.parametrize("fault", [_masks_ignoring_lhs, _masks_without_the_lowest_rule])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "bn-sim", MODELS / "ex31.bn", "--mode", "asyn"),
+        ("check", "bcn-sim", MODELS / "ex32.bcn", "--mode", "asyn"),
+    ],
+    ids=["bn-sim", "bcn-sim"],
+)
+def test_a_wrong_applicability_table_fails_the_simulation_check(capsys, monkeypatch, fault, argv):
+    # the per-configuration `applicable_mask` is right, so the counterexample
+    # `successors` gives shows the expected moves: only the detail says why
+    with monkeypatch.context() as patch:
+        patch.setattr(BooleanPSystem, "applicable_masks", fault)
+        code, out, _ = run(capsys, *argv)
+    assert code == 1
+    first, counterexample = out.splitlines()
+    assert first.startswith("FAIL: ") and first.endswith(TABLE_DISAGREES)
+    state, sides = counterexample.split(": expected ")
+    expected, actual = sides.split(" but got ")
+    assert state.startswith("at {") and expected == actual
+    assert run(capsys, *argv)[:2] == (0, "pass: labelled transition relations coincide\n")
+
+
+def _components_without(statement):
+    """`bn._components` with one statement of its source replaced by `pass`."""
+    source = inspect.getsource(boolps.bn._components)
+    assert source.count(statement) == 1
+    namespace = dict(vars(boolps.bn))
+    exec(source.replace(statement, "pass"), namespace)
+    return namespace["_components"]
+
+
+@pytest.mark.parametrize(
+    "statement, rows",
+    [
+        # 1 -> 0 after {0} closed: an edge to a visited node off the stack
+        ("leaves[v] = 1", [[], [0]]),
+        # {1, 2} leaves through 2 -> 0; only the root 1 reports the flag
+        ("leaves[parent] |= leaves[v]", [[], [2], [1, 0]]),
+        # 0 -> 1, where 1 closes its own component as 0's tree child
+        ("leaves[work[-1][0]] = 1", [[1], []]),
+    ],
+    ids=["edge-to-closed", "child-to-parent", "parent-to-closed-child"],
+)
+def test_a_dropped_leave_flag_fails_the_component_flags(monkeypatch, statement, rows):
+    with monkeypatch.context() as patch:
+        patch.setattr(boolps.bn, "_components", _components_without(statement))
+        with pytest.raises(AssertionError):
+            assert_component_flags(rows)
+    assert_component_flags(rows)
