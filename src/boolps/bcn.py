@@ -70,7 +70,7 @@ def apply_control(bcn: BooleanControlNetwork, control: StateSet) -> BooleanNetwo
     )
 
 
-def control_classes(bcn: BooleanControlNetwork, n: int) -> dict[StateSet, tuple[int, ...]]:
+def control_classes(bcn: BooleanControlNetwork) -> dict[StateSet, tuple[int, ...]]:
     """The classes of controls that select networks with equal truth tables,
     each as its first control in canonical order mapped to the per-update
     truth tables over the 2**n states of `x_table`, sorted by that control.
@@ -83,9 +83,11 @@ def control_classes(bcn: BooleanControlNetwork, n: int) -> dict[StateSet, tuple[
     of its updates' tables.  The classes are the product over the groups:
     digit order compares their disjoint positions independently, so the
     union of a class's first projections is its canonical minimum.
-    CapacityError, before a group or the product is built: a group has
-    more inputs than the cap, or there are more than 2**cap classes.
+    CapacityError: the state space is over the cap (checked first), a
+    group has more inputs than the cap (before it is built), or there are
+    more than 2**cap classes (before their product is built).
     """
+    n = check_enumerable(len(bcn.x_table), "state space")
     u_names = set(bcn.u_table.names)
     masks = [
         sum(1 << bcn.u_table.position(name) for name in formula.variables() & u_names)

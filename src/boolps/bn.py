@@ -132,17 +132,19 @@ def _truth_tables(network: BooleanNetwork, n: int) -> list[int]:
     return [fold_truth_table(update, patterns) for update in network.updates]
 
 
-def _moved(tables: list[int], union: int, n: int) -> list[int]:
-    """``moved[b]``: the bits a step under the group `union` changes at
-    each of the 2**n states b, from the updates' truth `tables` over them.
+def _moved(tables: list[int], groups: list[int]) -> list[int]:
+    """``moved[b]``: the bits a step under the union of `groups` changes at
+    each of the 2**n states b, from the n updates' truth `tables` over them.
 
-    For each variable x_i in `union`, D_i, the states where update i
+    For each variable x_i in a group, D_i, the states where update i
     disagrees with x_i, is table i XOR x_i's pattern; `truth_columns`
-    transposes the D_i state by state.  Group g (a subset of `union`) moves
-    b to ``b ^ (moved[b] & g)``: an update reads only the state.  The tables
+    transposes the D_i state by state.  Group g moves b to
+    ``b ^ (moved[b] & g)``: an update reads only the state.  The tables
     are a network's (`bn_transitions`, `attractors`) or a control class's
-    (`cofase.solve_cofase`); `bn_step` stays the per-state reference stepper.
+    (`cofase._Phase`); `bn_step` stays the per-state reference stepper.
     """
+    n = len(tables)
+    union = functools.reduce(operator.or_, groups, 0)
     return truth_columns(
         [
             table ^ pattern if union >> i & 1 else 0
@@ -164,7 +166,7 @@ def bn_transitions(network: BooleanNetwork, mode: BooleanMode) -> TransitionRela
     n = check_enumerable(len(network.table), "network")
     elements = sorted(mode.elements, key=label_text)
     groups = [element.bits for element in elements]
-    moved = _moved(_truth_tables(network, n), functools.reduce(operator.or_, groups, 0), n)
+    moved = _moved(_truth_tables(network, n), groups)
     return TransitionRelation._canonical(
         network.table,
         elements,
@@ -309,7 +311,7 @@ def attractors(network: BooleanNetwork, mode: BooleanMode):
     table = network.table
     n = check_enumerable(len(table), "network")
     groups = [element.bits for element in mode.elements]
-    moved = _moved(_truth_tables(network, n), functools.reduce(operator.or_, groups, 0), n)
+    moved = _moved(_truth_tables(network, n), groups)
 
     def successors(bits):
         change = moved[bits]

@@ -538,7 +538,7 @@ _RULE_LINE_RE = re.compile(
 def parse_system_text(text: str, source=None):
     """Parse a system file; returns ``(system, quasimode or None)``."""
     lines = _Lines(text, names=("alphabet",), values=("quasimode",), source=source)
-    rule_lines = []
+    rule_lines = {}  # rule id -> (lhs, rhs, guard), line number
     advised = []
     for line, lineno in lines.rest:
         if line.startswith("advise "):
@@ -548,23 +548,24 @@ def parse_system_text(text: str, source=None):
         if m is None:
             raise lines.unreadable(lineno)
         guard = (m.group("guard") or "").strip() or "1"  # a missing or blank guard reads 1
-        rule_lines.append(((m.group("id"), m.group("lhs"), m.group("rhs"), guard), lineno))
+        rule_id, parts = m.group("id"), (m.group("lhs"), m.group("rhs"), guard)
+        lines.once(rule_lines, rule_id, parts, lineno, f"rule id {rule_id!r}")
     if not lines.names["alphabet"]:
         raise lines.error("no `alphabet` declaration found")
     with lines.at():
         table = VarTable(lines.names["alphabet"])
     rules = []
-    for (rule_id, lhs, rhs, guard), lineno in rule_lines:
+    for rule_id, ((lhs, rhs, guard), lineno) in rule_lines.items():
         with lines.at(lineno):
             parts = parse_state(table, lhs), parse_state(table, rhs), parse_formula(guard, table)
         rules.append(Rule(rule_id, *parts))
     with lines.at():
         system = BooleanPSystem(table, tuple(rules))
     quasimode = None
-    quasimode_name = lines.values.get("quasimode", (None,))[0]
+    quasimode_name, quasimode_line = lines.values.get("quasimode", (None, None))
     if advised:
         if quasimode_name is not None:
-            raise lines.error("both a named quasimode and advise lines given")
+            raise lines.error("both a named quasimode and advise lines given", quasimode_line)
         family = []
         for inner, lineno in advised:
             if not (inner.startswith("{") and inner.endswith("}")):
@@ -576,7 +577,7 @@ def parse_system_text(text: str, source=None):
         with lines.at():
             quasimode.validate(system)
     elif quasimode_name is not None:
-        with lines.at():
+        with lines.at(quasimode_line):
             quasimode = named_quasimode(quasimode_name, system)
     return system, quasimode
 

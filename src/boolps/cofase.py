@@ -27,7 +27,6 @@ import heapq
 import itertools
 import json
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .bcn import (
@@ -183,19 +182,24 @@ def _phase_reach(rows, min_steps: int) -> list:
 
 @dataclass(eq=False)
 class _Phase:
-    """One control class's phase: `fold()` gives its reach (per state bits,
-    the int of states reachable within the phase), and the class's first
-    control selects the network its witnesses step.  Each is built on
-    first use and kept for the solve."""
+    """One control class's phase: the class's first control selects the
+    network its witnesses step, and its per-update truth `tables` give the
+    reach (per state bits, the int of states reachable within the phase),
+    which only `image` reads.  Both are built on first use and kept for
+    the solve."""
 
     instance: CoFaSeInstance
     control: StateSet
+    tables: tuple[int, ...]
     min_steps: int
-    fold: Callable[[], list]
 
     @functools.cached_property
     def reach(self) -> list:
-        return self.fold()
+        """Folded from the tables' one-step rows, which are dropped once it is built."""
+        groups = [element.bits for element in self.instance.mode.sorted_elements()]
+        rows = [tuple(bits ^ (change & g) for g in groups)
+                for bits, change in enumerate(_moved(self.tables, groups))]
+        return _phase_reach(rows, self.min_steps)
 
     @functools.cached_property
     def network(self):
@@ -213,7 +217,7 @@ class _Phase:
         return out
 
     def reaches(self, source: int, target: int) -> bool:
-        return bool(self.reach[source] >> target & 1)
+        return bool(self.image(1 << source) >> target & 1)
 
     def path(self, source: int, target: int) -> Trajectory:
         """Shortest labelled run from source to target bits inside the phase.
@@ -279,23 +283,10 @@ def solve_cofase(
         raise UsageError(f"unknown policy {policy!r}")
     if min_steps_per_phase not in (0, 1):
         raise UsageError("min_steps_per_phase must be 0 or 1")
-    n = check_enumerable(len(instance.bcn.x_table), "state space")
-    groups = [element.bits for element in instance.mode.sorted_elements()]
-    union = functools.reduce(operator.or_, groups, 0)
-
-    def fold(tables):
-        """The phase reach of a class; its one-step rows come from the
-        class's truth tables and are dropped once the reach is built."""
-        rows = [
-            tuple(bits ^ (change & g) for g in groups)
-            for bits, change in enumerate(_moved(tables, union, n))
-        ]
-        return _phase_reach(rows, min_steps_per_phase)
-
     # controls selecting equal truth tables have one image; the class's first
     # control in canonical order stands for it, so the search is unchanged
-    phases = [_Phase(instance, control, min_steps_per_phase, functools.partial(fold, tables))
-              for control, tables in control_classes(instance.bcn, n).items()]
+    phases = [_Phase(instance, control, tables, min_steps_per_phase)
+              for control, tables in control_classes(instance.bcn).items()]
 
     if policy == "per-start":
         witnesses = []
@@ -472,12 +463,11 @@ def solve_cofase_via_composite(
         counter = 0
         heap = []
         for control in controls:
-            config = composite.initial_config(start, control).bits
-            if config not in best:
-                best[config] = (0, 0)
-                parents[config] = None
-                heapq.heappush(heap, (0, 0, counter, config))
-                counter += 1
+            config = composite.initial_config(start, control).bits  # one per control
+            best[config] = (0, 0)
+            parents[config] = None
+            heapq.heappush(heap, (0, 0, counter, config))
+            counter += 1
         while heap:
             switches, steps, _tick, config = heapq.heappop(heap)
             if best.get(config, (-1, -1)) != (switches, steps):

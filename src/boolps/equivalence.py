@@ -16,7 +16,8 @@ check from the update formulas, never from the kernel, and evaluated with
 `Formula.evaluate` at each configuration.  Its ``(label mask, next bits)``
 pairs meet the kernel's ``(fired mask, result bits)``, derived once per
 configuration from `applicable_masks`: as ints where the system indexes
-exactly the spelled ids (`rule_mask` and `rule_set`), as id sets otherwise.
+exactly the spelled ids (`rule_mask` and `rule_set`, which must also decode
+their union to every spelled id), as id sets otherwise.
 `successors` runs only at a failing configuration, for the counterexample.
 """
 
@@ -190,7 +191,7 @@ def _compare_moves(view: ModeView, table, expected_at, index, detail):
         raise UsageError("configuration over a different variable table")
     apps = system.applicable_masks()
     rule_set = system.rule_set
-    trusted = system.rule_ids() == set(index) and all(
+    trusted = system.rule_ids() == set(index) == rule_set(sum(index.values())) and all(
         system.rule_mask((rule_id,)) == bit and rule_set(bit) == {rule_id}
         for rule_id, bit in index.items()
     )

@@ -283,23 +283,23 @@ _REACTION_RE = re.compile(
 
 def parse_reactions_text(text: str, source=None) -> ReactionSystem:
     lines = _Lines(text, names=("species",), source=source)
-    reactions = []
+    reactions = {}  # reaction id -> its three name lists, line number
     for line, lineno in lines.rest:
         m = _REACTION_RE.match(line)
         if m is None:
             raise lines.unreadable(lineno)
         parts = [_split_names(m.group(group)[1:-1]) for group in ("r", "i", "p")]
-        reactions.append((m.group("id"), parts, lineno))
+        lines.once(reactions, m.group("id"), parts, lineno, f"reaction id {m.group('id')!r}")
     species = lines.names["species"]
     if not species:
-        mentioned = (name for _id, parts, _ in reactions for names in parts for name in names)
+        mentioned = (name for parts, _ in reactions.values() for names in parts for name in names)
         species = list(dict.fromkeys(mentioned))
     if not species:
         raise lines.error("no species declared or mentioned")
     with lines.at():
         table = VarTable(species)
     built = []
-    for reaction_id, parts, lineno in reactions:
+    for reaction_id, (parts, lineno) in reactions.items():
         with lines.at(lineno):
             built.append(Reaction(reaction_id, *(StateSet.of(table, p) for p in parts)))
     with lines.at():

@@ -631,6 +631,49 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "rule clr_x:" in err and f"deeper than {MAX_NESTING}" in err
 
+    @pytest.mark.parametrize(
+        "command, suffix, text, message",
+        [
+            ("pi transitions", ".pi", "alphabet a\nr1: {a} -> {}\nquasimode maxpar\nadvise {r1}\n",
+             "line 3: both a named quasimode and advise lines given"),
+            ("pi transitions", ".pi", "alphabet a\nr1: {a} -> {}\nquasimode wild\n",
+             "line 3: unknown quasimode name 'wild' (expected maxpar, seq or async)"),
+            ("pi transitions", ".pi", "alphabet a\nr1: {a} -> {}\nr1: {} -> {a}\n",
+             "line 3: duplicate rule id 'r1' on lines 2 and 3"),
+            ("pi transitions", ".pi", "alphabet a\nr1: {a} -> {}\nadvise r1\n",
+             "line 3: advise needs a rule set literal, got 'r1'"),
+            ("translate rs", ".rs",
+             "species a\nx: reactants {a} inhibitors {} products {}\n"
+             "x: reactants {} inhibitors {a} products {a}\n",
+             "line 3: duplicate reaction id 'x' on lines 2 and 3"),
+        ],
+        ids=["quasimode-and-advise", "unknown-quasimode", "duplicate-rule-id",
+             "advise-without-braces", "duplicate-reaction-id"],
+    )
+    def test_model_error_names_its_line(self, capsys, tmp_path, command, suffix, text, message):
+        model = tmp_path / f"bad{suffix}"
+        model.write_text(text)
+        code, out, err = run(capsys, *command.split(), model)
+        assert (code, out, err) == (3, "", f"parse error: {model}:{message}\n")
+
+    def test_init_digits_of_another_width_are_three(self, capsys):
+        code, out, err = run(capsys, "bn", "trace", MODELS / "ex31.bn", "--init", "010")
+        assert (code, out) == (3, "")
+        assert err == "parse error: digit state '010' does not match table of 2 variables\n"
+
+    def test_witness_not_an_object_is_three(self, capsys, tmp_path):
+        solution = tmp_path / "solution.json"
+        solution.write_text('{"solvable": true, "witnesses": [["01", "11"]]}')
+        code, out, err = run(
+            capsys, "cofase", "verify", MODELS / "ex32.cofase", "--solution", solution
+        )
+        assert (code, out) == (3, "")
+        assert err == f"parse error: {solution}: witness 0 is not a JSON object\n"
+
+    @pytest.mark.parametrize("check", ["bn-sim", "rs-embed"])
+    def test_check_without_model_or_random_is_two(self, capsys, check):
+        assert run(capsys, "check", check) == (2, "", "error: pass a model file or --random N\n")
+
     def test_usage_error_is_two(self, capsys):
         code, _, err = run(
             capsys, "bn", "transitions", MODELS / "ex31.bn", "--mode", "sideways"

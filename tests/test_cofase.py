@@ -434,7 +434,7 @@ def _oracle_control_classes(bcn, controls):
 def assert_classes_match(bcn):
     """`control_classes` gives the oracle's classes, tables and order over
     every control."""
-    got = control_classes(bcn, len(bcn.x_table))
+    got = control_classes(bcn)
     expected = _oracle_control_classes(bcn, enumerate_controls(bcn.u_table))
     assert list(got.items()) == list(expected.items())
 
@@ -461,7 +461,7 @@ def test_overlap_chains_into_one_group():
     # would give 2 * 2 * 2 classes, pairing tables no one control selects
     bcn = chained_overlap_network()
     assert_classes_match(bcn)
-    assert len(control_classes(bcn, 3)) == 4
+    assert len(control_classes(bcn)) == 4
 
 
 def counted_folds(monkeypatch):
@@ -483,7 +483,7 @@ def test_selected_networks_apply_each_control_projection_once(n, monkeypatch):
     rng = random.Random(n)
     bcn = freeze_extend(random_network(rng, random_table(rng, n)))
     folds = counted_folds(monkeypatch)
-    classes = control_classes(bcn, n)
+    classes = control_classes(bcn)
     inputs = set(bcn.u_table.names)
     assert len(folds) == sum(1 << len(u.variables() & inputs) for u in bcn.updates) <= 4 * n
     for i in range(n):
@@ -494,10 +494,20 @@ def test_selected_networks_apply_each_control_projection_once(n, monkeypatch):
 def test_a_group_over_the_cap_raises_before_folding(monkeypatch):
     # one update reads all 6 inputs: a group of 6 inputs, though 2 classes
     bcn = parse_bcn_text("var x\ncontrol a, b, c, d, e, f\nx' = a | b | c | d | e | f\n")
-    assert len(control_classes(bcn, 1)) == 2
+    assert len(control_classes(bcn)) == 2
     folds = counted_folds(monkeypatch)
     with capped(5), pytest.raises(CapacityError, match="control group has 6 variables"):
-        control_classes(bcn, 1)
+        control_classes(bcn)
+    assert folds == []
+
+
+def test_classes_check_the_state_space_before_folding(monkeypatch):
+    # ex32's two freeze pairs give 3 * 3 classes over its 2 variables
+    bcn = parse_bcn_text((MODELS / "ex32.bcn").read_text())
+    assert len(control_classes(bcn)) == 9
+    folds = counted_folds(monkeypatch)
+    with capped(1), pytest.raises(CapacityError, match="state space has 2 variables"):
+        control_classes(bcn)
     assert folds == []
 
 
@@ -508,7 +518,7 @@ def test_equivalent_folds_are_one_class():
         "var x, y\ncontrol a\nx' = a & (x | y) | !a & (y | x)\ny' = y\n"
         "start {y}\ntarget {x, y}\nmode asyn\n"
     )
-    classes = control_classes(instance.bcn, 2)
+    classes = control_classes(instance.bcn)
     assert list(classes) == [control(instance.bcn, [])]
     assert all(assert_same_as_eager(instance, 2))
 
@@ -551,8 +561,9 @@ def eager_solve(instance, max_phases, policy, min_steps, built):
                         frozenset().union(*(reach[s] for s in comp)) for comp in node
                     )
                     if all(comp & targets for comp in image):
-                        phases = [_Phase(sub, mu, min_steps, lambda mu=mu: maps[mu])
-                                  for mu in sequence + (mu,)]
+                        phases = [_Phase(sub, mu, (), min_steps) for mu in sequence + (mu,)]
+                        for phase in phases:
+                            phase.reach = maps[phase.control]
                         solution = _build_solution(sub, phases)
                         return solution, len(visited)
                     if image not in visited:
@@ -724,25 +735,28 @@ def test_freeze_all_over_the_cap_solves_as_uncapped():
     )
     uncapped = solution_to_json(solve_cofase(instance, 3))
     with capped(5):
-        assert len(control_classes(instance.bcn, 3)) == 27
+        assert len(control_classes(instance.bcn)) == 27
         assert solution_to_json(solve_cofase(instance, 3)) == uncapped
     assert '"solvable": true' in uncapped
 
 
-def test_a_planted_table_fault_raises_instead_of_a_witness(monkeypatch):
-    # x' = x never moves x, so no phase leads from 00 to 10; the witness
-    # steps with `bn_step`, so a table that claims x' = 1 at 00 shows
-    instance = parse_instance_text(
-        "var x, y\nfreeze y\nx' = x\ny' = y\nstart {}\ntarget {x}\nmode asyn\n"
-    )
-    assert not solve_cofase(instance, 3)
+# x' = x never moves x, so no phase leads from 00 to 10
+TABLE_FAULT_INSTANCE = "var x, y\nfreeze y\nx' = x\ny' = y\nstart {}\ntarget {x}\nmode asyn\n"
+
+
+def plant_table_fault(patch, instance):
+    """Make `cofase._moved` read x's update as the constant 1."""
     fold = cofase._moved
+    x = instance.bcn.x_table.position("x")
+    patch.setattr(cofase, "_moved", lambda tables, groups: fold(
+        [table | (i == x) for i, table in enumerate(tables)], groups))
 
-    def planted(tables, union, n):
-        x = instance.bcn.x_table.position("x")
-        return fold([table | (i == x) for i, table in enumerate(tables)], union, n)
 
-    monkeypatch.setattr(cofase, "_moved", planted)
+def test_a_planted_table_fault_raises_instead_of_a_witness(monkeypatch):
+    # the witness steps with `bn_step`, so a table that claims x' = 1 at 00 shows
+    instance = parse_instance_text(TABLE_FAULT_INSTANCE)
+    assert not solve_cofase(instance, 3)
+    plant_table_fault(monkeypatch, instance)
     for policy in ("uniform", "per-start"):
         with pytest.raises(ValidationError, match="no path inside a phase"):
             solve_cofase(instance, 3, policy)

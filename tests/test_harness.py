@@ -1,6 +1,7 @@
 """The benchmark's tracer (bench/tracer.py) patches package functions by name;
 renaming one must fail here, not only in the benchmark's own tests."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -114,3 +115,21 @@ def test_only_limits_reads_the_environment():
     package = Path(boolps.__file__).resolve().parent
     reading = sorted(path.name for path in package.glob("*.py") if "os.environ" in path.read_text())
     assert reading == ["limits.py"]
+
+
+def test_only_image_reads_a_phase_reach():
+    """A phase's `reach` is read in `cofase` by `_Phase.image` alone, so a
+    whole-set image from the class's tables can replace that one body."""
+    readers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Attribute) and child.attr == "reach":
+                readers.append(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(inspect.getsource(cofase)), ())
+    assert readers == ["_Phase.image"]

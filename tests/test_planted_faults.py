@@ -5,10 +5,12 @@ ends, and the same check then passes again.  A later change that weakens
 one of these checks fails here."""
 
 import dataclasses
+import functools
 import inspect
 import json
 import os
 import random
+import textwrap
 
 import pytest
 from test_bn import assert_component_flags
@@ -16,21 +18,25 @@ from test_cli import CAP_CASES, MODELS, assert_cap_flag_and_env_agree, run
 from test_cofase import frozen, toggle  # noqa: F401  (fixtures)
 from test_cofase import (
     PROBLEM_CASES,
+    TABLE_FAULT_INSTANCE,
     assert_classes_match,
     assert_problem_lines,
     assert_same_as_eager,
     chained_overlap_network,
     golden_instance,
+    plant_table_fault,
     wide_instance,
 )
+from test_relation import assert_rows_are_canonical
 
 import boolps.bcn
 import boolps.bn
 from boolps import boolp, cofase, limits
 from boolps.bcn import parse_bcn_text
+from boolps.bn import BooleanMode, parse_bn_text
 from boolps.boolp import BooleanPSystem
 from boolps.cofase import parse_instance_text
-from boolps.errors import ValidationError
+from boolps.errors import UsageError, ValidationError
 from boolps.formula import fold_truth_table, truth_columns, truth_patterns
 from boolps.generators import random_cofase_instance
 
@@ -40,9 +46,9 @@ def test_a_class_key_reading_only_update_0_fails_the_eager_comparison(frozen, mo
     # the control the golden instance needs
     classes = boolps.bcn.control_classes
 
-    def first_update_only(bcn, n):
+    def first_update_only(bcn):
         merged = {}
-        for control, tables in classes(bcn, n).items():
+        for control, tables in classes(bcn).items():
             merged.setdefault(tables[0], (control, tables))
         return dict(merged.values())
 
@@ -285,13 +291,47 @@ def test_a_wrong_applicability_table_fails_the_simulation_check(capsys, monkeypa
     assert run(capsys, *argv)[:2] == (0, "pass: labelled transition relations coincide\n")
 
 
-def _components_without(statement):
-    """`bn._components` with one statement of its source replaced by `pass`."""
-    source = inspect.getsource(boolps.bn._components)
-    assert source.count(statement) == 1
-    namespace = dict(vars(boolps.bn))
-    exec(source.replace(statement, "pass"), namespace)
-    return namespace["_components"]
+def _ids_keeping_the_lowest(system, mask, rule_set=BooleanPSystem.rule_set):
+    return rule_set(system, mask & -mask)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "bn-sim", MODELS / "ex31.bn", "--mode", "syn"),
+        ("check", "bcn-sim", MODELS / "ex32.bcn", "--mode", "syn"),
+        ("check", "bcn-sim", MODELS / "ex32.bcn", "--mode", "asyn"),
+    ],
+    ids=["bn-sim-syn", "bcn-sim-syn", "bcn-sim-asyn"],
+)
+def test_a_decoder_keeping_one_id_fails_the_simulation_check(capsys, monkeypatch, argv):
+    # `pi transitions` and `successors` label moves through `rule_set`; this
+    # decoder reads one-rule masks right, so it shows only on moves firing
+    # several rules (not under bn-sim asyn, where each move fires one)
+    with monkeypatch.context() as patch:
+        patch.setattr(BooleanPSystem, "rule_set", _ids_keeping_the_lowest)
+        code, out, _ = run(capsys, *argv)
+    assert code == 1
+    first, counterexample = out.splitlines()
+    assert first.startswith("FAIL: ") and not first.endswith(TABLE_DISAGREES)
+    expected, actual = counterexample.split(": expected ")[1].split(" but got ")
+    assert expected != actual
+    assert run(capsys, *argv)[:2] == (0, "pass: labelled transition relations coincide\n")
+
+
+def _mutant(owner, name, old, new="pass"):
+    """`owner.name`, a function, method or cached property, recompiled from
+    its source with `old`, which occurs once there, replaced by `new`.  Its
+    globals are a copy of its module's, taken now."""
+    member = inspect.getattr_static(owner, name)
+    source = textwrap.dedent(inspect.getsource(getattr(member, "func", member)))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(owner)))
+    exec(source.replace(old, new), namespace)
+    mutant = namespace[name]
+    if isinstance(mutant, functools.cached_property):
+        mutant.__set_name__(owner, name)
+    return mutant
 
 
 @pytest.mark.parametrize(
@@ -308,7 +348,51 @@ def _components_without(statement):
 )
 def test_a_dropped_leave_flag_fails_the_component_flags(monkeypatch, statement, rows):
     with monkeypatch.context() as patch:
-        patch.setattr(boolps.bn, "_components", _components_without(statement))
+        patch.setattr(boolps.bn, "_components", _mutant(boolps.bn, "_components", statement))
         with pytest.raises(AssertionError):
             assert_component_flags(rows)
     assert_component_flags(rows)
+
+
+def test_phase_rows_moving_every_changed_bit_fail_the_eager_comparison(monkeypatch):
+    # under asyn a group moves one bit; at 01 both x and y change, so the
+    # faulty row goes to 10 under both groups, where the true ones go to 11 and 00
+    text = (MODELS / "ex32.cofase").read_text().replace("mode syn", "mode asyn")
+    instance = parse_instance_text(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase._Phase, "reach",
+                      _mutant(cofase._Phase, "reach", "bits ^ (change & g)", "bits ^ change"))
+        with pytest.raises(AssertionError):
+            assert_same_as_eager(instance, 1)
+    assert_same_as_eager(instance, 1)
+
+
+def test_labels_in_digit_order_fail_the_canonical_rows(monkeypatch):
+    # ex31's asyn labels: {x} comes before {y} by text, {y} (01) before {x} (10) by digits
+    network = parse_bn_text((MODELS / "ex31.bn").read_text())
+    mode = BooleanMode.asyn(network.table)
+    with monkeypatch.context() as patch:
+        patch.setattr(boolps.bn, "bn_transitions", _mutant(
+            boolps.bn, "bn_transitions", "sorted(mode.elements, key=label_text)",
+            "mode.sorted_elements()"))
+        with pytest.raises(UsageError, match="sorted by their text"):
+            assert_rows_are_canonical(boolps.bn.bn_transitions(network, mode))
+    assert_rows_are_canonical(boolps.bn.bn_transitions(network, mode))
+
+
+def test_a_witness_stepping_the_tables_fails_the_solution_check(monkeypatch):
+    # `path` steps with `bn_step`, so a table fault alone raises (test_cofase);
+    # stepping the faulty tables instead gives a witness that only the
+    # replay of `check_solution` refutes
+    instance = parse_instance_text(TABLE_FAULT_INSTANCE)
+    with monkeypatch.context() as patch:
+        plant_table_fault(patch, instance)  # first: the mutant's globals copy it
+        patch.setattr(cofase._Phase, "path", _mutant(
+            cofase._Phase, "path", "bits ^ bn_step(self.network, table.state(bits), union).bits",
+            "_moved(self.tables, groups)[bits]"))
+        solution = cofase.solve_cofase(instance, 3)
+        assert solution
+        assert cofase.check_solution(instance, solution) == [
+            "start 00: step 0: 00 -> 10 is not a move of the network under control {}"
+        ]
+    assert not cofase.solve_cofase(instance, 3)
