@@ -18,7 +18,11 @@ smallest id is bit ``1 << i``.  Modes produce ``(fired mask, erase bits,
 add bits)`` triples, so a result is ``bits & ~erase | add``; rule ids
 appear only where a label leaves `successors`.  Because indices follow
 sorted ids, ordering fired sets by their index tuples orders them by
-their sorted ids.  The id-level `Quasimode.advised`, `dotted_product`,
+their sorted ids.  A product quasimode resolves its factors, nested
+products spliced in, and combines their values with `_dot`, which keeps
+one triple per distinct mask; masks can collide only where factors share
+rules, so factors over disjoint rules pay only for the pairs they list.
+The id-level `Quasimode.advised`, `dotted_product`,
 `Rule.applicable_to` and `apply_rule_set` are kept as the reference the
 mask path is checked against.
 
@@ -234,7 +238,24 @@ def dotted_product(a: Iterable[frozenset], b: Iterable[frozenset]) -> frozenset:
 
 def _dot(first, second) -> list:
     """Dotted product of two mode values given as ``(mask, erase, add)``
-    triples: the pairwise unions, one triple per distinct mask."""
+    triples with distinct masks: the pairwise unions, one triple per
+    distinct mask, in the order of their first pair.
+
+    Two unions can collide only when the sides share a rule.  Sides over
+    disjoint rules, as the composite's factors always are, give every pair
+    its own mask, so the unions are listed as they come; otherwise a dict
+    keeps one triple per mask."""
+    used = used2 = 0
+    for mask, _erase, _add in first:
+        used |= mask
+    for mask, _erase, _add in second:
+        used2 |= mask
+    if not used & used2:
+        return [
+            (mask | mask2, erase | erase2, add | add2)
+            for mask, erase, add in first
+            for mask2, erase2, add2 in second
+        ]
     out = {}
     for mask, erase, add in first:
         for mask2, erase2, add2 in second:
@@ -347,10 +368,20 @@ class ProductQuasimode(Quasimode):
 
     Restriction to the applicable part distributes over union, so the
     derived mode of a product is the dotted product of the factors' derived
-    modes; that keeps evaluation lazy in the factors.
+    modes; that keeps evaluation lazy in the factors.  The dotted product is
+    associative, and so is `_dot`'s first-pair order, so a nested product
+    resolves as one flat list of factors dotted left to right: the same
+    list, without an intermediate product per level.
     """
 
     factors: tuple[Quasimode, ...]
+
+    def _flat(self) -> list:
+        """The factors, with the factors of nested products spliced in."""
+        out = []
+        for factor in self.factors:
+            out += factor._flat() if isinstance(factor, ProductQuasimode) else [factor]
+        return out
 
     def elements(self):
         seen = set()
@@ -360,6 +391,13 @@ class ProductQuasimode(Quasimode):
                 seen.add(union)
                 yield union
 
+    def rule_ids(self):
+        """The factors' ids, or none when some factor has no element."""
+        factors = self._flat()
+        if any(next(iter(f.elements()), None) is None for f in factors):
+            return frozenset()
+        return frozenset().union(*(f.rule_ids() for f in factors))
+
     def advised(self, applicable):
         parts = [f.advised(applicable) for f in self.factors]
         result = parts[0]
@@ -368,7 +406,7 @@ class ProductQuasimode(Quasimode):
         return result
 
     def resolve(self, system):
-        first, *rest = [f.resolve(system) for f in self.factors]
+        first, *rest = [f.resolve(system) for f in self._flat()]
 
         def at(app):
             result = first(app)

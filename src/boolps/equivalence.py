@@ -13,12 +13,16 @@ The network and controlled-network checks compare masks.  The expected
 side spells the rule ids an encoding must have and indexes them in sorted
 order itself (`_spelled_index`); its per-element plan is built once per
 check from the update formulas, never from the kernel, and evaluated with
-`Formula.evaluate` at each configuration.  Its ``(label mask, next bits)``
-pairs meet the kernel's ``(fired mask, result bits)``, derived once per
-configuration from `applicable_masks`: as ints where the system indexes
-exactly the spelled ids (`rule_mask` and `rule_set`, which must also decode
-their union to every spelled id), as id sets otherwise.
-`successors` runs only at a failing configuration, for the counterexample.
+`Formula.evaluate` at each configuration.  A move is one int, packed as
+``label mask << width | next bits``, where `width` is the number of
+symbols of the checked table; packing is injective, so two sets of packed
+moves are equal exactly when their ``(label, next bits)`` pairs are.  The
+expected side's packed moves meet the kernel's ``(fired mask, result
+bits)``, derived once per configuration from `applicable_masks` and packed
+the same way where the system indexes exactly the spelled ids
+(`rule_mask` and `rule_set`, which must also decode their union to every
+spelled id); otherwise both sides are decoded to id sets.  `successors`
+runs only at a failing configuration, for the counterexample.
 """
 
 from __future__ import annotations
@@ -142,26 +146,27 @@ def _spelled_index(x_names, u_names=()):
     return {rule_id: 1 << i for i, rule_id in enumerate(ordered)}
 
 
-def _expected_moves(updates, mode: BooleanMode, index):
+def _expected_moves(updates, mode: BooleanMode, index, width):
     """Build, once per check, the function of ``(configuration, bits)`` that
-    lists ``(label mask, next variable bits)`` for every mode element, read
-    off the update formulas alone: introduce x where its update holds, erase
-    x where it fails and x is present.
+    lists the move of every mode element, packed as ``label mask << width |
+    next variable bits``, read off the update formulas alone: introduce x
+    where its update holds, erase x where it fails and x is present.
 
     `bits` is the variable part of `configuration`; variables come first in
     its table, so their positions index `updates`.  Label bits come from
-    `index`, the check's own map from the ids `_spelled_index` spells.
+    `index`, the check's own map from the ids `_spelled_index` spells;
+    `width` is the number of symbols of `configuration`'s table.
     """
     plan = [
         [
-            (updates[pos], 1 << pos, index["set_" + name], index["clr_" + name])
+            (updates[pos], 1 << pos, index["set_" + name] << width, index["clr_" + name] << width)
             for pos, name in enumerate(element.table.names)
             if element.bits >> pos & 1
         ]
         for element in mode.elements
     ]
 
-    def expected_pairs(configuration, bits):
+    def packed_moves(configuration, bits):
         out = []
         for members in plan:
             label = 0
@@ -174,18 +179,18 @@ def _expected_moves(updates, mode: BooleanMode, index):
                     next_bits &= ~bit
                     if bits & bit:
                         label |= clr_label
-            out.append((label, next_bits))
+            out.append(label | next_bits)
         return out
 
-    return expected_pairs
+    return packed_moves
 
 
 def _compare_moves(view: ModeView, table, expected_at, index, detail):
     """Compare the moves of `view` at every configuration of `table` with
-    `expected_at(configuration)`, a set of ``(label mask, next bits)`` under
-    `index`, as the module docstring says.  `table` is the checked model's;
-    an encoding over another table is a usage error, raised before the
-    applicability table is built."""
+    `expected_at(configuration)`, a set of moves packed as ``label mask <<
+    len(table) | next bits`` under `index`, as the module docstring says.
+    `table` is the checked model's; an encoding over another table is a
+    usage error, raised before the applicability table is built."""
     system = view.system
     if table != system.table:
         raise UsageError("configuration over a different variable table")
@@ -195,6 +200,8 @@ def _compare_moves(view: ModeView, table, expected_at, index, detail):
         system.rule_mask((rule_id,)) == bit and rule_set(bit) == {rule_id}
         for rule_id, bit in index.items()
     )
+    width = len(table)
+    full = (1 << width) - 1
 
     def spelled(mask):
         return frozenset(rule_id for rule_id, bit in index.items() if mask & bit)
@@ -204,14 +211,14 @@ def _compare_moves(view: ModeView, table, expected_at, index, detail):
         moves = view.resolved(apps[bits])
         expected = expected_at(configuration)
         if trusted:
-            if {(mask, bits & ~erase | add) for mask, erase, add in moves} == expected:
+            if {mask << width | bits & ~erase | add for mask, erase, add in moves} == expected:
                 continue
         elif {(rule_set(mask), bits & ~erase | add) for mask, erase, add in moves} == {
-            (spelled(mask), next_bits) for mask, next_bits in expected
+            (spelled(move >> width), move & full) for move in expected
         }:
             continue
         expected_ids = frozenset(
-            (spelled(mask), table.state(next_bits)) for mask, next_bits in expected
+            (spelled(move >> width), table.state(move & full)) for move in expected
         )
         actual = frozenset(successors(view, configuration))
         if actual == expected_ids:  # only the table's derivation is wrong
@@ -245,10 +252,10 @@ def check_bn_simulation(
         encoding = derive_mode(system, bn_mode_to_quasimode(mode, system))
     table = network.table
     index = _spelled_index(table.names)
-    expected_pairs = _expected_moves(network.updates, mode, index)
+    expected_moves = _expected_moves(network.updates, mode, index, len(table))
 
     def expected_at(configuration):
-        return set(expected_pairs(configuration, configuration.bits))
+        return set(expected_moves(configuration, configuration.bits))
 
     return _compare_moves(
         encoding, table, expected_at, index, "network encoding and network dynamics disagree"
@@ -275,30 +282,32 @@ def check_bcn_simulation(
         composite = bcn_to_composite(bcn, mode)
     u_names = bcn.u_table.names
     index = _spelled_index(bcn.x_table.names, u_names)
+    width = len(bcn.table)
     n_x = len(bcn.x_table)
     x_mask = (1 << n_x) - 1
-    u_set_bits = [index["u_set_" + name] for name in u_names]
-    u_clr_bits = [index["u_clr_" + name] for name in u_names]
+    u_set_bits = [index["u_set_" + name] << width for name in u_names]
+    u_clr_bits = [index["u_clr_" + name] << width for name in u_names]
 
     def labels(bits_of):
-        """Per control-part value, the label mask of its symbols' rules."""
+        """Per control-part value, the packed label of its symbols' rules."""
         out = [0]
         for bit in bits_of:
             out += [label | bit for label in out]
         return out
 
     erase_labels = labels(u_clr_bits)
-    # (label mask, result bits) of re-introducing each subset of control symbols
-    intros = [(label, s_bits << n_x) for s_bits, label in enumerate(labels(u_set_bits))]
-    x_pairs = _expected_moves(bcn.updates, mode, index)
+    # the packed move of re-introducing each subset of control symbols
+    intros = [label | s_bits << n_x for s_bits, label in enumerate(labels(u_set_bits))]
+    x_moves = _expected_moves(bcn.updates, mode, index, width)
 
     def expected_at(configuration):
-        erase_label = erase_labels[configuration.bits >> n_x]
-        expected = set()
-        for label, bits in x_pairs(configuration, configuration.bits & x_mask):
-            x_label = label | erase_label
-            expected.update((x_label | intro, bits | u_bits) for intro, u_bits in intros)
-        return expected
+        bits = configuration.bits
+        erase = erase_labels[bits >> n_x]
+        return {
+            move | erase | intro
+            for move in x_moves(configuration, bits & x_mask)
+            for intro in intros
+        }
 
     return _compare_moves(
         composite.mode_view(), bcn.table, expected_at, index,

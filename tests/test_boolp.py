@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolps.bcn import freeze_extend
+from boolps.bn import named_mode
 from boolps.boolp import (
     BooleanPSystem,
     ExplicitQuasimode,
     PowersetQuasimode,
     ProductQuasimode,
+    Quasimode,
     Rule,
+    _dot,
     apply_rule_set,
     derive_mode,
     dotted_product,
@@ -42,9 +46,16 @@ from boolps.formula import (
     merge_tables,
     parse_formula,
 )
-from boolps.generators import random_formula, random_psystem, random_quasimode, random_table
+from boolps.generators import (
+    random_formula,
+    random_network,
+    random_psystem,
+    random_quasimode,
+    random_table,
+)
 from boolps.limits import capped
 from boolps.relation import label_text
+from boolps.translate import bcn_to_composite
 
 CASCADE_TEXT = """
 alphabet a, b
@@ -391,6 +402,82 @@ def test_successors_match_id_level_reference(system, quasimode, other):
             assert len(got) == len(set(got))
             assert set(got) == reference_pairs(system, advised(applicable), configuration)
             assert view.at(configuration) == advised(applicable)
+
+
+def reference_dot(first, second):
+    """`_dot` without its path for disjoint sides: one dict entry per mask,
+    listed in the order of its first pair."""
+    out = {}
+    for mask, erase, add in first:
+        for mask2, erase2, add2 in second:
+            out[mask | mask2] = (mask | mask2, erase | erase2, add | add2)
+    return list(out.values())
+
+
+def mode_values(masks):
+    """A mode value as `_dot` takes it: triples with distinct masks."""
+    bits = st.integers(0, 255)
+    return st.lists(st.tuples(masks, bits, bits), max_size=6, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_dot_lists_what_the_dict_reference_lists(data, disjoint):
+    # disjoint sides take `_dot`'s list comprehension, overlapping ones its dict
+    first = data.draw(mode_values(st.integers(0, 15)))
+    shift = 4 if disjoint else 0
+    second = data.draw(mode_values(st.integers(0, 15).map(lambda mask: mask << shift)))
+    assert _dot(first, second) == reference_dot(first, second)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pool_systems(), POOL_QUASIMODES, POOL_QUASIMODES, POOL_QUASIMODES)
+def test_a_nested_product_resolves_as_the_flat_one(system, a, b, c):
+    # the factors may share ids, so unions collide and the dict dedupes
+    nested = ProductQuasimode((a, ProductQuasimode((b, c)))).resolve(system)
+    flat = ProductQuasimode((a, b, c)).resolve(system)
+    first, second, third = (q.resolve(system) for q in (a, b, c))
+    for app in range(1 << len(system.rules)):
+        expected = reference_dot(first(app), reference_dot(second(app), third(app)))
+        assert nested(app) == flat(app) == expected
+
+
+NO_ELEMENT = ExplicitQuasimode(frozenset())
+SOMETIMES_EMPTY = st.recursive(
+    st.one_of(st.just(NO_ELEMENT), st.frozensets(POOL_SETS).map(ExplicitQuasimode),
+              POOL_SETS.map(PowersetQuasimode)),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(
+        lambda factors: ProductQuasimode(tuple(factors))
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SOMETIMES_EMPTY)
+def test_product_rule_ids_match_the_enumerating_definition(quasimode):
+    assert quasimode.rule_ids() == Quasimode.rule_ids(quasimode)
+
+
+@pytest.mark.parametrize(
+    "n, regime",
+    [
+        (n, regime)
+        for n in (1, 2, 3)
+        for regime in ("free", "tcs", "acs")
+        if (n, regime) != (3, "acs")  # its enumeration would list 2**18 controller sets
+    ],
+)
+def test_composite_rule_ids_match_the_enumerating_definition(n, regime):
+    rng = random.Random(n)
+    table = random_table(rng, n)
+    bcn = freeze_extend(random_network(rng, table))
+    for mode_name in ("syn", "asyn"):
+        composite = bcn_to_composite(bcn, named_mode(mode_name, table), regime)
+        quasimode = composite.quasimode
+        assert quasimode.rule_ids() == Quasimode.rule_ids(quasimode) == composite.system.rule_ids()
+        with_empty = ProductQuasimode((quasimode, NO_ELEMENT))
+        assert with_empty.rule_ids() == Quasimode.rule_ids(with_empty) == frozenset()
 
 
 @st.composite

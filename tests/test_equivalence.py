@@ -264,12 +264,16 @@ def _network_mode(rng, table, mode_name):
 
 
 def assert_expected_pairs_match_walk(updates, mode, index, table, x_mask):
-    expected_pairs = _expected_moves(updates, mode, index)
+    # the plan packs each move as label << width | next bits; packing the
+    # walk's pairs the same way loses nothing, since packing is injective
+    width = len(table)
+    expected_pairs = _expected_moves(updates, mode, index, width)
     for configuration in table.subsets():
         bits = configuration.bits & x_mask
-        assert set(expected_pairs(configuration, bits)) == set(
-            old_expected_moves(updates, mode, configuration, bits, index)
-        )
+        assert set(expected_pairs(configuration, bits)) == {
+            label << width | next_bits
+            for label, next_bits in old_expected_moves(updates, mode, configuration, bits, index)
+        }
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,7 +305,9 @@ def test_expected_moves_evaluate_each_member_update_once_per_configuration():
     table = random_table(rng, 4)
     network = random_network(rng, table)
     mode = _network_mode(rng, table, "overlapping")
-    expected_pairs = _expected_moves(network.updates, mode, _spelled_index(table.names))
+    expected_pairs = _expected_moves(
+        network.updates, mode, _spelled_index(table.names), len(table)
+    )
     members = sum(len(element) for element in mode.elements)
     evaluate = Formula.evaluate
     with mock.patch.object(Formula, "evaluate", autospec=True, side_effect=evaluate) as spy:

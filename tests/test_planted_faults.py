@@ -13,6 +13,8 @@ import random
 import textwrap
 
 import pytest
+import test_boolp
+import test_equivalence
 from test_bn import assert_component_flags
 from test_cli import CAP_CASES, MODELS, assert_cap_flag_and_env_agree, run
 from test_cofase import frozen, toggle  # noqa: F401  (fixtures)
@@ -31,7 +33,7 @@ from test_relation import assert_rows_are_canonical
 
 import boolps.bcn
 import boolps.bn
-from boolps import boolp, cofase, limits
+from boolps import boolp, cofase, equivalence, limits
 from boolps.bcn import parse_bcn_text
 from boolps.bn import BooleanMode, parse_bn_text
 from boolps.boolp import BooleanPSystem
@@ -396,3 +398,41 @@ def test_a_witness_stepping_the_tables_fails_the_solution_check(monkeypatch):
             "start 00: step 0: 00 -> 10 is not a move of the network under control {}"
         ]
     assert not cofase.solve_cofase(instance, 3)
+
+
+def test_a_product_that_never_dedupes_fails_the_evolve_golden(monkeypatch):
+    # the golden's product factors share r10 and r2, so their unions collide;
+    # without the dict each collision is a second, equal move
+    with monkeypatch.context() as patch:
+        patch.setattr(boolp, "_dot", _mutant(boolp, "_dot", "if not used & used2:", "if True:"))
+        with pytest.raises(AssertionError, match="product"):
+            test_boolp.test_evolve_order_golden()
+    test_boolp.test_evolve_order_golden()
+
+
+def test_a_powerset_without_its_stutter_fails_the_controlled_check(capsys, monkeypatch):
+    # the controller's intro factor is a powerset: without its empty move no
+    # step leaves every control symbol out
+    argv = ("check", "bcn-sim", MODELS / "ex32.bcn", "--mode", "syn")
+    powerset = boolp.PowersetQuasimode
+    with monkeypatch.context() as patch:
+        patch.setattr(powerset, "resolve",
+                      _mutant(powerset, "resolve", "return moves", "return moves[1:] or moves"))
+        code, out, _ = run(capsys, *argv)
+    assert code == 1
+    first, counterexample = out.splitlines()
+    assert first == "FAIL: composed embedding and controlled dynamics disagree"
+    expected, actual = counterexample.split(": expected ")[1].split(" but got ")
+    assert len(expected.split("; ")) > len(actual.split("; "))
+    assert run(capsys, *argv)[:2] == (0, "pass: labelled transition relations coincide\n")
+
+
+def test_a_comparison_that_always_trusts_the_index_fails_the_verdict_golden(monkeypatch):
+    # the idle extra rule sorts first and shifts every mask by one bit; only
+    # the decoded ids show that the relations coincide
+    with monkeypatch.context() as patch:
+        patch.setattr(equivalence, "_compare_moves",
+                      _mutant(equivalence, "_compare_moves", "if trusted:", "if True:"))
+        with pytest.raises(AssertionError):
+            test_equivalence.test_verdict_golden("bcn-extra-rule-idle")
+    test_equivalence.test_verdict_golden("bcn-extra-rule-idle")
