@@ -140,8 +140,10 @@ def _moved(tables: list[int], groups: list[int]) -> list[int]:
     disagrees with x_i, is table i XOR x_i's pattern; `truth_columns`
     transposes the D_i state by state.  Group g moves b to
     ``b ^ (moved[b] & g)``: an update reads only the state.  The tables
-    are a network's (`bn_transitions`, `attractors`) or a control class's
-    (`cofase._Phase`); `bn_step` stays the per-state reference stepper.
+    are a network's (`bn_transitions`, `attractors`), or a control class's
+    over its groups of several variables (`cofase._Phase`, which steps
+    whole sets under one-variable groups); `bn_step` stays the per-state
+    reference stepper.
     """
     n = len(tables)
     union = functools.reduce(operator.or_, groups, 0)

@@ -12,8 +12,9 @@ shortest sequence (ties broken by canonical control order).  Controls that
 select networks with equal truth tables form one class, tried once under
 its first control in canonical order.  The classes are built per group of
 updates that share control inputs (`bcn.control_classes`), never by a loop
-over every control; the reflexive-transitive closure of the class's step
-relation is folded from its tables when the search first needs it.  The
+over every control.  A phase's image of a state set is saturated from its
+class's truth tables (`_Phase.image`), with no per-state closure: whole-set
+shifts under single-variable groups, explicit steps under wider ones.  The
 second engine searches the composed set-rewriting embedding of the
 instance from every control (`control_space`) and decodes the control
 sequence from the control-symbol history; the two must agree, which is
@@ -37,11 +38,11 @@ from .bcn import (
     enumerate_controls,
     glue_trajectories,
 )
-from .bn import BooleanMode, Trajectory, _components, _moved, bn_step, named_mode
+from .bn import BooleanMode, Trajectory, _moved, bn_step, named_mode
 # unused here; bench/tracer.py counts the kernel's calls through every binding
 from .boolp import successors as boolp_successors  # noqa: F401
 from .errors import ParseError, UsageError, ValidationError
-from .formula import StateSet, VarTable, parse_state
+from .formula import StateSet, VarTable, parse_state, truth_patterns
 from .limits import check_enumerable
 from .relation import digit_order
 from .translate import bcn_to_composite
@@ -149,44 +150,33 @@ def control_space(bcn: BooleanControlNetwork) -> list[StateSet]:
     return enumerate_controls(bcn.u_table)
 
 
-# --- phase relations ------------------------------------------------------------
+# --- phases ----------------------------------------------------------------------
 
 
-def _phase_reach(rows, min_steps: int) -> list:
-    """Per state bits, the states reachable within one phase (>= min_steps
-    steps), as an int with bit s set for each reachable state s.
-
-    The reflexive-transitive closure of a strongly connected component is its
-    states plus the closures of the components its edges reach, which
-    `_components` lists first; the component's states share that one int.
-    """
-    closure = [0] * len(rows)
-    for component, _leaves in _components(rows.__getitem__, len(rows)):
-        out = 0
-        for v in component:
-            out |= 1 << v
-            for w in rows[v]:
-                out |= closure[w]  # 0: an edge inside this component
-        for v in component:
-            closure[v] = out
-    if min_steps == 0:
-        return closure
-    reach = []
-    for row in rows:
-        out = 0
-        for dst in row:
-            out |= closure[dst]
-        reach.append(out)
-    return reach
+def _step_set(out: int, states: int, flips, wide, moved) -> int:
+    """`out` with the states one step leads to from those set in `states`:
+    two masked shifts per single-variable group of `flips`, and each state b
+    stepped under each group g of `wide` to ``b ^ (moved[b] & g)``."""
+    for shift, up, down in flips:
+        out |= (states & up) << shift | (states & down) >> shift
+    if wide:
+        while states:
+            low = states & -states
+            states ^= low
+            bits = low.bit_length() - 1
+            change = moved[bits]
+            for g in wide:
+                out |= 1 << (bits ^ (change & g))
+    return out
 
 
 @dataclass(eq=False)
 class _Phase:
     """One control class's phase: the class's first control selects the
     network its witnesses step, and its per-update truth `tables` give the
-    reach (per state bits, the int of states reachable within the phase),
-    which only `image` reads.  Both are built on first use and kept for
-    the solve."""
+    images of state sets, which `image` computes from them.  Only `_Phase`
+    reads the tables; what it derives from them is built on first use and
+    kept for the solve."""
 
     instance: CoFaSeInstance
     control: StateSet
@@ -194,27 +184,79 @@ class _Phase:
     min_steps: int
 
     @functools.cached_property
-    def reach(self) -> list:
-        """Folded from the tables' one-step rows, which are dropped once it is built."""
-        groups = [element.bits for element in self.instance.mode.sorted_elements()]
-        rows = [tuple(bits ^ (change & g) for g in groups)
-                for bits, change in enumerate(_moved(self.tables, groups))]
-        return _phase_reach(rows, self.min_steps)
+    def _steps(self) -> tuple:
+        """The class's steps, split by the shape of the mode's groups.
+
+        A group {x_i} moves the states of D_i, table i XOR x_i's pattern, to
+        the states 2**i above (x_i off) or below (x_i on): ``(2**i, up,
+        down)``, the two halves of D_i, and every other state stays.  A group
+        of several variables moves several bits at once, which shifts do not
+        express; those groups come with ``moved`` (`bn._moved` over them, one
+        small int per state).  `still` holds the states that some single or
+        empty group leaves as they are.
+        """
+        tables = self.tables
+        full = (1 << (1 << len(tables))) - 1
+        patterns = truth_patterns(len(tables))
+        flips, wide, still = [], [], 0
+        for element in self.instance.mode.sorted_elements():
+            g = element.bits
+            if g & (g - 1):
+                wide.append(g)
+                continue
+            moves = 0
+            if g:
+                i = g.bit_length() - 1
+                moves = tables[i] ^ patterns[i]
+                flips.append((g, moves & ~patterns[i], moves & patterns[i]))
+            still |= full & ~moves
+        return flips, still, wide, _moved(tables, wide) if wide else None
+
+    def image(self, states: int) -> int:
+        """The states reachable from those set in `states` within the phase
+        (at least `min_steps` steps), as an int.
+
+        Saturation (Ciardo, Lüttgen and Siminiceanu, TACAS 2001) on the
+        2**n-bit sets: each single-variable group steps every reached state
+        at once with two masked shifts, the groups in turn, each seeing what
+        the ones before it added, until a round adds nothing.  A round costs
+        a few passes over the sets per such group, however few states they
+        hold.  Each state is stepped once, when first reached, under the
+        wider groups, at a cost per state.  When one wide group is all the
+        mode moves with (syn), each state has one move, and each start's run
+        is followed until it meets a state already reached.  Under
+        ``min_steps`` 1 the first step keeps the states a group leaves where
+        they are: a self-loop is a step.
+        """
+        flips, still, wide, moved = self._steps
+        if self.min_steps:
+            states = _step_set(states & still, states, flips, wide, moved)
+        reached = states
+        if not flips and len(wide) == 1:
+            while states:
+                low = states & -states
+                states ^= low
+                bits = low.bit_length() - 1
+                while True:
+                    bits ^= moved[bits]
+                    bit = 1 << bits
+                    if reached & bit:
+                        break
+                    reached |= bit
+            return reached
+        stepped = 0  # the states stepped under the wide groups
+        while True:
+            before = reached
+            for shift, up, down in flips:
+                reached |= (reached & up) << shift | (reached & down) >> shift
+            if wide:
+                reached, stepped = _step_set(reached, reached ^ stepped, (), wide, moved), reached
+            if reached == before:
+                return reached
 
     @functools.cached_property
     def network(self):
         return apply_control(self.instance.bcn, self.control)
-
-    def image(self, states: int) -> int:
-        """The union of the reach over the states set in `states`, as an int."""
-        reach = self.reach
-        out = 0
-        while states:
-            low = states & -states
-            out |= reach[low.bit_length() - 1]
-            # what a state already in `out` reaches is in `out` (for min_steps 1 too)
-            states &= ~(out | low)
-        return out
 
     def reaches(self, source: int, target: int) -> bool:
         return bool(self.image(1 << source) >> target & 1)
@@ -224,7 +266,7 @@ class _Phase:
 
         Each state the search reaches is stepped once with `bn_step` under
         the union of the mode's elements, independently of the truth tables
-        the reach was folded from; element g moves it to ``bits ^ (moved & g)``.
+        the images come from; element g moves it to ``bits ^ (moved & g)``.
         """
         table = self.network.table
         if self.min_steps == 0 and source == target:
@@ -253,12 +295,12 @@ class _Phase:
         cursor = target
         while True:
             prev, index = parents[cursor]
-            states.insert(0, table.state(prev))
-            labels.insert(0, elements[index])
+            states.append(table.state(prev))
+            labels.append(elements[index])
             if prev == source:
                 break
             cursor = prev
-        return Trajectory(tuple(states), tuple(labels))
+        return Trajectory(tuple(reversed(states)), tuple(reversed(labels)))
 
 
 # --- direct engine --------------------------------------------------------------
@@ -345,11 +387,13 @@ def _build_solution(instance, phases):
             frontiers.append(phase.image(frontiers[-1]))
         endpoints = [min(_bit_indices(frontiers[-1] & targets), key=order.__getitem__)]
         for phase, frontier in zip(reversed(phases), reversed(frontiers[:-1])):
-            back = [s for s in _bit_indices(frontier) if phase.reaches(s, endpoints[0])]
-            if not back:
+            # each `reaches` is an image, so the starts are tried in digit order
+            candidates = sorted(_bit_indices(frontier), key=order.__getitem__)
+            first = next((s for s in candidates if phase.reaches(s, endpoints[0])), None)
+            if first is None:
                 raise ValidationError("no phase start reaches the endpoint; "
                                       "reachability bookkeeping broken")
-            endpoints.insert(0, min(back, key=order.__getitem__))
+            endpoints.insert(0, first)
         segments = [phase.path(endpoints[i], endpoints[i + 1]) for i, phase in enumerate(phases)]
         boundaries = itertools.accumulate(len(segment.states) - 1 for segment in segments[:-1])
         trajectory = glue_trajectories(segments)

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,6 @@ from boolps.cofase import (
     NoSolutionWithinBound,
     _Phase,
     _build_solution,
-    _phase_reach,
     check_solution,
     control_space,
     parse_instance_text,
@@ -51,7 +51,7 @@ from boolps.generators import (
 )
 from boolps.limits import capped
 from boolps.translate import bcn_to_composite
-from test_bn import step_rows
+from test_bn import _draw_mode, step_rows
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -363,29 +363,40 @@ def _oracle_phase_reach(rows, min_steps):
     return [set().union(*(closure[dst] for dst in row)) for row in rows]
 
 
+def one_class_phase(network, mode, min_steps):
+    """The engine's phase of `network` under `mode`, as a control network
+    without controls: one class, whose tables are the network's."""
+    table = network.table
+    bcn = BooleanControlNetwork(table, VarTable(()), table, network.updates)
+    instance = CoFaSeInstance.of(bcn, [table.state(0)], [table.state(0)], mode)
+    ((control, tables),) = control_classes(bcn).items()
+    return _Phase(instance, control, tables, min_steps)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(1, 5),
+    st.integers(1, 8),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["syn", "asyn", "random"]),
+    st.sampled_from(["syn", "asyn", "random", "single", "overlapping"]),
     st.sampled_from([0, 1]),
 )
-def test_phase_reach_matches_bfs_oracle(n, seed, mode_name, min_steps):
+@example(8, 1, "asyn", 1)
+@example(8, 2, "overlapping", 0)
+def test_phase_image_matches_bfs_oracle(n, seed, mode_name, min_steps):
     rng = random.Random(seed)
     table = random_table(rng, n)
     network = random_network(rng, table)
-    mode = random_mode(rng, table) if mode_name == "random" else named_mode(mode_name, table)
-    rows = step_rows(network, mode)[1]
-    got = _phase_reach(rows, min_steps)
-    assert all(type(reach) is int for reach in got)
-    decoded = [as_bits(reach, len(rows)) for reach in got]
-    assert decoded == _oracle_phase_reach(rows, min_steps)
-    if min_steps == 0:
-        # mutually reachable states share one closure
-        for s, reach in enumerate(decoded):
-            for t in reach:
-                if s in decoded[t]:
-                    assert got[t] == got[s]
+    mode = _draw_mode(mode_name, rng, table)
+    phase = one_class_phase(network, mode, min_steps)
+    oracle = _oracle_phase_reach(step_rows(network, mode)[1], min_steps)
+    size = 1 << n
+    full = (1 << size) - 1
+    sets = [0, full] + [1 << rng.randrange(size) for _ in range(3)]
+    sets += [rng.getrandbits(size) & rng.getrandbits(size) for _ in range(3)]
+    for states in sets:
+        got = phase.image(states)
+        assert type(got) is int
+        assert as_bits(got, size) == set().union(*(oracle[s] for s in as_bits(states, size)))
 
 
 def random_control_network(rng, n, explicit, idle):
@@ -536,12 +547,28 @@ def eager_maps(instance, min_steps):
     return maps, oracle
 
 
+@dataclass(eq=False)
+class EagerPhase(_Phase):
+    """A phase of `eager_solve`: the engine's `_Phase`, for the `reaches`
+    and `path` that `_build_solution` calls, with its images taken from
+    `reach`, one int per state from `eager_maps`, instead of from tables,
+    of which it has none."""
+
+    reach: list = None
+
+    def image(self, states):
+        out = 0
+        for bits, reach in enumerate(self.reach):
+            if states >> bits & 1:
+                out |= reach
+        return out
+
+
 def eager_solve(instance, max_phases, policy, min_steps, built):
     """The direct engine without the control quotient: `built`, the
     `eager_maps` of the instance under min_steps, then a breadth-first
     search over frozensets trying every control at every node.  Witnesses
-    come from the engine's own `_build_solution`, fed phases whose reaches
-    are these ints."""
+    come from the engine's own `_build_solution`, fed `EagerPhase`s."""
     maps, oracle = built
 
     def search(sub):
@@ -561,9 +588,8 @@ def eager_solve(instance, max_phases, policy, min_steps, built):
                         frozenset().union(*(reach[s] for s in comp)) for comp in node
                     )
                     if all(comp & targets for comp in image):
-                        phases = [_Phase(sub, mu, (), min_steps) for mu in sequence + (mu,)]
-                        for phase in phases:
-                            phase.reach = maps[phase.control]
+                        phases = [EagerPhase(sub, mu, (), min_steps, maps[mu])
+                                  for mu in sequence + (mu,)]
                         solution = _build_solution(sub, phases)
                         return solution, len(visited)
                     if image not in visited:
@@ -648,8 +674,8 @@ def test_quotient_solver_matches_eager_solver_on_sets_wider_than_a_word(seed, n)
 
 
 def test_uniform_solve_on_256_states_stays_small():
-    # each node holds three ints of 256 bits and each phase reach one int
-    # per state: the solve needs about 1 MiB
+    # each node holds three ints of 256 bits, and each class two masks of
+    # 256 bits per variable: the solve needs about 0.1 MiB
     instance = wide_instance(3, 8)
     tracemalloc.start()
     try:
@@ -745,11 +771,12 @@ TABLE_FAULT_INSTANCE = "var x, y\nfreeze y\nx' = x\ny' = y\nstart {}\ntarget {x}
 
 
 def plant_table_fault(patch, instance):
-    """Make `cofase._moved` read x's update as the constant 1."""
-    fold = cofase._moved
+    """Make every control class read x's update as 1 at 0..0."""
+    classes = cofase.control_classes
     x = instance.bcn.x_table.position("x")
-    patch.setattr(cofase, "_moved", lambda tables, groups: fold(
-        [table | (i == x) for i, table in enumerate(tables)], groups))
+    patch.setattr(cofase, "control_classes", lambda bcn: {
+        control: tuple(table | (i == x) for i, table in enumerate(tables))
+        for control, tables in classes(bcn).items()})
 
 
 def test_a_planted_table_fault_raises_instead_of_a_witness(monkeypatch):

@@ -13,10 +13,13 @@ import random
 import textwrap
 
 import pytest
+import test_acceptance
 import test_boolp
+import test_cofase
 import test_equivalence
 from test_bn import assert_component_flags
 from test_cli import CAP_CASES, MODELS, assert_cap_flag_and_env_agree, run
+from test_direct_goldens import GOLDENS, _instances, _solve_record
 from test_cofase import frozen, toggle  # noqa: F401  (fixtures)
 from test_cofase import (
     PROBLEM_CASES,
@@ -39,7 +42,7 @@ from boolps.bn import BooleanMode, parse_bn_text
 from boolps.boolp import BooleanPSystem
 from boolps.cofase import parse_instance_text
 from boolps.errors import UsageError, ValidationError
-from boolps.formula import fold_truth_table, truth_columns, truth_patterns
+from boolps.formula import VarTable, fold_truth_table, truth_columns, truth_patterns
 from boolps.generators import random_cofase_instance
 
 
@@ -109,6 +112,23 @@ def test_a_cap_that_ignores_the_scope_fails_the_flag_env_parity(capsys, monkeypa
     assert_cap_flag_and_env_agree(capsys, monkeypatch, cap, argv)
 
 
+# x and z each change where they are equal, y never: from 000 the group
+# {x, y} leads to 100 alone, without any control
+OVERLAP_INSTANCE = (
+    "var x, y, z\nfreeze x\nfreeze z\nx' = !z\ny' = y\nz' = !x\n"
+    "start 000\ntarget 100\nmode syn\n"
+)
+
+
+def assert_direct_golden(key):
+    """The direct engine's record for `key` of tests/direct_goldens.json."""
+    name, policy, min_steps = key.split("/")
+    instance, max_phases = next((instance, phases) for label, instance, phases in _instances()
+                                if label == name)
+    record = _solve_record(instance, max_phases, policy, int(min_steps))
+    assert json.dumps(record) == json.dumps(json.loads(GOLDENS.read_text())[key])
+
+
 def acceptance_instance(index):
     """The instance drawn `index`-th from the generator of acceptance criterion 8."""
     rng = random.Random(4040)
@@ -118,8 +138,10 @@ def acceptance_instance(index):
 
 
 def test_an_image_of_the_lowest_state_only_fails_the_eager_comparison(monkeypatch):
+    image = cofase._Phase.image
+
     def lowest_only(phase, states):
-        return phase.reach[(states & -states).bit_length() - 1] if states else 0
+        return image(phase, states & -states)
 
     instance = acceptance_instance(0)
     with monkeypatch.context() as patch:
@@ -357,16 +379,49 @@ def test_a_dropped_leave_flag_fails_the_component_flags(monkeypatch, statement, 
 
 
 def test_phase_rows_moving_every_changed_bit_fail_the_eager_comparison(monkeypatch):
-    # under asyn a group moves one bit; at 01 both x and y change, so the
-    # faulty row goes to 10 under both groups, where the true ones go to 11 and 00
-    text = (MODELS / "ex32.cofase").read_text().replace("mode syn", "mode asyn")
-    instance = parse_instance_text(text)
+    # two overlapping groups: where x and z both change, {x, y} moves x
+    # alone, and the faulty step moves z with it
+    instance = dataclasses.replace(
+        parse_instance_text(OVERLAP_INSTANCE),
+        mode=BooleanMode.of(VarTable.of("x", "y", "z"), [["x", "y"], ["y", "z"]]))
     with monkeypatch.context() as patch:
-        patch.setattr(cofase._Phase, "reach",
-                      _mutant(cofase._Phase, "reach", "bits ^ (change & g)", "bits ^ change"))
+        patch.setattr(cofase, "_step_set",
+                      _mutant(cofase, "_step_set", "bits ^ (change & g)", "bits ^ change"))
         with pytest.raises(AssertionError):
             assert_same_as_eager(instance, 1)
     assert_same_as_eager(instance, 1)
+
+
+def test_phase_steps_under_the_first_mode_element_only_fail_criterion_8(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase._Phase, "_steps", _mutant(
+            cofase._Phase, "_steps", "mode.sorted_elements()", "mode.sorted_elements()[:1]"))
+        with pytest.raises(AssertionError):
+            test_acceptance.test_criterion_8_cross_engine_agreement()
+    test_acceptance.test_criterion_8_cross_engine_agreement()
+
+
+def test_an_image_ignoring_min_steps_fails_the_min_steps_check(monkeypatch):
+    # the zero-step image holds the start, which is the target; the
+    # witness's `bn_step` search then finds no run of at least one step
+    check = test_cofase.TestDirectSolver().test_min_steps_per_phase
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase._Phase, "image",
+                      _mutant(cofase._Phase, "image", "if self.min_steps:", "if False:"))
+        with pytest.raises(ValidationError, match="no path inside a phase"):
+            check()
+    check()
+
+
+def test_a_first_step_without_self_loops_fails_the_direct_golden(monkeypatch):
+    # under min_steps 1 a group that leaves a state where it is steps it
+    # there; without that step the golden's 1-phase witness is lost
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase._Phase, "image",
+                      _mutant(cofase._Phase, "image", "states & still", "0"))
+        with pytest.raises(AssertionError):
+            assert_direct_golden("random-001/uniform/1")
+    assert_direct_golden("random-001/uniform/1")
 
 
 def test_labels_in_digit_order_fail_the_canonical_rows(monkeypatch):
