@@ -14,22 +14,26 @@ configuration (an advised set whose rules are all inapplicable contributes
 an explicit empty firing, i.e. a stutter step).
 
 Inside the kernel a rule set is an ``int`` mask: the rule with the i-th
-smallest id is bit ``1 << i``.  Modes produce ``(fired mask, erase bits,
-add bits)`` triples, so a result is ``bits & ~erase | add``; rule ids
-appear only where a label leaves `successors`.  Because indices follow
-sorted ids, ordering fired sets by their index tuples orders them by
-their sorted ids.  A product quasimode resolves its factors, nested
-products spliced in, and combines their values with `_dot`, which keeps
-one triple per distinct mask; masks can collide only where factors share
-rules, so factors over disjoint rules pay only for the pairs they list.
-The id-level `Quasimode.advised`, `dotted_product`,
+smallest id is bit ``1 << i``.  A move, the firing of one rule set, is
+one int too, packed as ``fired mask << 2w | add bits << w | erase bits``
+over a system of w symbols, so the moves of a union of rule sets are the
+``|`` of their moves.  Only this module knows that layout: everything
+else reads a mode value through `BooleanPSystem.apply_moves`, which gives
+``fired mask << w | result bits`` per move, the result being ``bits &
+~erase | add``; rule ids appear only where a label leaves `successors`.
+Because indices follow sorted ids, ordering fired sets by their index
+tuples orders them by their sorted ids.  A product quasimode resolves its
+factors, nested products spliced in, and combines their values with
+`_dot`, which keeps one move per distinct mask; masks can collide only
+where factors share rules, so factors over disjoint rules pay only for
+the pairs they list.  The id-level `Quasimode.advised`, `dotted_product`,
 `Rule.applicable_to` and `apply_rule_set` are kept as the reference the
 mask path is checked against.
 
 `applicable_mask` evaluates the guards at one configuration; a loop over
 every configuration reads all the masks at once from `applicable_masks`,
-built from the guards' bit-parallel truth tables, and hands each one to
-its mode's `resolved`.
+built from the guards' bit-parallel truth tables, and hands each distinct
+one to its mode's `resolved` once.
 """
 
 from __future__ import annotations
@@ -104,8 +108,8 @@ class BooleanPSystem:
     rules: tuple[Rule, ...]
     _by_id: dict = field(init=False, repr=False, compare=False)
     _bit: dict = field(init=False, repr=False, compare=False)  # id -> rule mask bit
-    _lhs: tuple = field(init=False, repr=False, compare=False)  # index -> lhs bits
-    _rhs: tuple = field(init=False, repr=False, compare=False)  # index -> rhs bits
+    _width: int = field(init=False, repr=False, compare=False)  # number of symbols
+    _rule_moves: tuple = field(init=False, repr=False, compare=False)  # index -> packed move
     _checks: tuple = field(init=False, repr=False, compare=False)  # (bit, lhs bits, guard)
     _ids: tuple = field(init=False, repr=False, compare=False)  # index -> rule id
 
@@ -118,11 +122,15 @@ class BooleanPSystem:
                 raise ValidationError(f"duplicate rule id {rule.id!r}")
             by_id[rule.id] = rule
         ordered = [by_id[rule_id] for rule_id in sorted(by_id)]
+        width = len(self.table)
         fields = {
             "_by_id": by_id,
             "_bit": {rule.id: 1 << i for i, rule in enumerate(ordered)},
-            "_lhs": tuple(rule.lhs.bits for rule in ordered),
-            "_rhs": tuple(rule.rhs.bits for rule in ordered),
+            "_width": width,
+            "_rule_moves": tuple(
+                1 << i << 2 * width | rule.rhs.bits << width | rule.lhs.bits
+                for i, rule in enumerate(ordered)
+            ),
             "_checks": tuple(
                 (1 << i, rule.lhs.bits, rule.guard) for i, rule in enumerate(ordered)
             ),
@@ -158,19 +166,26 @@ class BooleanPSystem:
             mask ^= low
         return frozenset(out)
 
-    def fold(self, mask: int) -> tuple[int, int, int]:
-        """``(mask, erase bits, add bits)``: the unions of the fired rules'
-        left- and right-hand sides."""
-        lhs, rhs = self._lhs, self._rhs
-        erase = add = 0
+    def fold(self, mask: int) -> int:
+        """The move firing the rules of `mask`: the union of their moves, so
+        it erases the union of their left-hand sides and adds the union of
+        their right-hand sides."""
+        rule_moves = self._rule_moves
+        move = 0
         rest = mask
         while rest:
             low = rest & -rest
-            i = low.bit_length() - 1
-            erase |= lhs[i]
-            add |= rhs[i]
+            move |= rule_moves[low.bit_length() - 1]
             rest ^= low
-        return mask, erase, add
+        return move
+
+    def apply_moves(self, moves, bits: int) -> list:
+        """The mode value `moves` applied at the configuration with `bits`:
+        per move, ``fired mask << w | result bits``, w the number of symbols
+        and the result ``bits & ~erase | add``.  `bits` has no bit at or
+        above w, so only the move's erase bits can clear one of them."""
+        width = self._width
+        return [move >> width | bits & ~move for move in moves]
 
     def applicable_mask(self, configuration: StateSet) -> int:
         """Mask of the rules individually applicable to the configuration."""
@@ -236,30 +251,28 @@ def dotted_product(a: Iterable[frozenset], b: Iterable[frozenset]) -> frozenset:
     return frozenset(x | y for x in a for y in b)
 
 
-def _dot(first, second) -> list:
-    """Dotted product of two mode values given as ``(mask, erase, add)``
-    triples with distinct masks: the pairwise unions, one triple per
+def _dot(first, second, shift: int) -> list:
+    """Dotted product of two mode values given as moves with distinct
+    masks, the masks from bit `shift` up: the pairwise unions, one move per
     distinct mask, in the order of their first pair.
 
     Two unions can collide only when the sides share a rule.  Sides over
     disjoint rules, as the composite's factors always are, give every pair
     its own mask, so the unions are listed as they come; otherwise a dict
-    keeps one triple per mask."""
+    keeps one move per mask (colliding unions fire the same rules, so they
+    are the same move)."""
     used = used2 = 0
-    for mask, _erase, _add in first:
-        used |= mask
-    for mask, _erase, _add in second:
-        used2 |= mask
-    if not used & used2:
-        return [
-            (mask | mask2, erase | erase2, add | add2)
-            for mask, erase, add in first
-            for mask2, erase2, add2 in second
-        ]
+    for move in first:
+        used |= move
+    for move in second:
+        used2 |= move
+    if not used >> shift & used2 >> shift:
+        return [move | move2 for move in first for move2 in second]
     out = {}
-    for mask, erase, add in first:
-        for mask2, erase2, add2 in second:
-            out[mask | mask2] = (mask | mask2, erase | erase2, add | add2)
+    for move in first:
+        for move2 in second:
+            union = move | move2
+            out[union >> shift] = union
     return list(out.values())
 
 
@@ -281,8 +294,8 @@ class Quasimode:
 
     def resolve(self, system: BooleanPSystem):
         """The same family resolved against `system` once: a function from
-        an applicable-rule mask to the derived mode's value there, as
-        ``(fired mask, erase bits, add bits)`` triples with distinct masks.
+        an applicable-rule mask to the derived mode's value there, as moves
+        with distinct masks, in the layout the module docstring gives.
         Advised ids the system lacks are never applicable."""
         raise NotImplementedError
 
@@ -344,18 +357,17 @@ class PowersetQuasimode(Quasimode):
     def resolve(self, system):
         """The variable cap is read when the mode is derived, not per configuration."""
         base = system.rule_mask(self.base)
-        lhs, rhs = system._lhs, system._rhs
+        rule_moves = system._rule_moves
         limit = var_cap()
 
         def at(app):
             usable = base & app
             check_within(usable.bit_count(), limit, "applicable advised rules")
-            moves = [(0, 0, 0)]
+            moves = [0]
             while usable:
                 low = usable & -usable
-                i = low.bit_length() - 1
-                erase, add = lhs[i], rhs[i]
-                moves += [(mask | low, e | erase, a | add) for mask, e, a in moves]
+                rule_move = rule_moves[low.bit_length() - 1]
+                moves += [move | rule_move for move in moves]
                 usable ^= low
             return moves
 
@@ -407,11 +419,12 @@ class ProductQuasimode(Quasimode):
 
     def resolve(self, system):
         first, *rest = [f.resolve(system) for f in self._flat()]
+        shift = 2 * system._width
 
         def at(app):
             result = first(app)
             for part in rest:
-                result = _dot(result, part(app))
+                result = _dot(result, part(app), shift)
             return result
 
         return at
@@ -447,12 +460,13 @@ class ModeView:
     A mode belongs to the system it was derived for, kept as `system`; its
     consumers take the view alone.  Every mode here depends on the
     applicable rules alone: `resolved` maps an applicable mask to the mode's
-    value there, as ``(fired mask, erase bits, add bits)`` triples with
-    distinct masks.  `moves` gives that value at a configuration, `at` as id
-    sets.  Every fired rule is individually applicable at that
-    configuration.  Nothing is cached; a caller that revisits configurations
-    keeps what it needs itself, and an exhaustive caller reads its masks
-    from `BooleanPSystem.applicable_masks`.
+    value there, as moves with distinct masks, which
+    `BooleanPSystem.apply_moves` applies at a configuration.  `moves` gives
+    that value at a configuration, `at` as id sets.  Every fired rule is
+    individually applicable at that configuration.  Nothing is cached; a
+    caller that revisits configurations keeps what it needs itself, and an
+    exhaustive caller reads its masks from
+    `BooleanPSystem.applicable_masks` and resolves each distinct one once.
     """
 
     def __init__(self, system: BooleanPSystem, resolved):
@@ -464,7 +478,8 @@ class ModeView:
 
     def at(self, configuration: StateSet) -> frozenset:
         rule_set = self.system.rule_set
-        return frozenset(rule_set(mask) for mask, _erase, _add in self.moves(configuration))
+        shift = 2 * self.system._width
+        return frozenset(rule_set(move >> shift) for move in self.moves(configuration))
 
 
 def derive_mode(system: BooleanPSystem, quasimode: Quasimode) -> ModeView:
@@ -481,12 +496,13 @@ def successors(mode: ModeView, configuration: StateSet):
     """Fired-set/result pairs at a configuration of `mode.system`, in no
     particular order; `evolve` and the composite engine sort what they need."""
     system = mode.system
-    bits = configuration.bits
+    width = system._width
+    full = (1 << width) - 1
     state = system.table.state
     rule_set = system.rule_set
     return tuple(
-        (rule_set(mask), state(bits & ~erase | add))
-        for mask, erase, add in mode.moves(configuration)
+        (rule_set(out >> width), state(out & full))
+        for out in system.apply_moves(mode.moves(configuration), configuration.bits)
     )
 
 

@@ -490,13 +490,17 @@ def solve_cofase_via_composite(
         raise UsageError("max_phases must be at least 1")
     check_enumerable(len(instance.bcn.table), "composite state space")
     composite = bcn_to_composite(instance.bcn, instance.mode)
-    mode_view = composite.mode_view()
-    configuration = composite.system.table.state
+    resolved = composite.mode_view().resolved
+    apply_moves = composite.system.apply_moves
+    apps = composite.system.applicable_masks()
     controls = control_space(instance.bcn)
     # configurations are kept as bits: the variables are the low n_x bits,
-    # the control part the bits above them
+    # the control part the bits above them; a move applied at one reads
+    # ``fired mask << width | next configuration``
     n_x = len(instance.bcn.x_table)
     x_mask = (1 << n_x) - 1
+    width = len(instance.bcn.table)
+    full = (1 << width) - 1
     targets = sum(1 << target.bits for target in instance.targets)
     witnesses = []
     explored = 0
@@ -530,14 +534,14 @@ def solve_cofase_via_composite(
             # sorted ids, so a fired mask's ascending bit indices order like
             # its sorted ids.
             improving = {}
-            for mask, erase, add in mode_view.moves(configuration(config)):
-                nxt = config & ~erase | add
+            for out in apply_moves(resolved(apps[config]), config):
+                nxt = out & full
                 cost = (switches + (nxt >> n_x != here), steps + 1)
                 if max_phases is not None and cost[0] > max_phases - 1:
                     continue
                 if nxt in best and best[nxt] <= cost:
                     continue
-                key = _bit_indices(mask)
+                key = _bit_indices(out >> width)
                 if nxt not in improving or key < improving[nxt][0]:
                     improving[nxt] = (key, cost)
             for nxt, (_key, cost) in sorted(improving.items(), key=lambda item: item[1][0]):
@@ -569,9 +573,9 @@ def _bit_indices(mask: int) -> tuple:
 def _decode_composite_run(composite, parents, final, start) -> PhaseWitness:
     """The witness along the parent chain of configuration bits ending at `final`."""
     path = [final]
-    while parents[path[0]] is not None:
-        path.insert(0, parents[path[0]])
-    path = [composite.system.table.state(bits) for bits in path]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path = [composite.system.table.state(bits) for bits in reversed(path)]
     states = tuple(composite.project_x(config) for config in path)
     # a run of no steps still has its initial control
     step_controls = [composite.project_u(config) for config in path[:-1] or path]

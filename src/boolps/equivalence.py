@@ -17,12 +17,15 @@ check from the update formulas, never from the kernel, and evaluated with
 ``label mask << width | next bits``, where `width` is the number of
 symbols of the checked table; packing is injective, so two sets of packed
 moves are equal exactly when their ``(label, next bits)`` pairs are.  The
-expected side's packed moves meet the kernel's ``(fired mask, result
-bits)``, derived once per configuration from `applicable_masks` and packed
-the same way where the system indexes exactly the spelled ids
-(`rule_mask` and `rule_set`, which must also decode their union to every
-spelled id); otherwise both sides are decoded to id sets.  `successors`
-runs only at a failing configuration, for the counterexample.
+expected side's packed moves meet the kernel's, which
+`BooleanPSystem.apply_moves` packs the same way.  They are compared as
+they are where the system indexes exactly the spelled ids (`rule_mask`
+and `rule_set`, which must also decode their union to every spelled id);
+otherwise both sides are decoded to id sets.  The kernel's mode depends
+on the applicable mask alone, so the configurations are grouped by their
+entry in `applicable_masks` and each group's moves are derived once; the
+expected side is still built at every configuration.  `successors` runs
+only at a failing configuration, for the counterexample.
 """
 
 from __future__ import annotations
@@ -65,22 +68,30 @@ from .translate import (
 def boolp_transitions(mode: ModeView) -> TransitionRelation:
     """Edges for every configuration of `mode.system` and every fired set it allows."""
     system = mode.system
+    apply_moves = system.apply_moves
+    width = len(system.table)
+    full = (1 << width) - 1
     apps = system.applicable_masks()
-    # the mode depends on the applicable mask alone: resolve each distinct
-    # one once, and decode each fired mask once
+    # The mode depends on the applicable mask alone, so each distinct one is
+    # resolved once, and each distinct move decoded once: applied at the
+    # empty configuration it gives its fired mask and the bits it adds,
+    # applied at the full one the bits it keeps or adds, and at any
+    # configuration its result is ``bits & kept | added``.
     resolved = {app: mode.resolved(app) for app in dict.fromkeys(apps)}
-    fired = {mask for moves in resolved.values() for mask, _erase, _add in moves}
-    decoded = {mask: system.rule_set(mask) for mask in fired}
+    moves = list(dict.fromkeys(move for value in resolved.values() for move in value))
+    empty, whole = apply_moves(moves, 0), apply_moves(moves, full)
+    decoded = {mask: system.rule_set(mask) for mask in {out >> width for out in empty}}
     masks = sorted(decoded, key=lambda mask: label_text(decoded[mask]))
     index = {mask: i for i, mask in enumerate(masks)}
+    entry = {
+        move: (index[out >> width], kept & full, out & full)
+        for move, out, kept in zip(moves, empty, whole)
+    }
     # fired masks are distinct at a configuration, so sorting by label index
     # puts each row in canonical order
-    entries = {
-        app: sorted((index[mask], erase, add) for mask, erase, add in moves)
-        for app, moves in resolved.items()
-    }
+    entries = {app: sorted(map(entry.__getitem__, value)) for app, value in resolved.items()}
     rows = [
-        tuple([(label, bits & ~erase | add) for label, erase, add in entries[app]])
+        tuple([(label, bits & kept | added) for label, kept, added in entries[app]])
         for bits, app in enumerate(apps)
     ]
     return TransitionRelation._canonical(system.table, [decoded[mask] for mask in masks], rows)
@@ -188,14 +199,21 @@ def _expected_moves(updates, mode: BooleanMode, index, width):
 def _compare_moves(view: ModeView, table, expected_at, index, detail):
     """Compare the moves of `view` at every configuration of `table` with
     `expected_at(configuration)`, a set of moves packed as ``label mask <<
-    len(table) | next bits`` under `index`, as the module docstring says.
-    `table` is the checked model's; an encoding over another table is a
-    usage error, raised before the applicability table is built."""
+    len(table) | next bits`` under `index`, as the module docstring says,
+    and report the lowest configuration where they differ.  `table` is the
+    checked model's; an encoding over another table is a usage error,
+    raised before the applicability table is built.
+
+    The groups of configurations sharing an applicable mask are walked in
+    the order of their lowest configuration, one group's moves held at a
+    time; each stops at its first failure, and no group looks at or above
+    the lowest failure found so far."""
     system = view.system
     if table != system.table:
         raise UsageError("configuration over a different variable table")
     apps = system.applicable_masks()
     rule_set = system.rule_set
+    apply_moves = system.apply_moves
     trusted = system.rule_ids() == set(index) == rule_set(sum(index.values())) and all(
         system.rule_mask((rule_id,)) == bit and rule_set(bit) == {rule_id}
         for rule_id, bit in index.items()
@@ -206,29 +224,41 @@ def _compare_moves(view: ModeView, table, expected_at, index, detail):
     def spelled(mask):
         return frozenset(rule_id for rule_id, bit in index.items() if mask & bit)
 
-    for configuration in table.subsets():
-        bits = configuration.bits
-        moves = view.resolved(apps[bits])
-        expected = expected_at(configuration)
-        if trusted:
-            if {mask << width | bits & ~erase | add for mask, erase, add in moves} == expected:
+    groups = {}
+    for bits, app in enumerate(apps):
+        groups.setdefault(app, []).append(bits)
+    failure = 1 << width  # above every configuration
+    for app, members in groups.items():
+        if members[0] >= failure:
+            break  # every later group starts higher still
+        moves = view.resolved(app)
+        for bits in members:
+            if bits >= failure:
+                break
+            expected = expected_at(table.state(bits))
+            applied = apply_moves(moves, bits)
+            if trusted:
+                if set(applied) == expected:
+                    continue
+            elif {(rule_set(out >> width), out & full) for out in applied} == {
+                (spelled(move >> width), move & full) for move in expected
+            }:
                 continue
-        elif {(rule_set(mask), bits & ~erase | add) for mask, erase, add in moves} == {
-            (spelled(move >> width), move & full) for move in expected
-        }:
-            continue
-        expected_ids = frozenset(
-            (spelled(move >> width), table.state(move & full)) for move in expected
+            failure, failed = bits, expected
+            break
+    if failure >> width:
+        return EquivalenceReport(passed=True, detail="labelled transition relations coincide")
+    configuration = table.state(failure)
+    expected_ids = frozenset(
+        (spelled(move >> width), table.state(move & full)) for move in failed
+    )
+    actual = frozenset(successors(view, configuration))
+    if actual == expected_ids:  # only the table's derivation is wrong
+        detail += (
+            ": the exhaustive applicability table disagrees"
+            " with the per-configuration moves"
         )
-        actual = frozenset(successors(view, configuration))
-        if actual == expected_ids:  # only the table's derivation is wrong
-            detail += (
-                ": the exhaustive applicability table disagrees"
-                " with the per-configuration moves"
-            )
-        counterexample = Counterexample(configuration, expected_ids, actual)
-        return EquivalenceReport(False, detail, counterexample)
-    return EquivalenceReport(passed=True, detail="labelled transition relations coincide")
+    return EquivalenceReport(False, detail, Counterexample(configuration, expected_ids, actual))
 
 
 def check_bn_simulation(
@@ -330,10 +360,12 @@ def check_product_lemma(
     left = derive_mode(union, first_quasimode.dot(second_quasimode))
     apps = union.applicable_masks()
     rule_set = union.rule_set
+    width = len(union.table)
     for configuration in union.table.subsets():
         applicable = union.applicable_rules(configuration)
+        bits = configuration.bits
         lhs = frozenset(
-            rule_set(mask) for mask, _erase, _add in left.resolved(apps[configuration.bits])
+            rule_set(out >> width) for out in union.apply_moves(left.resolved(apps[bits]), bits)
         )
         rhs = dotted_product(
             first_quasimode.advised(applicable), second_quasimode.advised(applicable)
@@ -367,14 +399,13 @@ def check_rs_embedding(rs: ReactionSystem) -> EquivalenceReport:
     there both sides stay empty)."""
     check_enumerable(len(rs.table), "reaction system")
     mode = rs_to_boolp(rs)
-    apps = mode.system.applicable_masks()
+    system = mode.system
+    apps = system.applicable_masks()
+    full = (1 << len(rs.table)) - 1
     for state in rs.table.subsets():
         expected = reaction_result(rs, state)
-        moves = mode.resolved(apps[state.bits])
-        actual = state
-        if moves:
-            _mask, erase, add = moves[0]
-            actual = rs.table.state(state.bits & ~erase | add)
+        applied = system.apply_moves(mode.resolved(apps[state.bits]), state.bits)
+        actual = rs.table.state(applied[0] & full) if applied else state
         if expected != actual:
             return EquivalenceReport(
                 passed=False,

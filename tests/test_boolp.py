@@ -404,20 +404,28 @@ def test_successors_match_id_level_reference(system, quasimode, other):
             assert view.at(configuration) == advised(applicable)
 
 
-def reference_dot(first, second):
+def reference_dot(first, second, shift):
     """`_dot` without its path for disjoint sides: one dict entry per mask,
-    listed in the order of its first pair."""
+    the bits from `shift` up, listed in the order of its first pair."""
     out = {}
-    for mask, erase, add in first:
-        for mask2, erase2, add2 in second:
-            out[mask | mask2] = (mask | mask2, erase | erase2, add | add2)
+    for move in first:
+        for move2 in second:
+            out[(move | move2) >> shift] = move | move2
     return list(out.values())
 
 
+SHIFT = 16
+
+
 def mode_values(masks):
-    """A mode value as `_dot` takes it: triples with distinct masks."""
-    bits = st.integers(0, 255)
-    return st.lists(st.tuples(masks, bits, bits), max_size=6, unique_by=lambda t: t[0])
+    """A mode value as `_dot` takes it: moves with distinct masks, the
+    masks from bit SHIFT up and any bits below."""
+    moves = st.tuples(masks, st.integers(0, (1 << SHIFT) - 1))
+    return st.lists(
+        moves.map(lambda pair: pair[0] << SHIFT | pair[1]),
+        max_size=6,
+        unique_by=lambda move: move >> SHIFT,
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -425,9 +433,9 @@ def mode_values(masks):
 def test_dot_lists_what_the_dict_reference_lists(data, disjoint):
     # disjoint sides take `_dot`'s list comprehension, overlapping ones its dict
     first = data.draw(mode_values(st.integers(0, 15)))
-    shift = 4 if disjoint else 0
-    second = data.draw(mode_values(st.integers(0, 15).map(lambda mask: mask << shift)))
-    assert _dot(first, second) == reference_dot(first, second)
+    apart = 4 if disjoint else 0
+    second = data.draw(mode_values(st.integers(0, 15).map(lambda mask: mask << apart)))
+    assert _dot(first, second, SHIFT) == reference_dot(first, second, SHIFT)
 
 
 @settings(max_examples=100, deadline=None)
@@ -437,8 +445,10 @@ def test_a_nested_product_resolves_as_the_flat_one(system, a, b, c):
     nested = ProductQuasimode((a, ProductQuasimode((b, c)))).resolve(system)
     flat = ProductQuasimode((a, b, c)).resolve(system)
     first, second, third = (q.resolve(system) for q in (a, b, c))
+    shift = 2 * len(system.table)  # where a move's mask starts
     for app in range(1 << len(system.rules)):
-        expected = reference_dot(first(app), reference_dot(second(app), third(app)))
+        inner = reference_dot(second(app), third(app), shift)
+        expected = reference_dot(first(app), inner, shift)
         assert nested(app) == flat(app) == expected
 
 

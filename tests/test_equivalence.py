@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import random
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +26,8 @@ from boolps.boolp import (
     successors,
 )
 from boolps.equivalence import (
+    Counterexample,
+    EquivalenceReport,
     _expected_moves,
     _spelled_index,
     boolp_transitions,
@@ -390,50 +393,58 @@ def _mode_views_equal(sys_a, qm_a, sys_b, qm_b):
     return True
 
 
+def _single_fault_mutants(rng):
+    """A random network of 2-4 variables, a random mode, its canonical
+    encoding ``(system, quasimode)`` and that encoding's single-fault
+    mutants: a guard flipped, a rule dropped (still advised) and, where
+    there are several, an advised element dropped."""
+    table = random_table(rng, rng.randint(2, 4))
+    network = random_network(rng, table)
+    mode = random_mode(rng, table)
+    system = bn_to_boolp(network)
+    quasimode = bn_mode_to_quasimode(mode, system)
+
+    mutants = []
+    # guard flip
+    index = rng.randrange(len(system.rules))
+    mutants.append(
+        (
+            BooleanPSystem(
+                table,
+                tuple(
+                    Rule(r.id, r.lhs, r.rhs, r.guard.negate()) if i == index else r
+                    for i, r in enumerate(system.rules)
+                ),
+            ),
+            quasimode,
+        )
+    )
+    # dropped rule (quasimode still advises the missing id)
+    index = rng.randrange(len(system.rules))
+    mutants.append(
+        (
+            BooleanPSystem(
+                table,
+                tuple(r for i, r in enumerate(system.rules) if i != index),
+            ),
+            quasimode,
+        )
+    )
+    # dropped advised element
+    family = list(quasimode.family)
+    if len(family) > 1:
+        family.pop(rng.randrange(len(family)))
+        mutants.append((system, explicit_quasimode(family)))
+    return network, mode, (system, quasimode), mutants
+
+
 class TestMutantDetection:
     def test_single_fault_mutants_are_detected(self):
         rng = random.Random(90)
         missed = 0
         counted = 0
         for _ in range(25):
-            table = random_table(rng, rng.randint(2, 4))
-            network = random_network(rng, table)
-            mode = random_mode(rng, table)
-            system = bn_to_boolp(network)
-            quasimode = bn_mode_to_quasimode(mode, system)
-
-            mutants = []
-            # guard flip
-            index = rng.randrange(len(system.rules))
-            mutants.append(
-                (
-                    BooleanPSystem(
-                        table,
-                        tuple(
-                            Rule(r.id, r.lhs, r.rhs, r.guard.negate()) if i == index else r
-                            for i, r in enumerate(system.rules)
-                        ),
-                    ),
-                    quasimode,
-                )
-            )
-            # dropped rule (quasimode still advises the missing id)
-            index = rng.randrange(len(system.rules))
-            mutants.append(
-                (
-                    BooleanPSystem(
-                        table,
-                        tuple(r for i, r in enumerate(system.rules) if i != index),
-                    ),
-                    quasimode,
-                )
-            )
-            # dropped advised element
-            family = list(quasimode.family)
-            if len(family) > 1:
-                family.pop(rng.randrange(len(family)))
-                mutants.append((system, explicit_quasimode(family)))
-
+            network, mode, (system, quasimode), mutants = _single_fault_mutants(rng)
             for mutant_system, mutant_quasimode in mutants:
                 view = derive_mode(mutant_system, mutant_quasimode)
                 report = check_bn_simulation(network, mode, encoding=view)
@@ -526,11 +537,15 @@ def _reversed_index(system):
     relation it gives is unchanged, but no mask means what the check's
     own index says."""
     ordered = sorted(system.rules, key=lambda rule: rule.id, reverse=True)
+    # the same rules under ids that sort in that order: its packed moves and
+    # guard checks are the ones the reversed index needs
+    ranked = BooleanPSystem(system.table, tuple(
+        Rule(f"r{i:04d}", rule.lhs, rule.rhs, rule.guard) for i, rule in enumerate(ordered)
+    ))
     fields = {
         "_bit": {rule.id: 1 << i for i, rule in enumerate(ordered)},
-        "_lhs": tuple(rule.lhs.bits for rule in ordered),
-        "_rhs": tuple(rule.rhs.bits for rule in ordered),
-        "_checks": tuple((1 << i, rule.lhs.bits, rule.guard) for i, rule in enumerate(ordered)),
+        "_rule_moves": ranked._rule_moves,
+        "_checks": ranked._checks,
         "_ids": tuple(rule.id for rule in ordered),
     }
     for name, value in fields.items():
@@ -650,3 +665,131 @@ def test_verdict_derives_moves_from_the_table_alone(name):
 
 def test_verdict_goldens_cover_every_case():
     assert sorted(VERDICT_GOLDENS) == sorted(VERDICT_CASES)
+
+
+# --- one derivation per applicability class -------------------------------------
+
+
+def per_configuration_compare(view, table, expected_at, index, detail):
+    """`equivalence._compare_moves` as one loop over the configurations in
+    ascending order, deriving the moves at each one and stopping at the
+    first that differs: the reference its grouping by applicable mask must
+    report the same as."""
+    system = view.system
+    if table != system.table:
+        raise UsageError("configuration over a different variable table")
+    apps = system.applicable_masks()
+    rule_set = system.rule_set
+    trusted = system.rule_ids() == set(index) == rule_set(sum(index.values())) and all(
+        system.rule_mask((rule_id,)) == bit and rule_set(bit) == {rule_id}
+        for rule_id, bit in index.items()
+    )
+    width = len(table)
+    full = (1 << width) - 1
+
+    def spelled(mask):
+        return frozenset(rule_id for rule_id, bit in index.items() if mask & bit)
+
+    for configuration in table.subsets():
+        bits = configuration.bits
+        applied = system.apply_moves(view.resolved(apps[bits]), bits)
+        expected = expected_at(configuration)
+        if trusted:
+            if set(applied) == expected:
+                continue
+        elif {(rule_set(out >> width), out & full) for out in applied} == {
+            (spelled(move >> width), move & full) for move in expected
+        }:
+            continue
+        expected_ids = frozenset(
+            (spelled(move >> width), table.state(move & full)) for move in expected
+        )
+        actual = frozenset(successors(view, configuration))
+        if actual == expected_ids:
+            detail += (
+                ": the exhaustive applicability table disagrees"
+                " with the per-configuration moves"
+            )
+        return EquivalenceReport(False, detail, Counterexample(configuration, expected_ids, actual))
+    return EquivalenceReport(passed=True, detail="labelled transition relations coincide")
+
+
+def assert_grouped_reports_as_per_configuration(monkeypatch, check):
+    """`check()` gives the same report JSON under `_compare_moves` as under
+    `per_configuration_compare`; returns that report."""
+    report = check()
+    with monkeypatch.context() as patch:
+        patch.setattr(equivalence, "_compare_moves", per_configuration_compare)
+        reference = check()
+    assert json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CASES))
+def test_grouped_comparison_reports_as_the_per_configuration_loop(monkeypatch, name):
+    assert_grouped_reports_as_per_configuration(monkeypatch, VERDICT_CASES[name])
+
+
+def test_grouped_comparison_reports_as_the_per_configuration_loop_on_mutants(monkeypatch):
+    rng = random.Random(91)
+    failed = 0
+    for _ in range(25):
+        network, mode, canonical, mutants = _single_fault_mutants(rng)
+        for system, quasimode in [canonical] + mutants:
+            view = derive_mode(system, quasimode)
+            report = assert_grouped_reports_as_per_configuration(
+                monkeypatch, lambda: check_bn_simulation(network, mode, encoding=view)
+            )
+            failed += not report
+    # guard flips on composites fail at many configurations, of which the
+    # lowest is reported
+    for _ in range(10):
+        table = random_table(rng, rng.randint(2, 3))
+        bcn = freeze_extend(random_network(rng, table))
+        mode = random_mode(rng, table)
+        composite = bcn_to_composite(bcn, mode)
+        flipped = _flip_guard(composite.system, rng.choice(sorted(composite.system.rule_ids())))
+        composite = dataclasses.replace(composite, system=flipped)
+        report = assert_grouped_reports_as_per_configuration(
+            monkeypatch, lambda: check_bcn_simulation(bcn, mode, composite=composite)
+        )
+        failed += not report
+    assert failed > 25
+
+
+def _flipped_at(system, rule_id, bits):
+    """`system` with the guard of `rule_id` negated at the configuration
+    with `bits` alone."""
+    names = system.table.names
+    minterm = " & ".join(name if bits >> i & 1 else "!" + name for i, name in enumerate(names))
+    rules = []
+    for rule in system.rules:
+        if rule.id == rule_id:
+            guard = rule.guard.to_text()
+            flipped = f"({guard}) & !({minterm}) | !({guard}) & ({minterm})"
+            rule = Rule(rule.id, rule.lhs, rule.rhs, parse_formula(flipped, system.table))
+        rules.append(rule)
+    return BooleanPSystem(system.table, tuple(rules))
+
+
+def test_grouped_comparison_holds_one_group_of_moves_at_a_time():
+    # a 9-symbol composite under asyn with a fault at its second-to-last
+    # configuration: nearly every group is derived before the failure.
+    # Keeping every group's moves peaks at about 2.2 MiB, one at a time at
+    # about 0.5 MiB.
+    table = random_table(random.Random(7), 3)
+    bcn = freeze_extend(random_network(random.Random(7), table))
+    mode = BooleanMode.asyn(table)
+    composite = bcn_to_composite(bcn, mode)
+    planted = (1 << len(bcn.table)) - 2
+    faulty = dataclasses.replace(
+        composite, system=_flipped_at(composite.system, "set_" + table.names[0], planted)
+    )
+    tracemalloc.start()
+    try:
+        report = check_bcn_simulation(bcn, mode, composite=faulty)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report and report.counterexample.state.bits == planted
+    assert peak < 1 << 20

@@ -36,7 +36,7 @@ KERNEL_ENTRY_POINTS = (
     "rule_mask", "rule_set", "fold", "moves", "successors", "applicable_mask",
     "applicable_masks", "resolved", "_bit", "truth_patterns", "fold_truth_table",
     "truth_bitmask", "truth_columns", "_moved", "control_classes", "_input_groups",
-    "_table_node", "_step_set",
+    "_table_node", "_step_set", "apply_moves",
 )
 
 
@@ -66,6 +66,17 @@ def test_expected_side_names_no_kernel_entry_point(owner, function):
     source = inspect.getsource(getattr(owner, function))
     named = [name for name in KERNEL_ENTRY_POINTS if re.search(rf"\b{name}\b", source)]
     assert named == []
+
+
+def test_the_composite_oracle_asks_successors_at_each_configuration():
+    """`test_cofase.heap_composite_solve`, which the composite engine is
+    compared with, steps each configuration through `successors`; reading
+    the applicability table and the moves as the engine does would share
+    a fault of that path."""
+    source = inspect.getsource(test_cofase.heap_composite_solve)
+    assert re.search(r"\bsuccessors\(view, config\)", source)
+    table_path = ("applicable_masks", "apply_moves", "resolved", "moves")
+    assert [name for name in table_path if re.search(rf"\b{name}\b", source)] == []
 
 
 def _package_functions():

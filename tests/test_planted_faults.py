@@ -207,20 +207,20 @@ def test_a_checker_without_the_target_test_fails_the_problem_lines(monkeypatch):
     assert_problem_lines(*case)
 
 
-def _dot_dropping_the_second_erase(first, second):
-    out = {}
-    for mask, erase, add in first:
-        for mask2, _erase2, add2 in second:
-            out[mask | mask2] = (mask | mask2, erase, add | add2)
-    return list(out.values())
+# `_dot`'s path for sides over disjoint rules, which the composite's factors
+# and the lemma suite's systems (ids prefixed a and b) always are
+DISJOINT_DOT = "[move | move2 for move in first for move2 in second]"
 
 
-def _dot_keeping_the_first_mask(first, second):
-    out = {}
-    for mask, erase, add in first:
-        for mask2, erase2, add2 in second:
-            out[mask | mask2] = (mask, erase | erase2, add | add2)
-    return list(out.values())
+def _dot_dropping_the_second_erase():
+    # a move's erase bits are the lower half of the bits below its mask
+    second = "move2 >> shift // 2 << shift // 2"
+    return _mutant(boolp, "_dot", DISJOINT_DOT, DISJOINT_DOT.replace("move2 for", second + " for"))
+
+
+def _dot_keeping_the_first_mask():
+    second = "move2 & (1 << shift) - 1"
+    return _mutant(boolp, "_dot", DISJOINT_DOT, DISJOINT_DOT.replace("move2 for", second + " for"))
 
 
 def test_a_product_dropping_erase_bits_fails_the_controlled_check(capsys, monkeypatch):
@@ -228,7 +228,7 @@ def test_a_product_dropping_erase_bits_fails_the_controlled_check(capsys, monkey
     # product: control symbols are never erased, so {u_x0} keeps u_x0
     argv = ("check", "bcn-sim", MODELS / "ex32.bcn", "--mode", "syn")
     with monkeypatch.context() as patch:
-        patch.setattr(boolp, "_dot", _dot_dropping_the_second_erase)
+        patch.setattr(boolp, "_dot", _dot_dropping_the_second_erase())
         code, out, _ = run(capsys, *argv)
         assert code == 1
         lines = out.splitlines()
@@ -253,7 +253,7 @@ LEMMA_DETAIL = "derived product mode differs from product of derived modes"
 def test_a_product_keeping_the_first_mask_fails_the_lemma_suite(capsys, monkeypatch):
     argv = ("check", "lemma-product", "--random", "20")
     with monkeypatch.context() as patch:
-        patch.setattr(boolp, "_dot", _dot_keeping_the_first_mask)
+        patch.setattr(boolp, "_dot", _dot_keeping_the_first_mask())
         code, out, _ = run(capsys, *argv)
         assert code == 1
         summary, *cases = out.splitlines()
@@ -459,7 +459,8 @@ def test_a_product_that_never_dedupes_fails_the_evolve_golden(monkeypatch):
     # the golden's product factors share r10 and r2, so their unions collide;
     # without the dict each collision is a second, equal move
     with monkeypatch.context() as patch:
-        patch.setattr(boolp, "_dot", _mutant(boolp, "_dot", "if not used & used2:", "if True:"))
+        patch.setattr(boolp, "_dot", _mutant(
+            boolp, "_dot", "if not used >> shift & used2 >> shift:", "if True:"))
         with pytest.raises(AssertionError, match="product"):
             test_boolp.test_evolve_order_golden()
     test_boolp.test_evolve_order_golden()
@@ -491,3 +492,31 @@ def test_a_comparison_that_always_trusts_the_index_fails_the_verdict_golden(monk
         with pytest.raises(AssertionError):
             test_equivalence.test_verdict_golden("bcn-extra-rule-idle")
     test_equivalence.test_verdict_golden("bcn-extra-rule-idle")
+
+
+def test_a_comparison_of_each_group_s_first_configuration_fails_the_mutant_checks(monkeypatch):
+    # a fault at a configuration that shares its applicable mask with a
+    # lower one goes unseen when each group stops after its first member
+    check = test_equivalence.TestMutantDetection().test_single_fault_mutants_are_detected
+    with monkeypatch.context() as patch:
+        patch.setattr(equivalence, "_compare_moves", _mutant(
+            equivalence, "_compare_moves", "for bits in members:", "for bits in members[:1]:"))
+        with pytest.raises(AssertionError, match="non-equivalent mutant"):
+            check()
+        with pytest.raises(AssertionError):
+            test_equivalence.test_verdict_golden("bcn-missing-u-clr")
+    check()
+    test_equivalence.test_verdict_golden("bcn-missing-u-clr")
+
+
+def test_a_composite_engine_reading_the_variables_row_fails_the_heap_comparison(monkeypatch):
+    # with the control bits dropped, every configuration reads the row of
+    # the same variables under no control symbol
+    check = test_cofase.test_composite_search_matches_heap_search_over_state_sets
+    with monkeypatch.context() as patch:
+        patch.setattr(test_cofase, "solve_cofase_via_composite", _mutant(
+            cofase, "solve_cofase_via_composite", "resolved(apps[config])",
+            "resolved(apps[config & x_mask])"))
+        with pytest.raises(AssertionError):
+            check()
+    check()
