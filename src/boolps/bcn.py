@@ -12,7 +12,6 @@ disjunction per variable at ingestion.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -73,7 +72,8 @@ def apply_control(bcn: BooleanControlNetwork, control: StateSet) -> BooleanNetwo
 def control_classes(bcn: BooleanControlNetwork) -> dict[StateSet, tuple[int, ...]]:
     """The classes of controls that select networks with equal truth tables,
     each as its first control in canonical order mapped to the per-update
-    truth tables over the 2**n states of `x_table`, sorted by that control.
+    truth tables over the 2**n states of `x_table`, in canonical order of
+    those controls.
 
     Update i's table depends only on the control's projection onto the
     inputs it mentions, so it is folded once per projection, with each
@@ -82,12 +82,16 @@ def control_classes(bcn: BooleanControlNetwork) -> dict[StateSet, tuple[int, ...
     the first projection onto its inputs in canonical order for each tuple
     of its updates' tables.  The classes are the product over the groups:
     digit order compares their disjoint positions independently, so the
-    union of a class's first projections is its canonical minimum.
-    CapacityError: the state space is over the cap (checked first), a
-    group has more inputs than the cap (before it is built), or there are
-    more than 2**cap classes (before their product is built).
+    union of a class's first projections is its canonical minimum.  The
+    product concatenates the tables group by group and puts them in update
+    order with one permutation; the classes are ordered by the digit rank
+    of their controls (`relation.digit_order`), the sum of their groups'
+    ranks.  CapacityError: the state space is over the cap (checked first),
+    a group has more inputs than the cap (before it is built), or there
+    are more than 2**cap classes (before their product is built).
     """
     n = check_enumerable(len(bcn.x_table), "state space")
+    width = len(bcn.u_table)
     u_names = set(bcn.u_table.names)
     masks = [
         sum(1 << bcn.u_table.position(name) for name in formula.variables() & u_names)
@@ -98,30 +102,39 @@ def control_classes(bcn: BooleanControlNetwork) -> dict[StateSet, tuple[int, ...
 
     @functools.cache
     def fold(update, projection):
-        inputs = [full if projection >> pos & 1 else 0 for pos in range(len(bcn.u_table))]
+        inputs = [full if projection >> pos & 1 else 0 for pos in range(width)]
         return _table_node(bcn.updates[update].root, patterns + inputs, full)
 
-    firsts = []  # per group: its (update, table) pairs -> the first projection giving them
-    for mask, members in _input_groups(masks):
+    groups = _input_groups(masks)
+    firsts = []  # per group: (rank, first projection, its updates' tables) per tuple of tables
+    for mask, members in groups:
         k = check_enumerable(mask.bit_count(), "control group")
         spread = [0]  # spread[local]: the group's k-bit pattern at its positions
-        for pos in range(len(bcn.u_table)):
+        rank = [0]  # rank[local]: the digit rank of that pattern over the whole alphabet
+        for pos in range(width):
             if mask >> pos & 1:
                 spread += [bits | 1 << pos for bits in spread]
+                rank += [value | 1 << width - 1 - pos for value in rank]
         first = {}
-        for bits in (spread[local] for local in digit_order(k)):
-            first.setdefault(tuple((u, fold(u, bits & masks[u])) for u in members), bits)
-        firsts.append(first)
+        for local in digit_order(k):
+            bits = spread[local]
+            first.setdefault(tuple(fold(u, bits & masks[u]) for u in members), (rank[local], bits))
+        firsts.append([(value, bits, tables) for tables, (value, bits) in first.items()])
     count, cap = math.prod(map(len, firsts)), var_cap()
     if count > 1 << cap:
         raise CapacityError(f"{count} control classes exceed 2**{cap}; enumeration capped "
                             f"at {cap} (raise it with --cap-vars or {ENV_VAR_CAP})")
-    classes = {}
-    for picks in itertools.product(*(first.items() for first in firsts)):
-        control = functools.reduce(operator.or_, (bits for _key, bits in picks), 0)
-        pairs = sorted(pair for key, _bits in picks for pair in key)
-        classes[bcn.u_table.state(control)] = tuple(table for _update, table in pairs)
-    return dict(sorted(classes.items(), key=lambda item: item[0].sort_key()))
+    classes = [(0, 0, ())]
+    for first in firsts:
+        classes = [(value + value2, bits | bits2, tables + tables2)
+                   for value, bits, tables in classes for value2, bits2, tables2 in first]
+    classes.sort(key=operator.itemgetter(0))
+    order = [update for _mask, members in groups for update in members]
+    if order != sorted(order):  # two or more updates, so the getter returns tuples
+        reorder = operator.itemgetter(*sorted(range(n), key=order.__getitem__))
+        classes = [(value, bits, reorder(tables)) for value, bits, tables in classes]
+    state = bcn.u_table.state
+    return {state(bits): tables for _value, bits, tables in classes}
 
 
 def _input_groups(masks: list[int]) -> list[tuple[int, list[int]]]:

@@ -139,11 +139,14 @@ def _moved(tables: list[int], groups: list[int]) -> list[int]:
     For each variable x_i in a group, D_i, the states where update i
     disagrees with x_i, is table i XOR x_i's pattern; `truth_columns`
     transposes the D_i state by state.  Group g moves b to
-    ``b ^ (moved[b] & g)``: an update reads only the state.  The tables
-    are a network's (`bn_transitions`, `attractors`), or a control class's
-    over its groups of several variables (`cofase._Phase`, which steps
-    whole sets under one-variable groups); `bn_step` stays the per-state
-    reference stepper.
+    ``b ^ (moved[b] & g)``: an update reads only the state.  Bit i of
+    ``moved[b]`` reads table i alone, so the map over several groups is
+    the OR of maps over any split of their union's variables.  The tables
+    are a network's (`bn_transitions`, `attractors`), or control classes'
+    (`cofase._ModeSplit`, which builds a part per update and table over
+    the groups of several variables, once per solve, and ORs a class's
+    parts; one-variable groups step whole sets instead).  `bn_step` stays
+    the per-state reference stepper.
     """
     n = len(tables)
     union = functools.reduce(operator.or_, groups, 0)

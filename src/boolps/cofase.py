@@ -12,13 +12,17 @@ shortest sequence (ties broken by canonical control order).  Controls that
 select networks with equal truth tables form one class, tried once under
 its first control in canonical order.  The classes are built per group of
 updates that share control inputs (`bcn.control_classes`), never by a loop
-over every control.  A phase's image of a state set is saturated from its
-class's truth tables (`_Phase.image`), with no per-state closure: whole-set
-shifts under single-variable groups, explicit steps under wider ones.  The
-second engine searches the composed set-rewriting embedding of the
-instance from every control (`control_space`) and decodes the control
-sequence from the control-symbol history; the two must agree, which is
-used as a cross-check throughout the test suite.
+over every control, and come ordered by the digit rank of their controls.
+A phase's image of a state set is saturated from its class's truth tables
+(`_Phase.image`), with no per-state closure: whole-set shifts under
+single-variable groups, explicit steps under wider ones.  What every class
+derives alike is derived once per solve (`_ModeSplit`): the split of the
+mode's groups by shape, and the parts of the wide groups' step maps, one
+per update and table, whose OR is a class's step map.  The second engine
+searches the composed set-rewriting embedding of the instance from every
+control (`control_space`) and decodes the control sequence from the
+control-symbol history; the two must agree, which is used as a
+cross-check throughout the test suite.
 """
 
 from __future__ import annotations
@@ -170,47 +174,85 @@ def _step_set(out: int, states: int, flips, wide, moved) -> int:
     return out
 
 
+class _ModeSplit:
+    """What the phases of one solve share: the mode's elements split by
+    shape, once, and the parts their step maps are built from.
+
+    A group {x_i} moves the states of D_i, table i XOR x_i's pattern, by
+    two masked shifts; `singles` holds ``(2**i, i, x_i's pattern)`` for
+    each, and `still` is every state when the mode has the empty group.  A
+    group of several variables moves several bits at once; those groups are
+    `wide`, and a class steps them through its ``moved`` (`bn._moved` over
+    their union, one small int per state).  Bit i of ``moved[b]`` depends
+    on update i's table alone, so ``moved`` is the OR of parts: `base`, over
+    the updates whose table is the same in every class, and one part per
+    (update, table) of the others, built the first time a class needs it.
+    `classes` holds every class's tuple of tables.
+    """
+
+    def __init__(self, mode: BooleanMode, classes):
+        n = len(mode.table)
+        self.full = (1 << (1 << n)) - 1
+        patterns = truth_patterns(n)
+        self.singles, self.wide, self.still = [], [], 0
+        for element in mode.sorted_elements():
+            g = element.bits
+            if g & (g - 1):
+                self.wide.append(g)
+            elif g:
+                i = g.bit_length() - 1
+                self.singles.append((g, i, patterns[i]))
+            else:
+                self.still = self.full
+        union = functools.reduce(operator.or_, self.wide, 0)
+        columns = list(zip(*classes))  # per update: its table in each class
+        self.varying = [i for i, column in enumerate(columns)
+                        if union >> i & 1 and len(set(column)) > 1]
+        shared = union & ~sum(1 << i for i in self.varying)
+        self.base = _moved([column[0] for column in columns], [shared]) if shared else None
+        self._parts = {}
+
+    def moved(self, tables: tuple[int, ...]) -> list[int]:
+        """``moved`` under the wide groups for a class with these tables."""
+        moved = self.base
+        for i in self.varying:
+            key = (i, tables[i])
+            if key not in self._parts:
+                self._parts[key] = _moved(tables, [1 << i])
+            part = self._parts[key]
+            moved = part if moved is None else list(map(operator.or_, moved, part))
+        return moved
+
+
 @dataclass(eq=False)
 class _Phase:
     """One control class's phase: the class's first control selects the
     network its witnesses step, and its per-update truth `tables` give the
     images of state sets, which `image` computes from them.  Only `_Phase`
     reads the tables; what it derives from them is built on first use and
-    kept for the solve."""
+    kept for the solve, and what every class derives alike comes from the
+    solve's `split`."""
 
     instance: CoFaSeInstance
     control: StateSet
     tables: tuple[int, ...]
     min_steps: int
+    split: _ModeSplit
 
     @functools.cached_property
     def _steps(self) -> tuple:
-        """The class's steps, split by the shape of the mode's groups.
-
-        A group {x_i} moves the states of D_i, table i XOR x_i's pattern, to
-        the states 2**i above (x_i off) or below (x_i on): ``(2**i, up,
-        down)``, the two halves of D_i, and every other state stays.  A group
-        of several variables moves several bits at once, which shifts do not
-        express; those groups come with ``moved`` (`bn._moved` over them, one
-        small int per state).  `still` holds the states that some single or
-        empty group leaves as they are.
-        """
-        tables = self.tables
-        full = (1 << (1 << len(tables))) - 1
-        patterns = truth_patterns(len(tables))
-        flips, wide, still = [], [], 0
-        for element in self.instance.mode.sorted_elements():
-            g = element.bits
-            if g & (g - 1):
-                wide.append(g)
-                continue
-            moves = 0
-            if g:
-                i = g.bit_length() - 1
-                moves = tables[i] ^ patterns[i]
-                flips.append((g, moves & ~patterns[i], moves & patterns[i]))
-            still |= full & ~moves
-        return flips, still, wide, _moved(tables, wide) if wide else None
+        """The class's steps under the split's groups: ``(2**i, up, down)``
+        per single-variable group, the two halves of D_i, moved 2**i up
+        (x_i off) or down (x_i on) while every other state stays; `still`,
+        the states that some single or empty group leaves as they are; the
+        wide groups; and their ``moved``."""
+        split, tables = self.split, self.tables
+        flips, still = [], split.still
+        for g, i, pattern in split.singles:
+            moves = tables[i] ^ pattern
+            flips.append((g, moves & ~pattern, moves & pattern))
+            still |= split.full & ~moves
+        return flips, still, split.wide, split.moved(tables) if split.wide else None
 
     def image(self, states: int) -> int:
         """The states reachable from those set in `states` within the phase
@@ -325,10 +367,7 @@ def solve_cofase(
         raise UsageError(f"unknown policy {policy!r}")
     if min_steps_per_phase not in (0, 1):
         raise UsageError("min_steps_per_phase must be 0 or 1")
-    # controls selecting equal truth tables have one image; the class's first
-    # control in canonical order stands for it, so the search is unchanged
-    phases = [_Phase(instance, control, tables, min_steps_per_phase)
-              for control, tables in control_classes(instance.bcn).items()]
+    phases = _phases(instance, min_steps_per_phase)
 
     if policy == "per-start":
         witnesses = []
@@ -344,6 +383,16 @@ def solve_cofase(
         return CoFaSeSolution(policy="per-start", witnesses=tuple(witnesses))
 
     return _solve_uniform(instance, phases, max_phases)[0]
+
+
+def _phases(instance: CoFaSeInstance, min_steps: int) -> list[_Phase]:
+    """One phase per control class, all sharing one split of the mode.
+    Controls selecting equal truth tables have one image; the class's first
+    control in canonical order stands for it, so the search is unchanged."""
+    classes = control_classes(instance.bcn)
+    split = _ModeSplit(instance.mode, classes.values())
+    return [_Phase(instance, control, tables, min_steps, split)
+            for control, tables in classes.items()]
 
 
 def _solve_uniform(instance, phases, max_phases):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 import sys
 import time
 from collections.abc import Callable
@@ -30,15 +31,20 @@ from boolps.bcn import BooleanControlNetwork
 from boolps.bn import BooleanMode
 from boolps.cofase import CoFaSeInstance, solution_to_json, solve_cofase
 from boolps.formula import VarTable
+from boolps.generators import random_mode
 
 
 def family(seed: int, n: int, mode: str = "asyn") -> CoFaSeInstance:
     """`test_cofase.wide_instance`: n variables, x1-x3 freeze-controlled
-    (27 classes), three starts and one target, under asyn, or under syn
-    when `mode` is "syn"."""
+    (27 classes), three starts and one target, under asyn, under syn when
+    `mode` is "syn", or under ``random_mode(Random(0), table)`` when it is
+    "random"."""
     instance = wide_instance(seed, n)
+    table = instance.bcn.x_table
     if mode == "syn":
-        instance = dataclasses.replace(instance, mode=BooleanMode.syn(instance.bcn.x_table))
+        instance = dataclasses.replace(instance, mode=BooleanMode.syn(table))
+    elif mode == "random":
+        instance = dataclasses.replace(instance, mode=random_mode(random.Random(0), table))
     return instance
 
 
@@ -98,6 +104,9 @@ RUNGS = {rung.name: rung for rung in (
          "c1a0a65732a839c5d911c1abd0c6c207aa7c640b90b4942f5d05ddb3d3acc655"),
     Rung("asyn-n14-seed0", lambda: family(0, 14), 3, False, None, 401,
          "ad636463e9e78202b341db4fc414daac05da56840708820f352ba7e25f260c6b"),
+    # several wide groups: at n=10, groups of 3, 3, 7 and 7 variables
+    Rung("wide-n10-seed0", lambda: family(0, 10, "random"), 3, False, None, 3737,
+         "1698e662fa28b10a10edfcb5e01051fd6703ee97e5da9d3ce752cccb92d4bc2a"),
 )}
 
 # the rungs tier-1 solves, each in well under a second on a laptop-class

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolps.bcn import (
     BooleanControlNetwork,
     apply_control,
+    control_classes,
     enumerate_controls,
     freeze_extend,
     glue_trajectories,
@@ -13,7 +16,7 @@ from boolps.bcn import (
 from boolps.bn import BooleanMode, BooleanNetwork, Trajectory, bn_step, bn_transitions
 from boolps.errors import ValidationError
 from boolps.formula import Formula, StateSet, VarTable, equivalent, parse_formula
-from boolps.generators import random_mode, random_network, random_table
+from boolps.generators import random_formula, random_mode, random_network, random_table
 
 
 @pytest.fixture
@@ -232,3 +235,32 @@ class TestTextFormat:
 
         with pytest.raises(errors.ParseError):
             parse_bcn_text(text)
+
+
+def shared_input_network(rng):
+    """Variables x0.. and explicit controls u0.., which are not freeze pairs;
+    each update reads one to three controls, so updates share inputs and
+    form groups of several updates.  Some variables are frozen as well."""
+    x_table = VarTable(f"x{i}" for i in range(rng.randint(1, 4)))
+    inputs = [f"u{j}" for j in range(rng.randint(1, 4))]
+    lines = ["var " + ", ".join(x_table.names), "control " + ", ".join(inputs)]
+    lines += [f"freeze {name}" for name in x_table.names if rng.random() < 0.3]
+    for name in x_table.names:
+        read = rng.sample(inputs, rng.randint(1, min(3, len(inputs))))
+        literals = [f"!{u}" if rng.random() < 0.5 else u for u in read]
+        inner, outer = rng.sample([" & ", " | "], 2)
+        body = random_formula(rng, x_table, max_depth=2).to_text()
+        lines.append(f"{name}' = ({body}){outer}({inner.join(literals)})")
+    return parse_bcn_text("\n".join(lines) + "\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_classes_come_in_canonical_control_order(seed):
+    # the classes are ordered by the rank of their controls' bits; the
+    # canonical order is the sort by digit strings, spelled out here
+    def digits(control):
+        return "".join("1" if control.bits >> pos & 1 else "0" for pos in range(len(control.table)))
+
+    controls = list(control_classes(shared_input_network(random.Random(seed))))
+    assert controls == sorted(controls, key=digits)

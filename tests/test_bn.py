@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from collections import deque
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from boolps.bn import (
     BooleanMode,
     BooleanNetwork,
     Trajectory,
-    _components,
+    _moved,
     attractors,
     bn_step,
     bn_trajectories,
@@ -30,6 +29,7 @@ from boolps.errors import CapacityError, ParseError, UsageError, ValidationError
 from boolps.formula import Formula, StateSet, VarTable, parse_formula
 from boolps.generators import random_mode, random_network, random_table
 from boolps.limits import capped
+from oracles import _oracle_attractors, _row_attractors
 
 
 @pytest.fixture
@@ -182,22 +182,26 @@ def test_disjoint_groups_commute_on_one_step():
             assert joint == table.state(merged)
 
 
-def _oracle_attractors(network, mode):
-    """S is an attractor iff S = reach(s) for every s in S; reach by BFS."""
-    succ = {s: {bn_step(network, s, m) for m in mode.elements} for s in network.table.subsets()}
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_moved_is_the_or_of_its_parts(data):
+    # bit i of moved[b] depends on update i's table alone, so a step map
+    # over several groups is the OR of maps over the variables of their
+    # union, taken one by one or a subset at once
+    def ored(out, mask):
+        for i in range(n):
+            if mask >> i & 1:
+                out = list(map(operator.or_, out, _moved(tables, [1 << i])))
+        return out
 
-    def reach(source):
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            for dst in succ[queue.popleft()]:
-                if dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        return frozenset(seen)
-
-    closure = {s: reach(s) for s in succ}
-    return {closure[s] for s in succ if all(closure[t] == closure[s] for t in closure[s])}
+    n = data.draw(st.integers(1, 8))
+    tables = data.draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=n, max_size=n))
+    groups = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+    union = functools.reduce(operator.or_, groups, 0)
+    subset = data.draw(st.integers(0, (1 << n) - 1)) & union
+    moved = _moved(tables, groups)
+    assert moved == ored([0] * (1 << n), union)
+    assert moved == ored(_moved(tables, [subset]), union & ~subset)
 
 
 def _single_mode(rng, table):
@@ -247,38 +251,6 @@ def test_attractors_match_reachability_oracle(n, seed, mode_name):
     for states in got:
         assert list(states) == sorted(states, key=StateSet.sort_key)
     assert got == sorted(got, key=lambda states: tuple(s.sort_key() for s in states))
-
-
-def step_rows(network, mode):
-    """The one-step graph over all 2**n states, as ``(elements, rows)``:
-    `elements` is ``mode.sorted_elements()`` and ``rows[bits]`` holds the
-    next-state bits under each element, in that order.
-
-    Each state is stepped once with `bn_step`, under the union of the
-    elements: an update reads only the state, so element g changes exactly
-    the bits of g that the union step changes.  The tests' reference for
-    the one-step graph, independent of the package's truth tables.
-    """
-    elements = mode.sorted_elements()
-    groups = [element.bits for element in elements]
-    union = network.table.state(functools.reduce(operator.or_, groups, 0))
-    rows = []
-    for state in network.table.subsets():
-        bits = state.bits
-        moved = bits ^ bn_step(network, state, union).bits
-        rows.append(tuple(bits ^ (moved & g) for g in groups))
-    return elements, rows
-
-
-def _row_attractors(network, mode):
-    """Terminal components of Tarjan's components over the `step_rows` rows."""
-    rows = step_rows(network, mode)[1]
-    found = set()
-    for component, _leaves in _components(rows.__getitem__, len(rows)):
-        members = set(component)
-        if all(w in members for u in component for w in rows[u]):
-            found.add(frozenset(network.table.state(bits) for bits in component))
-    return found
 
 
 def _gray_walk_network(table):

@@ -3,8 +3,6 @@ import itertools
 import json
 import random
 import tracemalloc
-from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -28,8 +26,6 @@ from boolps.cofase import (
     CoFaSeInstance,
     CoFaSeSolution,
     NoSolutionWithinBound,
-    _Phase,
-    _build_solution,
     check_solution,
     control_space,
     parse_instance_text,
@@ -51,7 +47,8 @@ from boolps.generators import (
 )
 from boolps.limits import capped
 from boolps.translate import bcn_to_composite
-from test_bn import _draw_mode, step_rows
+from oracles import _oracle_control_classes, _oracle_phase_reach, eager_maps, eager_solve, step_rows
+from test_bn import _draw_mode
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -334,33 +331,9 @@ def brute_force_min_phases(instance, max_phases):
     return None
 
 
-def as_int(states):
-    """A set of state bits as the int with those bits set."""
-    return sum(1 << bits for bits in states)
-
-
 def as_bits(states: int, size: int) -> set:
     """The state bits set in an int of `size` bits."""
     return {bits for bits in range(size) if states >> bits & 1}
-
-
-def _oracle_phase_reach(rows, min_steps):
-    """Reach by one BFS per state; with min_steps 1, from the states one step away."""
-
-    def reach(source):
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            for dst in rows[queue.popleft()]:
-                if dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        return seen
-
-    closure = [reach(s) for s in range(len(rows))]
-    if min_steps == 0:
-        return closure
-    return [set().union(*(closure[dst] for dst in row)) for row in rows]
 
 
 def one_class_phase(network, mode, min_steps):
@@ -369,8 +342,8 @@ def one_class_phase(network, mode, min_steps):
     table = network.table
     bcn = BooleanControlNetwork(table, VarTable(()), table, network.updates)
     instance = CoFaSeInstance.of(bcn, [table.state(0)], [table.state(0)], mode)
-    ((control, tables),) = control_classes(bcn).items()
-    return _Phase(instance, control, tables, min_steps)
+    (phase,) = cofase._phases(instance, min_steps)
+    return phase
 
 
 @settings(max_examples=150, deadline=None)
@@ -423,23 +396,6 @@ control_networks = st.builds(
     ),
     st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2), st.booleans(),
 )
-
-
-def _oracle_control_classes(bcn, controls):
-    """Per control, via `apply_control`: each update of the selected
-    network read state by state with `Formula.evaluate`, as a table of
-    2**n bits; the first control in the given order stands for each
-    distinct tuple of tables."""
-    states = list(bcn.x_table.subsets())
-    first = {}
-    for mu in controls:
-        network = apply_control(bcn, mu)
-        tables = tuple(
-            sum(update.evaluate(state) << state.bits for state in states)
-            for update in network.updates
-        )
-        first.setdefault(tables, mu)
-    return {mu: tables for tables, mu in first.items()}
 
 
 def assert_classes_match(bcn):
@@ -532,90 +488,6 @@ def test_equivalent_folds_are_one_class():
     classes = control_classes(instance.bcn)
     assert list(classes) == [control(instance.bcn, [])]
     assert all(assert_same_as_eager(instance, 2))
-
-
-def eager_maps(instance, min_steps):
-    """Per control, via `apply_control`: the BFS phase reach
-    (`_oracle_phase_reach`) of the network's `step_rows`, as ints and as
-    sets."""
-    maps = {}
-    oracle = {}
-    for mu in control_space(instance.bcn):
-        network = apply_control(instance.bcn, mu)
-        oracle[mu] = _oracle_phase_reach(step_rows(network, instance.mode)[1], min_steps)
-        maps[mu] = [as_int(reach) for reach in oracle[mu]]
-    return maps, oracle
-
-
-@dataclass(eq=False)
-class EagerPhase(_Phase):
-    """A phase of `eager_solve`: the engine's `_Phase`, for the `reaches`
-    and `path` that `_build_solution` calls, with its images taken from
-    `reach`, one int per state from `eager_maps`, instead of from tables,
-    of which it has none."""
-
-    reach: list = None
-
-    def image(self, states):
-        out = 0
-        for bits, reach in enumerate(self.reach):
-            if states >> bits & 1:
-                out |= reach
-        return out
-
-
-def eager_solve(instance, max_phases, policy, min_steps, built):
-    """The direct engine without the control quotient: `built`, the
-    `eager_maps` of the instance under min_steps, then a breadth-first
-    search over frozensets trying every control at every node.  Witnesses
-    come from the engine's own `_build_solution`, fed `EagerPhase`s."""
-    maps, oracle = built
-
-    def search(sub):
-        """The result and the number of search nodes visited."""
-        targets = {target.bits for target in sub.targets}
-        initial = tuple(frozenset({start.bits}) for start in sub.starts)
-        visited = {initial}
-        queue = [(initial, ())]
-        frontier = [1]
-        for _depth in range(max_phases):
-            if not queue:
-                break
-            next_queue = []
-            for node, sequence in queue:
-                for mu, reach in oracle.items():
-                    image = tuple(
-                        frozenset().union(*(reach[s] for s in comp)) for comp in node
-                    )
-                    if all(comp & targets for comp in image):
-                        phases = [EagerPhase(sub, mu, (), min_steps, maps[mu])
-                                  for mu in sequence + (mu,)]
-                        solution = _build_solution(sub, phases)
-                        return solution, len(visited)
-                    if image not in visited:
-                        visited.add(image)
-                        next_queue.append((image, sequence + (mu,)))
-            frontier.append(len(next_queue))
-            queue = next_queue
-        failed = NoSolutionWithinBound(max_phases, None, len(visited), frontier=tuple(frontier))
-        return failed, len(visited)
-
-    if policy == "uniform":
-        return search(instance)[0]
-    witnesses = []
-    explored = 0
-    for start in instance.starts:
-        result, visited = search(
-            CoFaSeInstance(instance.bcn, (start,), instance.targets, instance.mode)
-        )
-        explored += visited
-        if not result:
-            return NoSolutionWithinBound(
-                max_phases, None, explored,
-                f"no sequence for start {start.set_text()}", result.frontier,
-            )
-        witnesses.extend(result.witnesses)
-    return CoFaSeSolution("per-start", tuple(witnesses))
 
 
 def assert_same_as_eager(instance, max_phases):

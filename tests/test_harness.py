@@ -9,8 +9,8 @@ import pkgutil
 import re
 from pathlib import Path
 
+import oracles
 import pytest
-import test_bn
 import test_cofase
 
 import boolps
@@ -40,17 +40,17 @@ KERNEL_ENTRY_POINTS = (
 )
 
 
+# the expected sides in `src/`, then every function and class of the tests'
+# oracle module, so that an oracle is guarded as soon as it is written there
 EXPECTED_SIDES = (
     (equivalence, "_expected_moves"),
     (equivalence, "_spelled_index"),
     (equivalence, "reaction_result"),
-    (test_cofase, "eager_maps"),
-    (test_cofase, "eager_solve"),
-    (test_cofase, "EagerPhase"),
-    (test_cofase, "_oracle_phase_reach"),
-    (test_cofase, "_oracle_control_classes"),
-    (test_bn, "step_rows"),
     (cofase, "check_solution"),
+) + tuple(
+    (oracles, name) for name, value in vars(oracles).items()
+    if (inspect.isfunction(value) or inspect.isclass(value))
+    and value.__module__ == oracles.__name__
 )
 
 

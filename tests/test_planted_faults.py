@@ -393,12 +393,37 @@ def test_phase_rows_moving_every_changed_bit_fail_the_eager_comparison(monkeypat
 
 
 def test_phase_steps_under_the_first_mode_element_only_fail_criterion_8(monkeypatch):
+    # the split is made once per solve, so every class loses the same groups
     with monkeypatch.context() as patch:
-        patch.setattr(cofase._Phase, "_steps", _mutant(
-            cofase._Phase, "_steps", "mode.sorted_elements()", "mode.sorted_elements()[:1]"))
+        patch.setattr(cofase._ModeSplit, "__init__", _mutant(
+            cofase._ModeSplit, "__init__", "mode.sorted_elements()", "mode.sorted_elements()[:1]"))
         with pytest.raises(AssertionError):
             test_acceptance.test_criterion_8_cross_engine_agreement()
     test_acceptance.test_criterion_8_cross_engine_agreement()
+
+
+def test_a_parts_memo_keyed_without_the_table_fails_the_direct_golden(monkeypatch):
+    # ex32 under syn: both variables are frozen, so each class reads the
+    # parts of the first class that asked for them, the uncontrolled ones
+    with monkeypatch.context() as patch:
+        patch.setattr(cofase._ModeSplit, "moved", _mutant(
+            cofase._ModeSplit, "moved", "key = (i, tables[i])", "key = i"))
+        with pytest.raises(AssertionError):
+            assert_direct_golden("ex32/uniform/0")
+    assert_direct_golden("ex32/uniform/0")
+
+
+def test_classes_in_raw_control_order_fail_the_class_match(monkeypatch):
+    # {u0} is bits 01 but digits 10: by raw bits it comes before {u1}
+    bcn = chained_overlap_network()
+    with monkeypatch.context() as patch:
+        # the binding `assert_classes_match` calls
+        patch.setattr(test_cofase, "control_classes", _mutant(
+            boolps.bcn, "control_classes", "classes.sort(key=operator.itemgetter(0))",
+            "classes.sort(key=operator.itemgetter(1))"))
+        with pytest.raises(AssertionError):
+            assert_classes_match(bcn)
+    assert_classes_match(bcn)
 
 
 def test_an_image_ignoring_min_steps_fails_the_min_steps_check(monkeypatch):
