@@ -322,13 +322,20 @@ def attractors(network: BooleanNetwork, mode: BooleanMode):
         change = moved[bits]
         return [bits ^ (change & g) for g in groups if change & g]
 
-    result = []
-    for component, leaves in _components(successors, 1 << n):
-        if not leaves:
-            states = sorted((table.state(bits) for bits in component), key=StateSet.sort_key)
-            result.append(tuple(states))
-    result.sort(key=lambda states: tuple(s.sort_key() for s in states))
-    return result
+    spec = f"0{n}b"
+
+    def rank(bits):
+        # the digit rank: the n bits read backwards, as `StateSet.digits`
+        # reads them; the reversal is its own inverse
+        return int(format(bits, spec)[::-1], 2)
+
+    found = [
+        sorted(map(rank, component))
+        for component, leaves in _components(successors, 1 << n)
+        if not leaves
+    ]
+    found.sort()
+    return [tuple(table.state(rank(r)) for r in ranks) for ranks in found]
 
 
 # --- text format ------------------------------------------------------------

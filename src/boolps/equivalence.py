@@ -3,17 +3,20 @@
 Each check builds the compared relation twice: once through the rewriting
 machinery under test, which reads every configuration's applicable rules
 from the guards' truth tables (`BooleanPSystem.applicable_masks`), once
-independently from network primitives (the AST interpreter
-`Formula.evaluate` and stepping), and requires exact labelled equality.
-Failures carry a counterexample state together with both successor sets,
-so they can be re-checked by hand or replayed through the CLI trace
-command.
+independently from the models' own definitions (each update formula's
+function compiled from its AST, `Formula.evaluator`, and the reactions'
+reactant, inhibitor and product bits), and requires exact labelled
+equality.  Both sides work on the configurations' bits; states are built
+only at a failure, whose counterexample carries the state together with
+both successor sets, so it can be re-checked by hand or replayed through
+the CLI trace command.
 
 The network and controlled-network checks compare masks.  The expected
 side spells the rule ids an encoding must have and indexes them in sorted
 order itself (`_spelled_index`); its per-element plan is built once per
-check from the update formulas, never from the kernel, and evaluated with
-`Formula.evaluate` at each configuration.  A move is one int, packed as
+check from the update formulas, never from the kernel, with each
+update's table checked there, and calls the updates' compiled functions
+on each configuration's bits.  A move is one int, packed as
 ``label mask << width | next bits``, where `width` is the number of
 symbols of the checked table; packing is injective, so two sets of packed
 moves are equal exactly when their ``(label, next bits)`` pairs are.  The
@@ -157,38 +160,46 @@ def _spelled_index(x_names, u_names=()):
     return {rule_id: 1 << i for i, rule_id in enumerate(ordered)}
 
 
-def _expected_moves(updates, mode: BooleanMode, index, width):
-    """Build, once per check, the function of ``(configuration, bits)`` that
-    lists the move of every mode element, packed as ``label mask << width |
-    next variable bits``, read off the update formulas alone: introduce x
-    where its update holds, erase x where it fails and x is present.
+def _expected_moves(updates, mode: BooleanMode, index, table):
+    """Build, once per check, the function of ``(bits, x_bits)`` that lists
+    the move of every mode element, packed as ``label mask << width | next
+    variable bits``, read off the update formulas alone: introduce x where
+    its update holds, erase x where it fails and x is present.
 
-    `bits` is the variable part of `configuration`; variables come first in
-    its table, so their positions index `updates`.  Label bits come from
-    `index`, the check's own map from the ids `_spelled_index` spells;
-    `width` is the number of symbols of `configuration`'s table.
+    `bits` is a configuration of `table`, the updates' table, of `width`
+    symbols, and `x_bits` its variable part; variables come first in
+    `table`, so their positions index `updates`.  Each update is evaluated
+    on `bits` by its compiled function (`Formula.evaluator`, which checks
+    its table here, once).  Label bits come from `index`, the check's own
+    map from the ids `_spelled_index` spells.
     """
+    width = len(table)
     plan = [
         [
-            (updates[pos], 1 << pos, index["set_" + name] << width, index["clr_" + name] << width)
+            (
+                updates[pos].evaluator(table),
+                1 << pos,
+                index["set_" + name] << width,
+                index["clr_" + name] << width,
+            )
             for pos, name in enumerate(element.table.names)
             if element.bits >> pos & 1
         ]
         for element in mode.elements
     ]
 
-    def packed_moves(configuration, bits):
+    def packed_moves(bits, x_bits):
         out = []
         for members in plan:
             label = 0
-            next_bits = bits
-            for update, bit, set_label, clr_label in members:
-                if update.evaluate(configuration):
+            next_bits = x_bits
+            for holds, bit, set_label, clr_label in members:
+                if holds(bits):
                     label |= set_label
                     next_bits |= bit
                 else:
                     next_bits &= ~bit
-                    if bits & bit:
+                    if x_bits & bit:
                         label |= clr_label
             out.append(label | next_bits)
         return out
@@ -198,7 +209,7 @@ def _expected_moves(updates, mode: BooleanMode, index, width):
 
 def _compare_moves(view: ModeView, table, expected_at, index, detail):
     """Compare the moves of `view` at every configuration of `table` with
-    `expected_at(configuration)`, a set of moves packed as ``label mask <<
+    `expected_at(bits)`, a set of moves packed as ``label mask <<
     len(table) | next bits`` under `index`, as the module docstring says,
     and report the lowest configuration where they differ.  `table` is the
     checked model's; an encoding over another table is a usage error,
@@ -235,7 +246,7 @@ def _compare_moves(view: ModeView, table, expected_at, index, detail):
         for bits in members:
             if bits >= failure:
                 break
-            expected = expected_at(table.state(bits))
+            expected = expected_at(bits)
             applied = apply_moves(moves, bits)
             if trusted:
                 if set(applied) == expected:
@@ -282,10 +293,10 @@ def check_bn_simulation(
         encoding = derive_mode(system, bn_mode_to_quasimode(mode, system))
     table = network.table
     index = _spelled_index(table.names)
-    expected_moves = _expected_moves(network.updates, mode, index, len(table))
+    expected_moves = _expected_moves(network.updates, mode, index, table)
 
-    def expected_at(configuration):
-        return set(expected_moves(configuration, configuration.bits))
+    def expected_at(bits):
+        return set(expected_moves(bits, bits))
 
     return _compare_moves(
         encoding, table, expected_at, index, "network encoding and network dynamics disagree"
@@ -328,14 +339,13 @@ def check_bcn_simulation(
     erase_labels = labels(u_clr_bits)
     # the packed move of re-introducing each subset of control symbols
     intros = [label | s_bits << n_x for s_bits, label in enumerate(labels(u_set_bits))]
-    x_moves = _expected_moves(bcn.updates, mode, index, width)
+    x_moves = _expected_moves(bcn.updates, mode, index, bcn.table)
 
-    def expected_at(configuration):
-        bits = configuration.bits
+    def expected_at(bits):
         erase = erase_labels[bits >> n_x]
         return {
             move | erase | intro
-            for move in x_moves(configuration, bits & x_mask)
+            for move in x_moves(bits, bits & x_mask)
             for intro in intros
         }
 
@@ -385,35 +395,43 @@ def reaction_result(rs: ReactionSystem, state: StateSet) -> StateSet:
     inhibitors' bits are set in `state`."""
     if state.table != rs.table:
         raise UsageError("state sets belong to different variable tables")
-    present = state.bits
+    return rs.table.state(_result_bits(rs, state.bits))
+
+
+def _result_bits(rs: ReactionSystem, present: int) -> int:
+    """`reaction_result` on bits: the union of the products of the reactions
+    enabled at the state with bits `present`."""
     bits = 0
     for reaction in rs.reactions:
         if not (reaction.reactants.bits & ~present or reaction.inhibitors.bits & present):
             bits |= reaction.products.bits
-    return rs.table.state(bits)
+    return bits
 
 
 def check_rs_embedding(rs: ReactionSystem) -> EquivalenceReport:
     """One maximally parallel step of the embedding equals the direct result
     function on every state (a halting state can only be the empty one, and
-    there both sides stay empty)."""
+    there both sides stay empty).  Both sides are compared as bits; states
+    are built for the counterexample only."""
     check_enumerable(len(rs.table), "reaction system")
     mode = rs_to_boolp(rs)
     system = mode.system
     apps = system.applicable_masks()
+    resolved, apply_moves = mode.resolved, system.apply_moves
     full = (1 << len(rs.table)) - 1
-    for state in rs.table.subsets():
-        expected = reaction_result(rs, state)
-        applied = system.apply_moves(mode.resolved(apps[state.bits]), state.bits)
-        actual = rs.table.state(applied[0] & full) if applied else state
+    for bits, app in enumerate(apps):
+        expected = _result_bits(rs, bits)
+        applied = apply_moves(resolved(app), bits)
+        actual = applied[0] & full if applied else bits
         if expected != actual:
+            state = rs.table.state
             return EquivalenceReport(
                 passed=False,
                 detail="embedded step and direct result function disagree",
                 counterexample=Counterexample(
-                    state,
-                    frozenset({(frozenset(), expected)}),
-                    frozenset({(frozenset(), actual)}),
+                    state(bits),
+                    frozenset({(frozenset(), state(expected))}),
+                    frozenset({(frozenset(), state(actual))}),
                 ),
             )
     return EquivalenceReport(passed=True, detail="embedded step equals the result function")

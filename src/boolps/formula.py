@@ -219,9 +219,9 @@ class StateSet:
 
     def digits(self) -> str:
         if self._digits is None:
-            self._digits = "".join(
-                "1" if self.bits >> p & 1 else "0" for p in range(len(self.table))
-            )
+            # the binary numeral read backwards, past a guard bit above the
+            # table that keeps the leading zeros
+            self._digits = format(self.bits | 1 << len(self.table), "b")[:0:-1]
         return self._digits
 
     def set_text(self) -> str:
@@ -526,6 +526,14 @@ class Formula:
         if state.table is not self.table and state.table != self.table:
             raise UsageError("formula and state belong to different variable tables")
         return self._compiled(state.bits)
+
+    def evaluator(self, table: VarTable):
+        """`evaluate` as a function of the state bits over `table`, for a
+        caller that evaluates at many states: the table is checked here,
+        once, and the function is `_compiled`."""
+        if table is not self.table and table != self.table:
+            raise UsageError("formula and state belong to different variable tables")
+        return self._compiled
 
     @functools.cached_property
     def _compiled(self):

@@ -253,6 +253,13 @@ def test_attractors_match_reachability_oracle(n, seed, mode_name):
     assert got == sorted(got, key=lambda states: tuple(s.sort_key() for s in states))
 
 
+@pytest.mark.parametrize("mode_of", [BooleanMode.syn, BooleanMode.asyn])
+def test_attractors_over_no_variables(mode_of):
+    # the one state, with no digits, is its own attractor
+    table = VarTable(())
+    assert attractors(BooleanNetwork(table, ()), mode_of(table)) == [(table.state(0),)]
+
+
 def _gray_walk_network(table):
     """Under asyn, each state's only move leads to the next state of the
     reflected Gray code: one transient of 2**n - 1 steps from 0..0 to the

@@ -11,6 +11,7 @@ from boolps.bcn import parse_bcn_text
 from boolps.bn import BooleanMode, parse_bn_text
 from boolps.boolp import parse_system_text
 import boolps
+from boolps import cli
 from boolps.cli import main
 from boolps.formula import MAX_NESTING
 from boolps.translate import bcn_to_composite, bn_to_boolp, parse_reactions_text, rs_to_boolp
@@ -1083,6 +1084,48 @@ def test_readme_command_golden(capsys, tmp_path, monkeypatch, command, code, std
         (tmp_path / "solution.json").write_text(capsys.readouterr().out)
     assert main(argv(command)) == code
     assert capsys.readouterr().out == stdout
+
+
+def test_the_reused_parser_keeps_nothing_between_calls(capsys, tmp_path, monkeypatch):
+    """`main` parses with one parser per process.  The README commands, run
+    twice, with a usage error, an argument error, a parse error, a cap
+    error and --help before each command of the second pass, give every
+    call the stdout, stderr and exit code of its first."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BOOLPS_CAP_VARS", raising=False)
+    (tmp_path / "bad.bn").write_text("var x\nx' = &\n")
+    solve = "cofase solve models/ex32.cofase --max-phases 3 --format json"
+    (tmp_path / "solution.json").write_text(
+        next(out for command, _, out in README_COMMANDS if command == solve))
+    others = [
+        "check bn-sim --mode asyn",  # no model and no --random: 2
+        "bn transitions models/ex31.bn --format xml",  # argparse: SystemExit 2
+        "bn attractors bad.bn",  # 3
+        "bn transitions models/ex31.bn --cap-vars 1",  # 4
+        "check bn-sim --help",  # SystemExit 0
+    ]
+
+    def call(line):
+        argv = [str(MODELS / a[len("models/"):]) if a.startswith("models/") else a
+                for a in shlex.split(line)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    commands = [command for command, _, _ in README_COMMANDS]
+    first = {line: call(line) for line in others + commands}
+    assert [first[line][0] for line in others] == [
+        2, ("SystemExit", 2), 3, 4, ("SystemExit", 0)]
+    assert [first[command][:2] for command in commands] == [
+        (code, out) for _, code, out in README_COMMANDS]
+    for index, command in enumerate(commands):
+        other = others[index % len(others)]
+        assert call(other) == first[other]
+        assert call(command) == first[command]
+    assert cli._parser.cache_info().currsize == 1
 
 
 # --- streamed relation output ----------------------------------------------------

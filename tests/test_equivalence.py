@@ -270,10 +270,10 @@ def assert_expected_pairs_match_walk(updates, mode, index, table, x_mask):
     # the plan packs each move as label << width | next bits; packing the
     # walk's pairs the same way loses nothing, since packing is injective
     width = len(table)
-    expected_pairs = _expected_moves(updates, mode, index, width)
+    expected_pairs = _expected_moves(updates, mode, index, table)
     for configuration in table.subsets():
         bits = configuration.bits & x_mask
-        assert set(expected_pairs(configuration, bits)) == {
+        assert set(expected_pairs(configuration.bits, bits)) == {
             label << width | next_bits
             for label, next_bits in old_expected_moves(updates, mode, configuration, bits, index)
         }
@@ -308,15 +308,22 @@ def test_expected_moves_evaluate_each_member_update_once_per_configuration():
     table = random_table(rng, 4)
     network = random_network(rng, table)
     mode = _network_mode(rng, table, "overlapping")
-    expected_pairs = _expected_moves(
-        network.updates, mode, _spelled_index(table.names), len(table)
-    )
+    spies = []
+    evaluator = Formula.evaluator
+
+    def spied(formula, table):
+        spies.append(mock.Mock(side_effect=evaluator(formula, table)))
+        return spies[-1]
+
+    with mock.patch.object(Formula, "evaluator", spied):
+        expected_pairs = _expected_moves(
+            network.updates, mode, _spelled_index(table.names), table
+        )
     members = sum(len(element) for element in mode.elements)
-    evaluate = Formula.evaluate
-    with mock.patch.object(Formula, "evaluate", autospec=True, side_effect=evaluate) as spy:
-        for configuration in table.subsets():
-            expected_pairs(configuration, configuration.bits)
-    assert spy.call_count == members << len(table)
+    assert len(spies) == members  # each member's table checked once, at build time
+    for bits in range(1 << len(table)):
+        expected_pairs(bits, bits)
+    assert sum(spy.call_count for spy in spies) == members << len(table)
 
 
 # --- reaction systems: the direct interpreter and a planted fault -------------
@@ -693,7 +700,7 @@ def per_configuration_compare(view, table, expected_at, index, detail):
     for configuration in table.subsets():
         bits = configuration.bits
         applied = system.apply_moves(view.resolved(apps[bits]), bits)
-        expected = expected_at(configuration)
+        expected = expected_at(bits)
         if trusted:
             if set(applied) == expected:
                 continue

@@ -14,6 +14,12 @@ come from the networks the controls select, which are again pairs of
 truth tables: a raised ``u_<x>1`` pins x to 1 (table 15), else a raised
 ``u_<x>0`` pins it to 0 (table 0).  There are 256 such pairs per mode,
 so each one's maps are built once for the sweep.
+
+The simulation checks run on the same networks: `check_bn_simulation` on
+every network and `check_bcn_simulation` on every network with both
+variables freeze-controlled, under syn and under asyn, 512 runs each.
+Every one must pass; their expected sides evaluate the update formulas on
+each configuration's bits.
 """
 
 import itertools
@@ -23,6 +29,7 @@ from oracles import eager_solve, phase_maps
 
 from boolps.bcn import freeze_extend
 from boolps.bn import BooleanMode, BooleanNetwork
+from boolps.equivalence import check_bcn_simulation, check_bn_simulation
 from boolps.cofase import (
     CoFaSeInstance,
     check_solution,
@@ -110,3 +117,25 @@ def test_engines_agree_on_every_two_variable_network(mode_name, frozen):
             instance, MAX_PHASES, "uniform", 1, built)
     # every block compares witnesses, not only refutations
     assert solvable > 0
+
+
+def networks():
+    for tables in itertools.product(range(16), repeat=2):
+        yield BooleanNetwork(TABLE, tuple(UPDATES[table] for table in tables))
+
+
+@pytest.mark.parametrize("mode_name", ["syn", "asyn"])
+def test_every_two_variable_network_simulates_its_encoding(mode_name):
+    mode = mode_of(mode_name)
+    failed = [network for network in networks() if not check_bn_simulation(network, mode)]
+    assert failed == []
+
+
+@pytest.mark.parametrize("mode_name", ["syn", "asyn"])
+def test_every_freeze_extended_two_variable_network_simulates_its_composite(mode_name):
+    mode = mode_of(mode_name)
+    failed = [
+        network for network in networks()
+        if not check_bcn_simulation(freeze_extend(network, TABLE.names), mode)
+    ]
+    assert failed == []

@@ -86,6 +86,16 @@ class TestStateSet:
         assert StateSet.of(t, ["y"]).digits() == "01"
         assert StateSet.from_digits(t, "10").names() == ("x",)
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_digits_match_the_per_position_definition(self, n):
+        # one character per variable, in table order: "1" for a member
+        table = VarTable(tuple(f"v{i}" for i in range(n)))
+        for bits in range(1 << n):
+            expected = "".join("1" if bits >> pos & 1 else "0" for pos in range(n))
+            state = table.state(bits)
+            assert state.digits() == expected
+            assert StateSet.from_digits(table, expected) is state
+
     def test_set_algebra(self):
         t = VarTable.of("a", "b", "c")
         s = StateSet.of(t, ["a", "b"])
@@ -363,6 +373,11 @@ def test_compiled_evaluate_matches_eval_node(size_and_root, data):
     ]
     with pytest.raises(UsageError):
         phi.evaluate(StateSet.empty(VarTable(("other",) + table.names)))
+    # `evaluator` is `evaluate` on bits, with the table checked up front
+    holds = phi.evaluator(again)
+    assert [holds(s.bits) for s in table.subsets()] == [phi.evaluate(s) for s in table.subsets()]
+    with pytest.raises(UsageError):
+        phi.evaluator(VarTable(("other",) + table.names))
 
 
 @settings(max_examples=100, deadline=None)

@@ -46,6 +46,7 @@ EXPECTED_SIDES = (
     (equivalence, "_expected_moves"),
     (equivalence, "_spelled_index"),
     (equivalence, "reaction_result"),
+    (equivalence, "_result_bits"),
     (cofase, "check_solution"),
 ) + tuple(
     (oracles, name) for name, value in vars(oracles).items()

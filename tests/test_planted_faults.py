@@ -17,6 +17,7 @@ import test_acceptance
 import test_boolp
 import test_cofase
 import test_equivalence
+import test_every_small_network
 from test_bn import assert_component_flags
 from test_cli import CAP_CASES, MODELS, assert_cap_flag_and_env_agree, run
 from test_direct_goldens import GOLDENS, _instances, _solve_record
@@ -545,3 +546,33 @@ def test_a_composite_engine_reading_the_variables_row_fails_the_heap_comparison(
         with pytest.raises(AssertionError):
             check()
     check()
+
+
+def test_an_expected_side_blind_to_the_controls_fails_the_small_network_sweep(monkeypatch):
+    # with the control bits masked off, every control part of a
+    # configuration expects the moves of the free network
+    sweep = test_every_small_network
+    check = sweep.test_every_freeze_extended_two_variable_network_simulates_its_composite
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "check_bcn_simulation", _mutant(
+            equivalence, "check_bcn_simulation", "x_moves(bits, bits & x_mask)",
+            "x_moves(bits & x_mask, bits & x_mask)"))
+        with pytest.raises(AssertionError):
+            check("syn")
+    check("syn")
+
+
+def test_a_result_function_ignoring_inhibitors_fails_the_reaction_check(capsys, monkeypatch):
+    # at {a, c}, c inhibits a1: the step leads to {}, not to a1's {b}
+    argv = ("check", "rs-embed", MODELS / "rs_example.rs")
+    with monkeypatch.context() as patch:
+        patch.setattr(equivalence, "_result_bits", _mutant(
+            equivalence, "_result_bits",
+            " or reaction.inhibitors.bits & present", ""))
+        code, out, _ = run(capsys, *argv)
+    assert (code, out) == (
+        1,
+        "FAIL: embedded step and direct result function disagree\n"
+        "at {a, c}: expected {} -> {b} but got {} -> {}\n",
+    )
+    assert run(capsys, *argv)[:2] == (0, "pass: embedded step equals the result function\n")
