@@ -355,13 +355,17 @@ class PowersetQuasimode(Quasimode):
         )
 
     def resolve(self, system):
-        """The variable cap is read when the mode is derived, not per configuration."""
+        """The variable cap is read when the mode is derived, not per
+        configuration.  The value depends on the usable rules, ``base &
+        app``, alone, and `at` keeps its last ``usable -> moves`` pair: one
+        entry, held by this resolved mode, and the very list the build
+        returned.  A factor whose rules are always applicable, as the
+        composite controller's introduce rules are, is built once."""
         base = system.rule_mask(self.base)
         rule_moves = system._rule_moves
         limit = var_cap()
 
-        def at(app):
-            usable = base & app
+        def build(usable):
             check_within(usable.bit_count(), limit, "applicable advised rules")
             moves = [0]
             while usable:
@@ -370,6 +374,15 @@ class PowersetQuasimode(Quasimode):
                 moves += [move | rule_move for move in moves]
                 usable ^= low
             return moves
+
+        last_usable = last_moves = None
+
+        def at(app):
+            nonlocal last_usable, last_moves
+            usable = base & app
+            if usable != last_usable:
+                last_usable, last_moves = usable, build(usable)
+            return last_moves
 
         return at
 
@@ -463,9 +476,12 @@ class ModeView:
     value there, as moves with distinct masks, which
     `BooleanPSystem.apply_moves` applies at a configuration.  `moves` gives
     that value at a configuration, `at` as id sets.  Every fired rule is
-    individually applicable at that configuration.  Nothing is cached; a
-    caller that revisits configurations keeps what it needs itself, and an
-    exhaustive caller reads its masks from
+    individually applicable at that configuration.  The one cache is a
+    powerset factor's: it keeps its last usable mask and the list of moves
+    built for it, one entry held by `resolved` (see
+    `PowersetQuasimode.resolve`); callers read a value and never change
+    it.  Otherwise a caller that revisits configurations keeps what it
+    needs itself, and an exhaustive caller reads its masks from
     `BooleanPSystem.applicable_masks` and resolves each distinct one once.
     """
 

@@ -22,13 +22,14 @@ per update and table, whose OR is a class's step map.  The second engine
 searches the composed set-rewriting embedding of the instance from every
 control (`control_space`) and decodes the control sequence from the
 control-symbol history; the two must agree, which is used as a
-cross-check throughout the test suite.
+cross-check throughout the test suite.  It runs Dijkstra's search on a
+bucket queue (Dial's), one FIFO per cost, with a cost held as one int,
+``switches << k | steps``.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import json
 import operator
@@ -526,12 +527,22 @@ def solve_cofase_via_composite(
 ):
     """Solve by searching the composed set-rewriting embedding.
 
-    Runs a lexicographic Dijkstra over composite configurations with cost
-    (control switches, steps), per start state, trying every initial
-    control-symbol set; decodes the control sequence from the control
-    symbols along the path, collapsing consecutive equal controls into
-    phases.  Inherently per-start: with several starts each gets its own
-    sequence.
+    Runs Dijkstra over composite configurations, per start state, with
+    cost (control switches, steps) compared lexicographically and every
+    initial control-symbol set as a source; decodes the control sequence
+    from the control symbols along the path, collapsing consecutive equal
+    controls into phases.  Inherently per-start: with several starts each
+    gets its own sequence.
+
+    A cost is one int, ``switches << k | steps`` with ``2**k`` above
+    `max_steps`, so int order is the lexicographic order.  A step adds 1
+    or, when it changes the control part, ``1 << k | 1``; both are taken
+    once per expansion.  The queue is Dial's bucket queue: one FIFO per
+    cost, popped in cost order and within a cost in push order, which is
+    the order of a heap on (switches, steps, push counter).  Nothing is
+    allocated in proportion to the bounds: buckets exist for the costs
+    pushed, and the best costs are a list indexed by configuration bits,
+    as long as the applicability table.
     """
     if max_steps < 0:
         raise UsageError("max_steps must be at least 0")
@@ -551,53 +562,64 @@ def solve_cofase_via_composite(
     width = len(instance.bcn.table)
     full = (1 << width) - 1
     targets = sum(1 << target.bits for target in instance.targets)
+    k = max_steps.bit_length()
+    step_mask = (1 << k) - 1
+    switch_step = 1 << k | 1
+    # above every cost, since switches <= steps <= max_steps
+    unseen = max_steps + 1 << k
+    last_switches = unseen if max_phases is None else max_phases - 1
     witnesses = []
     explored = 0
     for start in instance.starts:
         found = None
+        best = [unseen] * len(apps)
         parents = {}
-        best = {}
-        counter = 0
-        heap = []
+        buckets = {0: []}
         for control in controls:
             config = composite.initial_config(start, control).bits  # one per control
-            best[config] = (0, 0)
+            best[config] = 0
             parents[config] = None
-            heapq.heappush(heap, (0, 0, counter, config))
-            counter += 1
-        while heap:
-            switches, steps, _tick, config = heapq.heappop(heap)
-            if best.get(config, (-1, -1)) != (switches, steps):
-                continue  # stale entry
-            explored += 1
-            if targets >> (config & x_mask) & 1:
-                found = config
-                break
-            if steps >= max_steps:
-                continue
-            here = config >> n_x
-            # The push order breaks ties in the heap.  A successor's cost does
-            # not depend on the fired set, so it is pushed at most once, in
-            # the rule-id lexicographic order of its first fired set; only the
-            # improving successors are put in that order.  Rule indices follow
-            # sorted ids, so a fired mask's ascending bit indices order like
-            # its sorted ids.
-            improving = {}
-            for out in apply_moves(resolved(apps[config]), config):
-                nxt = out & full
-                cost = (switches + (nxt >> n_x != here), steps + 1)
-                if max_phases is not None and cost[0] > max_phases - 1:
+            buckets[0].append(config)
+        cost = 0
+        while buckets and found is None:
+            # every pushed cost is above the last popped one, so cost + 1 is
+            # the least whenever it was pushed
+            if cost not in buckets:
+                cost = min(buckets)
+            for config in buckets.pop(cost):
+                if best[config] != cost:
+                    continue  # stale entry
+                explored += 1
+                if targets >> (config & x_mask) & 1:
+                    found = config
+                    break
+                if cost & step_mask >= max_steps:
                     continue
-                if nxt in best and best[nxt] <= cost:
-                    continue
-                key = _bit_indices(out >> width)
-                if nxt not in improving or key < improving[nxt][0]:
-                    improving[nxt] = (key, cost)
-            for nxt, (_key, cost) in sorted(improving.items(), key=lambda item: item[1][0]):
-                best[nxt] = cost
-                parents[nxt] = config
-                heapq.heappush(heap, (cost[0], cost[1], counter, nxt))
-                counter += 1
+                here = config >> n_x
+                stay = cost + 1
+                # a switch past the phase bound costs `unseen`, which no
+                # best cost exceeds, so it never improves
+                switch = cost + switch_step if cost >> k < last_switches else unseen
+                # The push order breaks ties within a bucket.  A successor's
+                # cost does not depend on the fired set, so it is pushed at
+                # most once, in the rule-id lexicographic order of its first
+                # fired set; only the improving successors are put in that
+                # order.  Rule indices follow sorted ids, so a fired mask's
+                # ascending bit indices order like its sorted ids.
+                improving = {}
+                for out in apply_moves(resolved(apps[config]), config):
+                    nxt = out & full
+                    reached = stay if nxt >> n_x == here else switch
+                    if best[nxt] <= reached:
+                        continue
+                    key = _bit_indices(out >> width)
+                    if nxt not in improving or key < improving[nxt][0]:
+                        improving[nxt] = (key, reached)
+                for nxt, (_key, reached) in sorted(improving.items(), key=lambda item: item[1][0]):
+                    best[nxt] = reached
+                    parents[nxt] = config
+                    buckets.setdefault(reached, []).append(nxt)
+            cost += 1
         if found is None:
             return NoSolutionWithinBound(
                 phase_bound=max_phases,

@@ -1,12 +1,13 @@
-"""The scaling ladder of the direct engine: fixed instances, each with its
+"""The scaling ladder of both engines: fixed instances, each with its
 answer pinned, so that a speed or memory claim names a rung that exists.
 
 Each rung builds its instance from a seeded generator (nothing is read
-from disk) and pins what `solve_cofase` answers under the uniform policy:
-whether it is solvable, the phases of the solution, the `explored` count
-of a refutation, and the SHA-256 of the solution JSON, which covers the
-sequence and the witnesses byte for byte.  `SMALL` names the rungs that
-tier-1 runs (`test_ladder.py`).
+from disk) and pins what its engine answers: `solve_cofase` under the
+uniform policy, or `solve_cofase_via_composite` under the rung's step
+bound.  It pins whether the instance is solvable, the phases of the
+solution, the `explored` count of a refutation, and the SHA-256 of the
+solution JSON, which covers the sequence and the witnesses byte for
+byte.  `SMALL` names the rungs that tier-1 runs (`test_ladder.py`).
 
 Run ``PYTHONPATH=src python tests/ladder.py [rung ...]`` from the
 repository root to solve rungs (all by default) and print each one's
@@ -25,11 +26,16 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from test_bn import _gray_walk_network
-from test_cofase import wide_instance
+from test_cofase import freeze_extended_instance, wide_instance
 
 from boolps.bcn import BooleanControlNetwork
 from boolps.bn import BooleanMode
-from boolps.cofase import CoFaSeInstance, solution_to_json, solve_cofase
+from boolps.cofase import (
+    CoFaSeInstance,
+    solution_to_json,
+    solve_cofase,
+    solve_cofase_via_composite,
+)
 from boolps.formula import VarTable
 from boolps.generators import random_mode
 
@@ -67,11 +73,17 @@ class Rung:
     phases: int | None  # of the solution; None for a refutation
     explored: int | None  # of the refutation; None for a solution
     digest: str  # SHA-256 of `solution_to_json` of the answer
+    engine: str = "direct"  # or "composite"
+    max_steps: int | None = None  # the composite engine's step bound
 
 
 def answer(rung: Rung) -> dict:
-    """What the engine answers on the rung, in `Rung`'s fields."""
-    result = solve_cofase(rung.build(), rung.max_phases)
+    """What the rung's engine answers on it, in `Rung`'s fields."""
+    instance = rung.build()
+    if rung.engine == "composite":
+        result = solve_cofase_via_composite(instance, rung.max_steps, rung.max_phases)
+    else:
+        result = solve_cofase(instance, rung.max_phases)
     return {
         "solvable": bool(result),
         "phases": result.phases if result else None,
@@ -107,11 +119,22 @@ RUNGS = {rung.name: rung for rung in (
     # several wide groups: at n=10, groups of 3, 3, 7 and 7 variables
     Rung("wide-n10-seed0", lambda: family(0, 10, "random"), 3, False, None, 3737,
          "1698e662fa28b10a10edfcb5e01051fd6703ee97e5da9d3ce752cccb92d4bc2a"),
+    # the composite engine on every variable freeze-controlled: 3n symbols,
+    # step bound 4n
+    Rung("composite-n3", lambda: freeze_extended_instance(3), 2, True, 1, None,
+         "7242eff87c13c4c14504dbd0a1fd2ce1cb3f39847d9a07898f32d28cea2d78f0",
+         "composite", 12),
+    Rung("composite-n4", lambda: freeze_extended_instance(4), 2, True, 1, None,
+         "8fd69e72d060eb7d4513272f686b122a6a7792dac179e5bedf530aa4e922f99b",
+         "composite", 16),
+    Rung("composite-n5", lambda: freeze_extended_instance(5), 2, True, 1, None,
+         "530d7dce215b7a106c0d062c80d8c7ce06f13849f5d1ba35ee4bc35af9df9ba6",
+         "composite", 20),
 )}
 
 # the rungs tier-1 solves, each in well under a second on a laptop-class
 # core; tier-1 also solves asyn-n14-seed0, under `tracemalloc`
-SMALL = ("gray-12", "syn-n8-seed3", "syn-n9-seed1", "asyn-n11-seed0")
+SMALL = ("gray-12", "syn-n8-seed3", "syn-n9-seed1", "asyn-n11-seed0", "composite-n3")
 
 
 def main(names) -> int:

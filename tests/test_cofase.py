@@ -536,6 +536,28 @@ def wide_instance(seed, n):
     return CoFaSeInstance.of(bcn, starts, [random_subset(rng, table)], BooleanMode.asyn(table))
 
 
+def freeze_extended_instance(n):
+    """``Random(7)``'s network on n variables with every variable
+    freeze-controlled (3**n networks), asyn, from 0..0 to 1..1."""
+    rng = random.Random(7)
+    bcn = freeze_extend(random_network(rng, random_table(rng, n)))
+    table = bcn.x_table
+    return CoFaSeInstance.of(bcn, [table.state(0)], [table.state((1 << n) - 1)],
+                             BooleanMode.asyn(table))
+
+
+def test_both_engines_agree_on_the_freeze_extended_network_at_four_variables():
+    # 12 composite symbols, 4,096 configurations: the test takes about 0.7 s
+    # on a 2-vCPU Xeon, nearly all of it in the composite engine
+    instance = freeze_extended_instance(4)
+    direct = solve_cofase(instance, max_phases=2)
+    via = solve_cofase_via_composite(instance, max_steps=16, max_phases=2)
+    assert direct and via
+    assert direct.phases == via.phases == 1
+    assert check_solution(instance, direct) == []
+    assert check_solution(instance, via) == []
+
+
 @pytest.mark.parametrize("seed, n", [(3, 7), (7, 8)])
 def test_quotient_solver_matches_eager_solver_on_sets_wider_than_a_word(seed, n):
     # 128 and 256 states; none is solvable within 5 phases, so the
@@ -711,6 +733,20 @@ class TestCompositeSolver:
         result = solve_cofase_via_composite(instance, max_steps=0)
         assert isinstance(result, NoSolutionWithinBound)
         assert result.step_bound == 0
+
+    def test_a_huge_step_bound_commits_no_memory_up_front(self, frozen):
+        # the bucket queue holds the costs pushed, not one slot per cost; the
+        # solve peaks near 27 KiB
+        instance = golden_instance(frozen)
+        small = solve_cofase_via_composite(instance, max_steps=8)
+        tracemalloc.start()
+        try:
+            huge = solve_cofase_via_composite(instance, max_steps=10**9, max_phases=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert small and solution_to_json(huge) == solution_to_json(small)
+        assert peak < 256 * 2**10
 
     def test_bounds_below_range_rejected(self, frozen):
         instance = golden_instance(frozen)

@@ -16,6 +16,7 @@ import pytest
 import test_acceptance
 import test_boolp
 import test_cofase
+import test_direct_goldens
 import test_equivalence
 import test_every_small_network
 from test_bn import assert_component_flags
@@ -576,3 +577,33 @@ def test_a_result_function_ignoring_inhibitors_fails_the_reaction_check(capsys, 
         "at {a, c}: expected {} -> {b} but got {} -> {}\n",
     )
     assert run(capsys, *argv)[:2] == (0, "pass: embedded step equals the result function\n")
+
+
+def test_a_bucket_order_by_steps_first_fails_the_composite_golden(monkeypatch):
+    # every pop takes the fewest steps over all buckets, switches second: a
+    # configuration reached first with more switches is expanded again when
+    # fewer switches reach it later, so the unsolvable `random-101` reads
+    # `explored` 65 for 64 under phase bounds None and 2; no phases change
+    check = test_direct_goldens.test_composite_solves_match_goldens
+    with monkeypatch.context() as patch:
+        patch.setattr(test_direct_goldens, "solve_cofase_via_composite", _mutant(
+            cofase, "solve_cofase_via_composite",
+            "if cost not in buckets:\n                cost = min(buckets)",
+            "if True:\n                cost = min(buckets, key=lambda c: (c & step_mask, c))"))
+        with pytest.raises(AssertionError):
+            check()
+    check()
+
+
+def test_a_powerset_memo_ignoring_its_key_fails_the_evolve_golden(monkeypatch):
+    # the composite cannot show this fault: its controller's introduce rules
+    # are always applicable, so the usable rules never change; `async` over
+    # the golden system reuses {b}'s moves everywhere, so at {a, b} it fires
+    # r10, which is not applicable there, and never r2
+    powerset = boolp.PowersetQuasimode
+    with monkeypatch.context() as patch:
+        patch.setattr(powerset, "resolve", _mutant(
+            powerset, "resolve", "if usable != last_usable:", "if last_moves is None:"))
+        with pytest.raises(AssertionError, match="async"):
+            test_boolp.test_evolve_order_golden()
+    test_boolp.test_evolve_order_golden()
